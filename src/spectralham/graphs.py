@@ -101,12 +101,12 @@ class Graph:
         return out
 
     def matrix(self) -> np.ndarray:
-        """Dense float64 adjacency matrix."""
-        a = np.zeros((self.n, self.n))
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                a[v, u] = 1.0
-        return a
+        """Dense float64 adjacency matrix (row v unpacked from the bitmask adj[v])."""
+        n = self.n
+        width = (n + 7) // 8
+        raw = b"".join(row.to_bytes(width, "little") for row in self.adj)
+        octets = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+        return np.unpackbits(octets, axis=1, count=n, bitorder="little").astype(float)
 
     def with_edge(self, u: int, v: int) -> "Graph":
         if u == v:

@@ -16,6 +16,22 @@ Enumerated spaces are processed in index chunks with stacked-eigensolver
 statistics (numpy) as a coarse prefilter; the per-graph hypothesis is always
 re-checked exactly.  Campaigns can be partitioned across a worker pool; the
 merged report is identical to the serial one.
+
+Bound gate.  Every spectral prefilter is one threshold comparison in one
+quantity (rho, q, or the radius of the complement or quasi-complement), so
+it is monotone in that quantity.  Before eigensolving, each chunk gets an
+interval [lo, hi] per quantity from integer statistics alone (edge count and
+degrees, via ``spectral.radius_intervals``: average degree, the star
+K_{1,Delta}, Delta, Nikiforov at k = delta, Feng-Yu, and sqrt(e) and
+e/side + side on bipartite spaces).  The interval is widened by the tolerance
+plus a rounding slack; a row whose prefilters fail at both ends fails them at
+the computed value too, so it is not eigensolved and its value stays NaN
+(which fails every comparison and is never seeded into the per-graph
+context).  The remaining rows are eigensolved exactly as before, so
+verdicts, counts and failure lists do not change.  A quantity is not gated
+when a check that needs it has no prefilter or also needs another
+non-integer statistic.  ``extremal_search`` and the soundness sweep need
+every value and do not gate.
 """
 
 from __future__ import annotations
@@ -40,7 +56,7 @@ from .graphs import (
     pair_order,
 )
 from .oracle import DEFAULT_BUDGET, contains_biclique, clique_number, is_hamiltonian, is_traceable
-from .spectral import DEFAULT_TOL, q_radius, spectral_radius
+from .spectral import DEFAULT_TOL, q_radius, radius_intervals, spectral_radius
 from .transforms import is_b_closed, is_closed
 
 __all__ = [
@@ -193,9 +209,10 @@ def bipartite_from_index(side: int, idx: int) -> BipartiteGraph:
 
 
 def _index_bits(nbits: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.uint64)
-    shifts = np.arange(nbits, dtype=np.uint64)
-    return ((idx[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
+    """Row i holds the low nbits bits of start + i, least significant first."""
+    idx = np.arange(start, stop, dtype="<u8")
+    octets = idx.view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=nbits, bitorder="little").view(bool)
 
 
 def _graphs_from_bits(n: int, bits: np.ndarray) -> list[Graph]:
@@ -276,79 +293,102 @@ def enumerate_space(space: SearchSpace) -> Iterator:
 # Batched statistics over index chunks
 # ---------------------------------------------------------------------------
 
-def _graph_chunk_stats(n: int, start: int, stop: int, needs: frozenset) -> dict:
-    m = n * (n - 1) // 2
-    bits = _index_bits(m, start, stop)
-    us, vs = _pair_arrays(n)
-    cnt = bits.shape[0]
-    a = np.zeros((cnt, n, n))
-    a[:, us, vs] = bits
-    a[:, vs, us] = bits
-    deg = a.sum(axis=2)
-    stats = {
+_RADII = ("rho", "q", "rho_complement", "rho_qc", "q_qc")
+_COMPLEMENTED = ("rho_complement", "rho_qc", "q_qc")
+_DEGREE_SUMS = ("min_ds", "min_cross_ds")
+_INTEGER_STATS = frozenset(["e", "delta"])
+# Added to the tolerance when gating: it covers the rounding of eigvalsh
+# (about 1e-14 at the capped orders) and of the bound formulas, so a row whose
+# computed value would pass a prefilter is never gated away, even at tol = 0.
+_GATE_SLACK = 1e-9
+
+
+@lru_cache(maxsize=None)
+def _bit_ends(size: int, bip: bool):
+    """Endpoints (us, vs) of each index bit and the vertex-bit incidence matrix.
+
+    Plain graphs use pair_order(n); balanced bipartite graphs put x_i at
+    column i and y_j at column side + j, so bit i*side+j joins i and side+j.
+    The incidence is float32 so that degrees come from one BLAS matmul; the
+    counts are small integers, exact in float32.
+    """
+    if bip:
+        t = np.arange(size * size)
+        us, vs = t // size, size + t % size
+        order = 2 * size
+    else:
+        us, vs = _pair_arrays(size)
+        order = size
+    inc = np.zeros((order, len(us)), dtype=np.float32)
+    inc[us, np.arange(len(us))] = 1
+    inc[vs, np.arange(len(us))] = 1
+    return us, vs, inc
+
+
+def _degree_stats(size: int, bip: bool, start: int, stop: int) -> dict:
+    """Index bits and integer statistics of the chunk [start, stop).
+
+    deg[v, i] is the degree of vertex v in row i (vertex-major, so the
+    reductions below run over contiguous rows), e the edge count and
+    delta / Delta the minimum / maximum degree.
+    """
+    us, _, inc = _bit_ends(size, bip)
+    bits = _index_bits(len(us), start, stop)
+    deg = (inc @ bits.T.astype(np.float32)).astype(np.int64)
+    return {
         "bits": bits,
-        "e": bits.sum(axis=1).astype(np.int64),
-        "delta": deg.min(axis=1).astype(np.int64),
-    }
-    if "rho" in needs:
-        stats["rho"] = np.linalg.eigvalsh(a)[:, -1]
-    if "q" in needs:
-        qm = a.copy()
-        qm[:, np.arange(n), np.arange(n)] += deg
-        stats["q"] = np.linalg.eigvalsh(qm)[:, -1]
-    if "rho_complement" in needs:
-        cm = 1.0 - a
-        cm[:, np.arange(n), np.arange(n)] = 0.0
-        stats["rho_complement"] = np.linalg.eigvalsh(cm)[:, -1]
-    if "min_ds" in needs:
-        ds = deg[:, :, None] + deg[:, None, :]
-        offdiag = ~np.eye(n, dtype=bool)
-        nonadj = (a == 0) & offdiag
-        ds = np.where(nonadj, ds, np.inf)
-        stats["min_ds"] = ds.min(axis=(1, 2))
-    return stats
-
-
-def _bip_chunk_stats(side: int, start: int, stop: int, needs: frozenset) -> dict:
-    bits = _index_bits(side * side, start, stop)
-    cnt = bits.shape[0]
-    cross = bits.reshape(cnt, side, side).astype(float)
-    xdeg = cross.sum(axis=2)
-    ydeg = cross.sum(axis=1)
-    stats = {
-        "bits": bits,
-        "e": bits.sum(axis=1).astype(np.int64),
-        "delta": np.minimum(xdeg.min(axis=1), ydeg.min(axis=1)).astype(np.int64),
+        "deg": deg,
+        "e": deg.sum(axis=0) // 2,
+        "delta": deg.min(axis=0),
+        "Delta": deg.max(axis=0),
     }
 
-    def block(m):
-        a = np.zeros((cnt, 2 * side, 2 * side))
-        a[:, :side, side:] = m
-        a[:, side:, :side] = np.transpose(m, (0, 2, 1))
-        return a
 
-    if "rho" in needs or "q" in needs:
-        a = block(cross)
-        if "rho" in needs:
-            stats["rho"] = np.linalg.eigvalsh(a)[:, -1]
-        if "q" in needs:
-            d = a.sum(axis=2)
-            qm = a
-            qm[:, np.arange(2 * side), np.arange(2 * side)] += d
-            stats["q"] = np.linalg.eigvalsh(qm)[:, -1]
-    if "rho_qc" in needs or "q_qc" in needs:
-        a = block(1.0 - cross)
-        if "rho_qc" in needs:
-            stats["rho_qc"] = np.linalg.eigvalsh(a)[:, -1]
-        if "q_qc" in needs:
-            d = a.sum(axis=2)
-            qm = a
-            qm[:, np.arange(2 * side), np.arange(2 * side)] += d
-            stats["q_qc"] = np.linalg.eigvalsh(qm)[:, -1]
-    if "min_cross_ds" in needs:
-        ds = xdeg[:, :, None] + ydeg[:, None, :]
-        ds = np.where(cross == 0, ds, np.inf)
-        stats["min_cross_ds"] = ds.min(axis=(1, 2))
+def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
+    """The spectral quantity ``key`` of each row of bits, by one batched eigvalsh.
+
+    rho / q are taken on the graph, rho_complement on its complement and
+    rho_qc / q_qc on its quasi-complement (the bipartite complement).
+    """
+    us, vs, _ = _bit_ends(size, bip)
+    order = 2 * size if bip else size
+    x = ~bits if key in _COMPLEMENTED else bits
+    a = np.zeros((len(bits), order, order))
+    a[:, us, vs] = x
+    a[:, vs, us] = x
+    if key in ("q", "q_qc"):
+        diag = np.arange(order)
+        a[:, diag, diag] = a.sum(axis=2)
+    return np.linalg.eigvalsh(a)[:, -1]
+
+
+def _radius_interval(key: str, stats: dict, size: int, bip: bool):
+    """[lo, hi] containing the quantity ``key`` of each row, from integer stats alone."""
+    e, dmin, dmax = stats["e"], stats["delta"], stats["Delta"]
+    if key in _COMPLEMENTED:
+        full = size if bip else size - 1  # a vertex's degree in K_{side,side} or K_n
+        e, dmin, dmax = stats["bits"].shape[1] - e, full - dmax, full - dmin
+    rho, q = radius_intervals(2 * size if bip else size, e, dmin, dmax, size if bip else None)
+    return q if key in ("q", "q_qc") else rho
+
+
+def _min_degree_sum(size: int, bip: bool, stats: dict) -> np.ndarray:
+    """Minimum of d(u) + d(v) over non-adjacent pairs (cross pairs when bip); inf if none."""
+    us, vs, _ = _bit_ends(size, bip)
+    deg = stats["deg"]
+    ds = np.where(stats["bits"].T, np.inf, deg[us] + deg[vs])
+    return ds.min(axis=0, initial=np.inf)
+
+
+def _chunk_stats(size: int, bip: bool, start: int, stop: int, needs: frozenset) -> dict:
+    """Integer statistics plus every quantity in needs, for all rows of the chunk."""
+    stats = _degree_stats(size, bip, start, stop)
+    for key in _RADII:
+        if key in needs:
+            stats[key] = _radii(key, size, bip, stats["bits"])
+    for key in _DEGREE_SUMS:
+        if key in needs:
+            stats[key] = _min_degree_sum(size, bip, stats)
     return stats
 
 
@@ -1108,26 +1148,57 @@ def _eval_graph(ctx: _Ctx, checks: list[_Check], report: VerificationReport,
             report.conclusion_failures.append(ctx.g6())
 
 
+def _gated(key: str, checks: list[_Check]) -> bool:
+    """Can ``key`` be gated: is every check needing it one threshold comparison in it?"""
+    return all(
+        chk.prefilter is not None and set(chk.needs) <= _INTEGER_STATS | {key}
+        for chk in checks
+        if key in chk.needs
+    )
+
+
+def _may_pass(key, checks, stats, size, bip, k, tol) -> np.ndarray:
+    """Rows where some prefilter on ``key`` holds at either end of its padded interval."""
+    lo, hi = _radius_interval(key, stats, size, bip)
+    pad = abs(tol) + _GATE_SLACK
+    ends = (dict(stats, **{key: lo - pad}), dict(stats, **{key: hi + pad}))
+    keep = np.zeros(len(lo), dtype=bool)
+    for chk in checks:
+        if key in chk.needs:
+            for at in ends:
+                keep |= np.asarray(chk.prefilter(at, size, k, tol))
+    return keep
+
+
 def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> VerificationReport:
     checks = _expand_target(target, k, tol)
     report = VerificationReport(target, space.describe())
     needs = frozenset(n for chk in checks for n in chk.needs)
+    radii = [key for key in _RADII if key in needs]
+    gated = {key for key in radii if _gated(key, checks)}
     bip = space.kind == "balanced_bipartite_labeled"
     size = space.side if bip else space.n
     min_deg = space.k if space.kind == "labeled_min_degree" else None
     pos = start
     while pos < stop:
         hi = min(pos + _CHUNK, stop)
-        stats = (
-            _bip_chunk_stats(size, pos, hi, needs)
-            if bip
-            else _graph_chunk_stats(size, pos, hi, needs)
-        )
+        stats = _degree_stats(size, bip, pos, hi)
         cnt = hi - pos
         in_space = np.ones(cnt, dtype=bool)
         if min_deg is not None:
             in_space = stats["delta"] >= min_deg
         report.processed += int(in_space.sum())
+        for key in radii:
+            rows = in_space
+            if key in gated:
+                rows = rows & _may_pass(key, checks, stats, size, bip, k, tol)
+            vals = np.full(cnt, np.nan)  # NaN fails every prefilter comparison
+            if rows.any():
+                vals[rows] = _radii(key, size, bip, stats["bits"][rows])
+            stats[key] = vals
+        for key in _DEGREE_SUMS:
+            if key in needs:
+                stats[key] = _min_degree_sum(size, bip, stats)
         masks = []
         for chk in checks:
             if chk.prefilter is None:
@@ -1137,17 +1208,14 @@ def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> Verific
         combined = np.zeros(cnt, dtype=bool)
         for m in masks:
             combined |= m
-        seed_keys = [key for key in ("rho", "q", "rho_complement", "rho_qc", "q_qc") if key in stats]
+        seed_keys = [key for key in (*radii, *_DEGREE_SUMS) if key in stats]
         for i in np.flatnonzero(combined):
             if bip:
                 g = _bip_from_bits(size, stats["bits"][i])
             else:
                 g = _graphs_from_bits(size, stats["bits"][i : i + 1])[0]
-            seeded = {key: float(stats[key][i]) for key in seed_keys}
-            if "min_ds" in stats:
-                seeded["min_ds"] = float(stats["min_ds"][i])
-            if "min_cross_ds" in stats:
-                seeded["min_cross_ds"] = float(stats["min_cross_ds"][i])
+            # A gated-away value stays NaN and is left to the lazy context.
+            seeded = {key: float(stats[key][i]) for key in seed_keys if not np.isnan(stats[key][i])}
             ctx = _Ctx(g, tol, budget, seeded)
             _eval_graph(ctx, checks, report, [bool(m[i]) for m in masks])
         pos = hi
@@ -1192,7 +1260,7 @@ def verify_theorem(
             if msg:
                 raise ValueError(f"space does not satisfy the statement's preconditions: {msg}")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     total = _space_index_total(space)
     if total is not None:
         if jobs > 1:
@@ -1220,7 +1288,7 @@ def verify_theorem(
             report.processed += 1
             _eval_graph(_Ctx(g, tol, oracle_budget, None), checks, report)
     report.finalize()
-    report.wall_time = time.time() - t0
+    report.wall_time = time.perf_counter() - t0
     if emit is not None:
         for g6 in report.conclusion_failures:
             emit({"target": target, "space": report.space, "verdict": "counterexample",
@@ -1280,11 +1348,7 @@ def extremal_search(
         pos = 0
         while pos < total:
             hi = min(pos + _CHUNK, total)
-            stats = (
-                _bip_chunk_stats(size, pos, hi, needs)
-                if bip
-                else _graph_chunk_stats(size, pos, hi, needs)
-            )
+            stats = _chunk_stats(size, bip, pos, hi, needs)
             sel = np.ones(hi - pos, dtype=bool)
             if space.kind == "labeled_min_degree":
                 sel = stats["delta"] >= space.k
@@ -1368,7 +1432,7 @@ def certifier_soundness_sweep(
         pos = 0
         while pos < total:
             hi = min(pos + _CHUNK, total)
-            stats = _graph_chunk_stats(n, pos, hi, needs)
+            stats = _chunk_stats(n, False, pos, hi, needs)
             for i in range(hi - pos):
                 g = _graphs_from_bits(n, stats["bits"][i : i + 1])[0]
                 pre = {
@@ -1407,7 +1471,7 @@ def certifier_soundness_sweep(
         pos = 0
         while pos < total:
             hi = min(pos + _CHUNK, total)
-            stats = _bip_chunk_stats(side, pos, hi, bip_needs)
+            stats = _chunk_stats(side, True, pos, hi, bip_needs)
             for i in range(hi - pos):
                 b = _bip_from_bits(side, stats["bits"][i])
                 pre = {key: float(stats[key][i]) for key in ("rho", "q", "rho_qc", "q_qc")}

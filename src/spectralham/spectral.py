@@ -2,10 +2,10 @@
 
 rho(G) is the largest eigenvalue of the adjacency matrix A; q(G) is the
 largest eigenvalue of the signless Laplacian Q = A + D.  The default backend
-is the dense symmetric LAPACK eigensolver (deterministic, residuals near
-machine precision); a self-contained cyclic Jacobi-rotation solver is
-provided as an independent recomputation route, and shifted power iteration
-is available for orders beyond a few hundred.
+is the dense symmetric LAPACK eigensolver at every order (deterministic,
+residuals near machine precision); a self-contained cyclic Jacobi-rotation
+solver is provided as an independent recomputation route, and shifted power
+iteration runs only on request (``method="power"``).
 
 A single comparison tolerance (1e-9) is used wherever a computed eigenvalue
 meets a closed form or another computed eigenvalue.
@@ -39,13 +39,11 @@ __all__ = [
     "q_complete_bipartite",
     "rho_complete_split",
     "bound_report",
+    "radius_intervals",
     "BOUND_IDS",
 ]
 
 DEFAULT_TOL = 1e-9
-
-# Orders beyond this use power iteration by default.
-_DENSE_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     a = g.matrix()
-    return a + np.diag(a.sum(axis=1))
+    a[np.diag_indices_from(a)] = a.sum(axis=1)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +144,26 @@ def jacobi_eigenvalues(
 
 
 def _top_eigenpair_lapack(m: np.ndarray) -> tuple[float, np.ndarray]:
-    w, v = np.linalg.eigh(m)
-    return float(w[-1]), v[:, -1]
+    """Largest eigenvalue of symmetric m and an eigenvector for it.
+
+    The value comes from LAPACK's values-only solver (eigvalsh, the routine
+    the harness batches), the vector from one inverse-iteration solve with
+    (lam + s) I - m.  The shift s = 1e-13 max(1, |lam|) is some 450 ulps,
+    above eigvalsh's error, so the system is positive definite, and the
+    residual it leaves is below 1e-13 lam.  The shifted matrix is formed in
+    m's own buffer and m is restored exactly afterwards: at most two n x n
+    buffers are live at once, where eigh with eigenvectors needs five.
+    """
+    n = m.shape[0]
+    lam = float(np.linalg.eigvalsh(m)[-1])
+    diag = np.diag_indices(n)
+    d = m[diag]
+    np.negative(m, out=m)
+    m[diag] = lam + 1e-13 * max(1.0, abs(lam)) - d
+    x = np.linalg.solve(m, np.ones(n))  # ones is not orthogonal to the Perron vector
+    np.negative(m, out=m)
+    m[diag] = d
+    return lam, x / np.linalg.norm(x)
 
 
 def _power_iteration(
@@ -181,9 +198,7 @@ def _extreme(g: Graph, which: str, method: str) -> SpectralResult:
     if g.edge_count == 0:
         return SpectralResult(0.0, "closed_form", 0.0, 0)
     m = adjacency_matrix(g) if which == "adjacency" else signless_laplacian_matrix(g)
-    if method == "auto":
-        method = "lapack" if g.n <= _DENSE_LIMIT else "power"
-    if method == "lapack":
+    if method in ("auto", "lapack"):
         lam, x = _top_eigenpair_lapack(m)
         res = float(np.max(np.abs(m @ x - lam * x)))
         return SpectralResult(lam, "dense_eigensolver", res, 1)
@@ -198,7 +213,12 @@ def _extreme(g: Graph, which: str, method: str) -> SpectralResult:
             # Shift by nI so the extreme adjacency eigenvalue is on top even
             # for bipartite spectra (symmetric about 0).
             shifted = m + g.n * np.eye(g.n)
-            lam, x, it = _power_iteration(shifted)
+            try:
+                lam, x, it = _power_iteration(shifted)
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    "power iteration did not converge", exc.best - g.n, exc.residual
+                ) from None
             lam -= g.n
         else:
             lam, x, it = _power_iteration(m)  # Q is PSD: top eigenvalue dominates
@@ -350,6 +370,51 @@ def _inapplicable(bound_id, kind) -> BoundRecord:
     return BoundRecord(bound_id, kind, False, None, None, None, None)
 
 
+# The bound formulas below serve both bound_report (one graph, Python
+# numbers) and radius_intervals (numpy arrays, elementwise).
+
+def _nikiforov(n, e, k):
+    """rho <= (k-1)/2 + sqrt(2e - nk + (k+1)^2/4) for every graph with delta >= k."""
+    return (k - 1) / 2.0 + np.sqrt(2 * e - n * k + (k + 1) ** 2 / 4.0)
+
+
+def _feng_yu(n, e):
+    """q <= 2e/(n-1) + n - 2, for n >= 2."""
+    return 2 * e / (n - 1) + n - 2
+
+
+def _balanced_bipartite_q(e, half):
+    """q <= e/half + half on balanced bipartite graphs with sides of size half."""
+    return e / half + half
+
+
+def radius_intervals(n: int, e, dmin, dmax, half: Optional[int] = None):
+    """Sound enclosures of rho and q from integer degree statistics.
+
+    Elementwise over arrays: graphs of order n with e edges and degrees
+    between dmin and dmax have
+
+    * rho in [max(2e/n, sqrt(dmax)), min(dmax, Nikiforov at k = dmin)];
+    * q in [max(4e/n, dmax + 1 if e > 0), min(2 dmax, Feng-Yu)].
+
+    The lower bounds are the Rayleigh quotient of the all-ones vector and
+    the spanning star K_{1,dmax}.  With ``half`` the graphs are balanced
+    bipartite with sides of that size, which adds rho <= sqrt(e) and
+    q <= e/half + half.  Returns ((rho_lo, rho_hi), (q_lo, q_hi)); both
+    intervals collapse to a point on regular graphs.
+    """
+    rho_lo = np.maximum(2 * e / n, np.sqrt(dmax))
+    rho_hi = np.minimum(dmax, _nikiforov(n, e, dmin))
+    q_lo = np.maximum(4 * e / n, np.where(e > 0, dmax + 1, 0))
+    q_hi = 2.0 * dmax
+    if n >= 2:
+        q_hi = np.minimum(q_hi, _feng_yu(n, e))
+    if half is not None:
+        rho_hi = np.minimum(rho_hi, np.sqrt(e))
+        q_hi = np.minimum(q_hi, _balanced_bipartite_q(e, half))
+    return (rho_lo, rho_hi), (q_lo, q_hi)
+
+
 def bound_report(g: Graph, k: Optional[int] = None, tol: float = DEFAULT_TOL) -> BoundReport:
     """Evaluate the seven bound inequalities on g.
 
@@ -368,14 +433,13 @@ def bound_report(g: Graph, k: Optional[int] = None, tol: float = DEFAULT_TOL) ->
 
     # (a) Nikiforov: rho <= (k-1)/2 + sqrt(2e - nk + (k+1)^2/4), needs delta >= k
     if k is not None and 0 <= k <= delta:
-        val = (k - 1) / 2.0 + math.sqrt(2 * e - n * k + (k + 1) ** 2 / 4.0)
-        records.append(_record("nikiforov", "upper", val, rho, tol))
+        records.append(_record("nikiforov", "upper", float(_nikiforov(n, e, k)), rho, tol))
     else:
         records.append(_inapplicable("nikiforov", "upper"))
 
     # (b) Feng-Yu: q <= 2e/(n-1) + n - 2
     if n >= 2:
-        records.append(_record("feng_yu", "upper", 2 * e / (n - 1) + n - 2, q, tol))
+        records.append(_record("feng_yu", "upper", _feng_yu(n, e), q, tol))
     else:
         records.append(_inapplicable("feng_yu", "upper"))
 
@@ -400,7 +464,9 @@ def bound_report(g: Graph, k: Optional[int] = None, tol: float = DEFAULT_TOL) ->
     # (e) balanced bipartite: q <= e/half + half
     if sides is not None and len(sides[0]) == len(sides[1]) and n >= 2:
         half = n // 2
-        records.append(_record("balanced_bipartite_q", "upper", e / half + half, q, tol))
+        records.append(
+            _record("balanced_bipartite_q", "upper", _balanced_bipartite_q(e, half), q, tol)
+        )
     else:
         records.append(_inapplicable("balanced_bipartite_q", "upper"))
 

@@ -240,28 +240,55 @@ def test_criterion_05_closure_correctness():
     _report(5, "closure idempotence/order-independence/Hamiltonicity equivalence", t0, 300)
 
 
+# (target, space, k, processed, hypothesis_count, exceptional_matches) for
+# every criterion-6 campaign, recorded with every graph eigensolved; the
+# harness's bound gate must reproduce them exactly.
+CRITERION_06_RUNS = (
+    ("ore", SearchSpace.all_labeled(5), None, 1024, 56, 0),
+    ("ore", SearchSpace.all_labeled(6), None, 32768, 576, 0),
+    ("ore", SearchSpace.all_labeled(7), None, 2097152, 7547, 0),
+    ("erdos", SearchSpace.all_labeled(7), 1, 2097152, 7547, 0),
+    ("erdos", SearchSpace.all_labeled(7), 2, 2097152, 27854, 0),
+    ("erdos", SearchSpace.all_labeled(7), 3, 2097152, 26174, 0),
+    ("fn_rho", SearchSpace.all_labeled(6), None, 32768, 1203, 36),
+    ("fn_rho_complement", SearchSpace.all_labeled(6), None, 32768, 8822, 36),
+    ("yu_fan_q", SearchSpace.all_labeled(6), None, 32768, 1608, 36),
+    ("fn_rho", SearchSpace.all_labeled(7), None, 2097152, 6890, 49),
+    ("fn_rho_complement", SearchSpace.all_labeled(7), None, 2097152, 226283, 49),
+    ("yu_fan_q", SearchSpace.all_labeled(7), None, 2097152, 13085, 49),
+    ("main_rho_complement.2", SearchSpace.labeled_min_degree(4, 1), 1, 41, 22, 12),
+    ("main_rho_complement.2", SearchSpace.labeled_min_degree(5, 1), 1, 768, 226, 20),
+    ("main_rho_complement.2", SearchSpace.labeled_min_degree(6, 1), 1, 27449, 3178, 30),
+    ("main_rho_complement.2", SearchSpace.labeled_min_degree(7, 1), 1, 1887284, 73868, 42),
+    ("ainouche_christofides", SearchSpace.all_labeled(3), None, 8, 3, 3),
+    ("ainouche_christofides", SearchSpace.all_labeled(4), None, 64, 12, 12),
+    ("ainouche_christofides", SearchSpace.all_labeled(5), None, 1024, 55, 55),
+    ("ainouche_christofides", SearchSpace.all_labeled(6), None, 32768, 90, 90),
+    ("ainouche_christofides", SearchSpace.all_labeled(7), None, 2097152, 497, 497),
+    ("moon_moser", SearchSpace.balanced_bipartite_labeled(2), None, 16, 2, 0),
+    ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(2), None, 16, 6, 6),
+    ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(2), None, 16, 7, 6),
+    ("bip_rho_qc", SearchSpace.balanced_bipartite_labeled(2), 1, 16, 7, 6),
+    ("moon_moser", SearchSpace.balanced_bipartite_labeled(3), None, 512, 44, 0),
+    ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(3), None, 512, 63, 63),
+    ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(3), None, 512, 97, 63),
+    ("bip_rho_qc", SearchSpace.balanced_bipartite_labeled(3), 1, 512, 97, 63),
+    ("moon_moser", SearchSpace.balanced_bipartite_labeled(4), None, 65536, 874, 0),
+    ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(4), None, 65536, 990, 990),
+    ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4), None, 65536, 7583, 990),
+    ("bip_rho_qc", SearchSpace.balanced_bipartite_labeled(4), 1, 65536, 4457, 240),
+    ("bip_rho_qc", SearchSpace.balanced_bipartite_labeled(4), 2, 65536, 7343, 750),
+)
+
+
 def test_criterion_06_exhaustive_campaigns():
     t0 = time.monotonic()
-    runs = []
-    for n in (5, 6, 7):
-        runs.append(("ore", SearchSpace.all_labeled(n), None))
-    for k in (1, 2, 3):
-        runs.append(("erdos", SearchSpace.all_labeled(7), k))
-    for n in (6, 7):
-        runs.append(("fn_rho", SearchSpace.all_labeled(n), None))
-        runs.append(("fn_rho_complement", SearchSpace.all_labeled(n), None))
-        runs.append(("yu_fan_q", SearchSpace.all_labeled(n), None))
-    for n in (4, 5, 6, 7):
-        runs.append(("main_rho_complement.2", SearchSpace.labeled_min_degree(n, 1), 1))
-    for n in (3, 4, 5, 6, 7):
-        runs.append(("ainouche_christofides", SearchSpace.all_labeled(n), None))
-    sides = (2, 3, 4)
-    for side in sides:
-        runs.append(("moon_moser", SearchSpace.balanced_bipartite_labeled(side), None))
-        runs.append(("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(side), None))
-        runs.append(("bip_q_qc", SearchSpace.balanced_bipartite_labeled(side), None))
-        runs.append(("bip_rho_qc", SearchSpace.balanced_bipartite_labeled(side), 1))
-    runs.append(("bip_rho_qc", SearchSpace.balanced_bipartite_labeled(4), 2))
+    for target, space, k, processed, hyps, exceptional in CRITERION_06_RUNS:
+        rep = verify_theorem(target, space, k=k)
+        assert rep.clean, (target, space.describe(), rep.conclusion_failures, rep.aborted)
+        got = (rep.processed, rep.hypothesis_count, rep.exceptional_matches)
+        assert got == (processed, hyps, exceptional), (target, space.describe(), k, got)
+    runs = len(CRITERION_06_RUNS)
     if os.environ.get("SPECTRALHAM_SIDE5") == "1":
         for target, k in (
             ("moon_moser", None),
@@ -270,14 +297,10 @@ def test_criterion_06_exhaustive_campaigns():
             ("bip_rho_qc", 1),
             ("bip_rho_qc", 2),
         ):
-            runs.append((target, SearchSpace.balanced_bipartite_labeled(5), k))
-    total_hyp = 0
-    for target, space, k in runs:
-        rep = verify_theorem(target, space, k=k)
-        assert rep.clean, (target, space.describe(), rep.conclusion_failures, rep.aborted)
-        total_hyp += rep.hypothesis_count
-    assert total_hyp > 0
-    _report(6, f"{len(runs)} exhaustive campaigns, zero counterexamples", t0, 900)
+            rep = verify_theorem(target, SearchSpace.balanced_bipartite_labeled(5), k=k)
+            assert rep.clean, (target, 5, rep.conclusion_failures, rep.aborted)
+            runs += 1
+    _report(6, f"{runs} exhaustive campaigns, zero counterexamples", t0, 900)
 
 
 def test_criterion_07_family_sharpness():

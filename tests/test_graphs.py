@@ -212,3 +212,16 @@ def test_edge_list_roundtrip():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(ValueError):
         parse_edge_list("")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65, 130])
+def test_matrix_matches_edges(n):
+    # rows are unpacked from the adjacency bitmasks; check across byte widths
+    rng = np.random.default_rng(n)
+    g = gnp(n, 0.4, rng)
+    expected = np.zeros((n, n))
+    for u, v in g.edges():
+        expected[u, v] = expected[v, u] = 1.0
+    a = g.matrix()
+    assert a.dtype == np.float64 and a.shape == (n, n)
+    assert np.array_equal(a, expected)

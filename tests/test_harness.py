@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from spectralham.families import FamilySpec, construct, recognize
 from spectralham.graphs import complete_graph, graph6_decode, graph6_encode
 from spectralham.harness import (
+    _CHUNK,
     SearchSpace,
     SpaceCapError,
     bipartite_from_index,
@@ -15,8 +17,10 @@ from spectralham.harness import (
     graph_from_index,
     random_model,
     verify_theorem,
+    _chunk_stats,
+    _radius_interval,
 )
-from spectralham.spectral import spectral_radius
+from spectralham.spectral import radius_intervals, spectral_radius
 
 
 def test_enumeration_counts():
@@ -195,3 +199,76 @@ def test_index_decoding_matches_enumeration():
         assert graph_from_index(4, idx) == list(enumerate_space(SearchSpace.all_labeled(4)))[idx]
     b = bipartite_from_index(3, 0b101_000_110)
     assert b.rows == (0b110, 0b000, 0b101)
+
+
+@pytest.mark.parametrize("size, bip", [(6, False), (4, True)])
+def test_radius_intervals_bracket_eigvalsh(size, bip):
+    # every graph of all_labeled(6) / balanced_bipartite_labeled(4): the
+    # integer-statistics interval of each quantity holds the eigvalsh value
+    keys = ("rho", "q", "rho_qc", "q_qc") if bip else ("rho", "q", "rho_complement")
+    total = 1 << (size * size if bip else size * (size - 1) // 2)
+    seen_regular = 0
+    for pos in range(0, total, _CHUNK):
+        stats = _chunk_stats(size, bip, pos, min(pos + _CHUNK, total), frozenset(keys))
+        regular = np.flatnonzero(stats["delta"] == stats["Delta"])
+        seen_regular += len(regular)
+        for key in keys:
+            lo, hi = _radius_interval(key, stats, size, bip)
+            val = stats[key]
+            assert np.all(lo <= val + 1e-9) and np.all(val <= hi + 1e-9), key
+            # equality cases: regular graphs (K_n, K_{s,s}, the empty graph,
+            # cycles, ...) and their complements pin the value exactly
+            assert np.allclose(lo[regular], val[regular], atol=1e-9), key
+            assert np.allclose(hi[regular], val[regular], atol=1e-9), key
+    assert seen_regular > 2
+
+
+def test_radius_intervals_complete_graphs():
+    (rho_lo, rho_hi), (q_lo, q_hi) = radius_intervals(6, 15, 5, 5)
+    assert rho_lo == rho_hi == 5 and q_lo == q_hi == 10
+    # K_{3,3} as a balanced bipartite graph of order 6
+    (rho_lo, rho_hi), (q_lo, q_hi) = radius_intervals(6, 9, 3, 3, half=3)
+    assert rho_lo == rho_hi == 3 and q_lo == q_hi == 6
+
+
+def test_bound_gate_skips_refuted_eigensolves(monkeypatch):
+    solved = []
+    orig = np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append(len(a))
+        return orig(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rep = verify_theorem("fn_rho", SearchSpace.all_labeled(6))
+    assert (rep.processed, rep.hypothesis_count, rep.exceptional_matches) == (32768, 1203, 36)
+    assert 0 < sum(solved) < 32768 // 10
+
+
+# (space, objective, constraint, k, best, number of optima, sha256 prefix of
+# the sorted optima) recorded with every graph eigensolved
+EXTREMAL_GOLDEN = (
+    (SearchSpace.all_labeled(6), "max_rho", "non_hamiltonian", None,
+     4.051374241731038, 30, "f5fb7c4cfbadbc4d"),
+    (SearchSpace.all_labeled(6), "max_q", "non_hamiltonian", None,
+     8.274917217635377, 30, "f5fb7c4cfbadbc4d"),
+    (SearchSpace.all_labeled(6), "min_rho_complement", "non_hamiltonian", None,
+     2.0, 30, "f5fb7c4cfbadbc4d"),
+    (SearchSpace.all_labeled(6), "max_q", "non_hamiltonian", 2,
+     7.758770483143639, 90, "28a4286a872447b6"),
+    (SearchSpace.balanced_bipartite_labeled(3), "max_rho", "non_hamiltonian", None,
+     2.524337798962139, 18, "b571dc34215852df"),
+    (SearchSpace.balanced_bipartite_labeled(3), "max_q", "non_hamiltonian", None,
+     5.236067977499792, 18, "b571dc34215852df"),
+    (SearchSpace.balanced_bipartite_labeled(3), "min_q_qc", "non_hamiltonian", None,
+     3.0, 63, "24aba313c6957426"),
+)
+
+
+@pytest.mark.parametrize("case", EXTREMAL_GOLDEN, ids=lambda c: f"{c[1]}-{c[0].describe()}")
+def test_extremal_search_golden(case):
+    space, objective, constraint, k, best_ref, count, digest = case
+    best, winners = extremal_search(space, objective, constraint, k=k)
+    assert abs(best - best_ref) < 1e-12
+    assert len(winners) == count
+    assert hashlib.sha256("\n".join(winners).encode()).hexdigest()[:16] == digest

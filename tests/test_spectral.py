@@ -11,6 +11,7 @@ from spectralham.graphs import (
     empty_graph,
     join,
     k_copies,
+    path_graph,
 )
 from spectralham.spectral import (
     ConvergenceError,
@@ -79,12 +80,40 @@ def test_power_iteration_paths():
     assert abs(res.value - 29) < 1e-8 and res.method == "power_iteration"
     res = q_radius(complete_graph(30), method="power")
     assert abs(res.value - 58) < 1e-8
-    # n > 200 triggers power iteration automatically
+    # auto uses LAPACK at every order; power iteration only on request
     big = join(complete_graph(150), k_copies(60, complete_graph(1)))
     auto = spectral_radius(big)
-    assert auto.method == "power_iteration"
-    dense = spectral_radius(big, method="lapack")
-    assert abs(auto.value - dense.value) < 1e-7
+    assert auto.method == "dense_eigensolver"
+    power = spectral_radius(big, method="power")
+    assert power.method == "power_iteration"
+    assert abs(auto.value - power.value) < 1e-7
+
+
+@pytest.mark.parametrize("n", [201, 220, 333, 500])
+def test_sparse_large_orders_match_closed_forms(n):
+    # even cycles are bipartite, so the shifted power iteration once stalled
+    # on them; LAPACK gives the closed forms at every order
+    cases = (
+        (spectral_radius, cycle_graph(n), 2.0),
+        (spectral_radius, path_graph(n), 2 * math.cos(math.pi / (n + 1))),
+        (q_radius, cycle_graph(n), 4.0),
+        (q_radius, path_graph(n), 2 + 2 * math.cos(math.pi / n)),
+    )
+    for radius, g, expected in cases:
+        res = radius(g)
+        assert res.method == "dense_eigensolver"
+        assert abs(res.value - expected) < TOL, (radius.__name__, n, res.value, expected)
+
+
+def test_power_convergence_error_reports_unshifted_estimate(monkeypatch):
+    from spectralham import spectral
+
+    orig = spectral._power_iteration
+    monkeypatch.setattr(spectral, "_power_iteration", lambda m: orig(m, max_iter=20))
+    with pytest.raises(ConvergenceError) as exc:
+        spectral_radius(cycle_graph(40), method="power")
+    # the iteration runs on A + nI; the error must report an eigenvalue of A
+    assert -2 - TOL <= exc.value.best <= 2 + TOL
 
 
 def test_closed_forms():
