@@ -22,7 +22,7 @@ from .graphs import (
 )
 from .harness import SearchSpace, VERIFY_TARGETS, extremal_search, verify_theorem
 from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
-from .spectral import DEFAULT_TOL, bound_report, q_radius, spectral_radius
+from .spectral import DEFAULT_TOL, bound_report
 from .transforms import bc_closure, bipartite_closure
 
 
@@ -75,18 +75,16 @@ def cmd_gen(args) -> int:
 def cmd_spectral(args) -> int:
     rc = 0
     for g in _load_graphs(args.graph):
-        rho = spectral_radius(g)
-        q = q_radius(g)
         rep = bound_report(g, k=args.k, tol=args.tolerance)
         if args.json:
             _emit({
                 "graph6": graph6_encode(g),
-                "rho": rho.value,
-                "q": q.value,
+                "rho": rep.rho,
+                "q": rep.q,
                 "bounds": rep.to_json(),
             })
         else:
-            print(f"{graph6_encode(g)}: rho = {rho.value:.10f}, q = {q.value:.10f}")
+            print(f"{graph6_encode(g)}: rho = {rep.rho:.10f}, q = {rep.q:.10f}")
             for rec in rep.records:
                 if not rec.applicable:
                     print(f"  {rec.bound_id:<22} inapplicable")

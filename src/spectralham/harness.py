@@ -32,6 +32,21 @@ verdicts, counts and failure lists do not change.  A quantity is not gated
 when a check that needs it has no prefilter or also needs another
 non-integer statistic.  ``extremal_search`` and the soundness sweep need
 every value and do not gate.
+
+Batched conclusions.  On enumerated spaces, the rows of a chunk that pass
+some prefilter (the candidates) get their neighbourhood bitmasks from one
+matmul over the index bits.  The first time a conclusion of one of them asks
+"Hamiltonian?" or "traceable?", ``oracle._held_karp_batch`` answers that
+question for every candidate row of the chunk at once, and each row reads
+its own verdict.  Each row is charged 1 << order nodes, the charge
+``is_hamiltonian`` reports for its subset DP; when that exceeds the oracle
+budget the row is recorded as aborted, never decided.  The kernel rebuilds a
+witness for every "yes" row and checks it against the row's adjacency before
+any verdict is used.  A row's context takes n, e and delta from the chunk
+statistics, and its Graph / BipartiteGraph is built only when something
+reads ``g`` (a recognizer, a closure or biclique test, a graph6 report).
+graph6 and random spaces, ``extremal_search`` and the soundness sweep use the
+scalar oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +55,7 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -55,7 +70,14 @@ from .graphs import (
     graph6_encode,
     pair_order,
 )
-from .oracle import DEFAULT_BUDGET, contains_biclique, clique_number, is_hamiltonian, is_traceable
+from .oracle import (
+    DEFAULT_BUDGET,
+    _held_karp_batch,
+    clique_number,
+    contains_biclique,
+    is_hamiltonian,
+    is_traceable,
+)
 from .spectral import DEFAULT_TOL, q_radius, radius_intervals, spectral_radius
 from .transforms import is_b_closed, is_closed
 
@@ -74,6 +96,7 @@ __all__ = [
 MAX_ALL_LABELED_N = 8
 MAX_BIP_SIDE = 5
 _CHUNK = 1 << 14
+_EIG_BLOCK = 1 << 11
 
 
 class SpaceCapError(ValueError):
@@ -215,20 +238,6 @@ def _index_bits(nbits: int, start: int, stop: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=nbits, bitorder="little").view(bool)
 
 
-def _graphs_from_bits(n: int, bits: np.ndarray) -> list[Graph]:
-    us, vs = _pair_arrays(n)
-    out = []
-    for row in bits:
-        rows = [0] * n
-        for t in np.flatnonzero(row):
-            u = int(us[t])
-            v = int(vs[t])
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        out.append(Graph(n, tuple(rows)))
-    return out
-
-
 def random_model(kind: str, *, n: Optional[int] = None, side: Optional[int] = None,
                  p: float, seed: int, count: int) -> Iterator:
     """Reproducible G(n, p) streams driven by numpy's PCG64 generator.
@@ -345,21 +354,29 @@ def _degree_stats(size: int, bip: bool, start: int, stop: int) -> dict:
 
 
 def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
-    """The spectral quantity ``key`` of each row of bits, by one batched eigvalsh.
+    """The spectral quantity ``key`` of each row of bits, by batched eigvalsh.
 
     rho / q are taken on the graph, rho_complement on its complement and
-    rho_qc / q_qc on its quasi-complement (the bipartite complement).
+    rho_qc / q_qc on its quasi-complement (the bipartite complement).  Rows
+    go to eigvalsh _EIG_BLOCK at a time, which bounds the float64 matrix
+    stack (1 MiB at order 8); eigvalsh solves each matrix on its own, so the
+    values do not depend on the block.
     """
     us, vs, _ = _bit_ends(size, bip)
     order = 2 * size if bip else size
-    x = ~bits if key in _COMPLEMENTED else bits
-    a = np.zeros((len(bits), order, order))
-    a[:, us, vs] = x
-    a[:, vs, us] = x
-    if key in ("q", "q_qc"):
-        diag = np.arange(order)
-        a[:, diag, diag] = a.sum(axis=2)
-    return np.linalg.eigvalsh(a)[:, -1]
+    out = np.empty(len(bits))
+    for lo in range(0, len(bits), _EIG_BLOCK):
+        x = bits[lo : lo + _EIG_BLOCK]
+        if key in _COMPLEMENTED:
+            x = ~x
+        a = np.zeros((len(x), order, order))
+        a[:, us, vs] = x
+        a[:, vs, us] = x
+        if key in ("q", "q_qc"):
+            diag = np.arange(order)
+            a[:, diag, diag] = a.sum(axis=2)
+        out[lo : lo + _EIG_BLOCK] = np.linalg.eigvalsh(a)[:, -1]
+    return out
 
 
 def _radius_interval(key: str, stats: dict, size: int, bip: bool):
@@ -392,12 +409,36 @@ def _chunk_stats(size: int, bip: bool, start: int, stop: int, needs: frozenset) 
     return stats
 
 
-def _bip_from_bits(side: int, row: np.ndarray) -> BipartiteGraph:
-    rows = [0] * side
-    for t in np.flatnonzero(row):
-        t = int(t)
-        rows[t // side] |= 1 << (t % side)
-    return BipartiteGraph(side, side, tuple(rows))
+@lru_cache(maxsize=None)
+def _row_weights(size: int, bip: bool) -> np.ndarray:
+    """(bits, order) matrix: index bit t adds 1 << v to row u and 1 << u to row v."""
+    us, vs, inc = _bit_ends(size, bip)
+    t = np.arange(len(us))
+    w = np.zeros((len(us), inc.shape[0]), dtype=np.float32)
+    w[t, us] = 2.0 ** vs
+    w[t, vs] = 2.0 ** us
+    return w
+
+
+def _adjacency_rows(size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
+    """Neighbourhood bitmasks (rows, order) of rows of index bits, by one matmul.
+
+    Bipartite rows use the labelling of ``BipartiteGraph.to_graph`` (x_i is
+    i, y_j is side + j).  Each entry is a sum of distinct powers of two below
+    2^order <= 2^10, so the float32 BLAS product is exact.
+    """
+    return (bits.astype(np.float32) @ _row_weights(size, bip)).astype(np.int64)
+
+
+def _row_graph(size: int, bip: bool, row: list[int]):
+    """The graph of one row of ``_adjacency_rows``: a Graph, or a BipartiteGraph when bip."""
+    if bip:
+        return BipartiteGraph(size, size, tuple(a >> size for a in row[:size]))
+    return Graph(size, tuple(row))
+
+
+def _graphs_from_bits(size: int, bip: bool, bits: np.ndarray) -> list:
+    return [_row_graph(size, bip, row) for row in _adjacency_rows(size, bip, bits).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +449,61 @@ class _OracleAborted(Exception):
     pass
 
 
-class _Ctx:
-    """Lazily computed per-graph values, seeded from chunk statistics."""
+class _BatchVerdicts:
+    """Held-Karp verdicts for one chunk's candidate rows, solved on first use.
 
-    def __init__(self, g, tol: float, budget: int, seeded: Optional[dict] = None):
-        self.g = g
+    adj holds the rows' neighbourhood bitmasks in the plain labelling.  Each
+    row is charged 1 << order nodes, the subset-DP charge of is_hamiltonian;
+    when that exceeds the budget every answer is "aborted".
+    """
+
+    def __init__(self, adj: np.ndarray, order: int, budget: int):
+        self.adj = adj
+        self.order = order
+        self.affordable = (1 << order) <= budget
+        self.found = {}
+
+    def status(self, question: str, row: int) -> str:
+        if not self.affordable:
+            return "aborted"
+        if question not in self.found:
+            self.found[question] = _held_karp_batch(self.adj, self.order, question == "ham")[0]
+        return "yes" if self.found[question][row] else "no"
+
+
+class _Ctx:
+    """Lazily computed per-graph values.
+
+    ``_Ctx.of(g, ...)`` wraps a graph.  Indexed rows pass n, e and delta and
+    the radii (``seeded``) from the chunk statistics, a ``build`` function
+    that makes the graph the first time ``g`` is read, and a ``verdict``
+    function that answers "ham" / "trace" from the chunk's batched oracle
+    instead of the scalar one.
+    """
+
+    def __init__(self, tol: float, budget: int, bip: bool, n: int, e: int, delta: int,
+                 build: Callable, seeded: Optional[dict] = None,
+                 verdict: Optional[Callable[[str], str]] = None):
         self.tol = tol
         self.budget = budget
+        self.bip = bip
+        self.n = n
+        self.e = e
+        self.delta = delta
+        self._build = build
+        self._verdict = verdict or self._scalar_verdict
         self.vals = dict(seeded or {})
-        self.bip = isinstance(g, BipartiteGraph)
-        if self.bip:
-            self.n = g.nx
-            self.e = g.edge_count
-            self.delta = g.min_degree() if (g.nx or g.ny) else 0
-        else:
-            self.n = g.n
-            self.e = g.edge_count
-            self.delta = min(g.degrees()) if g.n else 0
+
+    @classmethod
+    def of(cls, g, tol: float, budget: int) -> "_Ctx":
+        if isinstance(g, BipartiteGraph):
+            delta = g.min_degree() if (g.nx or g.ny) else 0
+            return cls(tol, budget, True, g.nx, g.edge_count, delta, lambda: g)
+        return cls(tol, budget, False, g.n, g.edge_count, min(g.degrees()) if g.n else 0, lambda: g)
+
+    @cached_property
+    def g(self):
+        return self._build()
 
     def _get(self, key: str, fn) -> float:
         if key not in self.vals:
@@ -478,22 +557,22 @@ class _Ctx:
 
         return self._get("min_cross_ds", compute)
 
-    def ham(self):
-        if "ham" not in self.vals:
-            g = self.g.to_graph() if self.bip else self.g
-            self.vals["ham"] = is_hamiltonian(g, budget=self.budget)
-        res = self.vals["ham"]
-        if res.status == "aborted":
+    def _scalar_verdict(self, question: str) -> str:
+        if question == "ham":
+            return is_hamiltonian(self.g.to_graph() if self.bip else self.g, budget=self.budget).status
+        return is_traceable(self.g, budget=self.budget).status
+
+    def _decide(self, question: str) -> bool:
+        status = self._get(question, lambda: self._verdict(question))
+        if status == "aborted":
             raise _OracleAborted
-        return res.status == "yes"
+        return status == "yes"
+
+    def ham(self):
+        return self._decide("ham")
 
     def trace(self):
-        if "trace" not in self.vals:
-            self.vals["trace"] = is_traceable(self.g, budget=self.budget)
-        res = self.vals["trace"]
-        if res.status == "aborted":
-            raise _OracleAborted
-        return res.status == "yes"
+        return self._decide("trace")
 
     def g6(self) -> str:
         g = self.g.to_graph() if self.bip else self.g
@@ -1205,21 +1284,35 @@ def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> Verific
                 masks.append(in_space.copy())
             else:
                 masks.append(np.asarray(chk.prefilter(stats, size, k, tol)) & in_space)
-        combined = np.zeros(cnt, dtype=bool)
-        for m in masks:
-            combined |= m
-        seed_keys = [key for key in (*radii, *_DEGREE_SUMS) if key in stats]
-        for i in np.flatnonzero(combined):
-            if bip:
-                g = _bip_from_bits(size, stats["bits"][i])
-            else:
-                g = _graphs_from_bits(size, stats["bits"][i : i + 1])[0]
-            # A gated-away value stays NaN and is left to the lazy context.
-            seeded = {key: float(stats[key][i]) for key in seed_keys if not np.isnan(stats[key][i])}
-            ctx = _Ctx(g, tol, budget, seeded)
-            _eval_graph(ctx, checks, report, [bool(m[i]) for m in masks])
+        _eval_candidates(checks, report, stats, np.stack(masks, axis=1), size, bip, tol, budget)
         pos = hi
     return report
+
+
+def _eval_candidates(checks, report, stats, active, size, bip, tol, budget):
+    """Evaluate the rows of a chunk where some check's mask (a column of active) holds."""
+    cand = np.flatnonzero(active.any(axis=1))
+    if not len(cand):
+        return
+    adj = _adjacency_rows(size, bip, stats["bits"][cand])
+    batch = _BatchVerdicts(adj, 2 * size if bip else size, budget)
+    active = active[cand]
+    es = stats["e"][cand].tolist()
+    deltas = stats["delta"][cand].tolist()
+    seeds = [(key, stats[key][cand]) for key in (*_RADII, *_DEGREE_SUMS) if key in stats]
+
+    def build(j):
+        return _row_graph(size, bip, adj[j].tolist())
+
+    # Per-row values are taken one row at a time (not converted to lists for
+    # the whole chunk), so a chunk with thousands of candidates does not hold
+    # thousands of Python objects at once.
+    for j in range(len(cand)):
+        # A gated-away value stays NaN and is left to the lazy context.
+        seeded = {key: float(col[j]) for key, col in seeds if not math.isnan(col[j])}
+        ctx = _Ctx(tol, budget, bip, size, es[j], deltas[j], partial(build, j), seeded,
+                   partial(batch.status, row=j))
+        _eval_graph(ctx, checks, report, active[j].tolist())
 
 
 def _worker(args):
@@ -1286,7 +1379,7 @@ def verify_theorem(
                 if not g.balanced:
                     raise ValueError("bipartite target needs balanced bipartite inputs")
             report.processed += 1
-            _eval_graph(_Ctx(g, tol, oracle_budget, None), checks, report)
+            _eval_graph(_Ctx.of(g, tol, oracle_budget), checks, report)
     report.finalize()
     report.wall_time = time.perf_counter() - t0
     if emit is not None:
@@ -1367,7 +1460,7 @@ def extremal_search(
             delta = g.min_degree() if bip else min(g.degrees())
             if k is not None and delta < k:
                 continue
-            ctx = _Ctx(g, tol, oracle_budget, None)
+            ctx = _Ctx.of(g, tol, oracle_budget)
             values.append(getattr(ctx, stat_key)())
             graphs.append(g)
 
@@ -1433,8 +1526,7 @@ def certifier_soundness_sweep(
         while pos < total:
             hi = min(pos + _CHUNK, total)
             stats = _chunk_stats(n, False, pos, hi, needs)
-            for i in range(hi - pos):
-                g = _graphs_from_bits(n, stats["bits"][i : i + 1])[0]
+            for i, g in enumerate(_graphs_from_bits(n, False, stats["bits"])):
                 pre = {
                     "rho": float(stats["rho"][i]),
                     "q": float(stats["q"][i]),
@@ -1472,8 +1564,7 @@ def certifier_soundness_sweep(
         while pos < total:
             hi = min(pos + _CHUNK, total)
             stats = _chunk_stats(side, True, pos, hi, bip_needs)
-            for i in range(hi - pos):
-                b = _bip_from_bits(side, stats["bits"][i])
+            for i, b in enumerate(_graphs_from_bits(side, True, stats["bits"])):
                 pre = {key: float(stats[key][i]) for key in ("rho", "q", "rho_qc", "q_qc")}
                 cert = certify_bipartite_hamiltonicity(b, tol=tol, precomputed=pre)
                 summary["bipartite_graphs"] += 1

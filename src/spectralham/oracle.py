@@ -7,6 +7,13 @@ the current endpoint, (iii) at most one unvisited vertex may depend on the
 path endpoints alone.  A subset dynamic program (exact, 2^n states) takes
 over for orders 12..20 when the backtracking probe exhausts its node budget,
 so structured family instances are decided with a worst-case guarantee.
+Every "yes" witness is checked with ``is_valid_cycle`` / ``is_valid_path``
+before it is returned; a witness that fails the check raises RuntimeError.
+
+``_held_karp_batch`` decides many graphs of one small order at once: the
+same Held-Karp subset DP, run as one numpy "pull" step per subset size
+across all rows (the harness uses it for the enumerated spaces, order <= 10).
+Its witnesses are rebuilt from the DP table and validated the same way.
 
 Budget exhaustion is an explicit "aborted" outcome, never a wrong verdict.
 """
@@ -14,7 +21,10 @@ Budget exhaustion is an explicit "aborted" outcome, never a wrong verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
+
+import numpy as np
 
 from .graphs import Graph, as_graph, bits, complete_graph, join
 
@@ -156,6 +166,15 @@ def _ham_subset_dp(adj: list[int], n: int):
     return True, cyc
 
 
+def _checked(g: Graph, found: bool, cyc, nodes: int, method: str) -> OracleResult:
+    """A decided result; a "yes" must carry a witness that passes is_valid_cycle."""
+    if not found:
+        return OracleResult("no", None, nodes, method)
+    if not is_valid_cycle(g, cyc):
+        raise RuntimeError(f"{method} returned an invalid Hamilton cycle {cyc}")
+    return OracleResult("yes", tuple(cyc), nodes, method)
+
+
 def is_hamiltonian(g, budget: int = DEFAULT_BUDGET, method: str = "auto") -> OracleResult:
     """Exact Hamilton-cycle decision with witness.
 
@@ -171,20 +190,16 @@ def is_hamiltonian(g, budget: int = DEFAULT_BUDGET, method: str = "auto") -> Ora
     adj = list(g.adj)
     if method == "dp":
         found, cyc = _ham_subset_dp(adj, n)
-        return OracleResult("yes" if found else "no", tuple(cyc) if cyc else None, 1 << n, "subset_dp")
+        return _checked(g, found, cyc, 1 << n, "subset_dp")
     probe = min(budget, _PROBE_BUDGET) if (method == "auto" and _DP_MIN <= n <= _DP_MAX) else budget
     try:
         found, cyc, nodes = _ham_backtrack(adj, n, probe)
-        return OracleResult(
-            "yes" if found else "no", tuple(cyc) if cyc else None, nodes, "backtracking"
-        )
     except _BudgetExceeded:
         if method == "auto" and _DP_MIN <= n <= _DP_MAX:
             found, cyc = _ham_subset_dp(adj, n)
-            return OracleResult(
-                "yes" if found else "no", tuple(cyc) if cyc else None, probe + (1 << n), "subset_dp"
-            )
+            return _checked(g, found, cyc, probe + (1 << n), "subset_dp")
         return OracleResult("aborted", None, probe, "backtracking")
+    return _checked(g, found, cyc, nodes, "backtracking")
 
 
 def is_traceable(g, budget: int = DEFAULT_BUDGET) -> OracleResult:
@@ -201,7 +216,114 @@ def is_traceable(g, budget: int = DEFAULT_BUDGET) -> OracleResult:
     cyc = list(res.witness)
     i = cyc.index(apex)
     path = cyc[i + 1 :] + cyc[:i]
+    if not is_valid_path(g, path):
+        raise RuntimeError(f"{res.method} returned an invalid Hamilton path {path}")
     return OracleResult("yes", tuple(path), res.nodes, res.method)
+
+
+# Rows per block of the batched DP are chosen so that one (pairs, rows)
+# uint16 array of the widest subset size stays near this many bytes.
+_HK_SCRATCH = 1 << 21
+
+
+@lru_cache(maxsize=None)
+def _held_karp_tables(order: int, cycle: bool):
+    """Index tables of the batched subset DP for one (order, cycle).
+
+    State bit j stands for vertex j + off, where off = 1 for cycles (their
+    paths start at vertex 0, which is never in a state) and 0 for paths.
+    For each subset size, ``ts`` lists the states of that size; the pairs
+    (t, j) with j in t, grouped by t in ascending j, give ``prev`` = t - j,
+    ``vs`` = the vertex of j and ``vbit`` = 1 << vs as a uint16 column.
+    """
+    off = 1 if cycle else 0
+    m = order - off
+    states = np.arange(1 << m)
+    member = (states[:, None] >> np.arange(m)) & 1
+    size = member.sum(axis=1)
+    layers = []
+    for s in range(1, m + 1):
+        ts = states[size == s]
+        t_idx, j = np.nonzero(member[ts])
+        vs = j + off
+        layers.append((ts, ts[t_idx] ^ (1 << j), vs, (1 << vs).astype(np.uint16)[:, None]))
+    return off, m, layers
+
+
+def _valid_orders(adj: np.ndarray, wit: np.ndarray, cycle: bool) -> np.ndarray:
+    """Row-wise witness check: wit[r] is a permutation and consecutive vertices are adjacent."""
+    rows, order = wit.shape
+    inside = ((wit >= 0) & (wit < order)).all(axis=1)
+    w = np.where(inside[:, None], wit, 0)
+    # order powers of two below 2^order sum to 2^order - 1 only when they are distinct
+    perm = inside & ((1 << w).sum(axis=1) == (1 << order) - 1)
+    here, nxt = (w, w[:, (np.arange(order) + 1) % order]) if cycle else (w[:, :-1], w[:, 1:])
+    steps = (adj.reshape(-1)[np.arange(rows)[:, None] * order + here] >> nxt) & 1
+    return perm & steps.all(axis=1)
+
+
+def _held_karp_batch(adj, order: int, cycle: bool):
+    """Hamilton-cycle (cycle=True) or Hamilton-path decisions for many graphs of one order.
+
+    adj is an (R, order) array of neighbourhood bitmasks, order <= 16.
+    dp[t, r] is the set of vertices v such that row r has a path through
+    exactly the vertex set t ending at v (starting at vertex 0 for cycles,
+    anywhere for paths).  One vectorised pull step per subset size fills
+    it: v is an end of t when some end of t - v is adjacent to v.  Rows run
+    in blocks so the scratch arrays stay at a few MiB.
+
+    Returns (found, witness): found is a bool array of length R, witness an
+    (R, order) array holding a Hamilton cycle or path of every found row
+    (-1 elsewhere), rebuilt by walking dp back and validated against adj;
+    a witness that fails validation raises RuntimeError.
+    """
+    if not 1 <= order <= 16:
+        raise ValueError(f"batched Held-Karp supports orders 1..16, got {order}")
+    adj = np.asarray(adj, dtype=np.uint16).reshape(-1, order)
+    rows = len(adj)
+    found = np.zeros(rows, dtype=bool)
+    witness = np.full((rows, order), -1, dtype=np.int64)
+    if cycle and order < 3:
+        return found, witness
+    if order == 1:
+        found[:] = True
+        witness[:] = 0
+        return found, witness
+    off, m, layers = _held_karp_tables(order, cycle)
+    powers = 1 << np.arange(order)
+    step = max(1, _HK_SCRATCH // (2 * max(len(layer[1]) for layer in layers)))
+    for lo in range(0, rows, step):
+        a = adj[lo : lo + step]
+        at = np.ascontiguousarray(a.T)
+        dp = np.empty((1 << m, len(a)), dtype=np.uint16)
+        dp[0] = 1 if cycle else (1 << order) - 1
+        for ts, prev, vs, vbit in layers:
+            hit = (dp[prev] & at[vs]) != 0
+            # the bits vbit of one state are distinct, so their sum is their OR
+            dp[ts] = (hit * vbit).reshape(len(ts), -1, len(a)).sum(axis=1, dtype=np.uint16)
+        ends = dp[-1] & at[0] if cycle else dp[-1]
+        yes = np.flatnonzero(ends)
+        if not len(yes):
+            continue
+        # walk dp back from the last vertex, one position per step, on int64
+        # values (e & -e needs a signed type)
+        a = a.astype(np.int64)
+        flat_dp, flat_a = dp.reshape(-1), a.reshape(-1)
+        wit = np.zeros((len(yes), order), dtype=np.int64)
+        t = np.full(len(yes), (1 << m) - 1)
+        e = ends[yes].astype(np.int64)
+        for pos in range(order - 1, off - 1, -1):
+            # the lowest vertex of e: its bit exceeds exactly that many powers of two
+            v = ((e & -e)[:, None] > powers).sum(axis=1)
+            wit[:, pos] = v
+            t ^= 1 << (v - off)
+            if pos > off:
+                e = flat_dp[t * len(a) + yes] & flat_a[yes * order + v]
+        if not _valid_orders(a[yes], wit, cycle).all():
+            raise RuntimeError("batched Held-Karp rebuilt an invalid witness")
+        found[lo + yes] = True
+        witness[lo + yes] = wit
+    return found, witness
 
 
 def clique_number(g) -> int:

@@ -346,7 +346,11 @@ class BoundRecord:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """The bound records plus the rho and q values they were measured against."""
+
     records: tuple[BoundRecord, ...]
+    rho: float
+    q: float
 
     def __getitem__(self, bound_id: str) -> BoundRecord:
         for rec in self.records:
@@ -484,4 +488,4 @@ def bound_report(g: Graph, k: Optional[int] = None, tol: float = DEFAULT_TOL) ->
     else:
         records.append(_inapplicable("anderson_morley", "lower"))
 
-    return BoundReport(tuple(records))
+    return BoundReport(tuple(records), rho, q)

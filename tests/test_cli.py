@@ -35,6 +35,52 @@ def test_spectral(capsys):
     assert rec["bounds"]["nikiforov"]["satisfied"]
 
 
+PETERSEN_G6 = "IheA@GUAo"
+
+
+def test_spectral_json_matches_separate_solves(capsys):
+    # the line the command wrote when it solved rho and q itself before the report
+    from spectralham.spectral import bound_report, q_radius, spectral_radius
+
+    g = graph6_decode(PETERSEN_G6)
+    expected = json.dumps({
+        "graph6": PETERSEN_G6,
+        "rho": spectral_radius(g).value,
+        "q": q_radius(g).value,
+        "bounds": bound_report(g, k=3).to_json(),
+    }) + "\n"
+    code, out, _ = run_cli(capsys, "spectral", PETERSEN_G6, "--k", "3", "--json")
+    assert code == 0 and out == expected
+    code, out, _ = run_cli(capsys, "spectral", PETERSEN_G6, "--k", "3")
+    assert out.splitlines()[0] == (
+        f"{PETERSEN_G6}: rho = {spectral_radius(g).value:.10f}, q = {q_radius(g).value:.10f}"
+    )
+
+
+def test_spectral_solves_each_graph_once(capsys, monkeypatch, tmp_path):
+    import spectralham.cli as cli
+    import spectralham.spectral as spectral
+
+    calls = {"spectral_radius": 0, "q_radius": 0}
+    for module in (spectral, cli):  # the command's own bindings count too
+        for name in calls:
+            if not hasattr(module, name):
+                continue
+            orig = getattr(module, name)
+
+            def counting(*args, _name=name, _orig=orig, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    path = tmp_path / "three.g6"
+    graphs = [PETERSEN_G6, graph6_encode(cycle_graph(7)), graph6_encode(complete_graph(5))]
+    path.write_text("\n".join(graphs) + "\n")
+    code, out, _ = run_cli(capsys, "spectral", str(path), "--json")
+    assert code == 0 and len(out.strip().splitlines()) == 3
+    assert calls == {"spectral_radius": 3, "q_radius": 3}
+
+
 def test_spectral_edge_list_file(capsys, tmp_path):
     from spectralham.graphs import format_edge_list
 

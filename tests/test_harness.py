@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import spectralham.harness as harness
 from spectralham.families import FamilySpec, construct, recognize
-from spectralham.graphs import complete_graph, graph6_decode, graph6_encode
+from spectralham.graphs import Graph, complete_graph, graph6_decode, graph6_encode
 from spectralham.harness import (
     _CHUNK,
+    _EIG_BLOCK,
     SearchSpace,
     SpaceCapError,
     bipartite_from_index,
@@ -17,9 +19,14 @@ from spectralham.harness import (
     graph_from_index,
     random_model,
     verify_theorem,
+    _bit_ends,
     _chunk_stats,
+    _graphs_from_bits,
+    _index_bits,
+    _radii,
     _radius_interval,
 )
+from spectralham.oracle import is_hamiltonian, is_traceable
 from spectralham.spectral import radius_intervals, spectral_radius
 
 
@@ -199,6 +206,11 @@ def test_index_decoding_matches_enumeration():
         assert graph_from_index(4, idx) == list(enumerate_space(SearchSpace.all_labeled(4)))[idx]
     b = bipartite_from_index(3, 0b101_000_110)
     assert b.rows == (0b110, 0b000, 0b101)
+    # the matmul row builder against the per-bit loops of the index decoders
+    for size, bip, decode in ((5, False, graph_from_index), (3, True, bipartite_from_index)):
+        total = 1 << (size * size if bip else size * (size - 1) // 2)
+        bits = _index_bits(size * size if bip else size * (size - 1) // 2, 0, total)
+        assert _graphs_from_bits(size, bip, bits) == [decode(size, idx) for idx in range(total)]
 
 
 @pytest.mark.parametrize("size, bip", [(6, False), (4, True)])
@@ -231,6 +243,22 @@ def test_radius_intervals_complete_graphs():
     assert rho_lo == rho_hi == 3 and q_lo == q_hi == 6
 
 
+@pytest.mark.parametrize("key, size, bip", [("q", 6, False), ("rho_qc", 4, True)])
+def test_blocked_radii_equal_one_stacked_eigvalsh(key, size, bip):
+    # rows cross several eigvalsh blocks; each value equals the one-stack solve bitwise
+    nbits = size * size if bip else size * (size - 1) // 2
+    bits = _index_bits(nbits, 0, min(1 << nbits, 3 * _EIG_BLOCK + 5))
+    order = 2 * size if bip else size
+    us, vs, _ = _bit_ends(size, bip)
+    x = ~bits if key == "rho_qc" else bits
+    a = np.zeros((len(bits), order, order))
+    a[:, us, vs] = x
+    a[:, vs, us] = x
+    if key == "q":
+        a[:, np.arange(order), np.arange(order)] = a.sum(axis=2)
+    assert np.array_equal(_radii(key, size, bip, bits), np.linalg.eigvalsh(a)[:, -1])
+
+
 def test_bound_gate_skips_refuted_eigensolves(monkeypatch):
     solved = []
     orig = np.linalg.eigvalsh
@@ -243,6 +271,65 @@ def test_bound_gate_skips_refuted_eigensolves(monkeypatch):
     rep = verify_theorem("fn_rho", SearchSpace.all_labeled(6))
     assert (rep.processed, rep.hypothesis_count, rep.exceptional_matches) == (32768, 1203, 36)
     assert 0 < sum(solved) < 32768 // 10
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(module, name)
+
+        def counting(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_indexed_conclusions_use_batched_oracle(monkeypatch):
+    # enumerated spaces decide Hamiltonicity by the batched Held-Karp kernel
+    # and build a row's graph only for the recognizers (exceptional rows here)
+    calls = _count_calls(monkeypatch, harness,
+                         ("is_hamiltonian", "is_traceable", "_held_karp_batch", "_row_graph"))
+    rep = verify_theorem("fn_rho", SearchSpace.all_labeled(6))
+    assert (rep.processed, rep.hypothesis_count, rep.exceptional_matches) == (32768, 1203, 36)
+    assert rep.clean
+    assert calls["is_hamiltonian"] == calls["is_traceable"] == 0
+    assert calls["_held_karp_batch"] > 0
+    assert calls["_row_graph"] == rep.exceptional_matches
+    calls.update(dict.fromkeys(calls, 0))
+    rep = verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(3))
+    assert rep.clean and rep.hypothesis_count > 0
+    assert calls["is_hamiltonian"] == calls["is_traceable"] == 0
+    assert calls["_row_graph"] == rep.exceptional_matches
+
+
+def test_batched_and_scalar_conclusions_agree(monkeypatch):
+    # the same campaigns with every row's verdict taken from the scalar oracle
+    cases = (("fn_rho", SearchSpace.all_labeled(6), None),
+             ("ainouche_christofides", SearchSpace.all_labeled(6), None),
+             ("fn_rho_complement", SearchSpace.all_labeled(6), None),
+             ("moon_moser", SearchSpace.balanced_bipartite_labeled(3), None),
+             ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(3), None))
+    batched = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
+
+    def scalar_status(self, question, row):
+        g = Graph(self.order, tuple(self.adj[row].tolist()))
+        return (is_hamiltonian(g) if question == "ham" else is_traceable(g)).status
+
+    monkeypatch.setattr(harness._BatchVerdicts, "status", scalar_status)
+    scalar = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
+    for a, b in zip(batched, scalar):
+        a.pop("wall_time"), b.pop("wall_time")
+        assert a == b
+
+
+def test_budget_below_batched_charge_aborts():
+    # a row costs 1 << order nodes in the batched DP; below that it aborts
+    rep = verify_theorem("ore", SearchSpace.all_labeled(5), oracle_budget=(1 << 5) - 1)
+    assert rep.hypothesis_count > 0 and len(rep.aborted) > 0 and not rep.conclusion_failures
+    rep = verify_theorem("ore", SearchSpace.all_labeled(5), oracle_budget=1 << 5)
+    assert rep.clean and rep.hypothesis_count > 0
 
 
 # (space, objective, constraint, k, best, number of optima, sha256 prefix of

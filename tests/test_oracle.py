@@ -13,8 +13,12 @@ from spectralham.graphs import (
     empty_graph,
     path_graph,
 )
-from spectralham.harness import graph_from_index
+import spectralham.oracle as oracle
+from spectralham.harness import bipartite_from_index, graph_from_index
 from spectralham.oracle import (
+    OracleResult,
+    _held_karp_batch,
+    _valid_orders,
     clique_number,
     contains_biclique,
     is_hamiltonian,
@@ -190,3 +194,106 @@ def test_witness_validators_reject_bad_orders():
     assert not is_valid_cycle(c6, [0, 2, 4, 1, 3, 5])  # non-adjacent steps
     assert is_valid_path(path_graph(4), [0, 1, 2, 3])
     assert not is_valid_path(path_graph(4), [0, 2, 1, 3])
+
+
+def _check_batch(graphs, expected_cycle, expected_path):
+    """Run the batched kernel on graphs of one order; compare and validate witnesses."""
+    n = graphs[0].n
+    adj = np.array([g.adj for g in graphs], dtype=np.int64).reshape(-1, n)
+    for cycle, expected, valid in (
+        (True, expected_cycle, is_valid_cycle),
+        (False, expected_path, is_valid_path),
+    ):
+        found, witness = _held_karp_batch(adj, n, cycle)
+        for g, f, w in zip(graphs, found, witness):
+            assert bool(f) == expected(g), (cycle, g.edges())
+            if f:
+                assert valid(g, w.tolist())
+            else:
+                assert (w == -1).all()
+
+
+def _scalar_cycle(g):
+    return is_hamiltonian(g).status == "yes"
+
+
+def _scalar_path(g):
+    return is_traceable(g).status == "yes"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_batched_held_karp_matches_scalar_exhaustive(n):
+    graphs = [graph_from_index(n, idx) for idx in range(1 << (n * (n - 1) // 2))]
+    _check_batch(graphs, _scalar_cycle, _scalar_path)
+
+
+@pytest.mark.parametrize("side", [2, 3])
+def test_batched_held_karp_matches_scalar_bipartite(side):
+    graphs = [bipartite_from_index(side, idx).to_graph() for idx in range(1 << (side * side))]
+    _check_batch(graphs, _scalar_cycle, _scalar_path)
+
+
+def test_batched_held_karp_matches_brute_force_n7():
+    rng = np.random.default_rng(113)
+    graphs = [graph_from_index(7, int(i)) for i in rng.integers(0, 1 << 21, size=500)]
+    _check_batch(graphs, brute_hamiltonian, brute_traceable)
+
+
+@pytest.mark.parametrize("n, bip", [(8, False), (5, True)])
+def test_batched_held_karp_matches_scalar_sample(n, bip):
+    rng = np.random.default_rng(127)
+    if bip:
+        graphs = [bipartite_from_index(n, int(i)).to_graph()
+                  for i in rng.integers(0, 1 << (n * n), size=2000)]
+    else:
+        graphs = [graph_from_index(n, int(i)) for i in rng.integers(0, 1 << 28, size=2000)]
+    _check_batch(graphs, _scalar_cycle, _scalar_path)
+
+
+def test_batched_held_karp_small_orders_and_blocks(monkeypatch):
+    found, witness = _held_karp_batch(np.zeros((3, 1), dtype=np.int64), 1, False)
+    assert found.all() and (witness == 0).all()
+    assert not _held_karp_batch(np.zeros((2, 1), dtype=np.int64), 1, True)[0].any()
+    k2 = np.array([[0b10, 0b01]])
+    assert not _held_karp_batch(k2, 2, True)[0].any()
+    assert _held_karp_batch(k2, 2, False)[0].all()
+    with pytest.raises(ValueError):
+        _held_karp_batch(np.zeros((1, 17), dtype=np.int64), 17, True)
+    # tiny row blocks give the same verdicts as one block
+    rng = np.random.default_rng(131)
+    graphs = [graph_from_index(6, int(i)) for i in rng.integers(0, 1 << 15, size=300)]
+    adj = np.array([g.adj for g in graphs])
+    whole = _held_karp_batch(adj, 6, True)
+    monkeypatch.setattr(oracle, "_HK_SCRATCH", 1)
+    blocked = _held_karp_batch(adj, 6, True)
+    assert (whole[0] == blocked[0]).all() and (whole[1] == blocked[1]).all()
+
+
+def test_batched_witness_validation_rejects_bad_orders():
+    c5 = np.array([cycle_graph(5).adj])
+    assert _valid_orders(c5, np.array([[0, 1, 2, 3, 4]]), True).all()
+    assert not _valid_orders(c5, np.array([[0, 2, 1, 3, 4]]), True).any()  # non-adjacent
+    assert not _valid_orders(c5, np.array([[0, 1, 2, 3, 3]]), True).any()  # not a permutation
+    assert not _valid_orders(c5, np.array([[0, 1, 2, 3, -1]]), False).any()
+    p4 = np.array([path_graph(4).adj])
+    assert _valid_orders(p4, np.array([[0, 1, 2, 3]]), False).all()
+    assert not _valid_orders(p4, np.array([[0, 1, 2, 3]]), True).any()  # 3-0 is no edge
+
+
+def test_scalar_oracle_rejects_invalid_witness(monkeypatch):
+    c6 = cycle_graph(6)
+    monkeypatch.setattr(oracle, "_ham_backtrack", lambda adj, n, budget: (True, [0, 1, 2, 3, 5, 4], 1))
+    with pytest.raises(RuntimeError, match="invalid Hamilton cycle"):
+        is_hamiltonian(c6)
+    with pytest.raises(RuntimeError, match="invalid Hamilton cycle"):
+        is_traceable(path_graph(6))
+    monkeypatch.setattr(oracle, "_ham_subset_dp", lambda adj, n: (True, list(range(n - 1))))
+    with pytest.raises(RuntimeError, match="invalid Hamilton cycle"):
+        is_hamiltonian(c6, method="dp")
+    # a path that is not one, handed over by the cycle search on G v K_1
+    monkeypatch.setattr(
+        oracle, "is_hamiltonian",
+        lambda g, budget=0: OracleResult("yes", (6, 0, 2, 1, 3, 4, 5), 1, "backtracking"),
+    )
+    with pytest.raises(RuntimeError, match="invalid Hamilton path"):
+        is_traceable(path_graph(6))
