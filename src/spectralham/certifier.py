@@ -1,13 +1,14 @@
-"""Theorem cascade certifying Hamiltonicity / traceability with evidence.
+"""Theorem cascades certifying Hamiltonicity / traceability with evidence.
 
-The cascade applies the sufficient conditions in a fixed order: cheap
-integer conditions first (dirac, ore, erdos; moon_moser for the bipartite
-branch), then adjacency-rho conditions, then signless-Laplacian conditions,
-then complement / quasi-complement conditions.  Each theorem's inequality is
-encoded exactly as stated (strict vs non-strict), with a +-tolerance guard
-band: a strict comparison landing inside the band is reported as borderline
-rather than certified, since the equality cases are precisely where the
-exceptional graphs live.
+Each cascade is an ordered walk over statements of ``statements.STATEMENTS``:
+cheap integer conditions first (dirac, ore, erdos; moon_moser for the
+bipartite branch), then adjacency-rho conditions, then signless-Laplacian
+conditions, then complement / quasi-complement conditions.  A statement whose
+precondition fails is recorded as skipped.  Each inequality is encoded
+exactly as stated (strict vs non-strict), with a +-tolerance guard band: a
+strict comparison landing inside the band is reported as borderline rather
+than certified, since the equality cases are precisely where the exceptional
+graphs live.
 
 The minimum-degree parameter is always instantiated as k = delta(G), the
 strongest admissible choice.  When a theorem's hypotheses hold but the graph
@@ -18,15 +19,14 @@ verdict is "inconclusive", optionally resolved by the exact oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
-from .families import FamilySpec, construct, recognize
-from .graphs import BipartiteGraph, Graph, complement, degree_profile, quasi_complement
+from .families import FamilySpec, recognize
+from .graphs import BipartiteGraph, Graph, degree_profile
 from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
-from .spectral import DEFAULT_TOL, q_radius, spectral_radius
+from .spectral import DEFAULT_TOL
+from .statements import SPECTRAL, STATEMENTS, GraphValues, holds
 
 __all__ = [
     "Certificate",
@@ -36,23 +36,24 @@ __all__ = [
     "THEOREM_IDS",
 ]
 
-THEOREM_IDS = (
-    "dirac",
-    "ore",
-    "erdos",
-    "fn_rho",
-    "fn_rho_complement",
-    "main_rho",
-    "main_rho_complement",
-    "yu_fan_q",
-    "main_q",
-    "moon_moser_delta",
-    "moon_moser_edges",
-    "bip_rho",
-    "bip_q",
-    "bip_rho_qc",
-    "bip_q_qc",
-)
+
+def _cascade(*ids):
+    """(certificate theorem name, statement) pairs: fn_rho.2 is fn_rho, moon_moser.delta moon_moser_delta."""
+    by_id = {st.id: st for st in STATEMENTS}
+    return [(i.partition(".")[0] if i.partition(".")[2].isdigit() else i.replace(".", "_"), by_id[i])
+            for i in ids]
+
+
+_HAM = _cascade("dirac", "ore", "erdos", "fn_rho.2", "main_rho.2", "yu_fan_q.2", "main_q.2",
+                "fn_rho_complement.2", "main_rho_complement.2")
+_TRACE = _cascade("fn_rho.1", "main_rho.1", "yu_fan_q.1", "main_q.1", "fn_rho_complement.1",
+                  "main_rho_complement.1")
+_BIPARTITE = _cascade("moon_moser.delta", "moon_moser.edges", "bip_rho", "bip_q", "bip_rho_qc",
+                      "bip_q_qc")
+# evidence names of the integer checks; spectral checks are named by their quantity
+_CHECK_NAMES = {"two_delta": "min_degree", "e": "edges"}
+
+THEOREM_IDS = tuple(dict.fromkeys(name for name, _ in _HAM + _TRACE + _BIPARTITE))
 
 
 @dataclass(frozen=True)
@@ -80,38 +81,6 @@ class Certificate:
         }
 
 
-@lru_cache(maxsize=None)
-def _family_value(quantity: str, family: str, n: int, k: int) -> float:
-    g = construct(FamilySpec(family, n=n, k=k))
-    return (spectral_radius(g) if quantity == "rho" else q_radius(g)).value
-
-
-class _Values:
-    """Lazy spectral values with an optional precomputed override."""
-
-    def __init__(self, g, precomputed=None):
-        self.g = g
-        self.cache = dict(precomputed or {})
-
-    def get(self, key: str) -> float:
-        if key not in self.cache:
-            g = self.g
-            if key == "rho":
-                val = spectral_radius(g).value
-            elif key == "q":
-                val = q_radius(g).value
-            elif key == "rho_complement":
-                val = spectral_radius(complement(g)).value
-            elif key == "rho_qc":
-                val = spectral_radius(quasi_complement(g).to_graph()).value
-            elif key == "q_qc":
-                val = q_radius(quasi_complement(g).to_graph()).value
-            else:
-                raise KeyError(key)
-            self.cache[key] = float(val)
-        return self.cache[key]
-
-
 @dataclass
 class _Cascade:
     evidence: dict
@@ -119,33 +88,21 @@ class _Cascade:
     trail: list = field(default_factory=list)
     borderline: list = field(default_factory=list)
 
-    def int_check(self, theorem, name, value, threshold, strict) -> bool:
-        fired = value > threshold if strict else value >= threshold
+    def check(self, theorem, quantity, value, relation, threshold) -> bool:
+        """One statement's comparison; a strict spectral one inside the band is borderline."""
+        spectral = quantity in SPECTRAL
+        if spectral and relation == "gt" and abs(value - threshold) <= self.tol:
+            self.borderline.append({"theorem": theorem, "check": quantity,
+                                    "value": value, "threshold": threshold})
+            return False
+        fired = holds(value, relation, threshold, self.tol if spectral else 0)
         if fired:
-            self._note(theorem, name, value, threshold, True, "gt" if strict else "ge")
+            self._note(theorem, _CHECK_NAMES.get(quantity, quantity), value, threshold, relation)
         return fired
 
-    def spectral_check(self, theorem, name, value, threshold, relation) -> bool:
-        """relation: 'gt' (strict >), 'ge', 'le' (both non-strict with band)."""
-        if relation == "gt":
-            if abs(value - threshold) <= self.tol:
-                self.borderline.append({"theorem": theorem, "check": name,
-                                        "value": value, "threshold": threshold})
-                return False
-            fired = value > threshold
-        elif relation == "ge":
-            fired = value >= threshold - self.tol
-        elif relation == "le":
-            fired = value <= threshold + self.tol
-        else:
-            raise ValueError(relation)
-        if fired:
-            self._note(theorem, name, value, threshold, relation in ("gt", "ge"), relation)
-        return fired
-
-    def _note(self, theorem, name, value, threshold, greater, relation):
+    def _note(self, theorem, name, value, threshold, relation):
         checks = self.evidence.setdefault("checks", {}).setdefault(theorem, {})
-        slack = (value - threshold) if greater else (threshold - value)
+        slack = (threshold - value) if relation == "le" else (value - threshold)
         checks[name] = {
             "value": float(value),
             "threshold": float(threshold),
@@ -177,18 +134,26 @@ def _resolve(cascade, g, use_oracle, oracle, budget):
 def _fire(cascade, theorem, g, exceptionals) -> Certificate:
     cascade.record(theorem, "fired")
     for spec in exceptionals:
-        if spec.family == "H":
-            matched = recognize(g, "H", n=spec.n)
-        elif spec.family in ("Gamma1", "Gamma2"):
-            matched = recognize(g, spec.family)
-        elif spec.family == "Bset":
-            matched = recognize(g, "Bset", n=spec.n, k=spec.k)
-        else:
-            matched = recognize(g, spec.family, n=spec.n, k=spec.k)
-        if matched:
+        if recognize(g, spec.family, n=spec.n, k=spec.k):
             cascade.evidence["exceptional"] = spec.text()
             return cascade.finish("exceptional", theorem, exceptional=spec)
     return cascade.finish("certified_positive", theorem)
+
+
+def _walk(walk, g, vals, ev, n, k, tol, use_oracle, oracle, budget) -> Certificate:
+    """Walk one cascade of statements in order; the first that fires decides."""
+    c = _Cascade(ev, tol)
+    for theorem, st in walk:
+        if not st.admits(n, k):
+            c.record(theorem, "skipped")
+            continue
+        value = vals[st.quantity]
+        if st.quantity in SPECTRAL:
+            ev[st.quantity] = value
+        if c.check(theorem, st.quantity, value, st.relation, st.threshold(n, k)):
+            return _fire(c, theorem, g, st.families(n, k))
+        c.record(theorem, "failed")
+    return _resolve(c, g, use_oracle, oracle, budget)
 
 
 def certify_hamiltonicity(
@@ -205,91 +170,9 @@ def certify_hamiltonicity(
     if n < 3:
         raise ValueError("Hamiltonicity certification needs n >= 3")
     _, delta, e = degree_profile(g)
-    k = delta
-    vals = _Values(g, precomputed)
-    ev = {"mode": "hamiltonicity", "n": n, "e": e, "delta": delta, "k": k, "tolerance": tol}
-    c = _Cascade(ev, tol)
-
-    # dirac: delta >= n/2
-    if c.int_check("dirac", "min_degree", 2 * delta, n, strict=False):
-        return _fire(c, "dirac", g, [])
-    c.record("dirac", "failed")
-
-    # ore: e > C(n-1, 2) + 1
-    if c.int_check("ore", "edges", e, math.comb(n - 1, 2) + 1, strict=True):
-        return _fire(c, "ore", g, [])
-    c.record("ore", "failed")
-
-    # erdos: 1 <= k <= (n-1)/2 and e > max of the two bounds
-    if 1 <= k and 2 * k <= n - 1:
-        bound = max(
-            math.comb(n - k, 2) + k * k,
-            math.comb((n + 1 + 1) // 2, 2) + ((n - 1) // 2) ** 2,
-        )
-        if c.int_check("erdos", "edges", e, bound, strict=True):
-            return _fire(c, "erdos", g, [])
-        c.record("erdos", "failed")
-    else:
-        c.record("erdos", "skipped")
-
-    # fn_rho part (2): rho(G) > n - 2, unless G = N_n^1
-    rho = vals.get("rho")
-    ev["rho"] = rho
-    if c.spectral_check("fn_rho", "rho", rho, n - 2, "gt"):
-        return _fire(c, "fn_rho", g, [FamilySpec("N", n=n, k=1)])
-    c.record("fn_rho", "failed")
-
-    # main_rho part (2): delta >= k >= 1, n >= max(6k+5, (k^2+6k+4)/2)
-    if k >= 1 and n >= max(6 * k + 5, (k * k + 6 * k + 4) / 2):
-        thr = _family_value("rho", "N", n, k)
-        if c.spectral_check("main_rho", "rho", rho, thr, "ge"):
-            return _fire(c, "main_rho", g, [FamilySpec("N", n=n, k=k)])
-        c.record("main_rho", "failed")
-    else:
-        c.record("main_rho", "skipped")
-
-    # yu_fan_q part (2): n >= 6 and q(G) > 2n - 4
-    if n >= 6:
-        qv = vals.get("q")
-        ev["q"] = qv
-        if c.spectral_check("yu_fan_q", "q", qv, 2 * n - 4, "gt"):
-            return _fire(c, "yu_fan_q", g, [FamilySpec("N", n=n, k=1)])
-        c.record("yu_fan_q", "failed")
-    else:
-        c.record("yu_fan_q", "skipped")
-
-    # main_q part (2)
-    if k >= 1 and n >= max(6 * k + 5, (3 * k * k + 5 * k + 4) / 2):
-        qv = vals.get("q")
-        ev["q"] = qv
-        thr = _family_value("q", "N", n, k)
-        if c.spectral_check("main_q", "q", qv, thr, "ge"):
-            return _fire(c, "main_q", g, [FamilySpec("N", n=n, k=k)])
-        c.record("main_q", "failed")
-    else:
-        c.record("main_q", "skipped")
-
-    # fn_rho_complement part (2): rho(comp) <= sqrt(n-2), unless G = L_n^1
-    rho_c = vals.get("rho_complement")
-    ev["rho_complement"] = rho_c
-    if c.spectral_check("fn_rho_complement", "rho_complement", rho_c, math.sqrt(n - 2), "le"):
-        return _fire(c, "fn_rho_complement", g, [FamilySpec("L", n=n, k=1)])
-    c.record("fn_rho_complement", "failed")
-
-    # main_rho_complement part (2): k >= 1, n >= 2k+1,
-    # rho(comp) <= rho(comp of L_n^k) = sqrt(k(n-k-1))
-    if k >= 1 and n >= 2 * k + 1:
-        thr = math.sqrt(k * (n - k - 1))
-        if c.spectral_check("main_rho_complement", "rho_complement", rho_c, thr, "le"):
-            excl = [FamilySpec("L", n=n, k=k)]
-            if n == 2 * k + 1:
-                excl.append(FamilySpec("H", n=n))
-            return _fire(c, "main_rho_complement", g, excl)
-        c.record("main_rho_complement", "failed")
-    else:
-        c.record("main_rho_complement", "skipped")
-
-    return _resolve(c, g, use_oracle, is_hamiltonian, oracle_budget)
+    vals = GraphValues(g, {**(precomputed or {}), "e": e, "delta": delta})
+    ev = {"mode": "hamiltonicity", "n": n, "e": e, "delta": delta, "k": delta, "tolerance": tol}
+    return _walk(_HAM, g, vals, ev, n, delta, tol, use_oracle, is_hamiltonian, oracle_budget)
 
 
 def certify_traceability(
@@ -306,69 +189,10 @@ def certify_traceability(
     if n < 1:
         raise ValueError("traceability certification needs n >= 1")
     _, delta, e = degree_profile(g)
-    k = delta
-    vals = _Values(g, precomputed)
-    ev = {"mode": "traceability", "part": 1, "n": n, "e": e, "delta": delta, "k": k, "tolerance": tol}
-    c = _Cascade(ev, tol)
-
-    # fn_rho part (1): rho(G) >= n - 2, unless G = barN_n^0
-    rho = vals.get("rho")
-    ev["rho"] = rho
-    if c.spectral_check("fn_rho", "rho", rho, n - 2, "ge"):
-        return _fire(c, "fn_rho", g, [FamilySpec("barN", n=n, k=0)])
-    c.record("fn_rho", "failed")
-
-    # main_rho part (1): delta >= k >= 0, n >= max(6k+10, (k^2+7k+8)/2)
-    if n >= max(6 * k + 10, (k * k + 7 * k + 8) / 2):
-        thr = _family_value("rho", "barN", n, k)
-        if c.spectral_check("main_rho", "rho", rho, thr, "ge"):
-            return _fire(c, "main_rho", g, [FamilySpec("barN", n=n, k=k)])
-        c.record("main_rho", "failed")
-    else:
-        c.record("main_rho", "skipped")
-
-    # yu_fan_q part (1): n >= 6 and q(G) >= 2n - 4
-    if n >= 6:
-        qv = vals.get("q")
-        ev["q"] = qv
-        if c.spectral_check("yu_fan_q", "q", qv, 2 * n - 4, "ge"):
-            return _fire(c, "yu_fan_q", g, [FamilySpec("barN", n=n, k=0)])
-        c.record("yu_fan_q", "failed")
-    else:
-        c.record("yu_fan_q", "skipped")
-
-    # main_q part (1)
-    if n >= max(6 * k + 10, (3 * k * k + 9 * k + 8) / 2):
-        qv = vals.get("q")
-        ev["q"] = qv
-        thr = _family_value("q", "barN", n, k)
-        if c.spectral_check("main_q", "q", qv, thr, "ge"):
-            return _fire(c, "main_q", g, [FamilySpec("barN", n=n, k=k)])
-        c.record("main_q", "failed")
-    else:
-        c.record("main_q", "skipped")
-
-    # fn_rho_complement part (1): rho(comp) <= sqrt(n-1), unless G = barL_n^0
-    rho_c = vals.get("rho_complement")
-    ev["rho_complement"] = rho_c
-    if c.spectral_check("fn_rho_complement", "rho_complement", rho_c, math.sqrt(n - 1), "le"):
-        return _fire(c, "fn_rho_complement", g, [FamilySpec("barL", n=n, k=0)])
-    c.record("fn_rho_complement", "failed")
-
-    # main_rho_complement part (1): n >= 2k+2,
-    # rho(comp) <= rho(comp of barL_n^k) = sqrt((k+1)(n-k-1))
-    if n >= 2 * k + 2:
-        thr = math.sqrt((k + 1) * (n - k - 1))
-        if c.spectral_check("main_rho_complement", "rho_complement", rho_c, thr, "le"):
-            excl = [FamilySpec("barL", n=n, k=k)]
-            if n == 2 * k + 2:
-                excl.append(FamilySpec("H", n=n))
-            return _fire(c, "main_rho_complement", g, excl)
-        c.record("main_rho_complement", "failed")
-    else:
-        c.record("main_rho_complement", "skipped")
-
-    return _resolve(c, g, use_oracle, is_traceable, oracle_budget)
+    vals = GraphValues(g, {**(precomputed or {}), "e": e, "delta": delta})
+    ev = {"mode": "traceability", "part": 1, "n": n, "e": e, "delta": delta, "k": delta,
+          "tolerance": tol}
+    return _walk(_TRACE, g, vals, ev, n, delta, tol, use_oracle, is_traceable, oracle_budget)
 
 
 def certify_bipartite_hamiltonicity(
@@ -388,75 +212,11 @@ def certify_bipartite_hamiltonicity(
         raise ValueError("bipartite certification needs side size >= 2")
     delta = b.min_degree()
     e = b.edge_count
-    k = delta
-    vals = _Values(b, precomputed)
-    ev = {"mode": "bipartite_hamiltonicity", "side": n, "e": e, "delta": delta, "k": k, "tolerance": tol}
-    c = _Cascade(ev, tol)
+    vals = GraphValues(b, {**(precomputed or {}), "e": e, "delta": delta})
+    ev = {"mode": "bipartite_hamiltonicity", "side": n, "e": e, "delta": delta, "k": delta,
+          "tolerance": tol}
 
     def oracle(bb, budget):
         return is_hamiltonian(bb.to_graph(), budget=budget)
 
-    # moon_moser_delta: delta > n/2
-    if c.int_check("moon_moser_delta", "min_degree", 2 * delta, n, strict=True):
-        return _fire(c, "moon_moser_delta", b, [])
-    c.record("moon_moser_delta", "failed")
-
-    # moon_moser_edges: 1 <= k <= n/2 and e > max of the two bounds
-    if 1 <= k and 2 * k <= n:
-        bound = max(
-            n * (n - k) + k * k,
-            n * (n - n // 2) + (n // 2) ** 2,
-        )
-        if c.int_check("moon_moser_edges", "edges", e, bound, strict=True):
-            return _fire(c, "moon_moser_edges", b, [])
-        c.record("moon_moser_edges", "failed")
-    else:
-        c.record("moon_moser_edges", "skipped")
-
-    # bip_rho: k >= 1, n >= (k+1)^2, rho >= rho(B_n^k)
-    if k >= 1 and n >= (k + 1) ** 2:
-        rho = vals.get("rho")
-        ev["rho"] = rho
-        thr = _family_value("rho", "B", n, k)
-        if c.spectral_check("bip_rho", "rho", rho, thr, "ge"):
-            return _fire(c, "bip_rho", b, [FamilySpec("B", n=n, k=k)])
-        c.record("bip_rho", "failed")
-    else:
-        c.record("bip_rho", "skipped")
-
-    # bip_q: k >= 1, n >= (k+1)^2, q >= q(B_n^k)
-    if k >= 1 and n >= (k + 1) ** 2:
-        qv = vals.get("q")
-        ev["q"] = qv
-        thr = _family_value("q", "B", n, k)
-        if c.spectral_check("bip_q", "q", qv, thr, "ge"):
-            return _fire(c, "bip_q", b, [FamilySpec("B", n=n, k=k)])
-        c.record("bip_q", "failed")
-    else:
-        c.record("bip_q", "skipped")
-
-    # bip_rho_qc: k >= 1, n >= 2k, rho(qc) <= rho(qc of B_n^k) = sqrt(k(n-k))
-    if k >= 1 and n >= 2 * k:
-        rho_qc = vals.get("rho_qc")
-        ev["rho_qc"] = rho_qc
-        thr = math.sqrt(k * (n - k))
-        if c.spectral_check("bip_rho_qc", "rho_qc", rho_qc, thr, "le"):
-            excl = [FamilySpec("Bset", n=n, k=k)]
-            if n == 4 and k == 2:
-                excl += [FamilySpec("Gamma1"), FamilySpec("Gamma2")]
-            return _fire(c, "bip_rho_qc", b, excl)
-        c.record("bip_rho_qc", "failed")
-    else:
-        c.record("bip_rho_qc", "skipped")
-
-    # bip_q_qc: q(qc) <= n (no minimum-degree hypothesis)
-    q_qc = vals.get("q_qc")
-    ev["q_qc"] = q_qc
-    if c.spectral_check("bip_q_qc", "q_qc", q_qc, float(n), "le"):
-        excl = [FamilySpec("Bset", n=n, k=j) for j in range(1, n // 2 + 1)]
-        if n == 4:
-            excl += [FamilySpec("Gamma1"), FamilySpec("Gamma2")]
-        return _fire(c, "bip_q_qc", b, excl)
-    c.record("bip_q_qc", "failed")
-
-    return _resolve(c, b, use_oracle, oracle, oracle_budget)
+    return _walk(_BIPARTITE, b, vals, ev, n, delta, tol, use_oracle, oracle, oracle_budget)

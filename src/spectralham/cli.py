@@ -20,7 +20,7 @@ from .graphs import (
     graph6_encode,
     parse_edge_list,
 )
-from .harness import SearchSpace, VERIFY_TARGETS, extremal_search, verify_theorem
+from .harness import _OBJECTIVES, SearchSpace, VERIFY_TARGETS, extremal_search, verify_theorem
 from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
 from .spectral import DEFAULT_TOL, bound_report
 from .transforms import bc_closure, bipartite_closure
@@ -249,8 +249,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("certify", help="run the theorem cascade")
     p.add_argument("graph")
-    p.add_argument("--bipartite", action="store_true")
-    p.add_argument("--traceable", action="store_true")
+    mode = p.add_mutually_exclusive_group()  # the bipartite cascade has no traceability part
+    mode.add_argument("--bipartite", action="store_true")
+    mode.add_argument("--traceable", action="store_true")
     p.add_argument("--oracle", action="store_true", help="resolve inconclusive cases exactly")
     _add_common(p)
     p.set_defaults(fn=cmd_certify)
@@ -262,8 +263,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="extremal search over a space")
-    p.add_argument("objective",
-                   choices=["max_rho", "max_q", "min_rho_complement", "min_q_qc"])
+    p.add_argument("objective", choices=list(_OBJECTIVES))
     p.add_argument("--constraint", default="non_hamiltonian",
                    choices=["non_hamiltonian", "non_traceable"])
     _add_space(p)

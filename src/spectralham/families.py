@@ -29,6 +29,7 @@ False (an empty family has no members), while ``construct`` raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .graphs import (
@@ -189,14 +190,7 @@ def construct(spec: FamilySpec):
         rows += [(1 << (n - k)) - 1] * (n - k)
         return BipartiteGraph(n, n, tuple(rows))
     if fam in ("Gamma1", "Gamma2"):
-        pairs = [(i, i) for i in range(1, 4)]
-        pairs += [(0, j) for j in range(1, 4)]
-        pairs += [(i, 0) for i in range(1, 4)]
-        if fam == "Gamma2":
-            pairs.append((0, 0))
-        g = build_bipartite(4, 4, pairs)
-        _gamma_gate(g, fam)
-        return g
+        return _gamma(fam)
     if fam == "complete":
         _validate(n is not None and n >= 1, "complete needs n >= 1")
         return complete_graph(n)
@@ -207,6 +201,19 @@ def construct(spec: FamilySpec):
         _validate(_l_range(n, k), f"complete_split needs 1 <= k <= (n-1)/2, got n={n}, k={k}")
         return join(complete_graph(k), k_copies(n - 2 * k, complete_graph(1)))
     raise ValueError(f"unknown family {fam!r}")
+
+
+@lru_cache(maxsize=None)
+def _gamma(fam: str) -> BipartiteGraph:
+    """The Gamma1 / Gamma2 graph, built and checked against its decoding once."""
+    pairs = [(i, i) for i in range(1, 4)]
+    pairs += [(0, j) for j in range(1, 4)]
+    pairs += [(i, 0) for i in range(1, 4)]
+    if fam == "Gamma2":
+        pairs.append((0, 0))
+    g = build_bipartite(4, 4, pairs)
+    _gamma_gate(g, fam)
+    return g
 
 
 def _gamma_gate(g: BipartiteGraph, fam: str):
@@ -339,7 +346,7 @@ def recognize(g, family: str, n: Optional[int] = None, k: Optional[int] = None) 
             return _recognize_b(g, n, k)
         if family == "Bset":
             return _recognize_bset(g, n, k)
-        ref = construct(FamilySpec(family))
+        ref = _gamma(family)
         return (
             g.nx + g.ny == 8
             and g.edge_count == ref.edge_count

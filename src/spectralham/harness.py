@@ -12,26 +12,30 @@ includes the statement's exceptional-family / containment disjuncts
 exact oracle.  Counterexamples are reported as graph6 strings; oracle budget
 exhaustion is recorded per graph and never counted as a pass.
 
-Enumerated spaces are processed in index chunks with stacked-eigensolver
-statistics (numpy) as a coarse prefilter; the per-graph hypothesis is always
-re-checked exactly.  Campaigns can be partitioned across a worker pool; the
-merged report is identical to the serial one.
+Statements come from ``statements.STATEMENTS``.  Enumerated spaces are
+processed in index chunks: integer statistics (edge count, degrees) and
+stacked-eigensolver radii form one column per quantity, and
+``Statement.hypothesis`` evaluated over those columns gives each statement's
+hypothesis mask exactly, with the same comparison the scalar path applies to
+one graph's values.  Only the parts of a hypothesis that need the graph
+itself (closedness, "not Hamiltonian") are checked per row.  graph6 and
+random spaces evaluate the same hypothesis on each graph's ``GraphValues``.
+Campaigns can be partitioned across a worker pool; the merged report is
+identical to the serial one.
 
-Bound gate.  Every spectral prefilter is one threshold comparison in one
-quantity (rho, q, or the radius of the complement or quasi-complement), so
-it is monotone in that quantity.  Before eigensolving, each chunk gets an
-interval [lo, hi] per quantity from integer statistics alone (edge count and
-degrees, via ``spectral.radius_intervals``: average degree, the star
-K_{1,Delta}, Delta, Nikiforov at k = delta, Feng-Yu, and sqrt(e) and
-e/side + side on bipartite spaces).  The interval is widened by the tolerance
-plus a rounding slack; a row whose prefilters fail at both ends fails them at
-the computed value too, so it is not eigensolved and its value stays NaN
-(which fails every comparison and is never seeded into the per-graph
-context).  The remaining rows are eigensolved exactly as before, so
-verdicts, counts and failure lists do not change.  A quantity is not gated
-when a check that needs it has no prefilter or also needs another
-non-integer statistic.  ``extremal_search`` and the soundness sweep need
-every value and do not gate.
+Bound gate.  Every statement is one threshold comparison in one quantity
+(rho, q, or the radius of the complement or quasi-complement), plus at most
+delta >= k and a per-row graph check, so its mask is monotone in that
+quantity.  Before eigensolving, each chunk gets an interval [lo, hi] per
+quantity from integer statistics alone (edge count and degrees, via
+``spectral.radius_intervals``: average degree, the star K_{1,Delta}, Delta,
+Nikiforov at k = delta, Feng-Yu, and sqrt(e) and e/side + side on bipartite
+spaces).  The interval is widened by the tolerance plus a rounding slack; a
+row whose masks fail at both ends fails them at the computed value too, so
+it is not eigensolved and its value stays NaN (which fails every
+comparison).  The remaining rows are eigensolved exactly as before, so
+verdicts, counts and failure lists do not change.  ``extremal_search`` and
+the soundness sweep need every value and do not gate.
 
 Batched conclusions.  On enumerated spaces, the rows of a chunk that pass
 some prefilter (the candidates) get their neighbourhood bitmasks from one
@@ -42,16 +46,15 @@ its own verdict.  Each row is charged 1 << order nodes, the charge
 ``is_hamiltonian`` reports for its subset DP; when that exceeds the oracle
 budget the row is recorded as aborted, never decided.  The kernel rebuilds a
 witness for every "yes" row and checks it against the row's adjacency before
-any verdict is used.  A row's context takes n, e and delta from the chunk
-statistics, and its Graph / BipartiteGraph is built only when something
-reads ``g`` (a recognizer, a closure or biclique test, a graph6 report).
+any verdict is used.  A row's Graph / BipartiteGraph is built only when
+something reads it (a recognizer, a closure or biclique test, a graph6
+report).
 graph6 and random spaces, ``extremal_search`` and the soundness sweep use the
 scalar oracle.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -61,7 +64,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .certifier import certify_bipartite_hamiltonicity, certify_hamiltonicity
-from .families import FamilySpec, construct, recognize, recognize_h_family, spanning_subgraph_of
+from .families import recognize, spanning_subgraph_of
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -78,7 +81,8 @@ from .oracle import (
     is_hamiltonian,
     is_traceable,
 )
-from .spectral import DEFAULT_TOL, q_radius, radius_intervals, spectral_radius
+from .spectral import DEFAULT_TOL, radius_intervals
+from .statements import VERIFY_TARGETS, GraphValues, Statement, statements_for
 from .transforms import is_b_closed, is_closed
 
 __all__ = [
@@ -305,7 +309,6 @@ def enumerate_space(space: SearchSpace) -> Iterator:
 _RADII = ("rho", "q", "rho_complement", "rho_qc", "q_qc")
 _COMPLEMENTED = ("rho_complement", "rho_qc", "q_qc")
 _DEGREE_SUMS = ("min_ds", "min_cross_ds")
-_INTEGER_STATS = frozenset(["e", "delta"])
 # Added to the tolerance when gating: it covers the rounding of eigvalsh
 # (about 1e-14 at the capped orders) and of the bound formulas, so a row whose
 # computed value would pass a prefilter is never gated away, even at tol = 0.
@@ -339,16 +342,18 @@ def _degree_stats(size: int, bip: bool, start: int, stop: int) -> dict:
 
     deg[v, i] is the degree of vertex v in row i (vertex-major, so the
     reductions below run over contiguous rows), e the edge count and
-    delta / Delta the minimum / maximum degree.
+    delta / Delta the minimum / maximum degree (two_delta is 2 delta).
     """
     us, _, inc = _bit_ends(size, bip)
     bits = _index_bits(len(us), start, stop)
     deg = (inc @ bits.T.astype(np.float32)).astype(np.int64)
+    delta = deg.min(axis=0)
     return {
         "bits": bits,
         "deg": deg,
         "e": deg.sum(axis=0) // 2,
-        "delta": deg.min(axis=0),
+        "delta": delta,
+        "two_delta": 2 * delta,
         "Delta": deg.max(axis=0),
     }
 
@@ -442,7 +447,7 @@ def _graphs_from_bits(size: int, bip: bool, bits: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Per-graph evaluation context
+# Per-graph evaluation
 # ---------------------------------------------------------------------------
 
 class _OracleAborted(Exception):
@@ -471,690 +476,72 @@ class _BatchVerdicts:
         return "yes" if self.found[question][row] else "no"
 
 
-class _Ctx:
-    """Lazily computed per-graph values.
+class _Row:
+    """One graph under verification: the graph, built on first read, and its verdicts.
 
-    ``_Ctx.of(g, ...)`` wraps a graph.  Indexed rows pass n, e and delta and
-    the radii (``seeded``) from the chunk statistics, a ``build`` function
-    that makes the graph the first time ``g`` is read, and a ``verdict``
-    function that answers "ham" / "trace" from the chunk's batched oracle
-    instead of the scalar one.
+    ``verdict`` answers "ham" / "trace": from the chunk's batched oracle for
+    indexed rows, from the scalar oracle otherwise.
     """
 
-    def __init__(self, tol: float, budget: int, bip: bool, n: int, e: int, delta: int,
-                 build: Callable, seeded: Optional[dict] = None,
-                 verdict: Optional[Callable[[str], str]] = None):
-        self.tol = tol
-        self.budget = budget
-        self.bip = bip
-        self.n = n
-        self.e = e
-        self.delta = delta
+    def __init__(self, build: Callable, verdict: Callable[[str], str]):
         self._build = build
-        self._verdict = verdict or self._scalar_verdict
-        self.vals = dict(seeded or {})
-
-    @classmethod
-    def of(cls, g, tol: float, budget: int) -> "_Ctx":
-        if isinstance(g, BipartiteGraph):
-            delta = g.min_degree() if (g.nx or g.ny) else 0
-            return cls(tol, budget, True, g.nx, g.edge_count, delta, lambda: g)
-        return cls(tol, budget, False, g.n, g.edge_count, min(g.degrees()) if g.n else 0, lambda: g)
+        self._verdict = verdict
+        self._status = {}
 
     @cached_property
     def g(self):
         return self._build()
 
-    def _get(self, key: str, fn) -> float:
-        if key not in self.vals:
-            self.vals[key] = fn()
-        return self.vals[key]
-
-    def rho(self):
-        return self._get("rho", lambda: spectral_radius(self.g).value)
-
-    def q(self):
-        return self._get("q", lambda: q_radius(self.g).value)
-
-    def rho_complement(self):
-        from .graphs import complement
-
-        return self._get("rho_complement", lambda: spectral_radius(complement(self.g)).value)
-
-    def rho_qc(self):
-        from .graphs import quasi_complement
-
-        return self._get("rho_qc", lambda: spectral_radius(quasi_complement(self.g).to_graph()).value)
-
-    def q_qc(self):
-        from .graphs import quasi_complement
-
-        return self._get("q_qc", lambda: q_radius(quasi_complement(self.g).to_graph()).value)
-
-    def min_ds(self):
-        def compute():
-            g = self.g
-            degs = g.degrees()
-            best = math.inf
-            for u in range(g.n):
-                for v in range(u + 1, g.n):
-                    if not g.has_edge(u, v):
-                        best = min(best, degs[u] + degs[v])
-            return best
-
-        return self._get("min_ds", compute)
-
-    def min_cross_ds(self):
-        def compute():
-            b = self.g
-            xd, yd = b.x_degrees(), b.y_degrees()
-            best = math.inf
-            for i in range(b.nx):
-                for j in range(b.ny):
-                    if not b.has_edge(i, j):
-                        best = min(best, xd[i] + yd[j])
-            return best
-
-        return self._get("min_cross_ds", compute)
-
-    def _scalar_verdict(self, question: str) -> str:
-        if question == "ham":
-            return is_hamiltonian(self.g.to_graph() if self.bip else self.g, budget=self.budget).status
-        return is_traceable(self.g, budget=self.budget).status
-
-    def _decide(self, question: str) -> bool:
-        status = self._get(question, lambda: self._verdict(question))
-        if status == "aborted":
+    def decide(self, question: str) -> bool:
+        if question not in self._status:
+            self._status[question] = self._verdict(question)
+        if self._status[question] == "aborted":
             raise _OracleAborted
-        return status == "yes"
-
-    def ham(self):
-        return self._decide("ham")
-
-    def trace(self):
-        return self._decide("trace")
+        return self._status[question] == "yes"
 
     def g6(self) -> str:
-        g = self.g.to_graph() if self.bip else self.g
-        return graph6_encode(g)
+        g = self.g
+        return graph6_encode(g.to_graph() if isinstance(g, BipartiteGraph) else g)
 
 
-# ---------------------------------------------------------------------------
-# Target registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Check:
-    name: str
-    domain: str  # "graph" | "bipartite"
-    needs: tuple[str, ...]
-    hypothesis: Callable
-    conclusion: Callable  # ctx -> (ok, exceptional)
-    prefilter: Optional[Callable] = None  # (stats, n, k, tol) -> bool mask
-    precheck: Optional[Callable] = None  # (order, k) -> error message or None
+def _scalar_verdict(g, budget: int, question: str) -> str:
+    if question == "ham":
+        gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
+        return is_hamiltonian(gg, budget=budget).status
+    return is_traceable(g, budget=budget).status
 
 
-def _c_ham(ctx):
-    return (True, False) if ctx.ham() else (False, False)
+# the part of a hypothesis that needs the graph itself
+_GRAPH_CHECKS = {
+    "closed": lambda row: is_closed(row.g),
+    "b_closed": lambda row: is_b_closed(row.g),
+    "not_ham": lambda row: not row.decide("ham"),
+}
 
 
-def _c_trace(ctx):
-    return (True, False) if ctx.trace() else (False, False)
-
-
-def _ham_or(recognizer):
-    def conclusion(ctx):
-        if ctx.ham():
-            return True, False
-        return (True, True) if recognizer(ctx) else (False, False)
-
-    return conclusion
-
-
-def _trace_or(recognizer):
-    def conclusion(ctx):
-        if ctx.trace():
-            return True, False
-        return (True, True) if recognizer(ctx) else (False, False)
-
-    return conclusion
-
-
-@lru_cache(maxsize=None)
-def _fam_rho(family: str, n: int, k: int) -> float:
-    return spectral_radius(construct(FamilySpec(family, n=n, k=k))).value
-
-
-@lru_cache(maxsize=None)
-def _fam_q(family: str, n: int, k: int) -> float:
-    return q_radius(construct(FamilySpec(family, n=n, k=k))).value
-
-
-def _erdos_bound(n: int, k: int) -> int:
-    return max(
-        math.comb(n - k, 2) + k * k,
-        math.comb((n + 2) // 2, 2) + ((n - 1) // 2) ** 2,
-    )
-
-
-def _moon_moser_bound(n: int, k: int) -> int:
-    return max(n * (n - k) + k * k, n * (n - n // 2) + (n // 2) ** 2)
-
-
-def _expand_target(target: str, k: Optional[int], tol: float) -> list[_Check]:
-    """Resolve a target id (optionally suffixed .1/.2) into atomic checks."""
-
-    def needs_k(name):
-        if k is None:
-            raise ValueError(f"target {name} needs a k parameter")
-        return k
-
-    checks: dict[str, list[_Check]] = {}
-
-    # --- plain-graph integer conditions -----------------------------------
-    checks["ore"] = [
-        _Check(
-            "ore", "graph", ("e",),
-            hypothesis=lambda c: c.e > math.comb(c.n - 1, 2) + 1,
-            conclusion=_c_ham,
-            prefilter=lambda s, n, kk, t: s["e"] > math.comb(n - 1, 2) + 1,
-        )
-    ]
-    checks["dirac"] = [
-        _Check(
-            "dirac", "graph", ("delta",),
-            hypothesis=lambda c: c.n >= 3 and 2 * c.delta >= c.n,
-            conclusion=_c_ham,
-            prefilter=lambda s, n, kk, t: 2 * s["delta"] >= n,
-        )
-    ]
-    if target == "erdos":
-        kk = needs_k("erdos")
-        checks["erdos"] = [
-            _Check(
-                "erdos", "graph", ("e", "delta"),
-                hypothesis=lambda c: c.delta >= kk
-                and 2 * kk <= c.n - 1
-                and c.e > _erdos_bound(c.n, kk),
-                conclusion=_c_ham,
-                prefilter=lambda s, n, _k, t: (s["delta"] >= kk) & (s["e"] > _erdos_bound(n, kk)),
-                precheck=lambda n, _k: (
-                    None if n is None or (1 <= kk and 2 * kk <= n - 1)
-                    else f"erdos needs 1 <= k <= (n-1)/2, got n={n}, k={kk}"
-                ),
-            )
-        ]
-
-    # --- Fiedler-Nikiforov -------------------------------------------------
-    checks["fn_rho.2"] = [
-        _Check(
-            "fn_rho.2", "graph", ("rho",),
-            hypothesis=lambda c: c.n >= 3 and c.rho() > c.n - 2 + c.tol,
-            conclusion=_ham_or(lambda c: recognize(c.g, "N", n=c.n, k=1)),
-            prefilter=lambda s, n, kk, t: s["rho"] > n - 2 + t,
-        )
-    ]
-    checks["fn_rho.1"] = [
-        _Check(
-            "fn_rho.1", "graph", ("rho",),
-            hypothesis=lambda c: c.rho() >= c.n - 2 - c.tol,
-            conclusion=_trace_or(lambda c: recognize(c.g, "barN", n=c.n, k=0)),
-            prefilter=lambda s, n, kk, t: s["rho"] >= n - 2 - t,
-        )
-    ]
-    checks["fn_rho"] = checks["fn_rho.1"] + checks["fn_rho.2"]
-
-    checks["fn_rho_complement.2"] = [
-        _Check(
-            "fn_rho_complement.2", "graph", ("rho_complement",),
-            hypothesis=lambda c: c.n >= 3
-            and c.rho_complement() <= math.sqrt(c.n - 2) + c.tol,
-            conclusion=_ham_or(lambda c: recognize(c.g, "L", n=c.n, k=1)),
-            prefilter=lambda s, n, kk, t: s["rho_complement"] <= math.sqrt(n - 2) + t,
-        )
-    ]
-    checks["fn_rho_complement.1"] = [
-        _Check(
-            "fn_rho_complement.1", "graph", ("rho_complement",),
-            hypothesis=lambda c: c.n >= 2
-            and c.rho_complement() <= math.sqrt(c.n - 1) + c.tol,
-            conclusion=_trace_or(lambda c: recognize(c.g, "barL", n=c.n, k=0)),
-            prefilter=lambda s, n, kk, t: s["rho_complement"] <= math.sqrt(n - 1) + t,
-        )
-    ]
-    checks["fn_rho_complement"] = checks["fn_rho_complement.1"] + checks["fn_rho_complement.2"]
-
-    # --- Yu-Fan -------------------------------------------------------------
-    def _yu_fan_pre(n, _k):
-        return None if n is None or n >= 6 else f"yu_fan_q needs order n >= 6, got n={n}"
-
-    checks["yu_fan_q.2"] = [
-        _Check(
-            "yu_fan_q.2", "graph", ("q",),
-            hypothesis=lambda c: c.n >= 6 and c.q() > 2 * c.n - 4 + c.tol,
-            conclusion=_ham_or(lambda c: recognize(c.g, "N", n=c.n, k=1)),
-            prefilter=lambda s, n, kk, t: s["q"] > 2 * n - 4 + t,
-            precheck=_yu_fan_pre,
-        )
-    ]
-    checks["yu_fan_q.1"] = [
-        _Check(
-            "yu_fan_q.1", "graph", ("q",),
-            hypothesis=lambda c: c.n >= 6 and c.q() >= 2 * c.n - 4 - c.tol,
-            conclusion=_trace_or(lambda c: recognize(c.g, "barN", n=c.n, k=0)),
-            prefilter=lambda s, n, kk, t: s["q"] >= 2 * n - 4 - t,
-            precheck=_yu_fan_pre,
-        )
-    ]
-    checks["yu_fan_q"] = checks["yu_fan_q.1"] + checks["yu_fan_q.2"]
-
-    # --- main theorems (k-parameterized) -------------------------------------
-    if target.startswith(("main_rho", "main_q")):
-        kk = needs_k(target)
-
-        def _main_pre(lo_expr):
-            def pre(n, _k):
-                if n is None or n >= lo_expr:
-                    return None
-                return f"order threshold not met: need n >= {lo_expr}, got n={n}"
-
-            return pre
-
-        checks["main_rho.2"] = [
-            _Check(
-                "main_rho.2", "graph", ("rho", "delta"),
-                hypothesis=lambda c: kk >= 1
-                and c.delta >= kk
-                and c.n >= max(6 * kk + 5, (kk * kk + 6 * kk + 4) / 2)
-                and c.rho() >= _fam_rho("N", c.n, kk) - c.tol,
-                conclusion=_ham_or(lambda c: recognize(c.g, "N", n=c.n, k=kk)),
-                prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                & (s["rho"] >= _fam_rho("N", n, kk) - t),
-                precheck=_main_pre(max(6 * kk + 5, (kk * kk + 6 * kk + 4) / 2)) if kk >= 1 else None,
-            )
-        ]
-        checks["main_rho.1"] = [
-            _Check(
-                "main_rho.1", "graph", ("rho", "delta"),
-                hypothesis=lambda c: c.delta >= kk
-                and c.n >= max(6 * kk + 10, (kk * kk + 7 * kk + 8) / 2)
-                and c.rho() >= _fam_rho("barN", c.n, kk) - c.tol,
-                conclusion=_trace_or(lambda c: recognize(c.g, "barN", n=c.n, k=kk)),
-                prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                & (s["rho"] >= _fam_rho("barN", n, kk) - t),
-                precheck=_main_pre(max(6 * kk + 10, (kk * kk + 7 * kk + 8) / 2)),
-            )
-        ]
-        checks["main_rho"] = checks["main_rho.1"] + checks["main_rho.2"]
-
-        checks["main_q.2"] = [
-            _Check(
-                "main_q.2", "graph", ("q", "delta"),
-                hypothesis=lambda c: kk >= 1
-                and c.delta >= kk
-                and c.n >= max(6 * kk + 5, (3 * kk * kk + 5 * kk + 4) / 2)
-                and c.q() >= _fam_q("N", c.n, kk) - c.tol,
-                conclusion=_ham_or(lambda c: recognize(c.g, "N", n=c.n, k=kk)),
-                prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                & (s["q"] >= _fam_q("N", n, kk) - t),
-                precheck=_main_pre(max(6 * kk + 5, (3 * kk * kk + 5 * kk + 4) / 2)) if kk >= 1 else None,
-            )
-        ]
-        checks["main_q.1"] = [
-            _Check(
-                "main_q.1", "graph", ("q", "delta"),
-                hypothesis=lambda c: c.delta >= kk
-                and c.n >= max(6 * kk + 10, (3 * kk * kk + 9 * kk + 8) / 2)
-                and c.q() >= _fam_q("barN", c.n, kk) - c.tol,
-                conclusion=_trace_or(lambda c: recognize(c.g, "barN", n=c.n, k=kk)),
-                prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                & (s["q"] >= _fam_q("barN", n, kk) - t),
-                precheck=_main_pre(max(6 * kk + 10, (3 * kk * kk + 9 * kk + 8) / 2)),
-            )
-        ]
-        checks["main_q"] = checks["main_q.1"] + checks["main_q.2"]
-
-    if target.startswith("main_rho_complement"):
-        kk = needs_k(target)
-
-        def _h2(c):
-            if recognize(c.g, "L", n=c.n, k=kk):
-                return True
-            return c.n == 2 * kk + 1 and recognize_h_family(c.g, c.n)
-
-        def _h1(c):
-            if recognize(c.g, "barL", n=c.n, k=kk):
-                return True
-            return c.n == 2 * kk + 2 and recognize_h_family(c.g, c.n)
-
-        checks["main_rho_complement.2"] = [
-            _Check(
-                "main_rho_complement.2", "graph", ("rho_complement", "delta"),
-                hypothesis=lambda c: kk >= 1
-                and c.delta >= kk
-                and c.n >= 2 * kk + 1
-                and c.rho_complement() <= math.sqrt(kk * (c.n - kk - 1)) + c.tol,
-                conclusion=_ham_or(_h2),
-                prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                & (s["rho_complement"] <= math.sqrt(kk * (n - kk - 1)) + t),
-                precheck=lambda n, _k: (
-                    None if n is None or n >= 2 * kk + 1
-                    else f"main_rho_complement part 2 needs n >= 2k+1 = {2 * kk + 1}"
-                ),
-            )
-        ]
-        checks["main_rho_complement.1"] = [
-            _Check(
-                "main_rho_complement.1", "graph", ("rho_complement", "delta"),
-                hypothesis=lambda c: c.delta >= kk
-                and c.n >= 2 * kk + 2
-                and c.rho_complement() <= math.sqrt((kk + 1) * (c.n - kk - 1)) + c.tol,
-                conclusion=_trace_or(_h1),
-                prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                & (s["rho_complement"] <= math.sqrt((kk + 1) * (n - kk - 1)) + t),
-                precheck=lambda n, _k: (
-                    None if n is None or n >= 2 * kk + 2
-                    else f"main_rho_complement part 1 needs n >= 2k+2 = {2 * kk + 2}"
-                ),
-            )
-        ]
-        checks["main_rho_complement"] = (
-            checks["main_rho_complement.1"] + checks["main_rho_complement.2"]
-        )
-
-    # --- Ainouche-Christofides ----------------------------------------------
-    def _ac_conclusion(ctx):
-        for j in range(1, (ctx.n - 1) // 2 + 1):
-            if recognize(ctx.g, "L", n=ctx.n, k=j):
-                return True, True
-        if ctx.n % 2 == 1 and recognize_h_family(ctx.g, ctx.n):
-            return True, True
-        return False, False
-
-    checks["ainouche_christofides"] = [
-        _Check(
-            "ainouche_christofides", "graph", ("min_ds",),
-            hypothesis=lambda c: c.n >= 3 and c.min_ds() >= c.n - 1 and not c.ham(),
-            conclusion=_ac_conclusion,
-            prefilter=lambda s, n, kk, t: s["min_ds"] >= n - 1,
-        )
-    ]
-
-    # --- closure / clique lemmas ---------------------------------------------
-    if target in ("clique_lemma", "refined_hamilton_lemma", "refined_traceable_lemma"):
-        kk = needs_k(target)
-        if target == "clique_lemma":
-            checks["clique_lemma"] = [
-                _Check(
-                    "clique_lemma", "graph", ("e",),
-                    hypothesis=lambda c: kk >= 1
-                    and c.n >= 6 * kk + 5
-                    and c.e > math.comb(c.n - kk - 1, 2) + (kk + 1) ** 2
-                    and is_closed(c.g),
-                    conclusion=lambda c: (clique_number(c.g) >= c.n - kk, False),
-                    prefilter=lambda s, n, _k, t: s["e"] > math.comb(n - kk - 1, 2) + (kk + 1) ** 2,
-                    precheck=lambda n, _k: (
-                        None if (kk >= 1 and (n is None or n >= 6 * kk + 5))
-                        else f"clique_lemma needs k >= 1 and n >= 6k+5, got n={n}, k={kk}"
-                    ),
-                )
-            ]
-        if target == "refined_hamilton_lemma":
-            checks["refined_hamilton_lemma"] = [
-                _Check(
-                    "refined_hamilton_lemma", "graph", ("e", "delta"),
-                    hypothesis=lambda c: kk >= 1
-                    and c.n >= 6 * kk + 5
-                    and c.delta >= kk
-                    and c.e > math.comb(c.n - kk - 1, 2) + (kk + 1) ** 2,
-                    conclusion=_ham_or(
-                        lambda c: spanning_subgraph_of(c.g, "L", c.n, kk)
-                        or spanning_subgraph_of(c.g, "N", c.n, kk)
-                    ),
-                    prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                    & (s["e"] > math.comb(n - kk - 1, 2) + (kk + 1) ** 2),
-                    precheck=lambda n, _k: (
-                        None if (kk >= 1 and (n is None or n >= 6 * kk + 5))
-                        else f"refined_hamilton_lemma needs k >= 1 and n >= 6k+5, got n={n}, k={kk}"
-                    ),
-                )
-            ]
-        if target == "refined_traceable_lemma":
-            checks["refined_traceable_lemma"] = [
-                _Check(
-                    "refined_traceable_lemma", "graph", ("e", "delta"),
-                    hypothesis=lambda c: c.n >= 6 * kk + 10
-                    and c.delta >= kk
-                    and c.e > math.comb(c.n - kk - 2, 2) + (kk + 1) * (kk + 2),
-                    conclusion=_trace_or(
-                        lambda c: spanning_subgraph_of(c.g, "barL", c.n, kk)
-                        or spanning_subgraph_of(c.g, "barN", c.n, kk)
-                    ),
-                    prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                    & (s["e"] > math.comb(n - kk - 2, 2) + (kk + 1) * (kk + 2)),
-                    precheck=lambda n, _k: (
-                        None if (kk >= 0 and (n is None or n >= 6 * kk + 10))
-                        else f"refined_traceable_lemma needs k >= 0 and n >= 6k+10, got n={n}, k={kk}"
-                    ),
-                )
-            ]
-
-    # --- bipartite targets ----------------------------------------------------
-    checks["moon_moser"] = [
-        _Check(
-            "moon_moser.delta", "bipartite", ("delta",),
-            hypothesis=lambda c: 2 * c.delta > c.n,
-            conclusion=_c_ham,
-            prefilter=lambda s, n, kk, t: 2 * s["delta"] > n,
-        ),
-        _Check(
-            "moon_moser.edges", "bipartite", ("e", "delta"),
-            hypothesis=lambda c: c.delta >= 1
-            and c.e > _moon_moser_bound(c.n, min(c.delta, c.n // 2)),
-            conclusion=_c_ham,
-            prefilter=lambda s, n, kk, t: (s["delta"] >= 1)
-            & (s["e"] > _moon_moser_bound(n, n // 2)),
-        ),
-    ]
-
-    def _fjp_conclusion(ctx):
-        for j in range(1, ctx.n // 2 + 1):
-            if recognize(ctx.g, "Bset", n=ctx.n, k=j):
-                return True, True
-        if ctx.n == 4 and (recognize(ctx.g, "Gamma1") or recognize(ctx.g, "Gamma2")):
-            return True, True
-        return False, False
-
-    checks["ferrara_jacobson_powell"] = [
-        _Check(
-            "ferrara_jacobson_powell", "bipartite", ("min_cross_ds",),
-            hypothesis=lambda c: c.n >= 2 and c.min_cross_ds() >= c.n and not c.ham(),
-            conclusion=_fjp_conclusion,
-            prefilter=lambda s, n, kk, t: s["min_cross_ds"] >= n,
-            precheck=lambda n, _k: (
-                None if n is None or n >= 2 else "ferrara_jacobson_powell needs side >= 2"
-            ),
-        )
-    ]
-
-    if target in ("bip_rho", "bip_q", "bip_rho_qc"):
-        kk = needs_k(target)
-        if target == "bip_rho":
-            checks["bip_rho"] = [
-                _Check(
-                    "bip_rho", "bipartite", ("rho", "delta"),
-                    hypothesis=lambda c: kk >= 1
-                    and c.delta >= kk
-                    and c.n >= (kk + 1) ** 2
-                    and c.rho() >= _fam_rho("B", c.n, kk) - c.tol,
-                    conclusion=_ham_or(lambda c: recognize(c.g, "B", n=c.n, k=kk)),
-                    prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                    & (s["rho"] >= _fam_rho("B", n, kk) - t),
-                    precheck=lambda n, _k: (
-                        None if (kk >= 1 and (n is None or n >= (kk + 1) ** 2))
-                        else f"bip_rho needs k >= 1 and side n >= (k+1)^2, got n={n}, k={kk}"
-                    ),
-                )
-            ]
-        if target == "bip_q":
-            checks["bip_q"] = [
-                _Check(
-                    "bip_q", "bipartite", ("q", "delta"),
-                    hypothesis=lambda c: kk >= 1
-                    and c.delta >= kk
-                    and c.n >= (kk + 1) ** 2
-                    and c.q() >= _fam_q("B", c.n, kk) - c.tol,
-                    conclusion=_ham_or(lambda c: recognize(c.g, "B", n=c.n, k=kk)),
-                    prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                    & (s["q"] >= _fam_q("B", n, kk) - t),
-                    precheck=lambda n, _k: (
-                        None if (kk >= 1 and (n is None or n >= (kk + 1) ** 2))
-                        else f"bip_q needs k >= 1 and side n >= (k+1)^2, got n={n}, k={kk}"
-                    ),
-                )
-            ]
-        if target == "bip_rho_qc":
-
-            def _qc_exceptional(c):
-                if recognize(c.g, "Bset", n=c.n, k=kk):
-                    return True
-                if c.n == 4 and kk == 2:
-                    return recognize(c.g, "Gamma1") or recognize(c.g, "Gamma2")
-                return False
-
-            checks["bip_rho_qc"] = [
-                _Check(
-                    "bip_rho_qc", "bipartite", ("rho_qc", "delta"),
-                    hypothesis=lambda c: kk >= 1
-                    and c.delta >= kk
-                    and c.n >= 2 * kk
-                    and c.rho_qc() <= math.sqrt(kk * (c.n - kk)) + c.tol,
-                    conclusion=_ham_or(_qc_exceptional),
-                    prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                    & (s["rho_qc"] <= math.sqrt(kk * (n - kk)) + t),
-                    precheck=lambda n, _k: (
-                        None if (kk >= 1 and (n is None or n >= 2 * kk))
-                        else f"bip_rho_qc needs k >= 1 and side n >= 2k, got n={n}, k={kk}"
-                    ),
-                )
-            ]
-
-    def _qqc_exceptional(c):
-        for j in range(1, c.n // 2 + 1):
-            if recognize(c.g, "Bset", n=c.n, k=j):
-                return True
-        if c.n == 4:
-            return recognize(c.g, "Gamma1") or recognize(c.g, "Gamma2")
+def _biclique_conclusion(b: BipartiteGraph, n: int, k: int, delta: int) -> bool:
+    total = 2 * n - k
+    if not any(contains_biclique(b, s, total - s)
+               for s in range(max(1, total - n), n + 1) if 1 <= total - s <= n):
         return False
-
-    checks["bip_q_qc"] = [
-        _Check(
-            "bip_q_qc", "bipartite", ("q_qc",),
-            hypothesis=lambda c: c.n >= 2 and c.q_qc() <= c.n + c.tol,
-            conclusion=_ham_or(_qqc_exceptional),
-            prefilter=lambda s, n, kk, t: s["q_qc"] <= n + t,
-            precheck=lambda n, _k: (
-                None if n is None or n >= 2 else "bip_q_qc needs side >= 2"
-            ),
-        )
-    ]
-
-    if target in ("biclique_lemma", "refined_bipartite_lemma"):
-        kk = needs_k(target)
-
-        def _biclique_conclusion(c):
-            total = 2 * c.n - kk
-            found = False
-            for s_ in range(max(1, total - c.n), c.n + 1):
-                t_ = total - s_
-                if 1 <= t_ <= c.n and contains_biclique(c.g, s_, t_):
-                    found = True
-                    break
-            if not found:
-                return False, False
-            if c.delta >= kk:
-                sw = c.g.swap_sides()
-                if not (
-                    contains_biclique(c.g, c.n, c.n - kk)
-                    or contains_biclique(sw, c.n, c.n - kk)
-                ):
-                    return False, False
-            return True, False
-
-        if target == "biclique_lemma":
-            checks["biclique_lemma"] = [
-                _Check(
-                    "biclique_lemma", "bipartite", ("e",),
-                    hypothesis=lambda c: kk >= 1
-                    and c.n >= 2 * kk + 1
-                    and c.e > c.n * (c.n - kk - 1) + (kk + 1) ** 2
-                    and is_b_closed(c.g),
-                    conclusion=_biclique_conclusion,
-                    prefilter=lambda s, n, _k, t: s["e"] > n * (n - kk - 1) + (kk + 1) ** 2,
-                    precheck=lambda n, _k: (
-                        None if (kk >= 1 and (n is None or n >= 2 * kk + 1))
-                        else f"biclique_lemma needs k >= 1 and side n >= 2k+1, got n={n}, k={kk}"
-                    ),
-                )
-            ]
-        if target == "refined_bipartite_lemma":
-            checks["refined_bipartite_lemma"] = [
-                _Check(
-                    "refined_bipartite_lemma", "bipartite", ("e", "delta"),
-                    hypothesis=lambda c: kk >= 1
-                    and c.delta >= kk
-                    and c.n >= 2 * kk + 1
-                    and c.e > c.n * (c.n - kk - 1) + (kk + 1) ** 2,
-                    conclusion=_ham_or(lambda c: spanning_subgraph_of(c.g, "B", c.n, kk)),
-                    prefilter=lambda s, n, _k, t: (s["delta"] >= kk)
-                    & (s["e"] > n * (n - kk - 1) + (kk + 1) ** 2),
-                    precheck=lambda n, _k: (
-                        None if (kk >= 1 and (n is None or n >= 2 * kk + 1))
-                        else f"refined_bipartite_lemma needs k >= 1 and side n >= 2k+1, got n={n}, k={kk}"
-                    ),
-                )
-            ]
-
-    if target not in checks:
-        raise ValueError(f"unknown verification target {target!r}")
-    return checks[target]
+    if delta >= k:
+        return contains_biclique(b, n, n - k) or contains_biclique(b.swap_sides(), n, n - k)
+    return True
 
 
-VERIFY_TARGETS = (
-    "ore",
-    "dirac",
-    "erdos",
-    "fn_rho",
-    "fn_rho.1",
-    "fn_rho.2",
-    "fn_rho_complement",
-    "fn_rho_complement.1",
-    "fn_rho_complement.2",
-    "yu_fan_q",
-    "yu_fan_q.1",
-    "yu_fan_q.2",
-    "main_rho",
-    "main_rho.1",
-    "main_rho.2",
-    "main_q",
-    "main_q.1",
-    "main_q.2",
-    "main_rho_complement",
-    "main_rho_complement.1",
-    "main_rho_complement.2",
-    "ainouche_christofides",
-    "clique_lemma",
-    "refined_hamilton_lemma",
-    "refined_traceable_lemma",
-    "moon_moser",
-    "ferrara_jacobson_powell",
-    "bip_rho",
-    "bip_q",
-    "bip_rho_qc",
-    "bip_q_qc",
-    "biclique_lemma",
-    "refined_bipartite_lemma",
-)
+def _conclusion(st: Statement, row: _Row, n: int, k, delta: int) -> tuple[bool, bool]:
+    """(conclusion holds, by an exceptional family) for a row meeting st's hypothesis."""
+    if st.conclusion == "clique":
+        return clique_number(row.g) >= n - k, False
+    if st.conclusion == "biclique":
+        return _biclique_conclusion(row.g, n, k, delta), False
+    if row.decide(st.conclusion):
+        return True, False
+    for spec in st.families(n, k):
+        if (spanning_subgraph_of(row.g, spec.family, spec.n, spec.k) if st.spanning
+                else recognize(row.g, spec.family, n=spec.n, k=spec.k)):
+            return True, True
+    return False, False
 
 
 # ---------------------------------------------------------------------------
@@ -1208,53 +595,39 @@ class VerificationReport:
         }
 
 
-def _eval_graph(ctx: _Ctx, checks: list[_Check], report: VerificationReport,
-                active: Optional[list[bool]] = None):
-    for ci, chk in enumerate(checks):
-        if active is not None and not active[ci]:
-            continue
+def _eval_row(row: _Row, held: list, report: VerificationReport, n: int, k, delta: int):
+    """Finish the statements whose hypothesis (less the graph check) holds on a row."""
+    for st in held:
         try:
-            if not chk.hypothesis(ctx):
+            if st.graph_check and not _GRAPH_CHECKS[st.graph_check](row):
                 continue
             report.hypothesis_count += 1
-            ok, exceptional = chk.conclusion(ctx)
+            ok, exceptional = _conclusion(st, row, n, k, delta)
         except _OracleAborted:
-            report.aborted.append(ctx.g6())
+            report.aborted.append(row.g6())
             continue
         if exceptional:
             report.exceptional_matches += 1
         if not ok:
-            report.conclusion_failures.append(ctx.g6())
+            report.conclusion_failures.append(row.g6())
 
 
-def _gated(key: str, checks: list[_Check]) -> bool:
-    """Can ``key`` be gated: is every check needing it one threshold comparison in it?"""
-    return all(
-        chk.prefilter is not None and set(chk.needs) <= _INTEGER_STATS | {key}
-        for chk in checks
-        if key in chk.needs
-    )
-
-
-def _may_pass(key, checks, stats, size, bip, k, tol) -> np.ndarray:
-    """Rows where some prefilter on ``key`` holds at either end of its padded interval."""
+def _may_pass(key, stmts, stats, size, bip, k, tol) -> np.ndarray:
+    """Rows where some statement on ``key`` holds at either end of its padded interval."""
     lo, hi = _radius_interval(key, stats, size, bip)
     pad = abs(tol) + _GATE_SLACK
-    ends = (dict(stats, **{key: lo - pad}), dict(stats, **{key: hi + pad}))
     keep = np.zeros(len(lo), dtype=bool)
-    for chk in checks:
-        if key in chk.needs:
-            for at in ends:
-                keep |= np.asarray(chk.prefilter(at, size, k, tol))
+    for st in stmts:
+        if st.quantity == key:
+            for end in (lo - pad, hi + pad):
+                keep |= st.hypothesis(dict(stats, **{key: end}), size, k, tol)
     return keep
 
 
 def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> VerificationReport:
-    checks = _expand_target(target, k, tol)
+    stmts = statements_for(target)
     report = VerificationReport(target, space.describe())
-    needs = frozenset(n for chk in checks for n in chk.needs)
-    radii = [key for key in _RADII if key in needs]
-    gated = {key for key in radii if _gated(key, checks)}
+    quantities = {st.quantity for st in stmts}
     bip = space.kind == "balanced_bipartite_labeled"
     size = space.side if bip else space.n
     min_deg = space.k if space.kind == "labeled_min_degree" else None
@@ -1267,52 +640,39 @@ def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> Verific
         if min_deg is not None:
             in_space = stats["delta"] >= min_deg
         report.processed += int(in_space.sum())
-        for key in radii:
-            rows = in_space
-            if key in gated:
-                rows = rows & _may_pass(key, checks, stats, size, bip, k, tol)
-            vals = np.full(cnt, np.nan)  # NaN fails every prefilter comparison
-            if rows.any():
-                vals[rows] = _radii(key, size, bip, stats["bits"][rows])
-            stats[key] = vals
+        for key in _RADII:
+            if key in quantities:
+                rows = in_space & _may_pass(key, stmts, stats, size, bip, k, tol)
+                vals = np.full(cnt, np.nan)  # NaN fails every comparison
+                if rows.any():
+                    vals[rows] = _radii(key, size, bip, stats["bits"][rows])
+                stats[key] = vals
         for key in _DEGREE_SUMS:
-            if key in needs:
+            if key in quantities:
                 stats[key] = _min_degree_sum(size, bip, stats)
-        masks = []
-        for chk in checks:
-            if chk.prefilter is None:
-                masks.append(in_space.copy())
-            else:
-                masks.append(np.asarray(chk.prefilter(stats, size, k, tol)) & in_space)
-        _eval_candidates(checks, report, stats, np.stack(masks, axis=1), size, bip, tol, budget)
+        active = np.stack([st.hypothesis(stats, size, k, tol) & in_space for st in stmts], axis=1)
+        _eval_candidates(stmts, report, stats, active, size, bip, k, budget)
         pos = hi
     return report
 
 
-def _eval_candidates(checks, report, stats, active, size, bip, tol, budget):
-    """Evaluate the rows of a chunk where some check's mask (a column of active) holds."""
+def _eval_candidates(stmts, report, stats, active, size, bip, k, budget):
+    """Evaluate the rows of a chunk where some statement's mask (a column of active) holds."""
     cand = np.flatnonzero(active.any(axis=1))
     if not len(cand):
         return
     adj = _adjacency_rows(size, bip, stats["bits"][cand])
     batch = _BatchVerdicts(adj, 2 * size if bip else size, budget)
     active = active[cand]
-    es = stats["e"][cand].tolist()
     deltas = stats["delta"][cand].tolist()
-    seeds = [(key, stats[key][cand]) for key in (*_RADII, *_DEGREE_SUMS) if key in stats]
 
     def build(j):
         return _row_graph(size, bip, adj[j].tolist())
 
-    # Per-row values are taken one row at a time (not converted to lists for
-    # the whole chunk), so a chunk with thousands of candidates does not hold
-    # thousands of Python objects at once.
     for j in range(len(cand)):
-        # A gated-away value stays NaN and is left to the lazy context.
-        seeded = {key: float(col[j]) for key, col in seeds if not math.isnan(col[j])}
-        ctx = _Ctx(tol, budget, bip, size, es[j], deltas[j], partial(build, j), seeded,
-                   partial(batch.status, row=j))
-        _eval_graph(ctx, checks, report, active[j].tolist())
+        held = [st for st, on in zip(stmts, active[j].tolist()) if on]
+        row = _Row(partial(build, j), partial(batch.status, row=j))
+        _eval_row(row, held, report, size, k, deltas[j])
 
 
 def _worker(args):
@@ -1340,18 +700,18 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check one theorem/lemma over a space; see the module docstring."""
     space.validate()
-    checks = _expand_target(target, k, tol)
-    domains = {chk.domain for chk in checks}
+    stmts = statements_for(target)
+    if k is None and any(st.needs_k for st in stmts):
+        raise ValueError(f"target {target} needs a k parameter")
+    domains = {st.domain for st in stmts}
     if space.is_bipartite_space and domains != {"bipartite"}:
         raise ValueError(f"target {target} needs a plain-graph space")
     if not space.is_bipartite_space and domains != {"graph"} and space.kind != "graph6_file":
         raise ValueError(f"target {target} needs a balanced-bipartite space")
-    order = space.order_hint
-    for chk in checks:
-        if chk.precheck is not None:
-            msg = chk.precheck(order, k)
-            if msg:
-                raise ValueError(f"space does not satisfy the statement's preconditions: {msg}")
+    for st in stmts:
+        msg = st.refuses(space.order_hint, k)
+        if msg:
+            raise ValueError(msg)
 
     t0 = time.perf_counter()
     total = _space_index_total(space)
@@ -1379,7 +739,11 @@ def verify_theorem(
                 if not g.balanced:
                     raise ValueError("bipartite target needs balanced bipartite inputs")
             report.processed += 1
-            _eval_graph(_Ctx.of(g, tol, oracle_budget), checks, report)
+            n = g.nx if wants_bip else g.n
+            vals = GraphValues(g)
+            held = [st for st in stmts if st.hypothesis(vals, n, k, tol)]
+            row = _Row(lambda: g, partial(_scalar_verdict, g, oracle_budget))
+            _eval_row(row, held, report, n, k, vals["delta"])
     report.finalize()
     report.wall_time = time.perf_counter() - t0
     if emit is not None:
@@ -1460,8 +824,7 @@ def extremal_search(
             delta = g.min_degree() if bip else min(g.degrees())
             if k is not None and delta < k:
                 continue
-            ctx = _Ctx.of(g, tol, oracle_budget)
-            values.append(getattr(ctx, stat_key)())
+            values.append(GraphValues(g)[stat_key])
             graphs.append(g)
 
         def build(g):
@@ -1519,77 +882,27 @@ def certifier_soundness_sweep(
         "violations": [],
         "aborted": [],
     }
-    needs = frozenset(["rho", "q", "rho_complement"])
-    for n in ns:
-        total = 1 << (n * (n - 1) // 2)
-        pos = 0
-        while pos < total:
-            hi = min(pos + _CHUNK, total)
-            stats = _chunk_stats(n, False, pos, hi, needs)
-            for i, g in enumerate(_graphs_from_bits(n, False, stats["bits"])):
-                pre = {
-                    "rho": float(stats["rho"][i]),
-                    "q": float(stats["q"][i]),
-                    "rho_complement": float(stats["rho_complement"][i]),
-                }
-                cert = certify_hamiltonicity(g, tol=tol, precomputed=pre)
-                summary["graphs"] += 1
-                if cert.verdict == "certified_positive":
-                    summary["certified_positive"] += 1
-                    res = is_hamiltonian(g, budget=oracle_budget)
-                    if res.status == "aborted":
-                        summary["aborted"].append(graph6_encode(g))
-                    elif res.status != "yes":
-                        summary["violations"].append(
-                            {"graph6": graph6_encode(g), "kind": "certified_not_hamiltonian",
-                             "theorem": cert.theorem}
-                        )
-                elif cert.verdict == "exceptional":
-                    summary["exceptional"] += 1
-                    res = is_hamiltonian(g, budget=oracle_budget)
-                    if res.status == "aborted":
-                        summary["aborted"].append(graph6_encode(g))
-                    elif res.status != "no":
-                        summary["violations"].append(
-                            {"graph6": graph6_encode(g), "kind": "exceptional_but_hamiltonian",
-                             "theorem": cert.theorem}
-                        )
-                else:
+    runs = [(n, False, certify_hamiltonicity, ("rho", "q", "rho_complement")) for n in ns]
+    runs += [(side, True, certify_bipartite_hamiltonicity, ("rho", "q", "rho_qc", "q_qc"))
+             for side in bip_sides]
+    for size, bip, certify, keys in runs:
+        total = 1 << (size * size if bip else size * (size - 1) // 2)
+        for pos in range(0, total, _CHUNK):
+            stats = _chunk_stats(size, bip, pos, min(pos + _CHUNK, total), frozenset(keys))
+            for i, g in enumerate(_graphs_from_bits(size, bip, stats["bits"])):
+                cert = certify(g, tol=tol, precomputed={key: float(stats[key][i]) for key in keys})
+                summary["bipartite_graphs" if bip else "graphs"] += 1
+                if cert.verdict not in ("certified_positive", "exceptional"):
                     summary["inconclusive"] += 1
-            pos = hi
-    bip_needs = frozenset(["rho", "q", "rho_qc", "q_qc"])
-    for side in bip_sides:
-        total = 1 << (side * side)
-        pos = 0
-        while pos < total:
-            hi = min(pos + _CHUNK, total)
-            stats = _chunk_stats(side, True, pos, hi, bip_needs)
-            for i, b in enumerate(_graphs_from_bits(side, True, stats["bits"])):
-                pre = {key: float(stats[key][i]) for key in ("rho", "q", "rho_qc", "q_qc")}
-                cert = certify_bipartite_hamiltonicity(b, tol=tol, precomputed=pre)
-                summary["bipartite_graphs"] += 1
-                g = b.to_graph()
-                if cert.verdict == "certified_positive":
-                    summary["certified_positive"] += 1
-                    res = is_hamiltonian(g, budget=oracle_budget)
-                    if res.status == "aborted":
-                        summary["aborted"].append(graph6_encode(g))
-                    elif res.status != "yes":
-                        summary["violations"].append(
-                            {"graph6": graph6_encode(g), "kind": "certified_not_hamiltonian",
-                             "theorem": cert.theorem}
-                        )
-                elif cert.verdict == "exceptional":
-                    summary["exceptional"] += 1
-                    res = is_hamiltonian(g, budget=oracle_budget)
-                    if res.status == "aborted":
-                        summary["aborted"].append(graph6_encode(g))
-                    elif res.status != "no":
-                        summary["violations"].append(
-                            {"graph6": graph6_encode(g), "kind": "exceptional_but_hamiltonian",
-                             "theorem": cert.theorem}
-                        )
-                else:
-                    summary["inconclusive"] += 1
-            pos = hi
+                    continue
+                summary[cert.verdict] += 1
+                gg = g.to_graph() if bip else g
+                res = is_hamiltonian(gg, budget=oracle_budget)
+                want, kind = (("yes", "certified_not_hamiltonian") if cert.verdict == "certified_positive"
+                              else ("no", "exceptional_but_hamiltonian"))
+                if res.status == "aborted":
+                    summary["aborted"].append(graph6_encode(gg))
+                elif res.status != want:
+                    summary["violations"].append(
+                        {"graph6": graph6_encode(gg), "kind": kind, "theorem": cert.theorem})
     return summary

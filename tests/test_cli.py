@@ -135,6 +135,15 @@ def test_certify_bipartite(capsys):
     assert rec["verdict"] in ("exceptional", "inconclusive", "oracle_resolved")
 
 
+def test_certify_bipartite_traceable_is_usage_error(capsys):
+    # the bipartite cascade has no traceability part: refuse rather than ignore --traceable
+    g6 = graph6_encode(cycle_graph(6))
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", g6, "--bipartite", "--traceable"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_clean_and_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "ore", "--space", "all_labeled", "--n", "5")
     assert code == 0 and "failures 0" in out
