@@ -37,19 +37,23 @@ __all__ = [
 ]
 
 
-def _cascade(*ids):
-    """(certificate theorem name, statement) pairs: fn_rho.2 is fn_rho, moon_moser.delta moon_moser_delta."""
+def _statements(*ids):
+    """(certificate theorem name, statement) pairs in cascade order.
+
+    A numbered part goes by its theorem (fn_rho.2 is fn_rho); moon_moser.delta
+    is moon_moser_delta.
+    """
     by_id = {st.id: st for st in STATEMENTS}
-    return [(i.partition(".")[0] if i.partition(".")[2].isdigit() else i.replace(".", "_"), by_id[i])
-            for i in ids]
+    return [(st.theorem if st.part.isdigit() else st.id.replace(".", "_"), st)
+            for st in map(by_id.get, ids)]
 
 
-_HAM = _cascade("dirac", "ore", "erdos", "fn_rho.2", "main_rho.2", "yu_fan_q.2", "main_q.2",
-                "fn_rho_complement.2", "main_rho_complement.2")
-_TRACE = _cascade("fn_rho.1", "main_rho.1", "yu_fan_q.1", "main_q.1", "fn_rho_complement.1",
-                  "main_rho_complement.1")
-_BIPARTITE = _cascade("moon_moser.delta", "moon_moser.edges", "bip_rho", "bip_q", "bip_rho_qc",
-                      "bip_q_qc")
+_HAM = _statements("dirac", "ore", "erdos", "fn_rho.2", "main_rho.2", "yu_fan_q.2", "main_q.2",
+                   "fn_rho_complement.2", "main_rho_complement.2")
+_TRACE = _statements("fn_rho.1", "main_rho.1", "yu_fan_q.1", "main_q.1", "fn_rho_complement.1",
+                     "main_rho_complement.1")
+_BIPARTITE = _statements("moon_moser.delta", "moon_moser.edges", "bip_rho", "bip_q",
+                         "bip_rho_qc", "bip_q_qc")
 # evidence names of the integer checks; spectral checks are named by their quantity
 _CHECK_NAMES = {"two_delta": "min_degree", "e": "edges"}
 

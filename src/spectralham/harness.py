@@ -37,9 +37,9 @@ comparison).  The remaining rows are eigensolved exactly as before, so
 verdicts, counts and failure lists do not change.  ``extremal_search`` and
 the soundness sweep need every value and do not gate.
 
-Batched conclusions.  On enumerated spaces, the rows of a chunk that pass
-some prefilter (the candidates) get their neighbourhood bitmasks from one
-matmul over the index bits.  The first time a conclusion of one of them asks
+Batched conclusions.  On enumerated spaces, the rows of a chunk where some
+statement's mask holds (the candidates) get their neighbourhood bitmasks from
+one matmul over the index bits.  The first time a conclusion of one of them asks
 "Hamiltonian?" or "traceable?", ``oracle._held_karp_batch`` answers that
 question for every candidate row of the chunk at once, and each row reads
 its own verdict.  Each row is charged 1 << order nodes, the charge
@@ -311,7 +311,8 @@ _COMPLEMENTED = ("rho_complement", "rho_qc", "q_qc")
 _DEGREE_SUMS = ("min_ds", "min_cross_ds")
 # Added to the tolerance when gating: it covers the rounding of eigvalsh
 # (about 1e-14 at the capped orders) and of the bound formulas, so a row whose
-# computed value would pass a prefilter is never gated away, even at tol = 0.
+# computed value would meet a statement's comparison is never gated away, even
+# at tol = 0.
 _GATE_SLACK = 1e-9
 
 
@@ -898,8 +899,10 @@ def certifier_soundness_sweep(
                 summary[cert.verdict] += 1
                 gg = g.to_graph() if bip else g
                 res = is_hamiltonian(gg, budget=oracle_budget)
-                want, kind = (("yes", "certified_not_hamiltonian") if cert.verdict == "certified_positive"
-                              else ("no", "exceptional_but_hamiltonian"))
+                if cert.verdict == "certified_positive":
+                    want, kind = "yes", "certified_not_hamiltonian"
+                else:
+                    want, kind = "no", "exceptional_but_hamiltonian"
                 if res.status == "aborted":
                     summary["aborted"].append(graph6_encode(gg))
                 elif res.status != want:
