@@ -24,10 +24,22 @@ Recognizers are structural characterizations (exact membership up to
 isomorphism); tests cross-check them against the backtracking isomorphism
 test on small orders.  Out-of-range parameters make ``recognize`` return
 False (an empty family has no members), while ``construct`` raises.
+
+Quasi-complement summary.  ``Bset`` (every k) and the Gamma1/Gamma2 gate
+read ``_qc_summary``: the sorted component sizes of the graph's
+quasi-complement and the side counts (x, y) of its complete bipartite
+components, computed once per graph object and kept while it lives.  G is
+in Bset_n^k when one of those complete components has n - k vertices on one
+side and k on the other (that component is the K_{n-k,k} that Bset's
+construction leaves out of the quasi-complement).  Gamma1 and Gamma2 are
+connected, so an isomorphism keeps their sides up to a swap and their
+quasi-complements' component sizes (C_6 + K_2 and C_6 + 2K_1);
+``is_isomorphic`` runs only on graphs whose sizes match.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -305,22 +317,56 @@ def _recognize_b(b: BipartiteGraph, n: int, k: int) -> bool:
     return False
 
 
+_QC_SUMMARIES: "weakref.WeakKeyDictionary[BipartiteGraph, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _qc_summary(b: BipartiteGraph) -> tuple[tuple[int, ...], frozenset]:
+    """The components of b's quasi-complement, summarised once per graph.
+
+    Returns (sizes, complete): the sorted component sizes, and the side
+    counts (x, y) of each component that is complete bipartite (every X
+    vertex of the component adjacent to every Y vertex of it).  The ``Bset``
+    recognizer (every k) and the Gamma1/Gamma2 gate read it; it is kept for
+    as long as the graph object lives, so the recognizers a conclusion tries
+    in turn on one graph share it.
+    """
+    summary = _QC_SUMMARIES.get(b)
+    if summary is not None:
+        return summary
+    rows = quasi_complement(b).rows
+    sizes, complete = [], set()
+    seen_x = seen_y = 0
+    for i in range(b.nx):
+        if seen_x >> i & 1:
+            continue
+        xs, grown = 0, 1 << i
+        while grown != xs:  # alternate X -> Y -> X until the component stops growing
+            xs = grown
+            ys = 0
+            for t in bits(xs):
+                ys |= rows[t]
+            grown = xs
+            for t in range(b.nx):
+                if rows[t] & ys:
+                    grown |= 1 << t
+        seen_x |= xs
+        seen_y |= ys
+        cx, cy = xs.bit_count(), ys.bit_count()
+        sizes.append(cx + cy)
+        if all(rows[t] & ys == ys for t in bits(xs)):
+            complete.add((cx, cy))
+    sizes += [1] * (b.ny - seen_y.bit_count())  # Y vertices no X vertex reaches
+    summary = _QC_SUMMARIES[b] = (tuple(sorted(sizes)), frozenset(complete))
+    return summary
+
+
 def _recognize_bset(b: BipartiteGraph, n: int, k: int) -> bool:
+    """Some component of the quasi-complement (of b or of b with its sides
+    swapped) is a complete bipartite graph with n - k vertices in X and k in Y."""
     if not (_b_range(n, k) and b.nx == n and b.ny == n):
         return False
-    for bb in (b, b.swap_sides()):
-        qc = quasi_complement(bb)
-        g = qc.to_graph()
-        xmask = (1 << n) - 1
-        for comp in g.components():
-            xs = comp & xmask
-            ys = comp >> n
-            cx, cy = xs.bit_count(), ys.bit_count()
-            if cx != n - k or cy != k:
-                continue
-            if all((qc.rows[i] & ys) == ys for i in bits(xs)):
-                return True
-    return False
+    complete = _qc_summary(b)[1]
+    return (n - k, k) in complete or (k, n - k) in complete
 
 
 def recognize(g, family: str, n: Optional[int] = None, k: Optional[int] = None) -> bool:
@@ -347,9 +393,13 @@ def recognize(g, family: str, n: Optional[int] = None, k: Optional[int] = None) 
         if family == "Bset":
             return _recognize_bset(g, n, k)
         ref = _gamma(family)
+        # isomorphic graphs have quasi-complements with the same component
+        # sizes (C_6 + K_2 or C_6 + 2K_1), so the backtracking test runs
+        # only on graphs that pass that gate
         return (
             g.nx + g.ny == 8
             and g.edge_count == ref.edge_count
+            and _qc_summary(g)[0] == _qc_summary(ref)[0]
             and is_isomorphic(g.to_graph(), ref.to_graph())
         )
     if not isinstance(g, Graph):

@@ -13,44 +13,71 @@ exact oracle.  Counterexamples are reported as graph6 strings; oracle budget
 exhaustion is recorded per graph and never counted as a pass.
 
 Statements come from ``statements.STATEMENTS``.  Enumerated spaces are
-processed in index chunks: integer statistics (edge count, degrees) and
+processed in index chunks, one block of the cached degree table each (see
+Chunk statistics): integer statistics (edge count, degrees) and
 stacked-eigensolver radii form one column per quantity, and
 ``Statement.hypothesis`` evaluated over those columns gives each statement's
 hypothesis mask exactly, with the same comparison the scalar path applies to
-one graph's values.  Only the parts of a hypothesis that need the graph
-itself (closedness, "not Hamiltonian") are checked per row.  graph6 and
-random spaces evaluate the same hypothesis on each graph's ``GraphValues``.
-Campaigns can be partitioned across a worker pool; the merged report is
-identical to the serial one.
+one graph's values.  The masks are stacked statement-major, (statements,
+rows), so the reductions over them run along contiguous memory.  Only the
+parts of a hypothesis that need the graph itself (closedness, "not
+Hamiltonian") are checked per row.  graph6 and random spaces evaluate the
+same hypothesis on each graph's ``GraphValues``.  Campaigns can be
+partitioned across a worker pool; the merged report is identical to the
+serial one.
+
+Chunk statistics.  ``_degree_table`` holds the degree of every vertex (int16,
+vertex-major) and the edge count of every graph whose index fits in the low
+log2(_CHUNK) index bits; it is built once per (size, bip).  A chunk's degrees
+are a contiguous slice of it plus the degrees of the chunk's high index bits,
+one small vector per block.  Index bits are unpacked only for the rows that
+are eigensolved or are candidates; the minimum degree sums
+(``min_ds`` / ``min_cross_ds``), ``extremal_search`` and the soundness sweep
+unpack every row.
 
 Bound gate.  Every statement is one threshold comparison in one quantity
 (rho, q, or the radius of the complement or quasi-complement), plus at most
 delta >= k and a per-row graph check, so its mask is monotone in that
-quantity.  Before eigensolving, each chunk gets an interval [lo, hi] per
+quantity.  Before eigensolving, each row gets an interval [lo, hi] per
 quantity from integer statistics alone (edge count and degrees, via
 ``spectral.radius_intervals``: average degree, the star K_{1,Delta}, Delta,
 Nikiforov at k = delta, Feng-Yu, and sqrt(e) and e/side + side on bipartite
 spaces).  The interval is widened by the tolerance plus a rounding slack; a
 row whose masks fail at both ends fails them at the computed value too, so
 it is not eigensolved and its value stays NaN (which fails every
-comparison).  The remaining rows are eigensolved exactly as before, so
-verdicts, counts and failure lists do not change.  ``extremal_search`` and
-the soundness sweep need every value and do not gate.
+comparison).  The interval and the hypotheses on its quantity depend on
+(e, delta, Delta) only, so ``_gate_table`` decides every triple a graph of
+the space can have, once per (target, space, k, tol), and a chunk gates
+each row by one lookup.  The remaining rows are eigensolved exactly as
+before, so verdicts, counts and failure lists do not change.
+``extremal_search`` and the soundness sweep need every value and do not
+gate.
 
-Batched conclusions.  On enumerated spaces, the rows of a chunk where some
+Column-wise conclusions.  On enumerated spaces, the rows of a chunk where some
 statement's mask holds (the candidates) get their neighbourhood bitmasks from
-one matmul over the index bits.  The first time a conclusion of one of them asks
-"Hamiltonian?" or "traceable?", ``oracle._held_karp_batch`` answers that
-question for every candidate row of the chunk at once, and each row reads
-its own verdict.  Each row is charged 1 << order nodes, the charge
-``is_hamiltonian`` reports for its subset DP; when that exceeds the oracle
-budget the row is recorded as aborted, never decided.  The kernel rebuilds a
-witness for every "yes" row and checks it against the row's adjacency before
-any verdict is used.  A row's Graph / BipartiteGraph is built only when
-something reads it (a recognizer, a closure or biclique test, a graph6
-report).
-graph6 and random spaces, ``extremal_search`` and the soundness sweep use the
-scalar oracle.
+one matmul over their index bits, and ``oracle._held_karp_batch`` decides
+"Hamiltonian?" / "traceable?" for many rows at once.  A statement with no
+graph check and a "ham" / "trace" conclusion is finished a column at a time:
+its hypothesis count is the sum of its mask, Hamiltonicity is asked of every
+row such a statement needs, and traceability only of the rows whose answer
+was not "yes" (a Hamiltonian graph is traceable).  A row is looked at on its
+own only where the answer is "no" (the exceptional-family check) or
+"aborted" (its graph6 report).  The other statements (graph checks, clique
+and biclique conclusions) go row by row and read the same kernel's verdicts,
+solved for every candidate on first use.  ``_BatchVerdicts.column`` is the
+one place either path gets a verdict from.  Each row is charged 1 << order
+nodes, the charge ``is_hamiltonian`` reports for its subset DP; when that
+exceeds the oracle budget the row is recorded as aborted, never decided.
+The kernel rebuilds a witness for every "yes" row and checks it against the
+row's adjacency before any verdict is used.  A row's Graph / BipartiteGraph
+is built only when something reads it (a recognizer, a closure or biclique
+test, a graph6 report), and at most once.  graph6 and random spaces,
+``extremal_search`` and the soundness sweep use the scalar oracle.
+
+Stage timers.  ``VerificationReport.timings`` charges the campaign's time to
+stats, gate, eigensolve, hypothesis, conclusion and recognize (the family
+recognizers and containment tests), lap by lap, so the stages sum to about
+the wall time of a serial run; workers' timings are summed.
 """
 
 from __future__ import annotations
@@ -235,11 +262,15 @@ def bipartite_from_index(side: int, idx: int) -> BipartiteGraph:
     return BipartiteGraph(side, side, tuple(rows))
 
 
+def _bits_of(nbits: int, idx) -> np.ndarray:
+    """Row i holds the low nbits bits of idx[i], least significant first."""
+    octets = np.asarray(idx, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=nbits, bitorder="little").view(bool)
+
+
 def _index_bits(nbits: int, start: int, stop: int) -> np.ndarray:
     """Row i holds the low nbits bits of start + i, least significant first."""
-    idx = np.arange(start, stop, dtype="<u8")
-    octets = idx.view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, count=nbits, bitorder="little").view(bool)
+    return _bits_of(nbits, np.arange(start, stop, dtype="<u8"))
 
 
 def random_model(kind: str, *, n: Optional[int] = None, side: Optional[int] = None,
@@ -318,44 +349,72 @@ _GATE_SLACK = 1e-9
 
 @lru_cache(maxsize=None)
 def _bit_ends(size: int, bip: bool):
-    """Endpoints (us, vs) of each index bit and the vertex-bit incidence matrix.
+    """Endpoints (us, vs) of each index bit, and the order of the graphs.
 
     Plain graphs use pair_order(n); balanced bipartite graphs put x_i at
     column i and y_j at column side + j, so bit i*side+j joins i and side+j.
-    The incidence is float32 so that degrees come from one BLAS matmul; the
-    counts are small integers, exact in float32.
     """
     if bip:
         t = np.arange(size * size)
-        us, vs = t // size, size + t % size
-        order = 2 * size
-    else:
-        us, vs = _pair_arrays(size)
-        order = size
-    inc = np.zeros((order, len(us)), dtype=np.float32)
-    inc[us, np.arange(len(us))] = 1
-    inc[vs, np.arange(len(us))] = 1
-    return us, vs, inc
+        return t // size, size + t % size, 2 * size
+    us, vs = _pair_arrays(size)
+    return us, vs, size
+
+
+@lru_cache(maxsize=None)
+def _degree_table(size: int, bip: bool):
+    """Degrees and edge counts of the graphs whose index is below 2^low.
+
+    low = min(index bits, log2 _CHUNK).  deg[v, i] (int16, vertex-major) is
+    the degree of v and e[i] the edge count of the graph with index i; the
+    table doubles once per bit, and index i + 2^t adds bit t's two ends to
+    index i.  It holds at most 10 x 16,384 entries.
+    """
+    us, vs, order = _bit_ends(size, bip)
+    low = min(len(us), _CHUNK.bit_length() - 1)
+    deg = np.zeros((order, 1 << low), dtype=np.int16)
+    for t in range(low):
+        half = deg[:, 1 << t : 2 << t]
+        half[...] = deg[:, : 1 << t]
+        half[us[t]] += 1
+        half[vs[t]] += 1
+    return deg, deg.sum(axis=0, dtype=np.int64) // 2
 
 
 def _degree_stats(size: int, bip: bool, start: int, stop: int) -> dict:
-    """Index bits and integer statistics of the chunk [start, stop).
+    """Integer statistics of the graphs with index in [start, stop).
 
-    deg[v, i] is the degree of vertex v in row i (vertex-major, so the
+    deg[v, i] is the degree of vertex v in row i (vertex-major int16, so the
     reductions below run over contiguous rows), e the edge count and
-    delta / Delta the minimum / maximum degree (two_delta is 2 delta).
+    delta / Delta the minimum / maximum degree (two_delta is 2 delta).  Each
+    row is a contiguous slice of ``_degree_table`` for its low index bits
+    plus the degrees of its high bits, which are the same for a whole
+    table-width block of indices.
     """
-    us, _, inc = _bit_ends(size, bip)
-    bits = _index_bits(len(us), start, stop)
-    deg = (inc @ bits.T.astype(np.float32)).astype(np.int64)
-    delta = deg.min(axis=0)
+    us, vs, order = _bit_ends(size, bip)
+    deg_low, e_low = _degree_table(size, bip)
+    width = deg_low.shape[1]
+    low = width.bit_length() - 1
+    degs, es = [], []
+    pos = start
+    while pos < stop:
+        block, lo = divmod(pos, width)
+        hi = min(stop - block * width, width)
+        on = block >> np.arange(len(us) - low) & 1  # the high index bits
+        high = np.zeros(order, dtype=np.int16)
+        np.add.at(high, us[low:], on)
+        np.add.at(high, vs[low:], on)
+        degs.append(deg_low[:, lo:hi] + high[:, None])
+        es.append(e_low[lo:hi] + block.bit_count())
+        pos = block * width + hi
+    deg = degs[0] if len(degs) == 1 else np.concatenate(degs, axis=1)
+    delta = deg.min(axis=0).astype(np.int64)
     return {
-        "bits": bits,
         "deg": deg,
-        "e": deg.sum(axis=0) // 2,
+        "e": es[0] if len(es) == 1 else np.concatenate(es),
         "delta": delta,
         "two_delta": 2 * delta,
-        "Delta": deg.max(axis=0),
+        "Delta": deg.max(axis=0).astype(np.int64),
     }
 
 
@@ -368,8 +427,7 @@ def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
     stack (1 MiB at order 8); eigvalsh solves each matrix on its own, so the
     values do not depend on the block.
     """
-    us, vs, _ = _bit_ends(size, bip)
-    order = 2 * size if bip else size
+    us, vs, order = _bit_ends(size, bip)
     out = np.empty(len(bits))
     for lo in range(0, len(bits), _EIG_BLOCK):
         x = bits[lo : lo + _EIG_BLOCK]
@@ -387,11 +445,12 @@ def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
 
 def _radius_interval(key: str, stats: dict, size: int, bip: bool):
     """[lo, hi] containing the quantity ``key`` of each row, from integer stats alone."""
+    us, _, order = _bit_ends(size, bip)
     e, dmin, dmax = stats["e"], stats["delta"], stats["Delta"]
     if key in _COMPLEMENTED:
         full = size if bip else size - 1  # a vertex's degree in K_{side,side} or K_n
-        e, dmin, dmax = stats["bits"].shape[1] - e, full - dmax, full - dmin
-    rho, q = radius_intervals(2 * size if bip else size, e, dmin, dmax, size if bip else None)
+        e, dmin, dmax = len(us) - e, full - dmax, full - dmin
+    rho, q = radius_intervals(order, e, dmin, dmax, size if bip else None)
     return q if key in ("q", "q_qc") else rho
 
 
@@ -404,8 +463,9 @@ def _min_degree_sum(size: int, bip: bool, stats: dict) -> np.ndarray:
 
 
 def _chunk_stats(size: int, bip: bool, start: int, stop: int, needs: frozenset) -> dict:
-    """Integer statistics plus every quantity in needs, for all rows of the chunk."""
+    """Index bits, integer statistics and every quantity in needs, for all rows of the chunk."""
     stats = _degree_stats(size, bip, start, stop)
+    stats["bits"] = _index_bits(len(_bit_ends(size, bip)[0]), start, stop)
     for key in _RADII:
         if key in needs:
             stats[key] = _radii(key, size, bip, stats["bits"])
@@ -418,9 +478,9 @@ def _chunk_stats(size: int, bip: bool, start: int, stop: int, needs: frozenset) 
 @lru_cache(maxsize=None)
 def _row_weights(size: int, bip: bool) -> np.ndarray:
     """(bits, order) matrix: index bit t adds 1 << v to row u and 1 << u to row v."""
-    us, vs, inc = _bit_ends(size, bip)
+    us, vs, order = _bit_ends(size, bip)
     t = np.arange(len(us))
-    w = np.zeros((len(us), inc.shape[0]), dtype=np.float32)
+    w = np.zeros((len(us), order), dtype=np.float32)
     w[t, us] = 2.0 ** vs
     w[t, vs] = 2.0 ** us
     return w
@@ -456,11 +516,14 @@ class _OracleAborted(Exception):
 
 
 class _BatchVerdicts:
-    """Held-Karp verdicts for one chunk's candidate rows, solved on first use.
+    """Held-Karp verdicts for one chunk's candidate rows.
 
     adj holds the rows' neighbourhood bitmasks in the plain labelling.  Each
     row is charged 1 << order nodes, the subset-DP charge of is_hamiltonian;
-    when that exceeds the budget every answer is "aborted".
+    when that exceeds the budget every answer is "aborted".  ``column`` is
+    the one place a verdict comes from: the column path calls it per
+    question on the rows it needs, and ``status`` (the row-wise path) calls
+    it once per question on every candidate row.
     """
 
     def __init__(self, adj: np.ndarray, order: int, budget: int):
@@ -469,12 +532,21 @@ class _BatchVerdicts:
         self.affordable = (1 << order) <= budget
         self.found = {}
 
-    def status(self, question: str, row: int) -> str:
+    def column(self, question: str, rows: np.ndarray) -> np.ndarray:
+        """Statuses ("yes" / "no" / "aborted") of the given rows for "ham" or "trace"."""
         if not self.affordable:
-            return "aborted"
+            return np.full(len(rows), "aborted")
+        found = _held_karp_batch(self.adj[rows], self.order, question == "ham")[0]
+        return np.where(found, "yes", "no")
+
+    def status(self, question: str, row: int) -> str:
         if question not in self.found:
-            self.found[question] = _held_karp_batch(self.adj, self.order, question == "ham")[0]
-        return "yes" if self.found[question][row] else "no"
+            self.found[question] = self.column(question, np.arange(len(self.adj)))
+        return str(self.found[question][row])
+
+
+def _g6(g) -> str:
+    return graph6_encode(g.to_graph() if isinstance(g, BipartiteGraph) else g)
 
 
 class _Row:
@@ -501,8 +573,7 @@ class _Row:
         return self._status[question] == "yes"
 
     def g6(self) -> str:
-        g = self.g
-        return graph6_encode(g.to_graph() if isinstance(g, BipartiteGraph) else g)
+        return _g6(self.g)
 
 
 def _scalar_verdict(g, budget: int, question: str) -> str:
@@ -530,7 +601,16 @@ def _biclique_conclusion(b: BipartiteGraph, n: int, k: int, delta: int) -> bool:
     return True
 
 
-def _conclusion(st: Statement, row: _Row, n: int, k, delta: int) -> tuple[bool, bool]:
+def _exceptional(st: Statement, g, n: int, k, clock: "_Clock") -> bool:
+    """Is g one of st's exceptional families (a spanning subgraph of one when st.spanning)?"""
+    clock.lap("conclusion")
+    hit = any(spanning_subgraph_of(g, spec.family, spec.n, spec.k) if st.spanning
+              else recognize(g, spec.family, n=spec.n, k=spec.k) for spec in st.families(n, k))
+    clock.lap("recognize")
+    return hit
+
+
+def _conclusion(st: Statement, row: _Row, n: int, k, delta: int, clock) -> tuple[bool, bool]:
     """(conclusion holds, by an exceptional family) for a row meeting st's hypothesis."""
     if st.conclusion == "clique":
         return clique_number(row.g) >= n - k, False
@@ -538,16 +618,30 @@ def _conclusion(st: Statement, row: _Row, n: int, k, delta: int) -> tuple[bool, 
         return _biclique_conclusion(row.g, n, k, delta), False
     if row.decide(st.conclusion):
         return True, False
-    for spec in st.families(n, k):
-        if (spanning_subgraph_of(row.g, spec.family, spec.n, spec.k) if st.spanning
-                else recognize(row.g, spec.family, n=spec.n, k=spec.k)):
-            return True, True
+    if _exceptional(st, row.g, n, k, clock):
+        return True, True
     return False, False
 
 
 # ---------------------------------------------------------------------------
 # Verification driver
 # ---------------------------------------------------------------------------
+
+_STAGES = ("stats", "gate", "eigensolve", "hypothesis", "conclusion", "recognize")
+
+
+class _Clock:
+    """Stage timer: each lap charges the time since the previous lap to one stage."""
+
+    def __init__(self, timings: dict):
+        self.timings = timings
+        self.last = time.perf_counter()
+
+    def lap(self, stage: str):
+        now = time.perf_counter()
+        self.timings[stage] += now - self.last
+        self.last = now
+
 
 @dataclass
 class VerificationReport:
@@ -556,6 +650,8 @@ class VerificationReport:
     hypothesis_count sums over the target's atomic checks, so a graph
     satisfying several parts of a multi-part theorem is counted once per
     part.  conclusion_failures / aborted carry graph6 strings, sorted.
+    timings holds perf_counter seconds per stage (stats, gate, eigensolve,
+    hypothesis, conclusion, recognize), summed over chunks and workers.
     """
 
     target: str
@@ -566,6 +662,7 @@ class VerificationReport:
     conclusion_failures: list = field(default_factory=list)
     aborted: list = field(default_factory=list)
     wall_time: float = 0.0
+    timings: dict = field(default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
 
     @property
     def clean(self) -> bool:
@@ -577,6 +674,8 @@ class VerificationReport:
         self.exceptional_matches += other.exceptional_matches
         self.conclusion_failures.extend(other.conclusion_failures)
         self.aborted.extend(other.aborted)
+        for stage, seconds in other.timings.items():
+            self.timings[stage] += seconds
 
     def finalize(self):
         self.conclusion_failures = sorted(set(self.conclusion_failures))
@@ -593,17 +692,18 @@ class VerificationReport:
             "conclusion_failures": self.conclusion_failures,
             "aborted": self.aborted,
             "wall_time": self.wall_time,
+            "timings": dict(self.timings),
         }
 
 
-def _eval_row(row: _Row, held: list, report: VerificationReport, n: int, k, delta: int):
+def _eval_row(row: _Row, held: list, report: VerificationReport, n: int, k, delta: int, clock):
     """Finish the statements whose hypothesis (less the graph check) holds on a row."""
     for st in held:
         try:
             if st.graph_check and not _GRAPH_CHECKS[st.graph_check](row):
                 continue
             report.hypothesis_count += 1
-            ok, exceptional = _conclusion(st, row, n, k, delta)
+            ok, exceptional = _conclusion(st, row, n, k, delta, clock)
         except _OracleAborted:
             report.aborted.append(row.g6())
             continue
@@ -625,55 +725,142 @@ def _may_pass(key, stmts, stats, size, bip, k, tol) -> np.ndarray:
     return keep
 
 
+@lru_cache(maxsize=256)
+def _gate_table(target: str, key: str, size: int, bip: bool, k, tol: float) -> np.ndarray:
+    """``_may_pass`` for every (e, delta, Delta) that a graph of the space can have.
+
+    The interval of ``key`` and the hypotheses on it depend on these three
+    integers only, so a chunk gates each row by one lookup at
+    (e * order + delta) * order + Delta.  Triples no graph has (delta >
+    Delta, or 2e outside [order delta, order Delta]) stay False.
+    """
+    us, _, order = _bit_ends(size, bip)
+    e, dmin, dmax = np.indices((len(us) + 1, order, order)).reshape(3, -1)
+    real = (dmin <= dmax) & (order * dmin <= 2 * e) & (2 * e <= order * dmax)
+    stats = {"e": e[real], "delta": dmin[real], "two_delta": 2 * dmin[real], "Delta": dmax[real]}
+    keep = np.zeros(len(e), dtype=bool)
+    keep[real] = _may_pass(key, statements_for(target), stats, size, bip, k, tol)
+    return keep
+
+
 def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> VerificationReport:
     stmts = statements_for(target)
     report = VerificationReport(target, space.describe())
+    clock = _Clock(report.timings)
     quantities = {st.quantity for st in stmts}
     bip = space.kind == "balanced_bipartite_labeled"
     size = space.side if bip else space.n
+    us, _, order = _bit_ends(size, bip)
+    gates = {key: _gate_table(target, key, size, bip, k, tol) for key in _RADII if key in quantities}
     min_deg = space.k if space.kind == "labeled_min_degree" else None
+    width = _degree_table(size, bip)[0].shape[1]
     pos = start
     while pos < stop:
-        hi = min(pos + _CHUNK, stop)
-        stats = _degree_stats(size, bip, pos, hi)
+        hi = min((pos // width + 1) * width, stop)  # one degree-table block per chunk
         cnt = hi - pos
-        in_space = np.ones(cnt, dtype=bool)
-        if min_deg is not None:
-            in_space = stats["delta"] >= min_deg
-        report.processed += int(in_space.sum())
-        for key in _RADII:
-            if key in quantities:
-                rows = in_space & _may_pass(key, stmts, stats, size, bip, k, tol)
-                vals = np.full(cnt, np.nan)  # NaN fails every comparison
-                if rows.any():
-                    vals[rows] = _radii(key, size, bip, stats["bits"][rows])
-                stats[key] = vals
-        for key in _DEGREE_SUMS:
-            if key in quantities:
-                stats[key] = _min_degree_sum(size, bip, stats)
-        active = np.stack([st.hypothesis(stats, size, k, tol) & in_space for st in stmts], axis=1)
-        _eval_candidates(stmts, report, stats, active, size, bip, k, budget)
+        stats = _degree_stats(size, bip, pos, hi)
+        in_space = None if min_deg is None else stats["delta"] >= min_deg
+        report.processed += cnt if in_space is None else int(in_space.sum())
+        if quantities & set(_DEGREE_SUMS):
+            stats["bits"] = _index_bits(len(us), pos, hi)
+            for key in _DEGREE_SUMS:
+                if key in quantities:
+                    stats[key] = _min_degree_sum(size, bip, stats)
+        clock.lap("stats")
+        code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
+        keeps = {key: gate[code] if in_space is None else gate[code] & in_space
+                 for key, gate in gates.items()}
+        clock.lap("gate")
+        for key, keep in keeps.items():
+            rows = np.flatnonzero(keep)
+            vals = np.full(cnt, np.nan)  # NaN fails every comparison
+            if len(rows):
+                vals[rows] = _radii(key, size, bip, _bits_of(len(us), pos + rows))
+            stats[key] = vals
+        clock.lap("eigensolve")
+        active = np.zeros((len(stmts), cnt), dtype=bool)  # statement-major
+        for i, st in enumerate(stmts):
+            active[i] = st.hypothesis(stats, size, k, tol)
+        if in_space is not None:
+            active &= in_space
+        clock.lap("hypothesis")
+        _eval_candidates(stmts, report, stats, active, size, bip, k, budget, pos, clock)
+        clock.lap("conclusion")
         pos = hi
     return report
 
 
-def _eval_candidates(stmts, report, stats, active, size, bip, k, budget):
-    """Evaluate the rows of a chunk where some statement's mask (a column of active) holds."""
-    cand = np.flatnonzero(active.any(axis=1))
+def _by_column(st: Statement) -> bool:
+    """Is st decided a column at a time (no graph check, a Hamiltonicity conclusion)?"""
+    return st.graph_check is None and st.conclusion in ("ham", "trace")
+
+
+def _eval_candidates(stmts, report, stats, active, size, bip, k, budget, pos, clock):
+    """Evaluate the rows of a chunk where some statement's mask (a row of active) holds.
+
+    The candidates' adjacency comes from their own index bits (row pos + j is
+    index pos + j).  Statements ``_by_column`` are decided over whole
+    columns; the others row by row.  A row's graph is built once, and only
+    when a recognizer, a graph check or a graph6 report needs it.
+    """
+    cand = np.flatnonzero(active.any(axis=0))
     if not len(cand):
         return
-    adj = _adjacency_rows(size, bip, stats["bits"][cand])
-    batch = _BatchVerdicts(adj, 2 * size if bip else size, budget)
-    active = active[cand]
-    deltas = stats["delta"][cand].tolist()
+    us, _, order = _bit_ends(size, bip)
+    adj = _adjacency_rows(size, bip, _bits_of(len(us), pos + cand))
+    batch = _BatchVerdicts(adj, order, budget)
+    active = active[:, cand]
+    graphs = {}
 
-    def build(j):
-        return _row_graph(size, bip, adj[j].tolist())
+    def graph(j):
+        if j not in graphs:
+            graphs[j] = _row_graph(size, bip, adj[j].tolist())
+        return graphs[j]
 
-    for j in range(len(cand)):
-        held = [st for st, on in zip(stmts, active[j].tolist()) if on]
-        row = _Row(partial(build, j), partial(batch.status, row=j))
-        _eval_row(row, held, report, size, k, deltas[j])
+    columns = [i for i, st in enumerate(stmts) if _by_column(st)]
+    if columns:
+        _eval_columns([stmts[i] for i in columns], active[columns], batch, graph,
+                      report, size, k, clock)
+    rowwise = [i for i, st in enumerate(stmts) if not _by_column(st)]
+    if rowwise:
+        deltas = stats["delta"][cand].tolist()
+        for j, on in enumerate(active[rowwise].T.tolist()):
+            held = [stmts[i] for i, hit in zip(rowwise, on) if hit]
+            if held:
+                row = _Row(partial(graph, j), partial(batch.status, row=j))
+                _eval_row(row, held, report, size, k, deltas[j], clock)
+
+
+def _eval_columns(stmts, active, batch, graph, report, n, k, clock):
+    """Hypothesis counts and verdicts of column statements over a chunk's candidates.
+
+    Hamiltonicity is asked of every row some statement needs, traceability
+    only of the rows that are not Hamiltonian (a Hamiltonian graph is
+    traceable).  Only a row whose answer is "no" is looked at on its own,
+    for the exceptional families, and an "aborted" one for its graph6 report.
+    """
+    need = {q: np.zeros(active.shape[1], dtype=bool) for q in ("ham", "trace")}
+    for st, mask in zip(stmts, active):
+        need[st.conclusion] |= mask
+    ham = np.full(active.shape[1], "", dtype="<U7")
+    asked = np.flatnonzero(need["ham"] | need["trace"])
+    if len(asked):
+        ham[asked] = batch.column("ham", asked)
+    trace = np.where(ham == "yes", ham, "")
+    asked = np.flatnonzero(need["trace"] & (ham != "yes"))
+    if len(asked):
+        trace[asked] = batch.column("trace", asked)
+    verdicts = {"ham": ham, "trace": trace}
+    for st, mask in zip(stmts, active):
+        rows = np.flatnonzero(mask)
+        report.hypothesis_count += len(rows)
+        got = verdicts[st.conclusion][rows]
+        report.aborted.extend(_g6(graph(j)) for j in rows[got == "aborted"].tolist())
+        for j in rows[got == "no"].tolist():
+            if _exceptional(st, graph(j), n, k, clock):
+                report.exceptional_matches += 1
+            else:
+                report.conclusion_failures.append(_g6(graph(j)))
 
 
 def _worker(args):
@@ -733,6 +920,7 @@ def verify_theorem(
             report = _verify_indexed_range(target, space, k, tol, oracle_budget, 0, total)
     else:
         report = VerificationReport(target, space.describe())
+        clock = _Clock(report.timings)
         wants_bip = domains == {"bipartite"}
         for g in enumerate_space(space):
             if wants_bip and isinstance(g, Graph):
@@ -741,10 +929,13 @@ def verify_theorem(
                     raise ValueError("bipartite target needs balanced bipartite inputs")
             report.processed += 1
             n = g.nx if wants_bip else g.n
+            clock.lap("stats")
             vals = GraphValues(g)
             held = [st for st in stmts if st.hypothesis(vals, n, k, tol)]
+            clock.lap("hypothesis")
             row = _Row(lambda: g, partial(_scalar_verdict, g, oracle_budget))
-            _eval_row(row, held, report, n, k, vals["delta"])
+            _eval_row(row, held, report, n, k, vals["delta"], clock)
+            clock.lap("conclusion")
     report.finalize()
     report.wall_time = time.perf_counter() - t0
     if emit is not None:

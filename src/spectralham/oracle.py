@@ -7,6 +7,8 @@ the current endpoint, (iii) at most one unvisited vertex may depend on the
 path endpoints alone.  A subset dynamic program (exact, 2^n states) takes
 over for orders 12..20 when the backtracking probe exhausts its node budget,
 so structured family instances are decided with a worst-case guarantee.
+Traceability runs the same search on G v K_1; its window reaches G of order
+20, whose join has order 21.
 Every "yes" witness is checked with ``is_valid_cycle`` / ``is_valid_path``
 before it is returned; a witness that fails the check raises RuntimeError.
 
@@ -203,14 +205,26 @@ def is_hamiltonian(g, budget: int = DEFAULT_BUDGET, method: str = "auto") -> Ora
 
 
 def is_traceable(g, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Exact Hamilton-path decision: G is traceable iff G v K_1 is Hamiltonian."""
+    """Exact Hamilton-path decision: G is traceable iff G v K_1 is Hamiltonian.
+
+    The subset-DP fallback covers G of order 11..20 (joins of order 12..21).
+    """
     g = as_graph(g)
     if g.n < 1:
         raise ValueError("traceability undefined on the 0-vertex graph")
     if g.n == 1:
         return OracleResult("yes", (0,), 0, "trivial")
     apex = g.n
-    res = is_hamiltonian(join(g, complete_graph(1)), budget=budget)
+    h = join(g, complete_graph(1))
+    if _DP_MIN <= g.n <= _DP_MAX:
+        # is_hamiltonian's probe-then-DP, run here because at n = 20 the
+        # join is past its window
+        res = is_hamiltonian(h, budget=min(budget, _PROBE_BUDGET), method="backtracking")
+        if res.status == "aborted":
+            dp = is_hamiltonian(h, method="dp")
+            res = OracleResult(dp.status, dp.witness, res.nodes + dp.nodes, dp.method)
+    else:
+        res = is_hamiltonian(h, budget=budget)
     if res.status != "yes":
         return OracleResult(res.status, None, res.nodes, res.method)
     cyc = list(res.witness)

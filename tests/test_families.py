@@ -22,6 +22,7 @@ from spectralham.graphs import (
     is_isomorphic,
     quasi_complement,
 )
+from spectralham.harness import bipartite_from_index as graph_from_index_bip
 from spectralham.harness import graph_from_index
 from spectralham.oracle import is_hamiltonian
 from spectralham.spectral import q_radius, spectral_radius
@@ -175,6 +176,37 @@ def test_recognizers_match_isomorphism_sampled_n7():
     for g in samples:
         for fam, k, ref in configs:
             assert recognize(g, fam, n=n, k=k) == is_isomorphic(g, ref)
+
+
+def _bset_per_k(b, n, k):
+    """The Bset recognizer as it was before the quasi-complement summary: one
+    search per k over the quasi-complements of b and of b with its sides swapped."""
+    if not (1 <= k and 2 * k <= n and b.nx == n and b.ny == n):
+        return False
+    for bb in (b, b.swap_sides()):
+        qc = quasi_complement(bb)
+        for comp in qc.to_graph().components():
+            xs, ys = comp & ((1 << n) - 1), comp >> n
+            if xs.bit_count() != n - k or ys.bit_count() != k:
+                continue
+            if all((qc.rows[i] & ys) == ys for i in range(n) if xs >> i & 1):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 4])
+def test_qc_summary_recognizers_match_reference_exhaustively(side):
+    # every balanced bipartite graph of the side, every k: the Bset and Gamma
+    # recognizers (which read one cached quasi-complement summary per graph)
+    # against the per-k search and against backtracking isomorphism
+    gammas = [construct(FamilySpec(fam)) for fam in ("Gamma1", "Gamma2")]
+    for idx in range(1 << (side * side)):
+        b = graph_from_index_bip(side, idx)
+        for k in range(0, side + 1):
+            assert recognize(b, "Bset", n=side, k=k) == _bset_per_k(b, side, k), (idx, k)
+        for fam, ref in zip(("Gamma1", "Gamma2"), gammas):
+            iso = b.edge_count == ref.edge_count and is_isomorphic(b.to_graph(), ref.to_graph())
+            assert recognize(b, fam) == iso, (idx, fam)
 
 
 def test_spanning_subgraph_examples():

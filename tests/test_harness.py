@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import spectralham.families as families
 import spectralham.harness as harness
 from spectralham.families import FamilySpec, construct, recognize
 from spectralham.graphs import Graph, complete_graph, graph6_decode, graph6_encode
@@ -21,6 +22,7 @@ from spectralham.harness import (
     verify_theorem,
     _bit_ends,
     _chunk_stats,
+    _degree_stats,
     _graphs_from_bits,
     _index_bits,
     _radii,
@@ -313,15 +315,122 @@ def test_batched_and_scalar_conclusions_agree(monkeypatch):
              ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(3), None))
     batched = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
 
-    def scalar_status(self, question, row):
-        g = Graph(self.order, tuple(self.adj[row].tolist()))
-        return (is_hamiltonian(g) if question == "ham" else is_traceable(g)).status
+    def scalar_column(self, question, rows):
+        oracle = is_hamiltonian if question == "ham" else is_traceable
+        return np.array([oracle(Graph(self.order, tuple(self.adj[r].tolist()))).status
+                         for r in rows])
 
-    monkeypatch.setattr(harness._BatchVerdicts, "status", scalar_status)
+    # column() is where both the column path and the row-wise path read verdicts
+    monkeypatch.setattr(harness._BatchVerdicts, "column", scalar_column)
     scalar = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
     for a, b in zip(batched, scalar):
-        a.pop("wall_time"), b.pop("wall_time")
+        _drop_times(a), _drop_times(b)
         assert a == b
+
+
+def _drop_times(report_json):
+    report_json.pop("wall_time")
+    report_json.pop("timings")
+    return report_json
+
+
+@pytest.mark.parametrize("size, bip, ranges", [
+    (8, False, [(12345, 15001), (3 * _CHUNK - 777, 3 * _CHUNK + 1234), ((1 << 28) - 999, 1 << 28)]),
+    (5, True, [(7, 7 + 4099), (_CHUNK - 1, _CHUNK + 1), (1000 * _CHUNK + 5, 1002 * _CHUNK + 17)]),
+])
+def test_degree_table_matches_incidence_matmul(size, bip, ranges):
+    # the degree table plus high-bit prefixes, on unaligned ranges (some
+    # crossing a table block), against one incidence matmul over the index bits
+    us, vs, order = _bit_ends(size, bip)
+    inc = np.zeros((order, len(us)), dtype=np.int64)
+    inc[us, np.arange(len(us))] = 1
+    inc[vs, np.arange(len(us))] = 1
+    for start, stop in ranges:
+        stats = _degree_stats(size, bip, start, stop)
+        deg = inc @ _index_bits(len(us), start, stop).T.astype(np.int64)
+        assert np.array_equal(stats["deg"], deg)
+        assert np.array_equal(stats["e"], deg.sum(axis=0) // 2)
+        assert np.array_equal(stats["delta"], deg.min(axis=0))
+        assert np.array_equal(stats["two_delta"], 2 * deg.min(axis=0))
+        assert np.array_equal(stats["Delta"], deg.max(axis=0))
+
+
+@pytest.mark.parametrize("target, space, k", [
+    ("fn_rho", SearchSpace.all_labeled(6), None),
+    ("fn_rho_complement", SearchSpace.all_labeled(6), None),
+    ("yu_fan_q", SearchSpace.all_labeled(6), None),
+    ("main_rho_complement", SearchSpace.all_labeled(6), 1),
+    ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4), None),
+    ("bip_rho_qc", SearchSpace.balanced_bipartite_labeled(4), 2),
+])
+def test_gate_table_matches_interval_gate(target, space, k):
+    # the (e, delta, Delta) lookup keeps exactly the rows the interval gate keeps
+    bip = space.is_bipartite_space
+    size = space.side if bip else space.n
+    total = harness._space_index_total(space)
+    stmts = harness.statements_for(target)
+    keys = {st.quantity for st in stmts} & set(harness._RADII)
+    _, _, order = _bit_ends(size, bip)
+    for pos in range(0, total, _CHUNK):
+        stats = _chunk_stats(size, bip, pos, min(pos + _CHUNK, total), frozenset())
+        code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
+        for key in keys:
+            table = harness._gate_table(target, key, size, bip, k, 1e-9)
+            direct = harness._may_pass(key, stmts, stats, size, bip, k, 1e-9)
+            assert np.array_equal(table[code], direct), key
+
+
+@pytest.mark.parametrize("target, space", [("fn_rho", SearchSpace.all_labeled(7)),
+                                           ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4))])
+def test_three_jobs_match_one(target, space):
+    serial = _drop_times(verify_theorem(target, space).to_json())
+    assert serial == _drop_times(verify_theorem(target, space, jobs=3).to_json())
+
+
+def test_stage_timings_cover_the_wall_time():
+    rep = verify_theorem("fn_rho", SearchSpace.all_labeled(7))
+    assert list(rep.timings) == ["stats", "gate", "eigensolve", "hypothesis",
+                                 "conclusion", "recognize"]
+    assert all(t >= 0 for t in rep.timings.values())
+    assert rep.timings["eigensolve"] > 0 and rep.timings["recognize"] > 0
+    assert abs(sum(rep.timings.values()) - rep.wall_time) <= 0.05 * rep.wall_time
+    assert rep.to_json()["timings"] == rep.timings
+    # merged across workers: every stage is a sum of the workers' stages
+    parts = verify_theorem("fn_rho", SearchSpace.all_labeled(6), jobs=2).timings
+    assert list(parts) == list(rep.timings) and parts["eigensolve"] > 0
+
+
+def test_trace_kernel_sees_only_rows_the_cycle_kernel_rejected(monkeypatch):
+    rejected, traced = set(), []
+    orig = harness._held_karp_batch
+
+    def recording(adj, order, cycle):
+        found, wit = orig(adj, order, cycle)
+        rows = [tuple(r) for r in np.asarray(adj).tolist()]
+        if cycle:
+            rejected.update(r for r, f in zip(rows, found) if not f)
+        else:
+            traced.extend(rows)
+        return found, wit
+
+    monkeypatch.setattr(harness, "_held_karp_batch", recording)
+    rep = verify_theorem("fn_rho", SearchSpace.all_labeled(6))
+    assert (rep.hypothesis_count, rep.exceptional_matches) == (1203, 36) and rep.clean
+    assert traced and set(traced) <= rejected
+
+
+def test_qc_recognizer_call_counts(monkeypatch):
+    # one quasi-complement per recognized graph (2,794 per pass when each
+    # Bset call built its own two); backtracking isomorphism only past the
+    # component-size gate
+    space = SearchSpace.balanced_bipartite_labeled(4)
+    verify_theorem("bip_q_qc", space)  # builds and summarises Gamma1 / Gamma2 once
+    calls = _count_calls(monkeypatch, families, ("quasi_complement", "is_isomorphic"))
+    recognized = _count_calls(monkeypatch, harness, ("recognize",))
+    rep = verify_theorem("bip_q_qc", space)
+    assert (rep.hypothesis_count, rep.exceptional_matches) == (7583, 990) and rep.clean
+    assert calls == {"quasi_complement": 988, "is_isomorphic": 192}
+    assert recognized["recognize"] == 2028
 
 
 def test_budget_below_batched_charge_aborts():

@@ -102,6 +102,14 @@ def test_dp_fallback_on_structured_instances():
     assert res.status == "no" and res.method == "subset_dp"
 
 
+def test_traceable_dp_window_uses_the_asked_order():
+    # barN_20^5 is not traceable; the backtracking probe alone aborts on it,
+    # so the answer must come from the subset DP on its order-21 join with K_1
+    g = construct(FamilySpec("barN", n=20, k=5))
+    res = is_traceable(g)
+    assert res.status == "no" and res.method == "subset_dp"
+
+
 def test_budget_abort_is_explicit():
     g = cycle_graph(10)
     res = is_hamiltonian(g, budget=0)
