@@ -20,7 +20,14 @@ from .graphs import (
     graph6_encode,
     parse_edge_list,
 )
-from .harness import _OBJECTIVES, SearchSpace, VERIFY_TARGETS, extremal_search, verify_theorem
+from .harness import (
+    _OBJECTIVES,
+    SearchSpace,
+    VERIFY_TARGETS,
+    _check_tol,
+    extremal_search,
+    verify_theorem,
+)
 from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
 from .spectral import DEFAULT_TOL, bound_report
 from .transforms import bc_closure, bipartite_closure
@@ -194,10 +201,17 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return _check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="random-model seed")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for campaigns")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL,
                    help="spectral comparison tolerance")
     p.add_argument("--json", action="store_true", help="JSON / JSON-lines output")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="oracle node budget")

@@ -48,10 +48,27 @@ it is not eigensolved and its value stays NaN (which fails every
 comparison).  The interval and the hypotheses on its quantity depend on
 (e, delta, Delta) only, so ``_gate_table`` decides every triple a graph of
 the space can have, once per (target, space, k, tol), and a chunk gates
-each row by one lookup.  The remaining rows are eigensolved exactly as
-before, so verdicts, counts and failure lists do not change.
-``extremal_search`` and the soundness sweep need every value and do not
-gate.
+each row by one lookup.  Only the remaining rows are eigensolved (by
+relabelling class, below); the gate changes no verdict, count or failure
+list.  ``extremal_search`` and the soundness sweep need every value and do
+not gate.
+
+Class-keyed eigensolves.  Every quantity is a graph invariant, so a campaign
+eigensolves once per relabelling class of its gated rows, not once per row.
+``_class_keys`` sorts each row's vertices (stably) by degree, then by the sum
+of their neighbours' degrees, one round of colour refinement, each side on
+its own in bipartite spaces; the index of the relabelled graph is the row's
+key.  Equal keys mean equal relabelled adjacency, so the rows are
+isomorphic, and so are their complements and quasi-complements (the
+relabelling keeps the sides).  ``_class_radii`` solves only the keys not yet
+in a {key: value} memo, and solves each on the key's own bits, so a value
+depends on its class alone, never on which row of the class came first.  A
+memo lives for one ``_verify_indexed_range`` call and one quantity, shared by
+its chunks; keys are built _EIG_BLOCK rows at a time, which bounds the
+temporary arrays.  A class value differs from a row's own eigvalsh value only
+by rounding, but it puts a whole class on one side of a threshold, which can
+move counts at tol = 0.  ``extremal_search`` and the soundness sweep solve
+every row, since the sweep's certificates record each value bitwise.
 
 Column-wise conclusions.  On enumerated spaces, the rows of a chunk where some
 statement's mask holds (the candidates) get their neighbourhood bitmasks from
@@ -82,6 +99,7 @@ the wall time of a serial run; workers' timings are summed.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -132,6 +150,13 @@ _EIG_BLOCK = 1 << 11
 
 class SpaceCapError(ValueError):
     pass
+
+
+def _check_tol(tol: float) -> float:
+    """tol itself; ValueError unless it is finite and >= 0 (NaN passes no comparison)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -443,6 +468,52 @@ def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
     return out
 
 
+def _class_keys(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray):
+    """Relabelling-class keys of rows of index bits, and the relabellings behind them.
+
+    deg (order, rows) holds the rows' degrees.  Each row's vertices are put
+    in stable order of (degree, sum of neighbour degrees), one round of
+    colour refinement, each side on its own when bip; perm[r, v] is the
+    vertex that becomes v.  The key is the index of the relabelled graph, as
+    an int64, so rows with equal keys are isomorphic.
+    """
+    us, vs, order = _bit_ends(size, bip)
+    adj = np.zeros((len(bits), order, order), dtype=bool)
+    adj[:, us, vs] = bits
+    adj[:, vs, us] = bits
+    deg = deg.T.astype(np.int64)
+    # the neighbour sum is below order^2, so degree decides first
+    score = deg * order * order + np.einsum("rvu,ru->rv", adj, deg)
+    if bip:
+        perm = np.concatenate([np.argsort(score[:, :size], axis=1, kind="stable"),
+                               size + np.argsort(score[:, size:], axis=1, kind="stable")], axis=1)
+    else:
+        perm = np.argsort(score, axis=1, kind="stable")
+    relabelled = adj[np.arange(len(bits))[:, None], perm[:, us], perm[:, vs]]
+    return relabelled @ (1 << np.arange(len(us), dtype=np.int64)), perm
+
+
+def _class_radii(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarray,
+                 memo: dict) -> np.ndarray:
+    """The quantity ``key`` of each row, eigensolved once per relabelling class.
+
+    Keys come from ``_class_keys``, _EIG_BLOCK rows at a time.  Only keys
+    missing from memo ({class key: value}) are solved, on the key's own
+    bits, so a value depends on its class alone and never on which row of
+    the class came first.
+    """
+    classes = np.concatenate([
+        _class_keys(size, bip, bits[lo : lo + _EIG_BLOCK], deg[:, lo : lo + _EIG_BLOCK])[0]
+        for lo in range(0, len(bits), _EIG_BLOCK)
+    ])
+    uniq, inverse = np.unique(classes, return_inverse=True)
+    uniq = uniq.tolist()
+    new = [c for c in uniq if c not in memo]
+    if new:
+        memo.update(zip(new, _radii(key, size, bip, _bits_of(bits.shape[1], new)).tolist()))
+    return np.array([memo[c] for c in uniq])[inverse]
+
+
 def _radius_interval(key: str, stats: dict, size: int, bip: bool):
     """[lo, hi] containing the quantity ``key`` of each row, from integer stats alone."""
     us, _, order = _bit_ends(size, bip)
@@ -716,7 +787,7 @@ def _eval_row(row: _Row, held: list, report: VerificationReport, n: int, k, delt
 def _may_pass(key, stmts, stats, size, bip, k, tol) -> np.ndarray:
     """Rows where some statement on ``key`` holds at either end of its padded interval."""
     lo, hi = _radius_interval(key, stats, size, bip)
-    pad = abs(tol) + _GATE_SLACK
+    pad = tol + _GATE_SLACK
     keep = np.zeros(len(lo), dtype=bool)
     for st in stmts:
         if st.quantity == key:
@@ -752,6 +823,7 @@ def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> Verific
     size = space.side if bip else space.n
     us, _, order = _bit_ends(size, bip)
     gates = {key: _gate_table(target, key, size, bip, k, tol) for key in _RADII if key in quantities}
+    memos = {key: {} for key in gates}  # {class key: value}, for this call only
     min_deg = space.k if space.kind == "labeled_min_degree" else None
     width = _degree_table(size, bip)[0].shape[1]
     pos = start
@@ -775,7 +847,8 @@ def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> Verific
             rows = np.flatnonzero(keep)
             vals = np.full(cnt, np.nan)  # NaN fails every comparison
             if len(rows):
-                vals[rows] = _radii(key, size, bip, _bits_of(len(us), pos + rows))
+                vals[rows] = _class_radii(key, size, bip, _bits_of(len(us), pos + rows),
+                                          stats["deg"][:, rows], memos[key])
             stats[key] = vals
         clock.lap("eigensolve")
         active = np.zeros((len(stmts), cnt), dtype=bool)  # statement-major
@@ -888,6 +961,7 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check one theorem/lemma over a space; see the module docstring."""
     space.validate()
+    _check_tol(tol)
     stmts = statements_for(target)
     if k is None and any(st.needs_k for st in stmts):
         raise ValueError(f"target {target} needs a k parameter")
@@ -977,6 +1051,7 @@ def extremal_search(
     comparison tolerance); (None, []) when nothing satisfies the constraint.
     """
     space.validate()
+    _check_tol(tol)
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if constraint not in ("non_hamiltonian", "non_traceable"):
@@ -1065,6 +1140,7 @@ def certifier_soundness_sweep(
     exceptional graph is oracle-positive.  Returns a summary dict with any
     violations as graph6 strings.
     """
+    _check_tol(tol)
     summary = {
         "graphs": 0,
         "bipartite_graphs": 0,

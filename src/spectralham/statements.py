@@ -243,7 +243,8 @@ STATEMENTS = (
               spanning=True, delta_ge_k=True, k_min=0, order=_trace_order,
               refusal="refined_traceable_lemma needs k >= 0 and n >= 6k+10, got n={n}, k={k}"),
     # balanced bipartite graphs of side n
-    Statement("moon_moser.delta", "bipartite", "two_delta", "gt", lambda n, k: n),
+    Statement("moon_moser.delta", "bipartite", "two_delta", "gt", lambda n, k: n,
+              order=lambda k: 2, refusal="moon_moser needs side >= 2"),
     Statement("moon_moser.edges", "bipartite", "e", "gt",
               lambda n, k: max(n * (n - k) + k * k, n * (n - n // 2) + (n // 2) ** 2),
               delta_ge_k=True, k_min=1, order=lambda k: 2 * k, any_k=True),

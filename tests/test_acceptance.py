@@ -339,6 +339,7 @@ def test_criterion_07_family_sharpness():
     _report(7, "family sharpness and Yu-Fan counterexamples", t0, 300)
 
 
+@pytest.mark.slow
 def test_criterion_08_certifier_soundness_sweep():
     t0 = time.monotonic()
     summary = certifier_soundness_sweep(ns=(3, 4, 5, 6, 7), bip_sides=(2, 3, 4))
@@ -379,6 +380,7 @@ def _criterion9_checks(g, n, results):
             results.append(("clique_lemma", graph6_encode(g)))
 
 
+@pytest.mark.slow
 def test_criterion_09_randomized_threshold_region():
     t0 = time.monotonic()
     failures = []
@@ -404,6 +406,7 @@ def test_criterion_09_randomized_threshold_region():
     _report(9, "threshold-region randomized checks at n in {11, 12}", t0, 1800)
 
 
+@pytest.mark.slow
 def test_criterion_10_graph6_codec():
     t0 = time.monotonic()
     assert graph6_encode(complete_graph(4)) == "C~"

@@ -176,6 +176,19 @@ def test_search(capsys):
     assert abs(rec["best"] - 2.0) < 1e-9 and rec["graphs"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "fn_rho", "--n", "5"),
+    ("search", "max_rho", "--n", "5", "--constraint", "non_hamiltonian"),
+    ("certify", "Dhc"),
+])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tolerance_is_usage_error(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tolerance", tol])
+    assert exc.value.code == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not_a_target", "--n", "5"])

@@ -219,6 +219,7 @@ def test_spanning_subgraph_examples():
         spanning_subgraph_of(cycle_graph(6), "L", 7, 2)
 
 
+@pytest.mark.slow
 def test_spanning_subgraph_matches_brute_force_n6():
     n = 6
     refs = {}

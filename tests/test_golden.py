@@ -386,7 +386,10 @@ def test_verify_refusals_golden(tmp_path):
     assert not diff, list(diff.items())[:5]
 
 
-@pytest.mark.parametrize("group", [name for name, _, _ in _hash_groups()])
+@pytest.mark.parametrize("group", [
+    pytest.param(name, marks=pytest.mark.slow) if name == "bip.side4" else name
+    for name, _, _ in _hash_groups()
+])
 def test_certificate_hashes_golden(group):
     want = _load(HASH_FILE)[group]
     for name, mode, graphs in _hash_groups():

@@ -7,7 +7,7 @@ import pytest
 import spectralham.families as families
 import spectralham.harness as harness
 from spectralham.families import FamilySpec, construct, recognize
-from spectralham.graphs import Graph, complete_graph, graph6_decode, graph6_encode
+from spectralham.graphs import Graph, complete_graph, graph6_decode, graph6_encode, pair_order
 from spectralham.harness import (
     _CHUNK,
     _EIG_BLOCK,
@@ -22,6 +22,8 @@ from spectralham.harness import (
     verify_theorem,
     _bit_ends,
     _chunk_stats,
+    _class_keys,
+    _class_radii,
     _degree_stats,
     _graphs_from_bits,
     _index_bits,
@@ -259,6 +261,139 @@ def test_blocked_radii_equal_one_stacked_eigvalsh(key, size, bip):
     if key == "q":
         a[:, np.arange(order), np.arange(order)] = a.sum(axis=2)
     assert np.array_equal(_radii(key, size, bip, bits), np.linalg.eigvalsh(a)[:, -1])
+
+
+def _space_rows(size, bip):
+    """(bits, deg) of every row of the space, one _CHUNK block at a time."""
+    nbits = size * size if bip else size * (size - 1) // 2
+    for pos in range(0, 1 << nbits, _CHUNK):
+        hi = min(pos + _CHUNK, 1 << nbits)
+        yield _index_bits(nbits, pos, hi), _degree_stats(size, bip, pos, hi)["deg"]
+
+
+@pytest.mark.parametrize("keys, size, bip", [
+    (("rho", "q", "rho_complement"), 6, False),
+    (("rho", "q", "rho_qc", "q_qc"), 3, True),
+])
+def test_class_values_match_row_values(keys, size, bip):
+    # every row of the space, with one memo per quantity shared across chunks
+    for key in keys:
+        memo = {}
+        for bits, deg in _space_rows(size, bip):
+            got = _class_radii(key, size, bip, bits, deg, memo)
+            assert np.allclose(got, _radii(key, size, bip, bits), rtol=0, atol=1e-12), key
+
+
+def test_gated_class_values_match_row_values(monkeypatch):
+    # the rows a campaign actually eigensolves, against their own eigvalsh value
+    seen = {}
+    orig = harness._class_radii
+
+    def checking(key, size, bip, bits, deg, memo):
+        got = orig(key, size, bip, bits, deg, memo)
+        assert np.allclose(got, _radii(key, size, bip, bits), rtol=0, atol=1e-12), key
+        seen[key] = seen.get(key, 0) + len(bits)
+        return got
+
+    monkeypatch.setattr(harness, "_class_radii", checking)
+    assert verify_theorem("fn_rho", SearchSpace.all_labeled(7)).clean
+    assert verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4)).clean
+    assert seen.keys() == {"rho", "q_qc"} and min(seen.values()) > 0
+
+
+@pytest.mark.parametrize("size, bip", [(5, False), (7, False), (3, True), (4, True)])
+def test_class_key_is_the_relabelled_row(size, bip):
+    # perm[r, v] is the vertex that becomes v; relabelling the row's graph so
+    # gives the graph whose index is the key, and bipartite rows keep sides
+    nbits = size * size if bip else size * (size - 1) // 2
+    idx = np.arange(1 << nbits) if nbits <= 10 else \
+        np.random.default_rng(5).choice(1 << nbits, 3000, replace=False)
+    bits = harness._bits_of(nbits, idx)
+    us, vs, order = _bit_ends(size, bip)
+    inc = np.zeros((order, nbits), dtype=np.int64)
+    inc[us, np.arange(nbits)] = inc[vs, np.arange(nbits)] = 1
+    keys, perm = _class_keys(size, bip, bits, inc @ bits.T)
+    decode = bipartite_from_index if bip else graph_from_index
+    for i, key, p in zip(idx.tolist(), keys.tolist(), perm.tolist()):
+        g, h = decode(size, i), decode(size, key)
+        if bip:
+            assert sorted(p[:size]) == list(range(size))
+            g, h = g.to_graph(), h.to_graph()
+        inverse = [0] * len(p)
+        for new, old in enumerate(p):
+            inverse[old] = new
+        assert g.relabel(inverse) == h
+
+
+def _index_of(g) -> int:
+    return sum(1 << t for t, (u, v) in enumerate(pair_order(g.n)) if g.has_edge(u, v))
+
+
+def test_relabellings_share_one_class_value():
+    # one round of refinement separates all seven vertices of this graph, so
+    # every relabelling has the same key and hence bitwise the same value,
+    # whether the relabellings share a chunk or not
+    g = graph6_decode("Fya?G")
+    rng = np.random.default_rng(11)
+    idx = np.array(sorted({_index_of(g.relabel(rng.permutation(7))) for _ in range(40)}))
+    assert len(set((idx // _CHUNK).tolist())) > 1
+    bits = harness._bits_of(21, idx)
+    deg = np.concatenate([_degree_stats(7, False, i, i + 1)["deg"] for i in idx.tolist()], axis=1)
+    keys, _ = _class_keys(7, False, bits, deg)
+    assert len(set(keys.tolist())) == 1
+    together = _class_radii("rho", 7, False, bits, deg, {})
+    assert len(set(together.tolist())) == 1
+    shared = {}
+    for chunk in sorted(set((idx // _CHUNK).tolist())):
+        rows = np.flatnonzero(idx // _CHUNK == chunk)
+        for memo in (shared, {}):
+            got = _class_radii("rho", 7, False, bits[rows], deg[:, rows], memo)
+            assert np.array_equal(got, together[rows])
+
+
+def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
+    # the benchmark's campaign pass; no value outlives a verify_theorem call,
+    # so a second identical pass eigensolves as many matrices as the first
+    solved = []
+    orig = np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append(len(a))
+        return orig(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    totals = []
+    for _ in range(2):
+        solved.clear()
+        reps = [verify_theorem("fn_rho", SearchSpace.all_labeled(7)),
+                verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4))]
+        assert [(r.processed, r.hypothesis_count, r.clean) for r in reps] == \
+            [(1 << 21, 6890, True), (1 << 16, 7583, True)]
+        totals.append(sum(solved))
+    assert 0 < totals[0] == totals[1] <= 1000
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12, float("inf")])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        verify_theorem("fn_rho", SearchSpace.all_labeled(5), tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        extremal_search(SearchSpace.all_labeled(4), "max_rho", "non_hamiltonian", tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        certifier_soundness_sweep(ns=(3,), bip_sides=(), tol=tol)
+
+
+def test_moon_moser_needs_side_two(tmp_path):
+    # K_{1,1} has no Hamilton cycle, and no balanced bipartite graph of side 1 does
+    for k in (None, 0, 1, 2):
+        with pytest.raises(ValueError, match="moon_moser needs side >= 2"):
+            verify_theorem("moon_moser", SearchSpace.balanced_bipartite_labeled(1), k=k)
+    path = tmp_path / "k11.g6"
+    path.write_text("A_\n")
+    rep = verify_theorem("moon_moser", SearchSpace.graph6_file(str(path)))
+    assert rep.processed == 1 and rep.hypothesis_count == 0 and rep.clean
+    rep = verify_theorem("moon_moser", SearchSpace.balanced_bipartite_labeled(2))
+    assert rep.hypothesis_count == 2 and rep.clean
 
 
 def test_bound_gate_skips_refuted_eigensolves(monkeypatch):
