@@ -25,7 +25,7 @@ from typing import Optional
 from .families import FamilySpec, recognize
 from .graphs import BipartiteGraph, Graph, degree_profile
 from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
-from .spectral import DEFAULT_TOL
+from .spectral import DEFAULT_TOL, _check_tol
 from .statements import SPECTRAL, STATEMENTS, GraphValues, holds
 
 __all__ = [
@@ -170,6 +170,7 @@ def certify_hamiltonicity(
     """Run the Hamiltonicity cascade on a graph of order >= 3."""
     if not isinstance(g, Graph):
         raise TypeError("certify_hamiltonicity expects a Graph")
+    _check_tol(tol)
     n = g.n
     if n < 3:
         raise ValueError("Hamiltonicity certification needs n >= 3")
@@ -189,6 +190,7 @@ def certify_traceability(
     """Run the traceability cascade (the part-(1) theorem clauses)."""
     if not isinstance(g, Graph):
         raise TypeError("certify_traceability expects a Graph")
+    _check_tol(tol)
     n = g.n
     if n < 1:
         raise ValueError("traceability certification needs n >= 1")
@@ -209,6 +211,7 @@ def certify_bipartite_hamiltonicity(
     """Run the balanced-bipartite Hamiltonicity cascade (side size >= 2)."""
     if not isinstance(b, BipartiteGraph):
         raise TypeError("certify_bipartite_hamiltonicity expects a BipartiteGraph")
+    _check_tol(tol)
     if not b.balanced:
         raise ValueError("bipartite certification needs a balanced bipartite graph")
     n = b.nx

@@ -24,12 +24,11 @@ from .harness import (
     _OBJECTIVES,
     SearchSpace,
     VERIFY_TARGETS,
-    _check_tol,
     extremal_search,
     verify_theorem,
 )
 from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
-from .spectral import DEFAULT_TOL, bound_report
+from .spectral import DEFAULT_TOL, _check_tol, bound_report
 from .transforms import bc_closure, bipartite_closure
 
 

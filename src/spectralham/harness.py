@@ -12,98 +12,62 @@ includes the statement's exceptional-family / containment disjuncts
 exact oracle.  Counterexamples are reported as graph6 strings; oracle budget
 exhaustion is recorded per graph and never counted as a pass.
 
-Statements come from ``statements.STATEMENTS``.  Enumerated spaces are
-processed in index chunks, one block of the cached degree table each (see
-Chunk statistics): integer statistics (edge count, degrees) and
-stacked-eigensolver radii form one column per quantity, and
-``Statement.hypothesis`` evaluated over those columns gives each statement's
-hypothesis mask exactly, with the same comparison the scalar path applies to
-one graph's values.  The masks are stacked statement-major, (statements,
-rows), so the reductions over them run along contiguous memory.  Only the
-parts of a hypothesis that need the graph itself (closedness, "not
-Hamiltonian") are checked per row.  graph6 and random spaces evaluate the
-same hypothesis on each graph's ``GraphValues``.  Campaigns can be
-partitioned across a worker pool; the merged report is identical to the
-serial one.
+Row blocks.  Every space reaches one engine as blocks of rows of one order
+(one side for bipartite rows).  A row is a graph's pair bits, in
+``pair_order`` or bit i*side+j for the cross pair x_i y_j, and a block
+carries its rows' edge counts and degrees (int16, vertex-major).  Index
+ranges (the enumerated spaces) take the degrees from ``_degree_table``,
+built once per (size, bip), and unpack the bits of an index only where they
+are read.  graph6 files and random models materialise the bits, grouped by
+order (by side when a graph6 file is read through its bipartition for a
+bipartite target), and count the degrees from them; a random model draws
+``rng.random((rows, pairs)) < p`` a block at a time.
 
-Chunk statistics.  ``_degree_table`` holds the degree of every vertex (int16,
-vertex-major) and the edge count of every graph whose index fits in the low
-log2(_CHUNK) index bits; it is built once per (size, bip).  A chunk's degrees
-are a contiguous slice of it plus the degrees of the chunk's high index bits,
-one small vector per block.  Index bits are unpacked only for the rows that
-are eigensolved or are candidates; the minimum degree sums
-(``min_ds`` / ``min_cross_ds``), ``extremal_search`` and the soundness sweep
-unpack every row.
+Per block, each statistic or spectral radius is one column, and
+``Statement.hypothesis`` over the columns gives each statement's mask
+exactly, with the comparison the certifier applies to one graph's values.
+Before eigensolving, ``spectral.radius_intervals`` bounds each radius from
+(e, delta, Delta) alone; widened by the tolerance plus a rounding slack, a
+row whose masks fail at both ends of its interval fails them at the value
+too, so it is not eigensolved (its NaN fails every comparison).
+``_gate_table`` decides every triple of an order once, so a row is gated by
+one lookup; past _GATE_TABLE_MAX triples ``_may_pass`` gates the block's own
+rows instead.  The gate changes no verdict, count or failure list.
 
-Bound gate.  Every statement is one threshold comparison in one quantity
-(rho, q, or the radius of the complement or quasi-complement), plus at most
-delta >= k and a per-row graph check, so its mask is monotone in that
-quantity.  Before eigensolving, each row gets an interval [lo, hi] per
-quantity from integer statistics alone (edge count and degrees, via
-``spectral.radius_intervals``: average degree, the star K_{1,Delta}, Delta,
-Nikiforov at k = delta, Feng-Yu, and sqrt(e) and e/side + side on bipartite
-spaces).  The interval is widened by the tolerance plus a rounding slack; a
-row whose masks fail at both ends fails them at the computed value too, so
-it is not eigensolved and its value stays NaN (which fails every
-comparison).  The interval and the hypotheses on its quantity depend on
-(e, delta, Delta) only, so ``_gate_table`` decides every triple a graph of
-the space can have, once per (target, space, k, tol), and a chunk gates
-each row by one lookup.  Only the remaining rows are eigensolved (by
-relabelling class, below); the gate changes no verdict, count or failure
-list.  ``extremal_search`` and the soundness sweep need every value and do
-not gate.
+Class-keyed eigensolves.  A row's key is the row relabelled by one round of
+colour refinement (stable order of degree, then neighbours' degree sum, each
+side on its own), read as an int64.  Equal keys mean isomorphic rows (and
+complements and quasi-complements), so a memo kept for one campaign and one
+(quantity, order) solves each key once, on the key's own bits; a value
+depends on its class alone, which at tol = 0 puts a whole class on one side
+of a threshold.  Rows of more than 63 bits (order 12 and up, side 8 and up)
+have no key and are solved one by one.  Matrix stacks are sized by bytes.
 
-Class-keyed eigensolves.  Every quantity is a graph invariant, so a campaign
-eigensolves once per relabelling class of its gated rows, not once per row.
-``_class_keys`` sorts each row's vertices (stably) by degree, then by the sum
-of their neighbours' degrees, one round of colour refinement, each side on
-its own in bipartite spaces; the index of the relabelled graph is the row's
-key.  Equal keys mean equal relabelled adjacency, so the rows are
-isomorphic, and so are their complements and quasi-complements (the
-relabelling keeps the sides).  ``_class_radii`` solves only the keys not yet
-in a {key: value} memo, and solves each on the key's own bits, so a value
-depends on its class alone, never on which row of the class came first.  A
-memo lives for one ``_verify_indexed_range`` call and one quantity, shared by
-its chunks; keys are built _EIG_BLOCK rows at a time, which bounds the
-temporary arrays.  A class value differs from a row's own eigvalsh value only
-by rounding, but it puts a whole class on one side of a threshold, which can
-move counts at tol = 0.  ``extremal_search`` and the soundness sweep solve
-every row, since the sweep's certificates record each value bitwise.
+Conclusions.  The candidate rows of a block (some mask holds) get their
+neighbourhood bitmasks from one matmul, and ``_BatchVerdicts`` decides
+"Hamiltonian?" / "traceable?" for them: ``oracle._held_karp_batch`` up to
+order 16, charging each row 1 << order nodes (aborted past the budget) and
+validating every witness, and the scalar oracle above that.  Statements with
+no graph check and a "ham" / "trace" conclusion are finished a column at a
+time, asking traceability only of rows that are not Hamiltonian; the others
+go row by row and read the same verdicts.  A row's graph is built only for a
+recognizer, a graph check or a graph6 report.
 
-Column-wise conclusions.  On enumerated spaces, the rows of a chunk where some
-statement's mask holds (the candidates) get their neighbourhood bitmasks from
-one matmul over their index bits, and ``oracle._held_karp_batch`` decides
-"Hamiltonian?" / "traceable?" for many rows at once.  A statement with no
-graph check and a "ham" / "trace" conclusion is finished a column at a time:
-its hypothesis count is the sum of its mask, Hamiltonicity is asked of every
-row such a statement needs, and traceability only of the rows whose answer
-was not "yes" (a Hamiltonian graph is traceable).  A row is looked at on its
-own only where the answer is "no" (the exceptional-family check) or
-"aborted" (its graph6 report).  The other statements (graph checks, clique
-and biclique conclusions) go row by row and read the same kernel's verdicts,
-solved for every candidate on first use.  ``_BatchVerdicts.column`` is the
-one place either path gets a verdict from.  Each row is charged 1 << order
-nodes, the charge ``is_hamiltonian`` reports for its subset DP; when that
-exceeds the oracle budget the row is recorded as aborted, never decided.
-The kernel rebuilds a witness for every "yes" row and checks it against the
-row's adjacency before any verdict is used.  A row's Graph / BipartiteGraph
-is built only when something reads it (a recognizer, a closure or biclique
-test, a graph6 report), and at most once.  graph6 and random spaces,
-``extremal_search`` and the soundness sweep use the scalar oracle.
-
-Stage timers.  ``VerificationReport.timings`` charges the campaign's time to
-stats, gate, eigensolve, hypothesis, conclusion and recognize (the family
-recognizers and containment tests), lap by lap, so the stages sum to about
-the wall time of a serial run; workers' timings are summed.
+``extremal_search`` and the soundness sweep read the same producers but
+eigensolve every row and use the scalar oracle.  Enumerated campaigns can be
+split across a worker pool; the merged report equals the serial one.
+``VerificationReport.timings`` charges time to the stages stats (including
+producing the rows), gate, eigensolve, hypothesis, conclusion and recognize,
+lap by lap, so they sum to about the wall time of a serial run.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
+from itertools import compress
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -113,6 +77,7 @@ from .families import recognize, spanning_subgraph_of
 from .graphs import (
     BipartiteGraph,
     Graph,
+    as_graph,
     bipartite_from_graph,
     graph6_decode,
     graph6_encode,
@@ -120,14 +85,15 @@ from .graphs import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
+    _HK_MAX_ORDER,
     _held_karp_batch,
     clique_number,
     contains_biclique,
     is_hamiltonian,
     is_traceable,
 )
-from .spectral import DEFAULT_TOL, radius_intervals
-from .statements import VERIFY_TARGETS, GraphValues, Statement, statements_for
+from .spectral import DEFAULT_TOL, _check_tol, radius_intervals
+from .statements import VERIFY_TARGETS, Statement, statements_for
 from .transforms import is_b_closed, is_closed
 
 __all__ = [
@@ -145,18 +111,18 @@ __all__ = [
 MAX_ALL_LABELED_N = 8
 MAX_BIP_SIDE = 5
 _CHUNK = 1 << 14
-_EIG_BLOCK = 1 << 11
+# Bytes of one float64 matrix stack per eigvalsh call (the class keys'
+# temporaries take the same number of rows): 2,048 rows at order 8.
+_EIG_BYTES = 1 << 20
+# Bytes of float64 deviates per random-model block; graph6 blocks take as
+# many rows.
+_ROW_BYTES = 1 << 20
+# Entries of the largest (e, delta, Delta) gate table.
+_GATE_TABLE_MAX = 1 << 16
 
 
 class SpaceCapError(ValueError):
     pass
-
-
-def _check_tol(tol: float) -> float:
-    """tol itself; ValueError unless it is finite and >= 0 (NaN passes no comparison)."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
-    return tol
 
 
 @dataclass(frozen=True)
@@ -212,19 +178,10 @@ class SearchSpace:
         return self.kind == "balanced_bipartite_labeled" or self.model == "bipartite_gnp"
 
     def describe(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("n", "k", "side", "p", "seed", "count", "path", "model"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        return {name: val for name, val in asdict(self).items() if val is not None}
 
     def kwargs(self) -> dict:
-        return {
-            "kind": self.kind, "n": self.n, "k": self.k, "side": self.side,
-            "p": self.p, "seed": self.seed, "count": self.count,
-            "path": self.path, "model": self.model,
-        }
+        return asdict(self)
 
     def validate(self):
         if self.kind in ("all_labeled", "labeled_min_degree"):
@@ -246,6 +203,10 @@ class SearchSpace:
         elif self.kind == "random_model":
             if self.model not in ("uniform_gnp", "bipartite_gnp"):
                 raise SpaceCapError(f"unknown random model {self.model!r}")
+            bip = self.model == "bipartite_gnp"
+            order = self.side if bip else self.n
+            if order is None or order < 1:
+                raise SpaceCapError(f"{self.model} needs {'side' if bip else 'n'} >= 1")
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise SpaceCapError("edge probability must lie in [0, 1]")
             if self.count is None or self.count < 0:
@@ -260,14 +221,6 @@ class SearchSpace:
 # ---------------------------------------------------------------------------
 # Index decoding and enumeration
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _pair_arrays(n: int):
-    pairs = pair_order(n)
-    us = np.array([u for u, _ in pairs], dtype=np.int64)
-    vs = np.array([v for _, v in pairs], dtype=np.int64)
-    return us, vs
-
 
 def graph_from_index(n: int, idx: int) -> Graph:
     """The idx-th labeled graph on n vertices (edge-subset index, graph6 bit order)."""
@@ -293,9 +246,12 @@ def _bits_of(nbits: int, idx) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=nbits, bitorder="little").view(bool)
 
 
-def _index_bits(nbits: int, start: int, stop: int) -> np.ndarray:
-    """Row i holds the low nbits bits of start + i, least significant first."""
-    return _bits_of(nbits, np.arange(start, stop, dtype="<u8"))
+def _mask_bits(masks, width: int) -> np.ndarray:
+    """Row i holds the low width bits of the Python int masks[i], least significant first."""
+    nbytes = max(1, (width + 7) // 8)
+    octets = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(octets.reshape(len(masks), nbytes), axis=1, count=width,
+                         bitorder="little").view(bool)
 
 
 def random_model(kind: str, *, n: Optional[int] = None, side: Optional[int] = None,
@@ -303,70 +259,38 @@ def random_model(kind: str, *, n: Optional[int] = None, side: Optional[int] = No
     """Reproducible G(n, p) streams driven by numpy's PCG64 generator.
 
     The stream is a pure function of (kind, parameters, seed): graph i uses
-    the next block of uniform deviates, one per vertex pair.
+    the next block of uniform deviates, one per vertex pair (``pair_order``)
+    or per cross pair x_i y_j (bit i*side+j).
     """
-    rng = np.random.default_rng(seed)
-    if kind == "uniform_gnp":
-        us, vs = _pair_arrays(n)
-        m = len(us)
-        for _ in range(count):
-            draw = rng.random(m) < p
-            rows = [0] * n
-            for t in np.flatnonzero(draw):
-                u = int(us[t])
-                v = int(vs[t])
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            yield Graph(n, tuple(rows))
-    elif kind == "bipartite_gnp":
-        for _ in range(count):
-            draw = rng.random(side * side) < p
-            rows = [0] * side
-            for t in np.flatnonzero(draw):
-                t = int(t)
-                rows[t // side] |= 1 << (t % side)
-            yield BipartiteGraph(side, side, tuple(rows))
-    else:
+    if kind not in ("uniform_gnp", "bipartite_gnp"):
         raise ValueError(f"unknown random model {kind!r}")
+    bip = kind == "bipartite_gnp"
+    size = side if bip else n
+    for bits in _gnp_bits(size, bip, p, seed, count):
+        yield from _graphs_from_bits(size, bip, bits)
 
 
 def enumerate_space(space: SearchSpace) -> Iterator:
-    """Stream the space's graphs in deterministic order."""
+    """Stream the space's graphs in deterministic order (a graph6 file's in file order)."""
     space.validate()
-    if space.kind in ("all_labeled", "labeled_min_degree"):
-        n = space.n
-        total = 1 << (n * (n - 1) // 2)
-        for idx in range(total):
-            g = graph_from_index(n, idx)
-            if space.kind == "labeled_min_degree" and min(g.degrees()) < space.k:
-                continue
-            yield g
-    elif space.kind == "balanced_bipartite_labeled":
-        side = space.side
-        for idx in range(1 << (side * side)):
-            yield bipartite_from_index(side, idx)
-    elif space.kind == "graph6_file":
+    if space.kind == "graph6_file":
         with open(space.path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield graph6_decode(line)
-    elif space.kind == "random_model":
-        yield from random_model(
-            space.model, n=space.n, side=space.side, p=space.p,
-            seed=space.seed, count=space.count,
-        )
+            yield from (graph6_decode(line) for line in fh if line.strip())
+        return
+    for blk in _space_blocks(space, space.is_bipartite_space):
+        graphs = _graphs_from_bits(blk.size, blk.bip, blk.rows_bits())
+        yield from graphs if blk.in_space is None else compress(graphs, blk.in_space)
 
 
 # ---------------------------------------------------------------------------
-# Batched statistics over index chunks
+# Row blocks
 # ---------------------------------------------------------------------------
 
 _RADII = ("rho", "q", "rho_complement", "rho_qc", "q_qc")
 _COMPLEMENTED = ("rho_complement", "rho_qc", "q_qc")
 _DEGREE_SUMS = ("min_ds", "min_cross_ds")
 # Added to the tolerance when gating: it covers the rounding of eigvalsh
-# (about 1e-14 at the capped orders) and of the bound formulas, so a row whose
+# (about 1e-14 at the enumeration caps) and of the bound formulas, so a row whose
 # computed value would meet a statement's comparison is never gated away, even
 # at tol = 0.
 _GATE_SLACK = 1e-9
@@ -374,7 +298,7 @@ _GATE_SLACK = 1e-9
 
 @lru_cache(maxsize=None)
 def _bit_ends(size: int, bip: bool):
-    """Endpoints (us, vs) of each index bit, and the order of the graphs.
+    """Endpoints (us, vs) of each pair bit, and the order of the graphs.
 
     Plain graphs use pair_order(n); balanced bipartite graphs put x_i at
     column i and y_j at column side + j, so bit i*side+j joins i and side+j.
@@ -382,8 +306,8 @@ def _bit_ends(size: int, bip: bool):
     if bip:
         t = np.arange(size * size)
         return t // size, size + t % size, 2 * size
-    us, vs = _pair_arrays(size)
-    return us, vs, size
+    pairs = np.array(pair_order(size), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1], size
 
 
 @lru_cache(maxsize=None)
@@ -406,21 +330,53 @@ def _degree_table(size: int, bip: bool):
     return deg, deg.sum(axis=0, dtype=np.int64) // 2
 
 
-def _degree_stats(size: int, bip: bool, start: int, stop: int) -> dict:
-    """Integer statistics of the graphs with index in [start, stop).
+def _stats(deg: np.ndarray, e: np.ndarray) -> dict:
+    """A block's integer statistics from its degrees deg (order, rows) and edge counts e.
 
-    deg[v, i] is the degree of vertex v in row i (vertex-major int16, so the
-    reductions below run over contiguous rows), e the edge count and
-    delta / Delta the minimum / maximum degree (two_delta is 2 delta).  Each
-    row is a contiguous slice of ``_degree_table`` for its low index bits
-    plus the degrees of its high bits, which are the same for a whole
-    table-width block of indices.
+    deg is vertex-major int16, so the reductions run over contiguous rows;
+    delta / Delta are the minimum / maximum degree and two_delta is 2 delta.
+    """
+    delta = deg.min(axis=0).astype(np.int64)
+    return {"deg": deg, "e": e, "delta": delta, "two_delta": 2 * delta,
+            "Delta": deg.max(axis=0).astype(np.int64)}
+
+
+@dataclass
+class _Block:
+    """Rows of one order: materialised pair bits, or the indices start, start + 1, ...
+
+    stats are the rows' integer statistics (``_stats``); in_space masks the
+    rows of a labeled_min_degree space (None keeps every row).
+    """
+
+    size: int
+    bip: bool
+    stats: Optional[dict]
+    bits: Optional[np.ndarray] = None
+    start: int = 0
+    in_space: Optional[np.ndarray] = None
+
+    def rows_bits(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """The pair bits of the given rows (every row when None)."""
+        if rows is None:
+            rows = np.arange(len(self.stats["e"]))
+        if self.bits is not None:
+            return self.bits[rows]
+        return _bits_of(len(_bit_ends(self.size, self.bip)[0]), self.start + rows)
+
+
+def _index_blocks(size: int, bip: bool, start: int, stop: int,
+                  min_deg: Optional[int] = None) -> Iterator[_Block]:
+    """The index range [start, stop) as blocks, one degree-table block each.
+
+    A row's degrees are a contiguous slice of ``_degree_table`` for its low
+    index bits plus the degrees of its high bits, which are the same for the
+    whole block.
     """
     us, vs, order = _bit_ends(size, bip)
     deg_low, e_low = _degree_table(size, bip)
     width = deg_low.shape[1]
     low = width.bit_length() - 1
-    degs, es = [], []
     pos = start
     while pos < stop:
         block, lo = divmod(pos, width)
@@ -429,18 +385,104 @@ def _degree_stats(size: int, bip: bool, start: int, stop: int) -> dict:
         high = np.zeros(order, dtype=np.int16)
         np.add.at(high, us[low:], on)
         np.add.at(high, vs[low:], on)
-        degs.append(deg_low[:, lo:hi] + high[:, None])
-        es.append(e_low[lo:hi] + block.bit_count())
+        stats = _stats(deg_low[:, lo:hi] + high[:, None], e_low[lo:hi] + block.bit_count())
+        in_space = None if min_deg is None else stats["delta"] >= min_deg
+        yield _Block(size, bip, stats, start=pos, in_space=in_space)
         pos = block * width + hi
-    deg = degs[0] if len(degs) == 1 else np.concatenate(degs, axis=1)
-    delta = deg.min(axis=0).astype(np.int64)
-    return {
-        "deg": deg,
-        "e": es[0] if len(es) == 1 else np.concatenate(es),
-        "delta": delta,
-        "two_delta": 2 * delta,
-        "Delta": deg.max(axis=0).astype(np.int64),
-    }
+
+
+def _block_rows(nbits: int) -> int:
+    """Rows per materialised block: one float64 deviate per bit in _ROW_BYTES."""
+    return max(1, _ROW_BYTES // (8 * max(nbits, 1)))
+
+
+def _gnp_bits(size: int, bip: bool, p: float, seed: int, count: int) -> Iterator[np.ndarray]:
+    """Blocks of pair bits of a random model's stream, one graph per row."""
+    rng = np.random.default_rng(seed)
+    nbits = len(_bit_ends(size, bip)[0])
+    step = _block_rows(nbits)
+    for lo in range(0, count, step):
+        yield rng.random((min(step, count - lo), nbits)) < p
+
+
+def _graph6_blocks(path: str, bip: bool) -> Iterator[_Block]:
+    """A graph6 file's rows as blocks, grouped by order and flushed when full.
+
+    With bip each line is read through its bipartition (x_i, y_j numbered in
+    vertex order), which must be balanced, and grouped by side.  A line of
+    order 0 is refused.
+    """
+    groups = {}
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            g = graph6_decode(line)
+            if g.n == 0:
+                raise ValueError(f"{path}, line {lineno}: the order-0 graph {line!r} "
+                                 f"has no statement to check")
+            if bip:
+                b = bipartite_from_graph(g)
+                if not b.balanced:
+                    raise ValueError("bipartite target needs balanced bipartite inputs")
+                size, bits = b.nx, _mask_bits(b.rows, b.nx).reshape(-1)
+            else:
+                us, vs, _ = _bit_ends(g.n, False)
+                size, bits = g.n, _mask_bits(g.adj, g.n)[us, vs]
+            group = groups.setdefault(size, [])
+            group.append(bits)
+            if len(group) == _block_rows(len(bits)):
+                yield _row_block(size, bip, np.array(group))
+                group.clear()
+    for size, group in groups.items():
+        if group:
+            yield _row_block(size, bip, np.array(group))
+
+
+def _row_block(size: int, bip: bool, bits: np.ndarray) -> _Block:
+    """A block of materialised rows, their degrees counted from their bits."""
+    us, vs, order = _bit_ends(size, bip)
+    rows, t = np.nonzero(bits)
+    ends = np.concatenate([us[t], vs[t]]) * len(bits) + np.concatenate([rows, rows])
+    deg = np.bincount(ends, minlength=order * len(bits)).reshape(order, len(bits))
+    return _Block(size, bip, _stats(deg.astype(np.int16), bits.sum(axis=1, dtype=np.int64)),
+                  bits=bits)
+
+
+def _space_index_total(space: SearchSpace) -> Optional[int]:
+    if space.kind in ("all_labeled", "labeled_min_degree"):
+        return 1 << (space.n * (space.n - 1) // 2)
+    if space.kind == "balanced_bipartite_labeled":
+        return 1 << (space.side * space.side)
+    return None
+
+
+def _space_blocks(space: SearchSpace, bip: bool, start: int = 0,
+                  stop: Optional[int] = None) -> Iterator[_Block]:
+    """The space's rows as blocks; bip reads a graph6 file as balanced bipartite graphs.
+
+    Enumerated spaces give the index range [start, stop) (the whole space
+    when stop is None); the other spaces give all their rows.
+    """
+    if space.kind == "graph6_file":
+        return _graph6_blocks(space.path, bip)
+    size = space.side if bip else space.n
+    if space.kind == "random_model":
+        return (_row_block(size, bip, bits)
+                for bits in _gnp_bits(size, bip, space.p, space.seed, space.count))
+    min_deg = space.k if space.kind == "labeled_min_degree" else None
+    stop = _space_index_total(space) if stop is None else stop
+    return _index_blocks(size, bip, start, stop, min_deg)
+
+
+# ---------------------------------------------------------------------------
+# Quantities and graphs of rows
+# ---------------------------------------------------------------------------
+
+def _eig_rows(order: int) -> int:
+    """Rows per eigvalsh call (and per class-key block) at this order."""
+    return max(1, _EIG_BYTES // (8 * order * order))
 
 
 def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
@@ -448,14 +490,15 @@ def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
 
     rho / q are taken on the graph, rho_complement on its complement and
     rho_qc / q_qc on its quasi-complement (the bipartite complement).  Rows
-    go to eigvalsh _EIG_BLOCK at a time, which bounds the float64 matrix
-    stack (1 MiB at order 8); eigvalsh solves each matrix on its own, so the
-    values do not depend on the block.
+    go to eigvalsh ``_eig_rows(order)`` at a time, which bounds the float64
+    matrix stack by _EIG_BYTES; eigvalsh solves each matrix on its own, so
+    the values do not depend on the block.
     """
     us, vs, order = _bit_ends(size, bip)
+    step = _eig_rows(order)
     out = np.empty(len(bits))
-    for lo in range(0, len(bits), _EIG_BLOCK):
-        x = bits[lo : lo + _EIG_BLOCK]
+    for lo in range(0, len(bits), step):
+        x = bits[lo : lo + step]
         if key in _COMPLEMENTED:
             x = ~x
         a = np.zeros((len(x), order, order))
@@ -464,18 +507,18 @@ def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
         if key in ("q", "q_qc"):
             diag = np.arange(order)
             a[:, diag, diag] = a.sum(axis=2)
-        out[lo : lo + _EIG_BLOCK] = np.linalg.eigvalsh(a)[:, -1]
+        out[lo : lo + step] = np.linalg.eigvalsh(a)[:, -1]
     return out
 
 
 def _class_keys(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray):
-    """Relabelling-class keys of rows of index bits, and the relabellings behind them.
+    """Relabelling-class keys of rows of pair bits, and the relabellings behind them.
 
     deg (order, rows) holds the rows' degrees.  Each row's vertices are put
     in stable order of (degree, sum of neighbour degrees), one round of
     colour refinement, each side on its own when bip; perm[r, v] is the
-    vertex that becomes v.  The key is the index of the relabelled graph, as
-    an int64, so rows with equal keys are isomorphic.
+    vertex that becomes v.  The key is the relabelled row's bits read as an
+    int64 (so at most 63 bits), and rows with equal keys are isomorphic.
     """
     us, vs, order = _bit_ends(size, bip)
     adj = np.zeros((len(bits), order, order), dtype=bool)
@@ -497,14 +540,18 @@ def _class_radii(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarr
                  memo: dict) -> np.ndarray:
     """The quantity ``key`` of each row, eigensolved once per relabelling class.
 
-    Keys come from ``_class_keys``, _EIG_BLOCK rows at a time.  Only keys
-    missing from memo ({class key: value}) are solved, on the key's own
-    bits, so a value depends on its class alone and never on which row of
-    the class came first.
+    Keys come from ``_class_keys``, ``_eig_rows(order)`` rows at a time.
+    Only keys missing from memo ({class key: value}) are solved, on the
+    key's own bits, so a value depends on its class alone and never on which
+    row of the class came first.  Rows of more than 63 bits have no int64
+    key and are solved one by one.
     """
+    if bits.shape[1] > 63:
+        return _radii(key, size, bip, bits)
+    step = _eig_rows(_bit_ends(size, bip)[2])
     classes = np.concatenate([
-        _class_keys(size, bip, bits[lo : lo + _EIG_BLOCK], deg[:, lo : lo + _EIG_BLOCK])[0]
-        for lo in range(0, len(bits), _EIG_BLOCK)
+        _class_keys(size, bip, bits[lo : lo + step], deg[:, lo : lo + step])[0]
+        for lo in range(0, len(bits), step)
     ])
     uniq, inverse = np.unique(classes, return_inverse=True)
     uniq = uniq.tolist()
@@ -525,30 +572,16 @@ def _radius_interval(key: str, stats: dict, size: int, bip: bool):
     return q if key in ("q", "q_qc") else rho
 
 
-def _min_degree_sum(size: int, bip: bool, stats: dict) -> np.ndarray:
+def _min_degree_sum(size: int, bip: bool, deg: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Minimum of d(u) + d(v) over non-adjacent pairs (cross pairs when bip); inf if none."""
     us, vs, _ = _bit_ends(size, bip)
-    deg = stats["deg"]
-    ds = np.where(stats["bits"].T, np.inf, deg[us] + deg[vs])
+    ds = np.where(bits.T, np.inf, deg[us] + deg[vs])
     return ds.min(axis=0, initial=np.inf)
-
-
-def _chunk_stats(size: int, bip: bool, start: int, stop: int, needs: frozenset) -> dict:
-    """Index bits, integer statistics and every quantity in needs, for all rows of the chunk."""
-    stats = _degree_stats(size, bip, start, stop)
-    stats["bits"] = _index_bits(len(_bit_ends(size, bip)[0]), start, stop)
-    for key in _RADII:
-        if key in needs:
-            stats[key] = _radii(key, size, bip, stats["bits"])
-    for key in _DEGREE_SUMS:
-        if key in needs:
-            stats[key] = _min_degree_sum(size, bip, stats)
-    return stats
 
 
 @lru_cache(maxsize=None)
 def _row_weights(size: int, bip: bool) -> np.ndarray:
-    """(bits, order) matrix: index bit t adds 1 << v to row u and 1 << u to row v."""
+    """(bits, order) matrix: pair bit t adds 1 << v to row u and 1 << u to row v."""
     us, vs, order = _bit_ends(size, bip)
     t = np.arange(len(us))
     w = np.zeros((len(us), order), dtype=np.float32)
@@ -558,13 +591,23 @@ def _row_weights(size: int, bip: bool) -> np.ndarray:
 
 
 def _adjacency_rows(size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
-    """Neighbourhood bitmasks (rows, order) of rows of index bits, by one matmul.
+    """Neighbourhood bitmasks (rows, order) of rows of pair bits.
 
     Bipartite rows use the labelling of ``BipartiteGraph.to_graph`` (x_i is
-    i, y_j is side + j).  Each entry is a sum of distinct powers of two below
-    2^order <= 2^10, so the float32 BLAS product is exact.
+    i, y_j is side + j).  Up to order 24 one float32 BLAS product builds
+    them as int64: each entry is a sum of distinct powers of two below 2^24,
+    so the product is exact.  Wider rows are packed from the dense adjacency
+    into Python ints (an object array).
     """
-    return (bits.astype(np.float32) @ _row_weights(size, bip)).astype(np.int64)
+    us, vs, order = _bit_ends(size, bip)
+    if order <= 24:
+        return (bits.astype(np.float32) @ _row_weights(size, bip)).astype(np.int64)
+    dense = np.zeros((len(bits), order, order), dtype=bool)
+    dense[:, us, vs] = bits
+    dense[:, vs, us] = bits
+    packed = np.packbits(dense, axis=2, bitorder="little")
+    return np.array([[int.from_bytes(v.tobytes(), "little") for v in g] for g in packed],
+                    dtype=object)
 
 
 def _row_graph(size: int, bip: bool, row: list[int]):
@@ -587,25 +630,28 @@ class _OracleAborted(Exception):
 
 
 class _BatchVerdicts:
-    """Held-Karp verdicts for one chunk's candidate rows.
+    """Oracle verdicts for one block's candidate rows (neighbourhood bitmasks adj).
 
-    adj holds the rows' neighbourhood bitmasks in the plain labelling.  Each
-    row is charged 1 << order nodes, the subset-DP charge of is_hamiltonian;
-    when that exceeds the budget every answer is "aborted".  ``column`` is
-    the one place a verdict comes from: the column path calls it per
-    question on the rows it needs, and ``status`` (the row-wise path) calls
-    it once per question on every candidate row.
+    Up to order _HK_MAX_ORDER the batched Held-Karp kernel decides them,
+    charging each row 1 << order nodes (all "aborted" past the budget); the
+    scalar oracle decides larger orders row by row.  ``column`` is the one
+    place a verdict comes from; ``status`` (the row-wise path) asks it once
+    per question for every candidate row.
     """
 
     def __init__(self, adj: np.ndarray, order: int, budget: int):
         self.adj = adj
         self.order = order
-        self.affordable = (1 << order) <= budget
+        self.budget = budget
         self.found = {}
 
     def column(self, question: str, rows: np.ndarray) -> np.ndarray:
         """Statuses ("yes" / "no" / "aborted") of the given rows for "ham" or "trace"."""
-        if not self.affordable:
+        if self.order > _HK_MAX_ORDER:
+            oracle = is_hamiltonian if question == "ham" else is_traceable
+            return np.array([oracle(Graph(self.order, tuple(self.adj[r].tolist())),
+                                    budget=self.budget).status for r in rows.tolist()])
+        if (1 << self.order) > self.budget:
             return np.full(len(rows), "aborted")
         found = _held_karp_batch(self.adj[rows], self.order, question == "ham")[0]
         return np.where(found, "yes", "no")
@@ -616,42 +662,23 @@ class _BatchVerdicts:
         return str(self.found[question][row])
 
 
-def _g6(g) -> str:
-    return graph6_encode(g.to_graph() if isinstance(g, BipartiteGraph) else g)
-
-
+@dataclass
 class _Row:
-    """One graph under verification: the graph, built on first read, and its verdicts.
+    """Candidate j of a block: its graph (``graph`` builds it once) and its verdicts."""
 
-    ``verdict`` answers "ham" / "trace": from the chunk's batched oracle for
-    indexed rows, from the scalar oracle otherwise.
-    """
+    graph: Callable
+    batch: _BatchVerdicts
+    j: int
 
-    def __init__(self, build: Callable, verdict: Callable[[str], str]):
-        self._build = build
-        self._verdict = verdict
-        self._status = {}
-
-    @cached_property
+    @property
     def g(self):
-        return self._build()
+        return self.graph(self.j)
 
     def decide(self, question: str) -> bool:
-        if question not in self._status:
-            self._status[question] = self._verdict(question)
-        if self._status[question] == "aborted":
+        status = self.batch.status(question, self.j)
+        if status == "aborted":
             raise _OracleAborted
-        return self._status[question] == "yes"
-
-    def g6(self) -> str:
-        return _g6(self.g)
-
-
-def _scalar_verdict(g, budget: int, question: str) -> str:
-    if question == "ham":
-        gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
-        return is_hamiltonian(gg, budget=budget).status
-    return is_traceable(g, budget=budget).status
+        return status == "yes"
 
 
 # the part of a hypothesis that needs the graph itself
@@ -722,7 +749,7 @@ class VerificationReport:
     satisfying several parts of a multi-part theorem is counted once per
     part.  conclusion_failures / aborted carry graph6 strings, sorted.
     timings holds perf_counter seconds per stage (stats, gate, eigensolve,
-    hypothesis, conclusion, recognize), summed over chunks and workers.
+    hypothesis, conclusion, recognize), summed over blocks and workers.
     """
 
     target: str
@@ -754,17 +781,7 @@ class VerificationReport:
         return self
 
     def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "space": self.space,
-            "processed": self.processed,
-            "hypothesis_count": self.hypothesis_count,
-            "exceptional_matches": self.exceptional_matches,
-            "conclusion_failures": self.conclusion_failures,
-            "aborted": self.aborted,
-            "wall_time": self.wall_time,
-            "timings": dict(self.timings),
-        }
+        return asdict(self)
 
 
 def _eval_row(row: _Row, held: list, report: VerificationReport, n: int, k, delta: int, clock):
@@ -776,12 +793,12 @@ def _eval_row(row: _Row, held: list, report: VerificationReport, n: int, k, delt
             report.hypothesis_count += 1
             ok, exceptional = _conclusion(st, row, n, k, delta, clock)
         except _OracleAborted:
-            report.aborted.append(row.g6())
+            report.aborted.append(graph6_encode(as_graph(row.g)))
             continue
         if exceptional:
             report.exceptional_matches += 1
         if not ok:
-            report.conclusion_failures.append(row.g6())
+            report.conclusion_failures.append(graph6_encode(as_graph(row.g)))
 
 
 def _may_pass(key, stmts, stats, size, bip, k, tol) -> np.ndarray:
@@ -801,7 +818,7 @@ def _gate_table(target: str, key: str, size: int, bip: bool, k, tol: float) -> n
     """``_may_pass`` for every (e, delta, Delta) that a graph of the space can have.
 
     The interval of ``key`` and the hypotheses on it depend on these three
-    integers only, so a chunk gates each row by one lookup at
+    integers only, so a block gates each row by one lookup at
     (e * order + delta) * order + Delta.  Triples no graph has (delta >
     Delta, or 2e outside [order delta, order Delta]) stay False.
     """
@@ -814,41 +831,45 @@ def _gate_table(target: str, key: str, size: int, bip: bool, k, tol: float) -> n
     return keep
 
 
-def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> VerificationReport:
+def _gate(target: str, key: str, stmts, stats: dict, size: int, bip: bool, k, tol: float):
+    """Rows of a block that may pass some statement on ``key``: one table lookup each."""
+    us, _, order = _bit_ends(size, bip)
+    if (len(us) + 1) * order * order > _GATE_TABLE_MAX:
+        return _may_pass(key, stmts, stats, size, bip, k, tol)
+    code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
+    return _gate_table(target, key, size, bip, k, tol)[code]
+
+
+def _verify_blocks(target, space, k, tol, budget, blocks) -> VerificationReport:
+    """The campaign over blocks of rows: stats, gate, eigensolve, hypothesis, conclusion."""
     stmts = statements_for(target)
     report = VerificationReport(target, space.describe())
     clock = _Clock(report.timings)
     quantities = {st.quantity for st in stmts}
-    bip = space.kind == "balanced_bipartite_labeled"
-    size = space.side if bip else space.n
-    us, _, order = _bit_ends(size, bip)
-    gates = {key: _gate_table(target, key, size, bip, k, tol) for key in _RADII if key in quantities}
-    memos = {key: {} for key in gates}  # {class key: value}, for this call only
-    min_deg = space.k if space.kind == "labeled_min_degree" else None
-    width = _degree_table(size, bip)[0].shape[1]
-    pos = start
-    while pos < stop:
-        hi = min((pos // width + 1) * width, stop)  # one degree-table block per chunk
-        cnt = hi - pos
-        stats = _degree_stats(size, bip, pos, hi)
-        in_space = None if min_deg is None else stats["delta"] >= min_deg
+    memos = {}  # {(quantity, size, bip): {class key: value}}, for this call only
+    for blk in blocks:
+        size, bip, stats, in_space = blk.size, blk.bip, blk.stats, blk.in_space
+        cnt = len(stats["e"])
         report.processed += cnt if in_space is None else int(in_space.sum())
         if quantities & set(_DEGREE_SUMS):
-            stats["bits"] = _index_bits(len(us), pos, hi)
+            bits = blk.rows_bits()
             for key in _DEGREE_SUMS:
                 if key in quantities:
-                    stats[key] = _min_degree_sum(size, bip, stats)
+                    stats[key] = _min_degree_sum(size, bip, stats["deg"], bits)
         clock.lap("stats")
-        code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
-        keeps = {key: gate[code] if in_space is None else gate[code] & in_space
-                 for key, gate in gates.items()}
+        keeps = {}
+        for key in _RADII:
+            if key in quantities:
+                keep = _gate(target, key, stmts, stats, size, bip, k, tol)
+                keeps[key] = keep if in_space is None else keep & in_space
         clock.lap("gate")
         for key, keep in keeps.items():
             rows = np.flatnonzero(keep)
             vals = np.full(cnt, np.nan)  # NaN fails every comparison
             if len(rows):
-                vals[rows] = _class_radii(key, size, bip, _bits_of(len(us), pos + rows),
-                                          stats["deg"][:, rows], memos[key])
+                memo = memos.setdefault((key, size, bip), {})
+                vals[rows] = _class_radii(key, size, bip, blk.rows_bits(rows),
+                                          stats["deg"][:, rows], memo)
             stats[key] = vals
         clock.lap("eigensolve")
         active = np.zeros((len(stmts), cnt), dtype=bool)  # statement-major
@@ -857,9 +878,8 @@ def _verify_indexed_range(target, space, k, tol, budget, start, stop) -> Verific
         if in_space is not None:
             active &= in_space
         clock.lap("hypothesis")
-        _eval_candidates(stmts, report, stats, active, size, bip, k, budget, pos, clock)
+        _eval_candidates(stmts, report, blk, active, k, budget, clock)
         clock.lap("conclusion")
-        pos = hi
     return report
 
 
@@ -868,20 +888,19 @@ def _by_column(st: Statement) -> bool:
     return st.graph_check is None and st.conclusion in ("ham", "trace")
 
 
-def _eval_candidates(stmts, report, stats, active, size, bip, k, budget, pos, clock):
-    """Evaluate the rows of a chunk where some statement's mask (a row of active) holds.
+def _eval_candidates(stmts, report, blk: _Block, active, k, budget, clock):
+    """Evaluate the rows of a block where some statement's mask (a row of active) holds.
 
-    The candidates' adjacency comes from their own index bits (row pos + j is
-    index pos + j).  Statements ``_by_column`` are decided over whole
-    columns; the others row by row.  A row's graph is built once, and only
-    when a recognizer, a graph check or a graph6 report needs it.
+    Statements ``_by_column`` are decided over whole columns; the others row
+    by row.  A row's graph is built once, and only when a recognizer, a
+    graph check or a graph6 report needs it.
     """
     cand = np.flatnonzero(active.any(axis=0))
     if not len(cand):
         return
-    us, _, order = _bit_ends(size, bip)
-    adj = _adjacency_rows(size, bip, _bits_of(len(us), pos + cand))
-    batch = _BatchVerdicts(adj, order, budget)
+    size, bip = blk.size, blk.bip
+    adj = _adjacency_rows(size, bip, blk.rows_bits(cand))
+    batch = _BatchVerdicts(adj, _bit_ends(size, bip)[2], budget)
     active = active[:, cand]
     graphs = {}
 
@@ -896,16 +915,15 @@ def _eval_candidates(stmts, report, stats, active, size, bip, k, budget, pos, cl
                       report, size, k, clock)
     rowwise = [i for i, st in enumerate(stmts) if not _by_column(st)]
     if rowwise:
-        deltas = stats["delta"][cand].tolist()
+        deltas = blk.stats["delta"][cand].tolist()
         for j, on in enumerate(active[rowwise].T.tolist()):
             held = [stmts[i] for i, hit in zip(rowwise, on) if hit]
             if held:
-                row = _Row(partial(graph, j), partial(batch.status, row=j))
-                _eval_row(row, held, report, size, k, deltas[j], clock)
+                _eval_row(_Row(graph, batch, j), held, report, size, k, deltas[j], clock)
 
 
 def _eval_columns(stmts, active, batch, graph, report, n, k, clock):
-    """Hypothesis counts and verdicts of column statements over a chunk's candidates.
+    """Hypothesis counts and verdicts of column statements over a block's candidates.
 
     Hamiltonicity is asked of every row some statement needs, traceability
     only of the rows that are not Hamiltonian (a Hamiltonian graph is
@@ -928,26 +946,20 @@ def _eval_columns(stmts, active, batch, graph, report, n, k, clock):
         rows = np.flatnonzero(mask)
         report.hypothesis_count += len(rows)
         got = verdicts[st.conclusion][rows]
-        report.aborted.extend(_g6(graph(j)) for j in rows[got == "aborted"].tolist())
+        for j in rows[got == "aborted"].tolist():
+            report.aborted.append(graph6_encode(as_graph(graph(j))))
         for j in rows[got == "no"].tolist():
             if _exceptional(st, graph(j), n, k, clock):
                 report.exceptional_matches += 1
             else:
-                report.conclusion_failures.append(_g6(graph(j)))
+                report.conclusion_failures.append(graph6_encode(as_graph(graph(j))))
 
 
 def _worker(args):
     target, space_dict, k, tol, budget, start, stop = args
     space = SearchSpace(**space_dict)
-    return _verify_indexed_range(target, space, k, tol, budget, start, stop)
-
-
-def _space_index_total(space: SearchSpace) -> Optional[int]:
-    if space.kind in ("all_labeled", "labeled_min_degree"):
-        return 1 << (space.n * (space.n - 1) // 2)
-    if space.kind == "balanced_bipartite_labeled":
-        return 1 << (space.side * space.side)
-    return None
+    blocks = _space_blocks(space, space.is_bipartite_space, start, stop)
+    return _verify_blocks(target, space, k, tol, budget, blocks)
 
 
 def verify_theorem(
@@ -977,39 +989,21 @@ def verify_theorem(
 
     t0 = time.perf_counter()
     total = _space_index_total(space)
-    if total is not None:
-        if jobs > 1:
-            bounds = np.linspace(0, total, jobs + 1, dtype=np.int64)
-            tasks = [
-                (target, space.kwargs(), k, tol, oracle_budget, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if a < b
-            ]
-            with multiprocessing.Pool(jobs) as pool:
-                parts = pool.map(_worker, tasks)
-            report = VerificationReport(target, space.describe())
-            for part in parts:
-                report.merge(part)
-        else:
-            report = _verify_indexed_range(target, space, k, tol, oracle_budget, 0, total)
-    else:
+    if total is not None and jobs > 1:
+        bounds = np.linspace(0, total, jobs + 1, dtype=np.int64)
+        tasks = [
+            (target, space.kwargs(), k, tol, oracle_budget, int(a), int(b))
+            for a, b in zip(bounds[:-1], bounds[1:])
+            if a < b
+        ]
+        with multiprocessing.Pool(jobs) as pool:
+            parts = pool.map(_worker, tasks)
         report = VerificationReport(target, space.describe())
-        clock = _Clock(report.timings)
-        wants_bip = domains == {"bipartite"}
-        for g in enumerate_space(space):
-            if wants_bip and isinstance(g, Graph):
-                g = bipartite_from_graph(g)
-                if not g.balanced:
-                    raise ValueError("bipartite target needs balanced bipartite inputs")
-            report.processed += 1
-            n = g.nx if wants_bip else g.n
-            clock.lap("stats")
-            vals = GraphValues(g)
-            held = [st for st in stmts if st.hypothesis(vals, n, k, tol)]
-            clock.lap("hypothesis")
-            row = _Row(lambda: g, partial(_scalar_verdict, g, oracle_budget))
-            _eval_row(row, held, report, n, k, vals["delta"], clock)
-            clock.lap("conclusion")
+        for part in parts:
+            report.merge(part)
+    else:
+        blocks = _space_blocks(space, domains == {"bipartite"})
+        report = _verify_blocks(target, space, k, tol, oracle_budget, blocks)
     report.finalize()
     report.wall_time = time.perf_counter() - t0
     if emit is not None:
@@ -1049,6 +1043,8 @@ def extremal_search(
     constraint: "non_hamiltonian" or "non_traceable"; k adds a minimum-degree
     filter.  Returns (best value, sorted graph6 list of all optima within the
     comparison tolerance); (None, []) when nothing satisfies the constraint.
+    Every row of the space that passes the filters is eigensolved; the
+    oracle then walks them from the best value down.
     """
     space.validate()
     _check_tol(tol)
@@ -1063,56 +1059,34 @@ def extremal_search(
     if stat_key == "rho_complement" and bip:
         raise ValueError("min_rho_complement needs a plain-graph space")
 
-    total = _space_index_total(space)
-    values = []
-    graphs = []
-    if total is not None:
-        size = space.side if bip else space.n
-        needs = frozenset([stat_key])
-        pos = 0
-        while pos < total:
-            hi = min(pos + _CHUNK, total)
-            stats = _chunk_stats(size, bip, pos, hi, needs)
-            sel = np.ones(hi - pos, dtype=bool)
-            if space.kind == "labeled_min_degree":
-                sel = stats["delta"] >= space.k
-            if k is not None:
-                sel &= stats["delta"] >= k
-            for i in np.flatnonzero(sel):
-                values.append(float(stats[stat_key][i]))
-                graphs.append(pos + int(i))
-            pos = hi
-
-        def build(idx):
-            return bipartite_from_index(size, idx) if bip else graph_from_index(size, idx)
-
-    else:
-        for g in enumerate_space(space):
-            delta = g.min_degree() if bip else min(g.degrees())
-            if k is not None and delta < k:
-                continue
-            values.append(GraphValues(g)[stat_key])
-            graphs.append(g)
-
-        def build(g):
-            return g
-
-    if not values:
+    kept = []  # (block less its statistics, its filtered rows, their values)
+    for blk in _space_blocks(space, bip):
+        sel = blk.stats["delta"] >= (k if k is not None else 0)
+        if blk.in_space is not None:
+            sel &= blk.in_space
+        rows = np.flatnonzero(sel)
+        if len(rows):
+            values = _radii(stat_key, blk.size, blk.bip, blk.rows_bits(rows))
+            kept.append((replace(blk, stats=None, in_space=None), rows, values))
+    if not kept:
         return None, []
-    values = np.array(values)
+    values = np.concatenate([vals for _, _, vals in kept])
+    offsets = np.cumsum([0] + [len(vals) for _, _, vals in kept])
     order = np.argsort(values)
     if sense == "max":
         order = order[::-1]
     best = None
     winners = []
-    for i in order:
+    for i in order.tolist():
         val = float(values[i])
         if best is not None:
             gap = (best - val) if sense == "max" else (val - best)
             if gap > tol:
                 break
-        g = build(graphs[int(i)])
-        gg = g.to_graph() if isinstance(g, BipartiteGraph) else g
+        b = int(np.searchsorted(offsets, i, side="right")) - 1
+        blk, rows, _ = kept[b]
+        bits = blk.rows_bits(rows[i - offsets[b] :][:1])
+        gg = as_graph(_graphs_from_bits(blk.size, blk.bip, bits)[0])
         if constraint == "non_hamiltonian":
             res = is_hamiltonian(gg, budget=oracle_budget)
         else:
@@ -1155,16 +1129,17 @@ def certifier_soundness_sweep(
              for side in bip_sides]
     for size, bip, certify, keys in runs:
         total = 1 << (size * size if bip else size * (size - 1) // 2)
-        for pos in range(0, total, _CHUNK):
-            stats = _chunk_stats(size, bip, pos, min(pos + _CHUNK, total), frozenset(keys))
-            for i, g in enumerate(_graphs_from_bits(size, bip, stats["bits"])):
-                cert = certify(g, tol=tol, precomputed={key: float(stats[key][i]) for key in keys})
+        for blk in _index_blocks(size, bip, 0, total):
+            bits = blk.rows_bits()
+            values = {key: _radii(key, size, bip, bits).tolist() for key in keys}
+            for i, g in enumerate(_graphs_from_bits(size, bip, bits)):
+                cert = certify(g, tol=tol, precomputed={key: values[key][i] for key in keys})
                 summary["bipartite_graphs" if bip else "graphs"] += 1
                 if cert.verdict not in ("certified_positive", "exceptional"):
                     summary["inconclusive"] += 1
                     continue
                 summary[cert.verdict] += 1
-                gg = g.to_graph() if bip else g
+                gg = as_graph(g)
                 res = is_hamiltonian(gg, budget=oracle_budget)
                 if cert.verdict == "certified_positive":
                     want, kind = "yes", "certified_not_hamiltonian"

@@ -14,7 +14,7 @@ before it is returned; a witness that fails the check raises RuntimeError.
 
 ``_held_karp_batch`` decides many graphs of one small order at once: the
 same Held-Karp subset DP, run as one numpy "pull" step per subset size
-across all rows (the harness uses it for the enumerated spaces, order <= 10).
+across all rows (the harness uses it for every campaign row of order <= 16).
 Its witnesses are rebuilt from the DP table and validated the same way.
 
 Budget exhaustion is an explicit "aborted" outcome, never a wrong verdict.
@@ -238,6 +238,8 @@ def is_traceable(g, budget: int = DEFAULT_BUDGET) -> OracleResult:
 # Rows per block of the batched DP are chosen so that one (pairs, rows)
 # uint16 array of the widest subset size stays near this many bytes.
 _HK_SCRATCH = 1 << 21
+# The largest order the batched DP takes: its state bitmasks are uint16.
+_HK_MAX_ORDER = 16
 
 
 @lru_cache(maxsize=None)
@@ -291,8 +293,8 @@ def _held_karp_batch(adj, order: int, cycle: bool):
     (-1 elsewhere), rebuilt by walking dp back and validated against adj;
     a witness that fails validation raises RuntimeError.
     """
-    if not 1 <= order <= 16:
-        raise ValueError(f"batched Held-Karp supports orders 1..16, got {order}")
+    if not 1 <= order <= _HK_MAX_ORDER:
+        raise ValueError(f"batched Held-Karp supports orders 1..{_HK_MAX_ORDER}, got {order}")
     adj = np.asarray(adj, dtype=np.uint16).reshape(-1, order)
     rows = len(adj)
     found = np.zeros(rows, dtype=bool)

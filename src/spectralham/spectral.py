@@ -46,6 +46,13 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> float:
+    """tol itself; ValueError unless it is finite and >= 0 (NaN passes no comparison)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class SpectralResult:
     """An extreme-eigenvalue computation with its quality evidence.
@@ -426,6 +433,7 @@ def bound_report(g: Graph, k: Optional[int] = None, tol: float = DEFAULT_TOL) ->
     omitted or exceeding delta(G) that record is marked inapplicable, as are
     the structurally gated bounds (bipartite / balanced-bipartite ones).
     """
+    _check_tol(tol)
     g = as_graph(g)
     if g.n == 0:
         raise ValueError("bound report undefined on the 0-vertex graph")

@@ -10,9 +10,9 @@ its threshold, order precondition and exceptional families; multi-part
 theorems are split into parts ``.1`` (traceability) and ``.2``
 (Hamiltonicity).
 
-The certifier cascades walk this table with k = delta(G);
-``harness.verify_theorem`` evaluates it with a campaign's k, on one graph's
-values or on the statistics columns of a whole chunk of enumerated graphs.
+The certifier cascades walk this table with k = delta(G), on one graph's
+``GraphValues``; ``harness.verify_theorem`` evaluates it with a campaign's k,
+on the statistics columns of a block of rows of any space.
 ``Statement.hypothesis`` is written with plain operators so that both give
 the same answer.  Tolerance applies to spectral quantities only.
 

@@ -200,3 +200,18 @@ def test_oracle_resolved_carries_witness():
         assert cert.witness is not None
     else:
         assert cert.verdict == "certified_positive"
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -3.0, -1e-12, float("inf")])
+def test_cascades_refuse_a_bad_tolerance(tol):
+    # a negative tol lowered every "gt" / "ge" threshold (P_6 was certified
+    # Hamiltonian by fn_rho at tol = -3) and NaN made every verdict inconclusive
+    from spectralham.spectral import bound_report
+
+    for call in (lambda: certify_hamiltonicity(path_graph(6), tol=tol),
+                 lambda: certify_traceability(path_graph(6), tol=tol),
+                 lambda: certify_bipartite_hamiltonicity(complete_bipartite_graph(3, 3), tol=tol),
+                 lambda: bound_report(path_graph(6), tol=tol)):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            call()
+    assert certify_hamiltonicity(path_graph(6), tol=0.0).verdict == "inconclusive"

@@ -193,3 +193,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not_a_target", "--n", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "ore", "--space", "gnp", "--samples", "3"], "n"),
+    (["verify", "moon_moser", "--space", "bipartite_gnp", "--samples", "3"], "side"),
+    (["search", "max_rho", "--space", "gnp", "--n", "0"], "n"),
+])
+def test_random_space_without_order_is_usage_error(capsys, argv, name):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"gnp needs {name} >= 1" in err and "NoneType" not in err

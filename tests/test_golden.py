@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -265,16 +266,27 @@ def _graph_from_text(text: str):
     return graph6_decode(text)
 
 
-def _hash_groups():
-    """(group name, mode, graphs) for every labeled graph n <= 6 / bipartite side <= 4."""
+def _plain_graphs(n: int) -> list:
+    return [graph_from_index(n, idx) for idx in range(1 << (n * (n - 1) // 2))]
+
+
+def _bipartite_graphs(side: int) -> list:
+    return [bipartite_from_index(side, idx) for idx in range(1 << (side * side))]
+
+
+def _hash_groups() -> dict:
+    """{group name: (mode, graph builder)} for every labeled graph n <= 6 / bipartite side <= 4.
+
+    A group's graphs are built only when its builder is called.
+    """
+    groups = {}
     for n in range(1, 7):
-        graphs = [graph_from_index(n, idx) for idx in range(1 << (n * (n - 1) // 2))]
         if n >= 3:
-            yield f"ham.n{n}", "ham", graphs
-        yield f"trace.n{n}", "trace", graphs
+            groups[f"ham.n{n}"] = ("ham", partial(_plain_graphs, n))
+        groups[f"trace.n{n}"] = ("trace", partial(_plain_graphs, n))
     for side in range(2, 5):
-        yield f"bip.side{side}", "bip", [bipartite_from_index(side, idx)
-                                         for idx in range(1 << (side * side))]
+        groups[f"bip.side{side}"] = ("bip", partial(_bipartite_graphs, side))
+    return groups
 
 
 def _group_hash(mode: str, graphs) -> str:
@@ -388,13 +400,12 @@ def test_verify_refusals_golden(tmp_path):
 
 @pytest.mark.parametrize("group", [
     pytest.param(name, marks=pytest.mark.slow) if name == "bip.side4" else name
-    for name, _, _ in _hash_groups()
+    for name in _hash_groups()
 ])
 def test_certificate_hashes_golden(group):
     want = _load(HASH_FILE)[group]
-    for name, mode, graphs in _hash_groups():
-        if name == group:
-            assert _group_hash(mode, graphs) == want
+    mode, build = _hash_groups()[group]
+    assert _group_hash(mode, build()) == want
 
 
 def test_certificate_lines_golden():
@@ -419,7 +430,8 @@ def _record():
     reports = {_case_id(case): _run_case(case) for case in VERIFY_CASES}
     VERIFY_FILE.write_text(json.dumps({"reports": reports, "refusals": refusals}, indent=0) + "\n")
     HASH_FILE.write_text(json.dumps(
-        {name: _group_hash(mode, graphs) for name, mode, graphs in _hash_groups()}, indent=1) + "\n")
+        {name: _group_hash(mode, build()) for name, (mode, build) in _hash_groups().items()},
+        indent=1) + "\n")
     LINES_FILE.write_text("\n".join(_select_lines()) + "\n")
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from spectralham.families import FamilySpec, construct, recognize
 from spectralham.graphs import Graph, complete_graph, graph6_decode, graph6_encode, pair_order
 from spectralham.harness import (
     _CHUNK,
-    _EIG_BLOCK,
     SearchSpace,
     SpaceCapError,
     bipartite_from_index,
@@ -21,17 +21,27 @@ from spectralham.harness import (
     random_model,
     verify_theorem,
     _bit_ends,
-    _chunk_stats,
     _class_keys,
     _class_radii,
-    _degree_stats,
+    _eig_rows,
     _graphs_from_bits,
-    _index_bits,
+    _index_blocks,
     _radii,
     _radius_interval,
 )
 from spectralham.oracle import is_hamiltonian, is_traceable
 from spectralham.spectral import radius_intervals, spectral_radius
+
+
+def _index_bits(nbits, start, stop):
+    """Row i holds the low nbits bits of start + i."""
+    return harness._bits_of(nbits, np.arange(start, stop))
+
+
+def _degree_stats(size, bip, start, stop):
+    """The statistics of the index range [start, stop), joined across its blocks."""
+    blocks = [blk.stats for blk in _index_blocks(size, bip, start, stop)]
+    return {key: np.concatenate([b[key] for b in blocks], axis=-1) for key in blocks[0]}
 
 
 def test_enumeration_counts():
@@ -55,6 +65,48 @@ def test_space_caps():
         SearchSpace.balanced_bipartite_labeled(6).validate()
     with pytest.raises(SpaceCapError):
         SearchSpace("random_model", model="uniform_gnp", n=5, p=1.5, count=3, seed=0).validate()
+
+
+@pytest.mark.parametrize("space, message", [
+    (SearchSpace.gnp(None, 0.5, 3, seed=0), "uniform_gnp needs n >= 1"),
+    (SearchSpace.gnp(0, 0.5, 3, seed=0), "uniform_gnp needs n >= 1"),
+    (SearchSpace.bipartite_gnp(None, 0.5, 3, seed=0), "bipartite_gnp needs side >= 1"),
+    (SearchSpace.bipartite_gnp(-2, 0.5, 3, seed=0), "bipartite_gnp needs side >= 1"),
+])
+def test_random_spaces_need_an_order(space, message):
+    with pytest.raises(SpaceCapError, match=message):
+        space.validate()
+    target = "moon_moser" if space.is_bipartite_space else "ore"
+    with pytest.raises(SpaceCapError, match=message):
+        verify_theorem(target, space)
+    with pytest.raises(SpaceCapError, match=message):
+        extremal_search(space, "max_rho", "non_hamiltonian")
+
+
+def test_graph6_line_of_order_zero_is_refused(tmp_path):
+    path = tmp_path / "orders.g6"
+    path.write_text("A_\n\n?\nD~{\n")
+    for call in (lambda: verify_theorem("ore", SearchSpace.graph6_file(str(path))),
+                 lambda: verify_theorem("moon_moser", SearchSpace.graph6_file(str(path))),
+                 lambda: extremal_search(SearchSpace.graph6_file(str(path)), "max_rho",
+                                         "non_hamiltonian")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: the order-0 graph '?'")):
+            call()
+
+
+def test_random_model_blocks_replay_the_per_graph_stream():
+    # one rng.random((rows, pairs)) call per block draws the same PCG64
+    # deviates as one rng.random(pairs) call per graph; the counts span
+    # several blocks
+    for kind, size, nbits, count in (("uniform_gnp", 30, 435, 700),
+                                     ("bipartite_gnp", 12, 144, 2000)):
+        assert count > 2 * harness._block_rows(nbits)
+        rng = np.random.default_rng(9)
+        draws = [rng.random(nbits) < 0.4 for _ in range(count)]
+        decode = bipartite_from_index if kind == "bipartite_gnp" else graph_from_index
+        want = [decode(size, sum(1 << t for t in np.flatnonzero(d).tolist())) for d in draws]
+        kwargs = {"side": size} if kind == "bipartite_gnp" else {"n": size}
+        assert list(random_model(kind, p=0.4, seed=9, count=count, **kwargs)) == want
 
 
 def test_random_model_determinism_and_extremes():
@@ -224,13 +276,13 @@ def test_radius_intervals_bracket_eigvalsh(size, bip):
     keys = ("rho", "q", "rho_qc", "q_qc") if bip else ("rho", "q", "rho_complement")
     total = 1 << (size * size if bip else size * (size - 1) // 2)
     seen_regular = 0
-    for pos in range(0, total, _CHUNK):
-        stats = _chunk_stats(size, bip, pos, min(pos + _CHUNK, total), frozenset(keys))
+    for blk in _index_blocks(size, bip, 0, total):
+        stats = blk.stats
         regular = np.flatnonzero(stats["delta"] == stats["Delta"])
         seen_regular += len(regular)
         for key in keys:
             lo, hi = _radius_interval(key, stats, size, bip)
-            val = stats[key]
+            val = _radii(key, size, bip, blk.rows_bits())
             assert np.all(lo <= val + 1e-9) and np.all(val <= hi + 1e-9), key
             # equality cases: regular graphs (K_n, K_{s,s}, the empty graph,
             # cycles, ...) and their complements pin the value exactly
@@ -251,8 +303,8 @@ def test_radius_intervals_complete_graphs():
 def test_blocked_radii_equal_one_stacked_eigvalsh(key, size, bip):
     # rows cross several eigvalsh blocks; each value equals the one-stack solve bitwise
     nbits = size * size if bip else size * (size - 1) // 2
-    bits = _index_bits(nbits, 0, min(1 << nbits, 3 * _EIG_BLOCK + 5))
     order = 2 * size if bip else size
+    bits = _index_bits(nbits, 0, min(1 << nbits, 3 * _eig_rows(order) + 5))
     us, vs, _ = _bit_ends(size, bip)
     x = ~bits if key == "rho_qc" else bits
     a = np.zeros((len(bits), order, order))
@@ -507,7 +559,7 @@ def test_gate_table_matches_interval_gate(target, space, k):
     keys = {st.quantity for st in stmts} & set(harness._RADII)
     _, _, order = _bit_ends(size, bip)
     for pos in range(0, total, _CHUNK):
-        stats = _chunk_stats(size, bip, pos, min(pos + _CHUNK, total), frozenset())
+        stats = _degree_stats(size, bip, pos, min(pos + _CHUNK, total))
         code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
         for key in keys:
             table = harness._gate_table(target, key, size, bip, k, 1e-9)
@@ -603,3 +655,123 @@ def test_extremal_search_golden(case):
     assert abs(best - best_ref) < 1e-12
     assert len(winners) == count
     assert hashlib.sha256("\n".join(winners).encode()).hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# Materialised rows (graph6 files, random models) against a per-graph reference
+# ---------------------------------------------------------------------------
+
+def _reference_report(target, graphs, k, tol=1e-9):
+    """(processed, hypotheses, exceptional, failures, aborted), one graph at a time.
+
+    Each graph's values come from GraphValues, its verdicts from the scalar
+    oracle and its exceptional families from the recognizers, independently
+    of the row blocks.
+    """
+    from spectralham.families import spanning_subgraph_of
+    from spectralham.graphs import bipartite_from_graph
+    from spectralham.oracle import clique_number
+    from spectralham.statements import GraphValues, statements_for
+    from spectralham.transforms import is_closed
+
+    stmts = statements_for(target)
+    bip = {st.domain for st in stmts} == {"bipartite"}
+    hyps = exceptional = 0
+    failures = []
+    for g in graphs:
+        if bip and isinstance(g, Graph):
+            g = bipartite_from_graph(g)
+        gg = g.to_graph() if bip else g
+        n = g.nx if bip else g.n
+        vals = GraphValues(g)
+        for st in stmts:
+            if not st.hypothesis(vals, n, k, tol):
+                continue
+            if st.graph_check == "not_ham" and is_hamiltonian(gg).status == "yes":
+                continue
+            if st.graph_check == "closed" and not is_closed(g):
+                continue
+            hyps += 1
+            if st.conclusion == "clique":
+                ok = clique_number(g) >= n - k
+            else:
+                oracle = is_hamiltonian if st.conclusion == "ham" else is_traceable
+                status = oracle(gg).status
+                assert status != "aborted"
+                ok = status == "yes"
+                if not ok and any(spanning_subgraph_of(g, s.family, s.n, s.k) if st.spanning
+                                  else recognize(g, s.family, n=s.n, k=s.k)
+                                  for s in st.families(n, k)):
+                    exceptional += 1
+                    ok = True
+            if not ok:
+                failures.append(graph6_encode(gg))
+    return [len(graphs), hyps, exceptional, sorted(set(failures)), []]
+
+
+def _mixed_order_graphs():
+    """Orders 1, 2, 5, 11, 12 and 17: family members, complete graphs and dense random graphs."""
+    rng = np.random.default_rng(3)
+    graphs = [graph6_decode("@"), graph6_decode("A_"), graph6_decode("A?")]
+    graphs += [graph_from_index(5, int(i)) for i in rng.integers(0, 1 << 10, size=40)]
+    for n in (11, 12):
+        graphs += [construct(FamilySpec(f, n=n, k=k)) for f in ("L", "N") for k in (1, 2)]
+        graphs += [construct(FamilySpec(f, n=n, k=k)) for f in ("barL", "barN") for k in (0, 1)]
+    for n in (5, 11, 12, 17):
+        graphs.append(complete_graph(n))
+        graphs += list(random_model("uniform_gnp", n=n, p=0.88, seed=n, count=8))
+    graphs += [construct(FamilySpec("N", n=17, k=1)), construct(FamilySpec("barN", n=17, k=0)),
+               construct(FamilySpec("barL", n=17, k=0))]
+    return graphs
+
+
+MIXED_TARGETS = (("fn_rho", None), ("yu_fan_q", None), ("fn_rho_complement", None), ("ore", None),
+                 ("dirac", None), ("main_rho", 1), ("main_q", 1), ("ainouche_christofides", None),
+                 ("clique_lemma", 1), ("refined_traceable_lemma", 0))
+
+
+def _drop_report(rep):
+    return [rep.processed, rep.hypothesis_count, rep.exceptional_matches,
+            rep.conclusion_failures, rep.aborted]
+
+
+def test_graph6_rows_of_mixed_orders_match_per_graph_reference(tmp_path):
+    graphs = _mixed_order_graphs()
+    rng = np.random.default_rng(4)
+    path = tmp_path / "mixed.g6"
+    path.write_text("".join(graph6_encode(graphs[i]) + "\n" for i in rng.permutation(len(graphs))))
+    space = SearchSpace.graph6_file(str(path))
+    seen = set()
+    for target, k in MIXED_TARGETS:
+        rep = verify_theorem(target, space, k=k)
+        assert _drop_report(rep) == _reference_report(target, graphs, k), target
+        seen.add(rep.hypothesis_count > 0)
+    assert seen == {True}
+
+
+@pytest.mark.parametrize("target, k, space", [
+    # main_rho.1 and main_q.1 need n >= 16
+    *[(t + ".2" if t.startswith("main") else t, k, SearchSpace.gnp(12, 0.85, 150, seed=41))
+      for t, k in MIXED_TARGETS],
+    *[(t, k, SearchSpace.gnp(30, 0.95, 30, seed=42)) for t, k in MIXED_TARGETS[:8]],
+    ("moon_moser", None, SearchSpace.bipartite_gnp(8, 0.8, 60, seed=43)),
+    ("bip_q_qc", None, SearchSpace.bipartite_gnp(8, 0.85, 60, seed=44)),
+    ("bip_rho", 1, SearchSpace.bipartite_gnp(8, 0.9, 60, seed=45)),
+])
+def test_random_rows_match_per_graph_reference(target, k, space):
+    graphs = list(enumerate_space(space))
+    assert _drop_report(verify_theorem(target, space, k=k)) == _reference_report(target, graphs, k)
+
+
+def test_order_12_rows_never_share_a_class_value():
+    # order-12 rows have 66 bits, past an int64 key: rows that differ only in
+    # bits 63-65 are different graphs (one more edge raises rho), and each
+    # row keeps its own eigvalsh value
+    bits = np.concatenate([b for b in harness._gnp_bits(12, False, 0.8, 5, 40)])
+    twins = bits.copy()
+    twins[:, 63:] = ~twins[:, 63:]
+    rows = np.concatenate([bits, twins])
+    deg = harness._row_block(12, False, rows).stats["deg"]
+    got = _class_radii("rho", 12, False, rows, deg, {})
+    assert np.array_equal(got, _radii("rho", 12, False, rows))
+    assert np.all(got[:40] != got[40:])
