@@ -47,11 +47,12 @@ Conclusions.  The candidate rows of a block (some mask holds) get their
 neighbourhood bitmasks from one matmul, and ``_BatchVerdicts`` decides
 "Hamiltonian?" / "traceable?" for them: ``oracle._held_karp_batch`` up to
 order 16, charging each row 1 << order nodes (aborted past the budget) and
-validating every witness, and the scalar oracle above that.  Statements with
-no graph check and a "ham" / "trace" conclusion are finished a column at a
-time, asking traceability only of rows that are not Hamiltonian; the others
-go row by row and read the same verdicts.  A row's graph is built only for a
-recognizer, a graph check or a graph6 report.
+validating every witness, and the scalar oracle above that.  Every
+statement is finished a column at a time: a "not_ham" check reads the
+Hamiltonicity column, traceability is asked only of rows that are not
+Hamiltonian, and the closure checks and the clique / biclique conclusions
+look at the masked rows only.  A row's graph is built only for a graph
+check, a structural conclusion, a recognizer or a graph6 report.
 
 ``extremal_search`` and the soundness sweep read the same producers but
 eigensolve every row and use the scalar oracle.  Enumerated campaigns can be
@@ -419,13 +420,16 @@ def _graph6_blocks(path: str, bip: bool) -> Iterator[_Block]:
             if not line:
                 continue
             g = graph6_decode(line)
+            where = f"{path}, line {lineno}: "
             if g.n == 0:
-                raise ValueError(f"{path}, line {lineno}: the order-0 graph {line!r} "
-                                 f"has no statement to check")
+                raise ValueError(f"{where}the order-0 graph {line!r} has no statement to check")
             if bip:
-                b = bipartite_from_graph(g)
+                try:
+                    b = bipartite_from_graph(g)
+                except ValueError as exc:
+                    raise ValueError(f"{where}{exc}") from exc
                 if not b.balanced:
-                    raise ValueError("bipartite target needs balanced bipartite inputs")
+                    raise ValueError(f"{where}bipartite target needs balanced bipartite inputs")
                 size, bits = b.nx, _mask_bits(b.rows, b.nx).reshape(-1)
             else:
                 us, vs, _ = _bit_ends(g.n, False)
@@ -622,12 +626,8 @@ def _graphs_from_bits(size: int, bip: bool, bits: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Per-graph evaluation
+# Verdicts and conclusions
 # ---------------------------------------------------------------------------
-
-class _OracleAborted(Exception):
-    pass
-
 
 class _BatchVerdicts:
     """Oracle verdicts for one block's candidate rows (neighbourhood bitmasks adj).
@@ -635,15 +635,13 @@ class _BatchVerdicts:
     Up to order _HK_MAX_ORDER the batched Held-Karp kernel decides them,
     charging each row 1 << order nodes (all "aborted" past the budget); the
     scalar oracle decides larger orders row by row.  ``column`` is the one
-    place a verdict comes from; ``status`` (the row-wise path) asks it once
-    per question for every candidate row.
+    place a verdict comes from.
     """
 
     def __init__(self, adj: np.ndarray, order: int, budget: int):
         self.adj = adj
         self.order = order
         self.budget = budget
-        self.found = {}
 
     def column(self, question: str, rows: np.ndarray) -> np.ndarray:
         """Statuses ("yes" / "no" / "aborted") of the given rows for "ham" or "trace"."""
@@ -656,37 +654,9 @@ class _BatchVerdicts:
         found = _held_karp_batch(self.adj[rows], self.order, question == "ham")[0]
         return np.where(found, "yes", "no")
 
-    def status(self, question: str, row: int) -> str:
-        if question not in self.found:
-            self.found[question] = self.column(question, np.arange(len(self.adj)))
-        return str(self.found[question][row])
 
-
-@dataclass
-class _Row:
-    """Candidate j of a block: its graph (``graph`` builds it once) and its verdicts."""
-
-    graph: Callable
-    batch: _BatchVerdicts
-    j: int
-
-    @property
-    def g(self):
-        return self.graph(self.j)
-
-    def decide(self, question: str) -> bool:
-        status = self.batch.status(question, self.j)
-        if status == "aborted":
-            raise _OracleAborted
-        return status == "yes"
-
-
-# the part of a hypothesis that needs the graph itself
-_GRAPH_CHECKS = {
-    "closed": lambda row: is_closed(row.g),
-    "b_closed": lambda row: is_b_closed(row.g),
-    "not_ham": lambda row: not row.decide("ham"),
-}
+# the graph checks that read the graph itself ("not_ham" reads the "ham" column)
+_GRAPH_CHECKS = {"closed": is_closed, "b_closed": is_b_closed}
 
 
 def _biclique_conclusion(b: BipartiteGraph, n: int, k: int, delta: int) -> bool:
@@ -706,19 +676,6 @@ def _exceptional(st: Statement, g, n: int, k, clock: "_Clock") -> bool:
               else recognize(g, spec.family, n=spec.n, k=spec.k) for spec in st.families(n, k))
     clock.lap("recognize")
     return hit
-
-
-def _conclusion(st: Statement, row: _Row, n: int, k, delta: int, clock) -> tuple[bool, bool]:
-    """(conclusion holds, by an exceptional family) for a row meeting st's hypothesis."""
-    if st.conclusion == "clique":
-        return clique_number(row.g) >= n - k, False
-    if st.conclusion == "biclique":
-        return _biclique_conclusion(row.g, n, k, delta), False
-    if row.decide(st.conclusion):
-        return True, False
-    if _exceptional(st, row.g, n, k, clock):
-        return True, True
-    return False, False
 
 
 # ---------------------------------------------------------------------------
@@ -782,23 +739,6 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def _eval_row(row: _Row, held: list, report: VerificationReport, n: int, k, delta: int, clock):
-    """Finish the statements whose hypothesis (less the graph check) holds on a row."""
-    for st in held:
-        try:
-            if st.graph_check and not _GRAPH_CHECKS[st.graph_check](row):
-                continue
-            report.hypothesis_count += 1
-            ok, exceptional = _conclusion(st, row, n, k, delta, clock)
-        except _OracleAborted:
-            report.aborted.append(graph6_encode(as_graph(row.g)))
-            continue
-        if exceptional:
-            report.exceptional_matches += 1
-        if not ok:
-            report.conclusion_failures.append(graph6_encode(as_graph(row.g)))
 
 
 def _may_pass(key, stmts, stats, size, bip, k, tol) -> np.ndarray:
@@ -883,17 +823,15 @@ def _verify_blocks(target, space, k, tol, budget, blocks) -> VerificationReport:
     return report
 
 
-def _by_column(st: Statement) -> bool:
-    """Is st decided a column at a time (no graph check, a Hamiltonicity conclusion)?"""
-    return st.graph_check is None and st.conclusion in ("ham", "trace")
-
-
 def _eval_candidates(stmts, report, blk: _Block, active, k, budget, clock):
-    """Evaluate the rows of a block where some statement's mask (a row of active) holds.
+    """Finish each statement's mask (a row of active) over the rows where some mask holds.
 
-    Statements ``_by_column`` are decided over whole columns; the others row
-    by row.  A row's graph is built once, and only when a recognizer, a
-    graph check or a graph6 report needs it.
+    Hamiltonicity is asked of every row a "ham" conclusion or a "not_ham"
+    check needs (such a statement's conclusion is "ham"), traceability only
+    of the rows that are not Hamiltonian (a Hamiltonian graph is traceable).
+    A "not_ham" mask keeps the rows whose answer is "no" and reports the
+    aborted ones.  A row's graph is built once, and only when a graph check,
+    a structural conclusion, a recognizer or a graph6 report needs it.
     """
     cand = np.flatnonzero(active.any(axis=0))
     if not len(cand):
@@ -909,31 +847,11 @@ def _eval_candidates(stmts, report, blk: _Block, active, k, budget, clock):
             graphs[j] = _row_graph(size, bip, adj[j].tolist())
         return graphs[j]
 
-    columns = [i for i, st in enumerate(stmts) if _by_column(st)]
-    if columns:
-        _eval_columns([stmts[i] for i in columns], active[columns], batch, graph,
-                      report, size, k, clock)
-    rowwise = [i for i, st in enumerate(stmts) if not _by_column(st)]
-    if rowwise:
-        deltas = blk.stats["delta"][cand].tolist()
-        for j, on in enumerate(active[rowwise].T.tolist()):
-            held = [stmts[i] for i, hit in zip(rowwise, on) if hit]
-            if held:
-                _eval_row(_Row(graph, batch, j), held, report, size, k, deltas[j], clock)
+    def g6(rows):
+        return [graph6_encode(as_graph(graph(j))) for j in rows]
 
-
-def _eval_columns(stmts, active, batch, graph, report, n, k, clock):
-    """Hypothesis counts and verdicts of column statements over a block's candidates.
-
-    Hamiltonicity is asked of every row some statement needs, traceability
-    only of the rows that are not Hamiltonian (a Hamiltonian graph is
-    traceable).  Only a row whose answer is "no" is looked at on its own,
-    for the exceptional families, and an "aborted" one for its graph6 report.
-    """
-    need = {q: np.zeros(active.shape[1], dtype=bool) for q in ("ham", "trace")}
-    for st, mask in zip(stmts, active):
-        need[st.conclusion] |= mask
-    ham = np.full(active.shape[1], "", dtype="<U7")
+    need = {q: active[[st.conclusion == q for st in stmts]].any(axis=0) for q in ("ham", "trace")}
+    ham = np.full(len(cand), "", dtype="<U7")
     asked = np.flatnonzero(need["ham"] | need["trace"])
     if len(asked):
         ham[asked] = batch.column("ham", asked)
@@ -943,16 +861,27 @@ def _eval_columns(stmts, active, batch, graph, report, n, k, clock):
         trace[asked] = batch.column("trace", asked)
     verdicts = {"ham": ham, "trace": trace}
     for st, mask in zip(stmts, active):
+        if st.graph_check == "not_ham":
+            report.aborted += g6(np.flatnonzero(mask & (ham == "aborted")).tolist())
+            mask &= ham == "no"
+        elif st.graph_check:
+            rows = np.flatnonzero(mask)
+            mask[rows] = [_GRAPH_CHECKS[st.graph_check](graph(j)) for j in rows.tolist()]
         rows = np.flatnonzero(mask)
         report.hypothesis_count += len(rows)
-        got = verdicts[st.conclusion][rows]
-        for j in rows[got == "aborted"].tolist():
-            report.aborted.append(graph6_encode(as_graph(graph(j))))
-        for j in rows[got == "no"].tolist():
-            if _exceptional(st, graph(j), n, k, clock):
-                report.exceptional_matches += 1
-            else:
-                report.conclusion_failures.append(graph6_encode(as_graph(graph(j))))
+        if st.conclusion == "clique":
+            failed = [j for j in rows.tolist() if clique_number(graph(j)) < size - k]
+        elif st.conclusion == "biclique":
+            delta = blk.stats["delta"][cand]
+            failed = [j for j in rows.tolist()
+                      if not _biclique_conclusion(graph(j), size, k, int(delta[j]))]
+        else:
+            got = verdicts[st.conclusion][rows]
+            report.aborted += g6(rows[got == "aborted"].tolist())
+            no = rows[got == "no"].tolist()
+            failed = [j for j in no if not _exceptional(st, graph(j), size, k, clock)]
+            report.exceptional_matches += len(no) - len(failed)
+        report.conclusion_failures += g6(failed)
 
 
 def _worker(args):

@@ -242,7 +242,9 @@ _HK_SCRATCH = 1 << 21
 _HK_MAX_ORDER = 16
 
 
-@lru_cache(maxsize=None)
+# Four tables hold a campaign pass's (7, cycle), (7, path) and (8, cycle);
+# the order-16 pair alone takes 14 MiB, so older tables are let go.
+@lru_cache(maxsize=4)
 def _held_karp_tables(order: int, cycle: bool):
     """Index tables of the batched subset DP for one (order, cycle).
 

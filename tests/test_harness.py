@@ -94,6 +94,18 @@ def test_graph6_line_of_order_zero_is_refused(tmp_path):
             call()
 
 
+def test_graph6_refusals_for_bipartite_targets_name_the_line(tmp_path):
+    # a bipartite target reads each line through its bipartition
+    path = tmp_path / "sides.g6"
+    for lines, lineno, message in ((["Cr", "Bw"], 2, "graph is not bipartite"),
+                                   (["Cr", "", "Bg"], 3,
+                                    "bipartite target needs balanced bipartite inputs")):
+        path.write_text("\n".join(lines) + "\n")
+        for target in ("moon_moser", "ferrara_jacobson_powell"):
+            with pytest.raises(ValueError, match=re.escape(f"{path}, line {lineno}: {message}")):
+                verify_theorem(target, SearchSpace.graph6_file(str(path)))
+
+
 def test_random_model_blocks_replay_the_per_graph_stream():
     # one rng.random((rows, pairs)) call per block draws the same PCG64
     # deviates as one rng.random(pairs) call per graph; the counts span
@@ -499,7 +511,8 @@ def test_batched_and_scalar_conclusions_agree(monkeypatch):
              ("ainouche_christofides", SearchSpace.all_labeled(6), None),
              ("fn_rho_complement", SearchSpace.all_labeled(6), None),
              ("moon_moser", SearchSpace.balanced_bipartite_labeled(3), None),
-             ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(3), None))
+             ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(3), None),
+             ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(3), None))
     batched = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
 
     def scalar_column(self, question, rows):
@@ -507,7 +520,8 @@ def test_batched_and_scalar_conclusions_agree(monkeypatch):
         return np.array([oracle(Graph(self.order, tuple(self.adj[r].tolist()))).status
                          for r in rows])
 
-    # column() is where both the column path and the row-wise path read verdicts
+    # column() is where every statement's verdicts come from, the "not_ham"
+    # checks included
     monkeypatch.setattr(harness._BatchVerdicts, "column", scalar_column)
     scalar = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
     for a, b in zip(batched, scalar):
@@ -626,6 +640,14 @@ def test_budget_below_batched_charge_aborts():
     assert rep.hypothesis_count > 0 and len(rep.aborted) > 0 and not rep.conclusion_failures
     rep = verify_theorem("ore", SearchSpace.all_labeled(5), oracle_budget=1 << 5)
     assert rep.clean and rep.hypothesis_count > 0
+    # a "not_ham" check that aborts is reported and never counted as a hypothesis
+    for target, space, budget, aborted in (
+            ("ainouche_christofides", SearchSpace.all_labeled(5), (1 << 5) - 1, 273),
+            ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(3), (1 << 6) - 1,
+             97)):
+        rep = verify_theorem(target, space, oracle_budget=budget)
+        assert (rep.hypothesis_count, rep.exceptional_matches, len(rep.aborted)) == (0, 0, aborted)
+        assert not rep.conclusion_failures
 
 
 # (space, objective, constraint, k, best, number of optima, sha256 prefix of

@@ -17,6 +17,7 @@ import spectralham.oracle as oracle
 from spectralham.harness import bipartite_from_index, graph_from_index
 from spectralham.oracle import (
     OracleResult,
+    _HK_MAX_ORDER,
     _held_karp_batch,
     _valid_orders,
     clique_number,
@@ -286,6 +287,23 @@ def test_batched_witness_validation_rejects_bad_orders():
     p4 = np.array([path_graph(4).adj])
     assert _valid_orders(p4, np.array([[0, 1, 2, 3]]), False).all()
     assert not _valid_orders(p4, np.array([[0, 1, 2, 3]]), True).any()  # 3-0 is no edge
+
+
+def test_held_karp_tables_cache_is_bounded():
+    # the order-16 tables alone hold 14 MiB; a campaign pass's three stay cached
+    tables = oracle._held_karp_tables
+    for order in range(9, _HK_MAX_ORDER + 1):
+        for cycle in (True, False):
+            tables(order, cycle)
+    info = tables.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    working_set = ((7, True), (7, False), (8, True))
+    for order, cycle in working_set:
+        tables(order, cycle)
+    hits = tables.cache_info().hits
+    for order, cycle in working_set:
+        tables(order, cycle)
+    assert tables.cache_info().hits == hits + len(working_set)
 
 
 def test_scalar_oracle_rejects_invalid_witness(monkeypatch):
