@@ -19,10 +19,10 @@ verdict is "inconclusive", optionally resolved by the exact oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .families import FamilySpec, recognize
+from .families import FamilySpec
 from .graphs import BipartiteGraph, Graph, degree_profile
 from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
 from .spectral import DEFAULT_TOL, _check_tol
@@ -85,79 +85,52 @@ class Certificate:
         }
 
 
-@dataclass
-class _Cascade:
-    evidence: dict
-    tol: float
-    trail: list = field(default_factory=list)
-    borderline: list = field(default_factory=list)
-
-    def check(self, theorem, quantity, value, relation, threshold) -> bool:
-        """One statement's comparison; a strict spectral one inside the band is borderline."""
-        spectral = quantity in SPECTRAL
-        if spectral and relation == "gt" and abs(value - threshold) <= self.tol:
-            self.borderline.append({"theorem": theorem, "check": quantity,
-                                    "value": value, "threshold": threshold})
-            return False
-        fired = holds(value, relation, threshold, self.tol if spectral else 0)
-        if fired:
-            self._note(theorem, _CHECK_NAMES.get(quantity, quantity), value, threshold, relation)
-        return fired
-
-    def _note(self, theorem, name, value, threshold, relation):
-        checks = self.evidence.setdefault("checks", {}).setdefault(theorem, {})
-        slack = (threshold - value) if relation == "le" else (value - threshold)
-        checks[name] = {
-            "value": float(value),
-            "threshold": float(threshold),
-            "relation": relation,
-            "slack": float(slack),
-        }
-
-    def record(self, theorem: str, status: str):
-        self.trail.append([theorem, status])
-
-    def finish(self, verdict, theorem=None, exceptional=None, witness=None) -> Certificate:
-        self.evidence["cascade"] = self.trail
-        if self.borderline:
-            self.evidence["borderline"] = self.borderline
-        return Certificate(verdict, theorem, self.evidence, exceptional, witness)
-
-
-def _resolve(cascade, g, use_oracle, oracle, budget):
-    """Shared inconclusive / oracle_resolved tail."""
-    if not use_oracle:
-        return cascade.finish("inconclusive")
-    res = oracle(g, budget=budget)
-    cascade.evidence["oracle"] = res.status
-    if res.status == "aborted":
-        return cascade.finish("inconclusive")
-    return cascade.finish("oracle_resolved", witness=res.witness)
-
-
-def _fire(cascade, theorem, g, exceptionals) -> Certificate:
-    cascade.record(theorem, "fired")
-    for spec in exceptionals:
-        if recognize(g, spec.family, n=spec.n, k=spec.k):
-            cascade.evidence["exceptional"] = spec.text()
-            return cascade.finish("exceptional", theorem, exceptional=spec)
-    return cascade.finish("certified_positive", theorem)
-
-
 def _walk(walk, g, vals, ev, n, k, tol, use_oracle, oracle, budget) -> Certificate:
-    """Walk one cascade of statements in order; the first that fires decides."""
-    c = _Cascade(ev, tol)
-    for theorem, st in walk:
+    """Walk one cascade of statements in order; the first that fires decides.
+
+    A strict spectral comparison inside the tolerance band is borderline and
+    fails.  A fired statement's exceptional family makes the verdict
+    "exceptional"; when nothing fires the oracle, if asked, resolves the graph.
+    """
+    trail, borderline = [], []
+    theorem = spec = witness = None
+    for name, st in walk:
         if not st.admits(n, k):
-            c.record(theorem, "skipped")
+            trail.append([name, "skipped"])
             continue
-        value = vals[st.quantity]
-        if st.quantity in SPECTRAL:
+        value, threshold = vals[st.quantity], st.threshold(n, k)
+        spectral = st.quantity in SPECTRAL
+        if spectral:
             ev[st.quantity] = value
-        if c.check(theorem, st.quantity, value, st.relation, st.threshold(n, k)):
-            return _fire(c, theorem, g, st.families(n, k))
-        c.record(theorem, "failed")
-    return _resolve(c, g, use_oracle, oracle, budget)
+        if spectral and st.relation == "gt" and abs(value - threshold) <= tol:
+            borderline.append({"theorem": name, "check": st.quantity,
+                               "value": value, "threshold": threshold})
+        elif holds(value, st.relation, threshold, tol if spectral else 0):
+            slack = (threshold - value) if st.relation == "le" else (value - threshold)
+            ev["checks"] = {name: {_CHECK_NAMES.get(st.quantity, st.quantity): {
+                "value": float(value),
+                "threshold": float(threshold),
+                "relation": st.relation,
+                "slack": float(slack),
+            }}}
+            trail.append([name, "fired"])
+            theorem, spec = name, st.exception(g, n, k)
+            if spec:
+                ev["exceptional"] = spec.text()
+            verdict = "exceptional" if spec else "certified_positive"
+            break
+        trail.append([name, "failed"])
+    else:
+        verdict = "inconclusive"
+        if use_oracle:
+            res = oracle(g, budget=budget)
+            ev["oracle"] = res.status
+            if res.status != "aborted":
+                verdict, witness = "oracle_resolved", res.witness
+    ev["cascade"] = trail
+    if borderline:
+        ev["borderline"] = borderline
+    return Certificate(verdict, theorem, ev, spec, witness)
 
 
 def certify_hamiltonicity(
@@ -222,8 +195,5 @@ def certify_bipartite_hamiltonicity(
     vals = GraphValues(b, {**(precomputed or {}), "e": e, "delta": delta})
     ev = {"mode": "bipartite_hamiltonicity", "side": n, "e": e, "delta": delta, "k": delta,
           "tolerance": tol}
-
-    def oracle(bb, budget):
-        return is_hamiltonian(bb.to_graph(), budget=budget)
-
-    return _walk(_BIPARTITE, b, vals, ev, n, delta, tol, use_oracle, oracle, oracle_budget)
+    return _walk(_BIPARTITE, b, vals, ev, n, delta, tol, use_oracle, is_hamiltonian,
+                 oracle_budget)

@@ -141,14 +141,13 @@ def cmd_oracle(args) -> int:
 
 def cmd_certify(args) -> int:
     for g in _load_graphs(args.graph):
+        opts = dict(use_oracle=args.oracle, tol=args.tolerance, oracle_budget=args.budget)
         if args.bipartite:
-            cert = certify_bipartite_hamiltonicity(
-                bipartite_from_graph(g), use_oracle=args.oracle, tol=args.tolerance
-            )
+            cert = certify_bipartite_hamiltonicity(bipartite_from_graph(g), **opts)
         elif args.traceable:
-            cert = certify_traceability(g, use_oracle=args.oracle, tol=args.tolerance)
+            cert = certify_traceability(g, **opts)
         else:
-            cert = certify_hamiltonicity(g, use_oracle=args.oracle, tol=args.tolerance)
+            cert = certify_hamiltonicity(g, **opts)
         if args.json:
             _emit({"graph6": graph6_encode(g), **cert.to_json()})
         else:
@@ -207,13 +206,19 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="random-model seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for campaigns")
-    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL,
-                   help="spectral comparison tolerance")
-    p.add_argument("--json", action="store_true", help="JSON / JSON-lines output")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="oracle node budget")
+# the shared flags, added to each command that reads them
+_COMMON = {
+    "seed": dict(type=int, default=0, help="random-model seed"),
+    "jobs": dict(type=int, default=1, help="worker processes for campaigns"),
+    "tolerance": dict(type=_tolerance, default=DEFAULT_TOL, help="spectral comparison tolerance"),
+    "json": dict(action="store_true", help="JSON / JSON-lines output"),
+    "budget": dict(type=int, default=DEFAULT_BUDGET, help="oracle node budget"),
+}
+
+
+def _add_common(p, *names):
+    for name in names:
+        p.add_argument(f"--{name}", **_COMMON[name])
 
 
 def _add_space(p):
@@ -239,25 +244,24 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gen", help="construct a family member, emit graph6")
     p.add_argument("familyspec", help='e.g. "N:n=7,k=2", "B:n=4,k=2", "Gamma1"')
-    _add_common(p)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("spectral", help="rho, q, and the bound report")
     p.add_argument("graph", help="graph6 string or file (graph6 lines / edge list)")
     p.add_argument("--k", type=int, help="min-degree parameter for the Nikiforov bound")
-    _add_common(p)
+    _add_common(p, "tolerance", "json")
     p.set_defaults(fn=cmd_spectral)
 
     p = sub.add_parser("closure", help="Bondy-Chvatal closure (or bipartite closure)")
     p.add_argument("graph")
     p.add_argument("--bipartite", action="store_true")
-    _add_common(p)
+    _add_common(p, "json")
     p.set_defaults(fn=cmd_closure)
 
     p = sub.add_parser("oracle", help="exact Hamilton cycle/path decision")
     p.add_argument("graph")
     p.add_argument("--path", action="store_true", help="decide traceability instead")
-    _add_common(p)
+    _add_common(p, "json", "budget")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("certify", help="run the theorem cascade")
@@ -266,13 +270,13 @@ def main(argv=None) -> int:
     mode.add_argument("--bipartite", action="store_true")
     mode.add_argument("--traceable", action="store_true")
     p.add_argument("--oracle", action="store_true", help="resolve inconclusive cases exactly")
-    _add_common(p)
+    _add_common(p, "tolerance", "json", "budget")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("verify", help="theorem-verification campaign over a space")
     p.add_argument("target", choices=sorted(VERIFY_TARGETS))
     _add_space(p)
-    _add_common(p)
+    _add_common(p, "seed", "jobs", "tolerance", "json", "budget")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="extremal search over a space")
@@ -280,7 +284,7 @@ def main(argv=None) -> int:
     p.add_argument("--constraint", default="non_hamiltonian",
                    choices=["non_hamiltonian", "non_traceable"])
     _add_space(p)
-    _add_common(p)
+    _add_common(p, "seed", "tolerance", "json", "budget")
     p.set_defaults(fn=cmd_search)
 
     args = top.parse_args(argv)

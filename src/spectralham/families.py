@@ -15,6 +15,12 @@ Families (with their validity ranges):
 * ``Gamma1``/``Gamma2``: the two special 4+4 bipartite graphs
 * ``complete``, ``complete_bipartite``, ``complete_split`` (K_k v (n-2k)K_1)
 
+Split joins.  L, N, barL, barN and complete_split are each written once, in
+``_SPLIT_JOINS``, as a validity range and a shape (d, clique sizes): the
+member is K_d v (K_{s_1} + K_{s_2} + ...).  ``construct`` joins K_d with the
+cliques in the listed order; ``recognize`` asks for exactly d dominating
+vertices whose removal leaves disjoint cliques of those sizes.
+
 Labeling conventions (fixed for stable golden graph6 strings): join operands
 are labeled first-operand-first, so e.g. N_n^k carries the K_k clique on
 0..k-1, then K_{n-2k}, then the k independent vertices.  B_n^k labels the
@@ -25,13 +31,14 @@ isomorphism); tests cross-check them against the backtracking isomorphism
 test on small orders.  Out-of-range parameters make ``recognize`` return
 False (an empty family has no members), while ``construct`` raises.
 
-Quasi-complement summary.  ``Bset`` (every k) and the Gamma1/Gamma2 gate
-read ``_qc_summary``: the sorted component sizes of the graph's
+Quasi-complement summary.  ``Bset`` (every k), ``B`` and the Gamma1/Gamma2
+gate read ``_qc_summary``: the sorted component sizes of the graph's
 quasi-complement and the side counts (x, y) of its complete bipartite
 components, computed once per graph object and kept while it lives.  G is
 in Bset_n^k when one of those complete components has n - k vertices on one
 side and k on the other (that component is the K_{n-k,k} that Bset's
-construction leaves out of the quasi-complement).  Gamma1 and Gamma2 are
+construction leaves out of the quasi-complement); it is in B_n^k when, besides,
+every other component is a single vertex.  Gamma1 and Gamma2 are
 connected, so an isomorphism keeps their sides up to a swap and their
 quasi-complements' component sizes (C_6 + K_2 and C_6 + 2K_1);
 ``is_isomorphic`` runs only on graphs whose sizes match.
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Union
 
 from .graphs import (
@@ -57,7 +64,6 @@ from .graphs import (
     graph6_encode,
     is_isomorphic,
     join,
-    k_copies,
     quasi_complement,
 )
 
@@ -155,6 +161,19 @@ def _b_range(n, k):
     return n is not None and k is not None and 1 <= k and 2 * k <= n
 
 
+_L_TEXT, _BAR_TEXT = "1 <= k <= (n-1)/2", "0 <= k <= n/2-1"
+
+# The split joins K_d v (K_{s_1} + K_{s_2} + ...): family -> (range, range
+# text, (n, k) -> (d, clique sizes in labeling order)).
+_SPLIT_JOINS = {
+    "L": (_l_range, _L_TEXT, lambda n, k: (1, [k, n - k - 1])),
+    "N": (_l_range, _L_TEXT, lambda n, k: (k, [n - 2 * k] + [1] * k)),
+    "barL": (_bar_range, _BAR_TEXT, lambda n, k: (0, [k + 1, n - k - 1])),
+    "barN": (_bar_range, _BAR_TEXT, lambda n, k: (k, [n - 2 * k - 1] + [1] * (k + 1))),
+    "complete_split": (_l_range, _L_TEXT, lambda n, k: (k, [1] * (n - 2 * k))),
+}
+
+
 def construct(spec: FamilySpec):
     """Build the exact family member described by ``spec``.
 
@@ -162,26 +181,18 @@ def construct(spec: FamilySpec):
     BipartiteGraph for B/Bset/Gamma1/Gamma2/complete_bipartite.
     """
     fam, n, k = spec.family, spec.n, spec.k
-    if fam == "L":
-        _validate(_l_range(n, k), f"L needs 1 <= k <= (n-1)/2, got n={n}, k={k}")
-        return join(complete_graph(1), disjoint_union(complete_graph(k), complete_graph(n - k - 1)))
-    if fam == "N":
-        _validate(_l_range(n, k), f"N needs 1 <= k <= (n-1)/2, got n={n}, k={k}")
-        return join(complete_graph(k), disjoint_union(complete_graph(n - 2 * k), k_copies(k, complete_graph(1))))
-    if fam == "barL":
-        _validate(_bar_range(n, k), f"barL needs 0 <= k <= n/2-1, got n={n}, k={k}")
-        return disjoint_union(complete_graph(k + 1), complete_graph(n - k - 1))
-    if fam == "barN":
-        _validate(_bar_range(n, k), f"barN needs 0 <= k <= n/2-1, got n={n}, k={k}")
-        rest = disjoint_union(complete_graph(n - 2 * k - 1), k_copies(k + 1, complete_graph(1)))
-        return join(complete_graph(k), rest) if k > 0 else rest
+    if fam in _SPLIT_JOINS:
+        in_range, text, shape = _SPLIT_JOINS[fam]
+        _validate(in_range(n, k), f"{fam} needs {text}, got n={n}, k={k}")
+        d, sizes = shape(n, k)
+        return join(complete_graph(d), reduce(disjoint_union, map(complete_graph, sizes)))
     if fam == "H":
         _validate(n is not None and n >= 2, f"H needs n >= 2, got n={n}")
         s = (n + 1) // 2 - 1
         b = n // 2 + 1
         inner = spec.inner if spec.inner is not None else empty_graph(s)
         _validate(isinstance(inner, Graph) and inner.n == s, f"H inner payload must be a graph on {s} vertices")
-        return join(inner, k_copies(b, complete_graph(1)) if b else empty_graph(0))
+        return join(inner, empty_graph(b))
     if fam == "B":
         _validate(_b_range(n, k), f"B needs 1 <= k <= n/2, got n={n}, k={k}")
         core = build_bipartite(k, n - k, [(i, j) for i in range(k) for j in range(n - k)])
@@ -209,9 +220,6 @@ def construct(spec: FamilySpec):
     if fam == "complete_bipartite":
         _validate(n is not None and k is not None and n >= 0 and k >= 0, "complete_bipartite needs sides n, k >= 0")
         return build_bipartite(n, k, [(i, j) for i in range(n) for j in range(k)])
-    if fam == "complete_split":
-        _validate(_l_range(n, k), f"complete_split needs 1 <= k <= (n-1)/2, got n={n}, k={k}")
-        return join(complete_graph(k), k_copies(n - 2 * k, complete_graph(1)))
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -275,12 +283,15 @@ def _dominating(g: Graph) -> list[int]:
     return [v for v in range(g.n) if g.degree(v) == g.n - 1]
 
 
-def _is_split_join(g: Graph, n: int, dom_count: int, clique_sizes: list[int]) -> bool:
-    """g == K_{dom_count} v (disjoint cliques of the given sizes)?"""
+def _is_split_join(g: Graph, d: int, clique_sizes: list[int]) -> bool:
+    """g == K_d v (disjoint cliques of the given sizes)?"""
+    n = d + sum(clique_sizes)
     if g.n != n:
         return False
     doms = _dominating(g)
-    if len(doms) != dom_count:
+    if len(clique_sizes) == 1:  # K_d v K_s is K_n, where every vertex dominates
+        return len(doms) == n
+    if len(doms) != d:
         return False
     rest = [v for v in range(n) if v not in doms]
     got = _clique_component_sizes(_induced(g, rest))
@@ -301,20 +312,6 @@ def recognize_h_family(g: Graph, n: int) -> bool:
         imask |= 1 << v
     # Independence plus degree exactly s forces completeness towards V \ I.
     return all(not (g.adj[v] & imask) for v in iset)
-
-
-def _recognize_b(b: BipartiteGraph, n: int, k: int) -> bool:
-    if not (_b_range(n, k) and b.nx == n and b.ny == n):
-        return False
-    qc = quasi_complement(b)
-    for q in (qc, qc.swap_sides()):
-        nonzero = [r for r in q.rows if r]
-        if len(nonzero) != n - k:
-            continue
-        mask = nonzero[0]
-        if mask.bit_count() == k and all(r == mask for r in nonzero):
-            return True
-    return False
 
 
 _QC_SUMMARIES: "weakref.WeakKeyDictionary[BipartiteGraph, tuple]" = weakref.WeakKeyDictionary()
@@ -388,10 +385,10 @@ def recognize(g, family: str, n: Optional[int] = None, k: Optional[int] = None) 
     if family in ("B", "Bset", "Gamma1", "Gamma2"):
         if not isinstance(g, BipartiteGraph):
             raise TypeError(f"family {family} recognizer expects a BipartiteGraph")
-        if family == "B":
-            return _recognize_b(g, n, k)
         if family == "Bset":
             return _recognize_bset(g, n, k)
+        if family == "B":  # the Bset member whose quasi-complement is K_{n-k,k} + n K_1
+            return _recognize_bset(g, n, k) and _qc_summary(g)[0] == (1,) * n + (n,)
         ref = _gamma(family)
         # isomorphic graphs have quasi-complements with the same component
         # sizes (C_6 + K_2 or C_6 + 2K_1), so the backtracking test runs
@@ -404,24 +401,13 @@ def recognize(g, family: str, n: Optional[int] = None, k: Optional[int] = None) 
         )
     if not isinstance(g, Graph):
         raise TypeError(f"family {family} recognizer expects a Graph")
-    if family == "L":
-        return _l_range(n, k) and _is_split_join(g, n, 1, [k, n - k - 1])
-    if family == "N":
-        return _l_range(n, k) and _is_split_join(g, n, k, [n - 2 * k] + [1] * k)
-    if family == "barL":
-        return (
-            _bar_range(n, k)
-            and g.n == n
-            and _clique_component_sizes(g) == sorted([k + 1, n - k - 1])
-        )
-    if family == "barN":
-        return _bar_range(n, k) and _is_split_join(g, n, k, [n - 2 * k - 1] + [1] * (k + 1))
+    if family in _SPLIT_JOINS:
+        in_range, _, shape = _SPLIT_JOINS[family]
+        return in_range(n, k) and _is_split_join(g, *shape(n, k))
     if family == "H":
         return n is not None and recognize_h_family(g, n)
     if family == "complete":
         return n is not None and g.n == n and g.edge_count == n * (n - 1) // 2
-    if family == "complete_split":
-        return _l_range(n, k) and _is_split_join(g, n - k, k, [1] * (n - 2 * k))
     raise ValueError(f"unknown family {family!r}")
 
 

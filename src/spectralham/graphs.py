@@ -134,18 +134,7 @@ class Graph:
         return Graph(self.n, tuple(rows))
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        full = (1 << self.n) - 1
-        reach = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~reach
-            reach |= frontier
-        return reach == full
+        return len(self.components()) <= 1
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks, ordered by least vertex."""
@@ -274,13 +263,16 @@ def build_bipartite(nx: int, ny: int, pairs) -> BipartiteGraph:
 def bipartite_from_graph(g: Graph, sides: Optional[tuple] = None) -> BipartiteGraph:
     """View a bipartite Graph as a BipartiteGraph.
 
-    Uses :func:`bipartition` when sides are not given.  Raises ValueError on
-    non-bipartite input or when the given sides do not form a bipartition.
+    Uses :func:`bipartition` when sides are not given; when that colouring is
+    unbalanced, whole components are swapped between the sides to balance it
+    if some choice of them does.  Raises ValueError on non-bipartite input or
+    when the given sides do not form a bipartition.
     """
     if sides is None:
         sides = bipartition(g)
         if sides is None:
             raise ValueError("graph is not bipartite")
+        sides = _balanced(g, *sides)
     xs, ys = (sorted(sides[0]), sorted(sides[1]))
     if sorted(xs + ys) != list(range(g.n)):
         raise ValueError("sides must partition the vertex set")
@@ -295,6 +287,29 @@ def bipartite_from_graph(g: Graph, sides: Optional[tuple] = None) -> BipartiteGr
         else:
             raise ValueError(f"edge ({u}, {v}) lies within one side")
     return BipartiteGraph(len(xs), len(ys), tuple(rows))
+
+
+def _balanced(g: Graph, xs: set[int], ys: set[int]) -> tuple[set[int], set[int]]:
+    """The colouring (xs, ys) with some components swapped so that the sides
+    have equal size, or (xs, ys) itself when it is balanced or nothing balances it.
+
+    Swapping the components S moves sum_S (x - y) vertices from X to Y; a
+    subset sum over the components in order of least vertex picks S, the
+    first subset found for each sum, so the result depends only on g.
+    """
+    surplus = len(xs) - len(ys)
+    if surplus == 0 or surplus % 2:
+        return xs, ys
+    comps = g.components()
+    reach = {0: 0}  # sum of (x - y) -> bitmask of the component indices giving it
+    for i, c in enumerate(comps):
+        d = sum(1 if v in xs else -1 for v in bits(c))
+        for total, chosen in list(reach.items()):
+            reach.setdefault(total + d, chosen | 1 << i)
+    if surplus // 2 not in reach:
+        return xs, ys
+    swap = {v for i in bits(reach[surplus // 2]) for v in bits(comps[i])}
+    return (xs - swap) | (ys & swap), (ys - swap) | (xs & swap)
 
 
 def as_graph(obj) -> Graph:

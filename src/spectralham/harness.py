@@ -74,7 +74,6 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .certifier import certify_bipartite_hamiltonicity, certify_hamiltonicity
-from .families import recognize, spanning_subgraph_of
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -672,8 +671,7 @@ def _biclique_conclusion(b: BipartiteGraph, n: int, k: int, delta: int) -> bool:
 def _exceptional(st: Statement, g, n: int, k, clock: "_Clock") -> bool:
     """Is g one of st's exceptional families (a spanning subgraph of one when st.spanning)?"""
     clock.lap("conclusion")
-    hit = any(spanning_subgraph_of(g, spec.family, spec.n, spec.k) if st.spanning
-              else recognize(g, spec.family, n=spec.n, k=spec.k) for spec in st.families(n, k))
+    hit = st.exception(g, n, k) is not None
     clock.lap("recognize")
     return hit
 

@@ -5,10 +5,10 @@ with three sound prunes: (i) an unvisited vertex with fewer than two usable
 slots kills the branch, (ii) the unvisited region must stay reachable from
 the current endpoint, (iii) at most one unvisited vertex may depend on the
 path endpoints alone.  A subset dynamic program (exact, 2^n states) takes
-over for orders 12..20 when the backtracking probe exhausts its node budget,
+over for orders 12..21 when the backtracking probe exhausts its node budget,
 so structured family instances are decided with a worst-case guarantee.
-Traceability runs the same search on G v K_1; its window reaches G of order
-20, whose join has order 21.
+Traceability is Hamiltonicity of G v K_1, decided by the same search, so the
+DP window serves G of order 11..20 through the join.
 Every "yes" witness is checked with ``is_valid_cycle`` / ``is_valid_path``
 before it is returned; a witness that fails the check raises RuntimeError.
 
@@ -43,9 +43,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 
-# Backtracking probe before the subset DP takes over (orders 12..20).
+# Backtracking probe before the subset DP takes over (orders 12..21).
 _PROBE_BUDGET = 50_000
-_DP_MIN, _DP_MAX = 12, 20
+_DP_MIN, _DP_MAX = 12, 21
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def _checked(g: Graph, found: bool, cyc, nodes: int, method: str) -> OracleResul
 def is_hamiltonian(g, budget: int = DEFAULT_BUDGET, method: str = "auto") -> OracleResult:
     """Exact Hamilton-cycle decision with witness.
 
-    method: "auto" (backtracking, subset DP fallback for orders 12..20),
+    method: "auto" (backtracking, subset DP fallback for orders 12..21),
     "backtracking", or "dp".
     """
     g = as_graph(g)
@@ -215,16 +215,7 @@ def is_traceable(g, budget: int = DEFAULT_BUDGET) -> OracleResult:
     if g.n == 1:
         return OracleResult("yes", (0,), 0, "trivial")
     apex = g.n
-    h = join(g, complete_graph(1))
-    if _DP_MIN <= g.n <= _DP_MAX:
-        # is_hamiltonian's probe-then-DP, run here because at n = 20 the
-        # join is past its window
-        res = is_hamiltonian(h, budget=min(budget, _PROBE_BUDGET), method="backtracking")
-        if res.status == "aborted":
-            dp = is_hamiltonian(h, method="dp")
-            res = OracleResult(dp.status, dp.witness, res.nodes + dp.nodes, dp.method)
-    else:
-        res = is_hamiltonian(h, budget=budget)
+    res = is_hamiltonian(join(g, complete_graph(1)), budget=budget)
     if res.status != "yes":
         return OracleResult(res.status, None, res.nodes, res.method)
     cyc = list(res.witness)

@@ -14,7 +14,7 @@ meets a closed form or another computed eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -340,15 +340,7 @@ class BoundRecord:
     slack: Optional[float]
 
     def to_json(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "kind": self.kind,
-            "applicable": self.applicable,
-            "bound_value": self.bound_value,
-            "measured_value": self.measured_value,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .families import FamilySpec, construct
+from .families import FamilySpec, construct, recognize, spanning_subgraph_of
 from .graphs import BipartiteGraph, complement, quasi_complement
 from .spectral import q_radius, spectral_radius
 
@@ -126,6 +126,15 @@ class Statement:
                 kk += 1
             return out
         return self._holds(vals, n, k, tol) if self.admits(n, k) else False
+
+    def exception(self, g, n: int, k: Optional[int]) -> Optional[FamilySpec]:
+        """The first of ``families(n, k)`` that g belongs to (as a spanning
+        subgraph when ``spanning``), or None."""
+        for spec in self.families(n, k):
+            if (spanning_subgraph_of(g, spec.family, spec.n, spec.k) if self.spanning
+                    else recognize(g, spec.family, n=spec.n, k=spec.k)):
+                return spec
+        return None
 
     def _holds(self, vals, n, k, tol):
         ok = holds(vals[self.quantity], self.relation, self.threshold(n, k),

@@ -23,6 +23,26 @@ __all__ = [
 ]
 
 
+def _close(g: Graph, pairs, threshold: int) -> tuple[Graph, int]:
+    """Join the nonadjacent pairs of g with degree sum >= threshold, scanning
+    ``pairs`` in order until a full pass joins none; returns (graph, joins)."""
+    rows = list(g.adj)
+    deg = [r.bit_count() for r in rows]
+    joins = 0
+    changed = True
+    while changed:
+        changed = False
+        for u, v in pairs:
+            if not (rows[u] >> v & 1) and deg[u] + deg[v] >= threshold:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                deg[u] += 1
+                deg[v] += 1
+                joins += 1
+                changed = True
+    return Graph(g.n, tuple(rows)), joins
+
+
 def bc_closure(
     g: Graph, scan_order: Optional[Sequence[tuple[int, int]]] = None
 ) -> tuple[Graph, int]:
@@ -35,27 +55,16 @@ def bc_closure(
         if scan_order is None
         else list(scan_order)
     )
-    rows = list(g.adj)
-    deg = [r.bit_count() for r in rows]
-    joins = 0
-    changed = True
-    while changed:
-        changed = False
-        for u, v in pairs:
-            if not (rows[u] >> v & 1) and deg[u] + deg[v] >= n:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                deg[u] += 1
-                deg[v] += 1
-                joins += 1
-                changed = True
-    return Graph(n, tuple(rows)), joins
+    return _close(g, pairs, n)
 
 
 def bipartite_closure(
     b: BipartiteGraph, scan_order: Optional[Sequence[tuple[int, int]]] = None
 ) -> tuple[BipartiteGraph, int]:
-    """B-closure: join nonadjacent cross pairs with degree sum >= n+1."""
+    """B-closure: join nonadjacent cross pairs with degree sum >= n+1.
+
+    Runs on ``b.to_graph()``, where cross pair (i, j) is the pair (i, n + j).
+    """
     if not b.balanced:
         raise ValueError("bipartite closure requires a balanced bipartite graph")
     n = b.nx
@@ -66,21 +75,8 @@ def bipartite_closure(
         if scan_order is None
         else list(scan_order)
     )
-    rows = list(b.rows)
-    xdeg = [r.bit_count() for r in rows]
-    ydeg = [sum(r >> j & 1 for r in rows) for j in range(n)]
-    joins = 0
-    changed = True
-    while changed:
-        changed = False
-        for i, j in pairs:
-            if not (rows[i] >> j & 1) and xdeg[i] + ydeg[j] >= n + 1:
-                rows[i] |= 1 << j
-                xdeg[i] += 1
-                ydeg[j] += 1
-                joins += 1
-                changed = True
-    return BipartiteGraph(n, n, tuple(rows)), joins
+    closed, joins = _close(b.to_graph(), [(i, n + j) for i, j in pairs], n + 1)
+    return BipartiteGraph(n, n, tuple(r >> n for r in closed.adj[:n])), joins
 
 
 def is_closed(g: Graph) -> bool:

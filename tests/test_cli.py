@@ -204,3 +204,62 @@ def test_random_space_without_order_is_usage_error(capsys, argv, name):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert f"gnp needs {name} >= 1" in err and "NoneType" not in err
+
+
+def test_certify_passes_the_budget(capsys):
+    # N_11^2: the oracle answers "no" at the default budget and aborts at 5 nodes
+    from spectralham.certifier import certify_hamiltonicity
+
+    g6 = "J~~~~~~oE??"
+    expected = certify_hamiltonicity(graph6_decode(g6), use_oracle=True, oracle_budget=5)
+    assert expected.verdict == "inconclusive"
+    code, out, _ = run_cli(capsys, "certify", g6, "--oracle", "--budget", "5", "--json")
+    assert code == 0 and json.loads(out) == {"graph6": g6, **expected.to_json()}
+    code, out, _ = run_cli(capsys, "certify", g6, "--oracle", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "oracle_resolved"
+
+
+def test_bipartite_commands_balance_the_sides(capsys):
+    # E?b_ is balanced bipartite, but its default 2-colouring puts 4 vertices on one side
+    code, out, _ = run_cli(capsys, "certify", "E?b_", "--bipartite", "--json")
+    assert code == 0 and json.loads(out)["evidence"]["side"] == 3
+    code, out, _ = run_cli(capsys, "closure", "E?b_", "--bipartite", "--json")
+    assert code == 0 and json.loads(out)["joins"] == 0
+
+
+# the shared flags, and those each command reads (on C_6 for the per-graph commands)
+C6_G6 = "EhEG"
+COMMON_FLAGS = {"--seed": "1", "--jobs": "1", "--tolerance": "0", "--json": None, "--budget": "1000"}
+READS = {
+    "gen": ("N:n=7,k=2",),
+    "spectral": (C6_G6, "--k", "3", "--tolerance", "0", "--json"),
+    "closure": (C6_G6, "--bipartite", "--json"),
+    "oracle": (C6_G6, "--path", "--json", "--budget", "1000"),
+    "certify": (C6_G6, "--traceable", "--oracle", "--tolerance", "0", "--json",
+                "--budget", "1000"),
+    "verify": ("ore", "--space", "gnp", "--n", "5", "--samples", "3", "--side", "2",
+               "--min-degree", "1", "--p", "0.5", "--file", "unread.g6", "--k", "1",
+               "--seed", "1", "--jobs", "1", "--tolerance", "0", "--json", "--budget", "1000"),
+    "search": ("max_rho", "--constraint", "non_traceable", "--space", "gnp", "--n", "5",
+               "--samples", "3", "--side", "2", "--min-degree", "1", "--p", "0.5",
+               "--file", "unread.g6", "--k", "1", "--seed", "1", "--tolerance", "0", "--json",
+               "--budget", "1000"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_every_flag_a_command_keeps_parses(capsys, command):
+    code, _, err = run_cli(capsys, command, *READS[command])
+    assert code == 0 and not err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in sorted(READS) for flag in COMMON_FLAGS
+    if flag not in READS[command]
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, command, flag):
+    value = COMMON_FLAGS[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, READS[command][0], flag, *([value] if value else [])])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

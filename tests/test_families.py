@@ -142,16 +142,21 @@ def test_recognizers_match_isomorphism_exhaustively_n5():
     n = 5
     configs = []
     for k in range(1, (n - 1) // 2 + 1):
-        configs.append(("L", k, construct(FamilySpec("L", n=n, k=k))))
-        configs.append(("N", k, construct(FamilySpec("N", n=n, k=k))))
+        configs.append(("L", n, k, construct(FamilySpec("L", n=n, k=k))))
+        configs.append(("N", n, k, construct(FamilySpec("N", n=n, k=k))))
     for k in range(0, n // 2):
-        configs.append(("barL", k, construct(FamilySpec("barL", n=n, k=k))))
-        configs.append(("barN", k, construct(FamilySpec("barN", n=n, k=k))))
+        configs.append(("barL", n, k, construct(FamilySpec("barL", n=n, k=k))))
+        configs.append(("barN", n, k, construct(FamilySpec("barN", n=n, k=k))))
+    # complete_split(m, k) = K_k v (m-2k) K_1 has order m - k: every k with order 5
+    for k in range(1, n):
+        configs.append(("complete_split", n + k, k,
+                        construct(FamilySpec("complete_split", n=n + k, k=k))))
+    assert all(ref.n == n for *_, ref in configs)
     h_members = list(h_family_members(n))
     for idx in range(1 << (n * (n - 1) // 2)):
         g = graph_from_index(n, idx)
-        for fam, k, ref in configs:
-            assert recognize(g, fam, n=n, k=k) == is_isomorphic(g, ref), (fam, k, g.edges())
+        for fam, m, k, ref in configs:
+            assert recognize(g, fam, n=m, k=k) == is_isomorphic(g, ref), (fam, k, g.edges())
         want_h = any(is_isomorphic(g, m) for m in h_members)
         assert recognize_h_family(g, n) == want_h, g.edges()
 
@@ -196,14 +201,17 @@ def _bset_per_k(b, n, k):
 
 @pytest.mark.parametrize("side", [1, 2, 3, 4])
 def test_qc_summary_recognizers_match_reference_exhaustively(side):
-    # every balanced bipartite graph of the side, every k: the Bset and Gamma
-    # recognizers (which read one cached quasi-complement summary per graph)
-    # against the per-k search and against backtracking isomorphism
+    # every balanced bipartite graph of the side, every k: the Bset, B and
+    # Gamma recognizers (which read one cached quasi-complement summary per
+    # graph) against the per-k search and against backtracking isomorphism
     gammas = [construct(FamilySpec(fam)) for fam in ("Gamma1", "Gamma2")]
+    bs = {k: construct(FamilySpec("B", n=side, k=k)).to_graph() for k in range(1, side // 2 + 1)}
     for idx in range(1 << (side * side)):
         b = graph_from_index_bip(side, idx)
         for k in range(0, side + 1):
             assert recognize(b, "Bset", n=side, k=k) == _bset_per_k(b, side, k), (idx, k)
+            is_b = k in bs and is_isomorphic(b.to_graph(), bs[k])
+            assert recognize(b, "B", n=side, k=k) == is_b, (idx, k)
         for fam, ref in zip(("Gamma1", "Gamma2"), gammas):
             iso = b.edge_count == ref.edge_count and is_isomorphic(b.to_graph(), ref.to_graph())
             assert recognize(b, fam) == iso, (idx, fam)

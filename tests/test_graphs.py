@@ -129,6 +129,25 @@ def test_bipartite_from_graph_roundtrip():
         bipartite_from_graph(cycle_graph(5))
 
 
+def test_bipartite_from_graph_balances_by_components():
+    from spectralham.harness import random_model
+
+    # E?b_: x0..x2 / y0..y2 with y0 isolated; the default colouring puts it on X
+    g = graph6_decode("E?b_")
+    assert [len(side) for side in bipartition(g)] == [4, 2]
+    b = bipartite_from_graph(g)
+    assert (b.nx, b.ny, b.edge_count) == (3, 3, 4)
+    # a colouring that is already balanced is kept
+    c6 = cycle_graph(6)
+    assert bipartite_from_graph(c6).rows == bipartite_from_graph(c6, bipartition(c6)).rows
+    # every balanced bipartite graph comes back balanced
+    graphs = list(random_model("bipartite_gnp", side=3, p=0.75, seed=3, count=200))
+    assert all(bipartite_from_graph(bg.to_graph()).balanced for bg in graphs)
+    # an odd order or a lopsided component has no balanced colouring
+    assert not bipartite_from_graph(path_graph(3)).balanced
+    assert not bipartite_from_graph(complete_bipartite_graph(1, 3).to_graph()).balanced
+
+
 def test_is_isomorphic():
     assert is_isomorphic(cycle_graph(4), complete_bipartite_graph(2, 2).to_graph())
     assert not is_isomorphic(complete_bipartite_graph(1, 3).to_graph(), path_graph(4))

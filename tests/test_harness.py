@@ -7,6 +7,7 @@ import pytest
 
 import spectralham.families as families
 import spectralham.harness as harness
+import spectralham.statements as statements
 from spectralham.families import FamilySpec, construct, recognize
 from spectralham.graphs import Graph, complete_graph, graph6_decode, graph6_encode, pair_order
 from spectralham.harness import (
@@ -173,6 +174,14 @@ def test_verify_graph6_file_space(tmp_path):
     rep = verify_theorem("ore", SearchSpace.graph6_file(str(path)))
     assert rep.processed == len(lines)
     assert rep.clean
+
+
+def test_bipartite_graph6_lines_are_read_through_a_balanced_colouring(tmp_path):
+    # E?b_ is balanced bipartite with an isolated vertex its default colouring puts on X
+    path = tmp_path / "isolated.g6"
+    path.write_text("E?b_\n")
+    rep = verify_theorem("bip_q_qc", SearchSpace.graph6_file(str(path)))
+    assert rep.processed == 1 and rep.clean
 
 
 def test_verify_random_space():
@@ -627,7 +636,7 @@ def test_qc_recognizer_call_counts(monkeypatch):
     space = SearchSpace.balanced_bipartite_labeled(4)
     verify_theorem("bip_q_qc", space)  # builds and summarises Gamma1 / Gamma2 once
     calls = _count_calls(monkeypatch, families, ("quasi_complement", "is_isomorphic"))
-    recognized = _count_calls(monkeypatch, harness, ("recognize",))
+    recognized = _count_calls(monkeypatch, statements, ("recognize",))
     rep = verify_theorem("bip_q_qc", space)
     assert (rep.hypothesis_count, rep.exceptional_matches) == (7583, 990) and rep.clean
     assert calls == {"quasi_complement": 988, "is_isomorphic": 192}
