@@ -16,6 +16,7 @@ from .families import FamilySpec, construct
 from .graphs import (
     BipartiteGraph,
     bipartite_from_graph,
+    bipartite_sides,
     graph6_decode,
     graph6_encode,
     parse_edge_list,
@@ -108,9 +109,10 @@ def cmd_spectral(args) -> int:
 def cmd_closure(args) -> int:
     for g in _load_graphs(args.graph):
         if args.bipartite:
-            b = bipartite_from_graph(g)
-            closed, rounds = bipartite_closure(b)
-            out = graph6_encode(closed.to_graph())
+            xs, ys = bipartite_sides(g)
+            closed, rounds = bipartite_closure(bipartite_from_graph(g, (xs, ys)))
+            # back to the input's labelling: x_i is vertex xs[i], y_j is ys[j]
+            out = graph6_encode(closed.to_graph().relabel(xs + ys))
         else:
             closed, rounds = bc_closure(g)
             out = graph6_encode(closed)

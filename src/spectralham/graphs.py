@@ -32,6 +32,7 @@ __all__ = [
     "build_graph",
     "build_bipartite",
     "bipartite_from_graph",
+    "bipartite_sides",
     "join",
     "disjoint_union",
     "k_copies",
@@ -260,20 +261,27 @@ def build_bipartite(nx: int, ny: int, pairs) -> BipartiteGraph:
     return BipartiteGraph(nx, ny, tuple(rows))
 
 
-def bipartite_from_graph(g: Graph, sides: Optional[tuple] = None) -> BipartiteGraph:
-    """View a bipartite Graph as a BipartiteGraph.
+def bipartite_sides(g: Graph) -> tuple[list[int], list[int]]:
+    """The sides (X, Y), each sorted, of :func:`bipartite_from_graph` without given sides.
 
-    Uses :func:`bipartition` when sides are not given; when that colouring is
-    unbalanced, whole components are swapped between the sides to balance it
-    if some choice of them does.  Raises ValueError on non-bipartite input or
-    when the given sides do not form a bipartition.
+    They are the :func:`bipartition` colouring; when that is unbalanced,
+    whole components are swapped between the sides to balance it if some
+    choice of them does.  Raises ValueError on non-bipartite input.
     """
+    sides = bipartition(g)
     if sides is None:
-        sides = bipartition(g)
-        if sides is None:
-            raise ValueError("graph is not bipartite")
-        sides = _balanced(g, *sides)
-    xs, ys = (sorted(sides[0]), sorted(sides[1]))
+        raise ValueError("graph is not bipartite")
+    xs, ys = _balanced(g, *sides)
+    return sorted(xs), sorted(ys)
+
+
+def bipartite_from_graph(g: Graph, sides: Optional[tuple] = None) -> BipartiteGraph:
+    """View a bipartite Graph as a BipartiteGraph, x_i and y_j in vertex order.
+
+    The sides default to :func:`bipartite_sides`.  Raises ValueError on
+    non-bipartite input or when the given sides do not form a bipartition.
+    """
+    xs, ys = bipartite_sides(g) if sides is None else (sorted(sides[0]), sorted(sides[1]))
     if sorted(xs + ys) != list(range(g.n)):
         raise ValueError("sides must partition the vertex set")
     xpos = {v: i for i, v in enumerate(xs)}

@@ -34,25 +34,33 @@ too, so it is not eigensolved (its NaN fails every comparison).
 one lookup; past _GATE_TABLE_MAX triples ``_may_pass`` gates the block's own
 rows instead.  The gate changes no verdict, count or failure list.
 
-Class-keyed eigensolves.  A row's key is the row relabelled by one round of
+Relabelling classes.  A row's key is the row relabelled by one round of
 colour refinement (stable order of degree, then neighbours' degree sum, each
 side on its own), read as an int64.  Equal keys mean isomorphic rows (and
-complements and quasi-complements), so a memo kept for one campaign and one
-(quantity, order) solves each key once, on the key's own bits; a value
-depends on its class alone, which at tol = 0 puts a whole class on one side
-of a threshold.  Rows of more than 63 bits (order 12 and up, side 8 and up)
-have no key and are solved one by one.  Matrix stacks are sized by bytes.
+complements and quasi-complements).  ``_Classes.values`` is the one place a
+per-class value comes from: with a memo kept for one campaign per (quantity
+or question, order), it decides each key once, on the key's own bits, and
+scatters the value to the rows, so a value depends on its class alone (at
+tol = 0 a whole class lies on one side of a threshold).  Rows of more than
+63 bits (order 12 and up, side 8 and up) have no key: each is a class of
+one, its own representative, decided every time.  Matrix stacks are sized
+by bytes.
 
-Conclusions.  The candidate rows of a block (some mask holds) get their
-neighbourhood bitmasks from one matmul, and ``_BatchVerdicts`` decides
-"Hamiltonian?" / "traceable?" for them: ``oracle._held_karp_batch`` up to
-order 16, charging each row 1 << order nodes (aborted past the budget) and
-validating every witness, and the scalar oracle above that.  Every
+Conclusions.  The candidate rows (some mask holds) are gathered over blocks,
+up to _CAND_ROWS of one order, and decided together, per class: the
+hypothesis and the conclusion are both isomorphism-invariant.  The
+representatives get their neighbourhood bitmasks from one matmul, and
+``_BatchVerdicts`` decides "Hamiltonian?" / "traceable?" for them:
+``oracle._held_karp_batch`` up to order 16 (every keyed row is of order at
+most 16), charging each row 1 << order nodes, which no relabelling changes
+(aborted past the budget), and validating every witness; the scalar oracle
+above that.  The closure checks, the clique / biclique conclusions and the
+exceptional-family recognizers are asked once per class too.  Every
 statement is finished a column at a time: a "not_ham" check reads the
 Hamiltonicity column, traceability is asked only of rows that are not
-Hamiltonian, and the closure checks and the clique / biclique conclusions
-look at the masked rows only.  A row's graph is built only for a graph
-check, a structural conclusion, a recognizer or a graph6 report.
+Hamiltonian, and the other questions look at the masked rows only.  Counts
+(processed, hypotheses, exceptional matches) stay per row, and the graph6 of
+a failing or aborted row is built from that row's own bits.
 
 ``extremal_search`` and the soundness sweep read the same producers but
 eigensolve every row and use the scalar oracle.  Enumerated campaigns can be
@@ -119,6 +127,8 @@ _EIG_BYTES = 1 << 20
 _ROW_BYTES = 1 << 20
 # Entries of the largest (e, delta, Delta) gate table.
 _GATE_TABLE_MAX = 1 << 16
+# Candidate rows of one order gathered, over blocks, before their conclusions.
+_CAND_ROWS = 1 << 13
 
 
 class SpaceCapError(ValueError):
@@ -539,29 +549,83 @@ def _class_keys(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray):
     return relabelled @ (1 << np.arange(len(us), dtype=np.int64)), perm
 
 
+@dataclass
+class _Classes:
+    """Rows grouped by relabelling class.
+
+    Row r is in class of[r].  keys lists the class keys, or is None when the
+    rows have more than 63 bits and so no int64 key; each row is then a
+    class of one, and rows holds the rows' own bits.
+    """
+
+    nbits: int
+    of: np.ndarray
+    keys: Optional[list] = None
+    rows: Optional[np.ndarray] = None
+
+    @property
+    def count(self) -> int:
+        return len(self.of) if self.keys is None else len(self.keys)
+
+    def bits(self, c: Optional[np.ndarray] = None) -> np.ndarray:
+        """The representatives of the classes c (every class when None): the
+        key's own bits, or the row itself."""
+        if self.keys is None:
+            return self.rows if c is None else self.rows[c]
+        return _bits_of(self.nbits, self.keys if c is None else [self.keys[i] for i in c.tolist()])
+
+    def values(self, memo: dict, solve: Callable, rows: Optional[np.ndarray] = None):
+        """The value of each of the given rows (every row when None), decided per class.
+
+        A keyed class takes memo[key] ({class key: value}); only the classes
+        missing from memo go to solve, which gets their indices and returns
+        their values, computed on the representatives, and memo keeps them.
+        Unkeyed classes are solved every time.
+        """
+        if rows is None:
+            which, at = range(self.count), self.of
+        elif len(rows):
+            which, at = np.unique(self.of[rows], return_inverse=True)
+            which = which.tolist()
+        else:
+            return np.zeros(0, dtype=bool)
+        if self.keys is None:
+            return np.asarray(solve(np.array(which)))[at]
+        keys = self.keys if rows is None else [self.keys[c] for c in which]
+        new = [c for c, key in zip(which, keys) if key not in memo]
+        if new:
+            solved = np.asarray(solve(np.array(new))).tolist()
+            memo.update(zip([self.keys[c] for c in new], solved))
+        return np.array([memo[key] for key in keys])[at]
+
+
+def _row_classes(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray) -> _Classes:
+    """The relabelling classes of rows of pair bits with degrees deg (order, rows).
+
+    Keys come from ``_class_keys``, ``_eig_rows(order)`` rows at a time.
+    """
+    nbits = bits.shape[1]
+    if nbits > 63:
+        return _Classes(nbits, np.arange(len(bits)), rows=bits)
+    step = _eig_rows(_bit_ends(size, bip)[2])
+    keys = np.concatenate([
+        _class_keys(size, bip, bits[lo : lo + step], deg[:, lo : lo + step])[0]
+        for lo in range(0, len(bits), step)
+    ])
+    uniq, of = np.unique(keys, return_inverse=True)
+    return _Classes(nbits, of, uniq.tolist())
+
+
 def _class_radii(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarray,
                  memo: dict) -> np.ndarray:
     """The quantity ``key`` of each row, eigensolved once per relabelling class.
 
-    Keys come from ``_class_keys``, ``_eig_rows(order)`` rows at a time.
-    Only keys missing from memo ({class key: value}) are solved, on the
-    key's own bits, so a value depends on its class alone and never on which
-    row of the class came first.  Rows of more than 63 bits have no int64
-    key and are solved one by one.
+    Each class is solved on its representative, so a value depends on its
+    class alone and never on which row of the class came first; a row of
+    more than 63 bits is a class of its own.
     """
-    if bits.shape[1] > 63:
-        return _radii(key, size, bip, bits)
-    step = _eig_rows(_bit_ends(size, bip)[2])
-    classes = np.concatenate([
-        _class_keys(size, bip, bits[lo : lo + step], deg[:, lo : lo + step])[0]
-        for lo in range(0, len(bits), step)
-    ])
-    uniq, inverse = np.unique(classes, return_inverse=True)
-    uniq = uniq.tolist()
-    new = [c for c in uniq if c not in memo]
-    if new:
-        memo.update(zip(new, _radii(key, size, bip, _bits_of(bits.shape[1], new)).tolist()))
-    return np.array([memo[c] for c in uniq])[inverse]
+    classes = _row_classes(size, bip, bits, deg)
+    return classes.values(memo, lambda c: _radii(key, size, bip, classes.bits(c)))
 
 
 def _radius_interval(key: str, stats: dict, size: int, bip: bool):
@@ -629,7 +693,7 @@ def _graphs_from_bits(size: int, bip: bool, bits: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 class _BatchVerdicts:
-    """Oracle verdicts for one block's candidate rows (neighbourhood bitmasks adj).
+    """Oracle verdicts for class representatives (neighbourhood bitmasks adj).
 
     Up to order _HK_MAX_ORDER the batched Held-Karp kernel decides them,
     charging each row 1 << order nodes (all "aborted" past the budget); the
@@ -658,12 +722,12 @@ class _BatchVerdicts:
 _GRAPH_CHECKS = {"closed": is_closed, "b_closed": is_b_closed}
 
 
-def _biclique_conclusion(b: BipartiteGraph, n: int, k: int, delta: int) -> bool:
+def _biclique_conclusion(b: BipartiteGraph, n: int, k: int) -> bool:
     total = 2 * n - k
     if not any(contains_biclique(b, s, total - s)
                for s in range(max(1, total - n), n + 1) if 1 <= total - s <= n):
         return False
-    if delta >= k:
+    if b.min_degree() >= k:
         return contains_biclique(b, n, n - k) or contains_biclique(b.swap_sides(), n, n - k)
     return True
 
@@ -784,7 +848,8 @@ def _verify_blocks(target, space, k, tol, budget, blocks) -> VerificationReport:
     report = VerificationReport(target, space.describe())
     clock = _Clock(report.timings)
     quantities = {st.quantity for st in stmts}
-    memos = {}  # {(quantity, size, bip): {class key: value}}, for this call only
+    memos = {}  # {(quantity / question / statement id, size, bip): {class key: value}}
+    pending = {}  # {(size, bip): [(bits, deg, active) of some candidate rows]}
     for blk in blocks:
         size, bip, stats, in_space = blk.size, blk.bip, blk.stats, blk.in_space
         cnt = len(stats["e"])
@@ -816,68 +881,91 @@ def _verify_blocks(target, space, k, tol, budget, blocks) -> VerificationReport:
         if in_space is not None:
             active &= in_space
         clock.lap("hypothesis")
-        _eval_candidates(stmts, report, blk, active, k, budget, clock)
+        cand = np.flatnonzero(active.any(axis=0))
+        if len(cand):
+            group = pending.setdefault((size, bip), [])
+            group.append((blk.rows_bits(cand), stats["deg"][:, cand], active[:, cand]))
+            if sum(len(bits) for bits, _, _ in group) >= _CAND_ROWS:
+                _eval_candidates(stmts, report, size, bip, group, k, budget, memos, clock)
+                group.clear()
         clock.lap("conclusion")
+    for (size, bip), group in pending.items():
+        if group:
+            _eval_candidates(stmts, report, size, bip, group, k, budget, memos, clock)
+    clock.lap("conclusion")
     return report
 
 
-def _eval_candidates(stmts, report, blk: _Block, active, k, budget, clock):
-    """Finish each statement's mask (a row of active) over the rows where some mask holds.
+def _eval_candidates(stmts, report, size: int, bip: bool, group: list, k, budget,
+                     memos: dict, clock):
+    """Finish each statement's mask over candidate rows (rows where some mask holds).
 
-    Hamiltonicity is asked of every row a "ham" conclusion or a "not_ham"
-    check needs (such a statement's conclusion is "ham"), traceability only
-    of the rows that are not Hamiltonian (a Hamiltonian graph is traceable).
-    A "not_ham" mask keeps the rows whose answer is "no" and reports the
-    aborted ones.  A row's graph is built once, and only when a graph check,
-    a structural conclusion, a recognizer or a graph6 report needs it.
+    group lists (bits, deg, active) of candidate rows of some blocks, active
+    holding each statement's mask as a row.  The rows are grouped by
+    relabelling class (``_row_classes``) and each question below is
+    answered once per class, on the class's representative, with one memo
+    per (question, order, bip) in memos; the answers are scattered back to
+    the rows.  Hamiltonicity is asked of every row a "ham" conclusion or a
+    "not_ham" check needs (such a statement's conclusion is "ham"),
+    traceability only of the rows that are not Hamiltonian (a Hamiltonian
+    graph is traceable).  A "not_ham" mask keeps the rows whose answer is
+    "no" and reports the aborted ones.  A representative's graph is built
+    once, and only for a graph check, a structural conclusion or a
+    recognizer; the graph6 of a failing or aborted row is built from that
+    row's own bits.
     """
-    cand = np.flatnonzero(active.any(axis=0))
-    if not len(cand):
-        return
-    size, bip = blk.size, blk.bip
-    adj = _adjacency_rows(size, bip, blk.rows_bits(cand))
+    bits = np.concatenate([b for b, _, _ in group])
+    active = np.concatenate([a for _, _, a in group], axis=1)
+    classes = _row_classes(size, bip, bits, np.concatenate([d for _, d, _ in group], axis=1))
+    adj = _adjacency_rows(size, bip, classes.bits())
     batch = _BatchVerdicts(adj, _bit_ends(size, bip)[2], budget)
-    active = active[:, cand]
     graphs = {}
 
-    def graph(j):
-        if j not in graphs:
-            graphs[j] = _row_graph(size, bip, adj[j].tolist())
-        return graphs[j]
+    def graph(c):
+        if c not in graphs:
+            graphs[c] = _row_graph(size, bip, adj[c].tolist())
+        return graphs[c]
+
+    def per_row(name, rows, solve):
+        return classes.values(memos.setdefault((name, size, bip), {}), solve, rows)
+
+    def on_graphs(answer):
+        return lambda c: [answer(graph(j)) for j in c.tolist()]
 
     def g6(rows):
-        return [graph6_encode(as_graph(graph(j))) for j in rows]
+        if not len(rows):
+            return []
+        return [graph6_encode(as_graph(g)) for g in _graphs_from_bits(size, bip, bits[rows])]
 
     need = {q: active[[st.conclusion == q for st in stmts]].any(axis=0) for q in ("ham", "trace")}
-    ham = np.full(len(cand), "", dtype="<U7")
+    ham = np.full(len(bits), "", dtype="<U7")
     asked = np.flatnonzero(need["ham"] | need["trace"])
-    if len(asked):
-        ham[asked] = batch.column("ham", asked)
+    ham[asked] = per_row("ham", asked, lambda c: batch.column("ham", c))
     trace = np.where(ham == "yes", ham, "")
     asked = np.flatnonzero(need["trace"] & (ham != "yes"))
-    if len(asked):
-        trace[asked] = batch.column("trace", asked)
+    trace[asked] = per_row("trace", asked, lambda c: batch.column("trace", c))
     verdicts = {"ham": ham, "trace": trace}
     for st, mask in zip(stmts, active):
         if st.graph_check == "not_ham":
-            report.aborted += g6(np.flatnonzero(mask & (ham == "aborted")).tolist())
+            report.aborted += g6(np.flatnonzero(mask & (ham == "aborted")))
             mask &= ham == "no"
         elif st.graph_check:
             rows = np.flatnonzero(mask)
-            mask[rows] = [_GRAPH_CHECKS[st.graph_check](graph(j)) for j in rows.tolist()]
+            mask[rows] = per_row(st.graph_check, rows, on_graphs(_GRAPH_CHECKS[st.graph_check]))
         rows = np.flatnonzero(mask)
         report.hypothesis_count += len(rows)
         if st.conclusion == "clique":
-            failed = [j for j in rows.tolist() if clique_number(graph(j)) < size - k]
+            failed = rows[~per_row("clique", rows,
+                                   on_graphs(lambda g: clique_number(g) >= size - k))]
         elif st.conclusion == "biclique":
-            delta = blk.stats["delta"][cand]
-            failed = [j for j in rows.tolist()
-                      if not _biclique_conclusion(graph(j), size, k, int(delta[j]))]
+            failed = rows[~per_row("biclique", rows,
+                                   on_graphs(lambda g: _biclique_conclusion(g, size, k)))]
         else:
             got = verdicts[st.conclusion][rows]
-            report.aborted += g6(rows[got == "aborted"].tolist())
-            no = rows[got == "no"].tolist()
-            failed = [j for j in no if not _exceptional(st, graph(j), size, k, clock)]
+            report.aborted += g6(rows[got == "aborted"])
+            no = rows[got == "no"]
+            failed = no[~per_row(st.id, no,
+                                 on_graphs(lambda g: _exceptional(st, g, size, k, clock)))]
             report.exceptional_matches += len(no) - len(failed)
         report.conclusion_failures += g6(failed)
 

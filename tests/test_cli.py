@@ -3,7 +3,13 @@ import json
 import pytest
 
 from spectralham.cli import main
-from spectralham.graphs import graph6_decode, graph6_encode, cycle_graph, complete_graph
+from spectralham.graphs import (
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    graph6_decode,
+    graph6_encode,
+)
 
 
 def run_cli(capsys, *argv):
@@ -101,11 +107,21 @@ def test_closure(capsys):
 
 
 def test_closure_bipartite(capsys):
+    # the closure comes back in the input's labelling: C6's sides are its
+    # even and its odd vertices, and its closure joins all nine cross pairs
     g6 = graph6_encode(cycle_graph(6))
     code, out, _ = run_cli(capsys, "closure", g6, "--bipartite", "--json")
     assert code == 0
     rec = json.loads(out.strip())
     assert graph6_decode(rec["closure"]).edge_count == 9
+    k33 = build_graph(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
+    assert rec["closure"] == graph6_encode(k33) and rec["joins"] > 0
+    # a graph the closure leaves alone comes back as itself (y0 is isolated,
+    # so its balanced sides swap a component)
+    code, out, _ = run_cli(capsys, "closure", "E?b_", "--bipartite", "--json")
+    assert code == 0
+    rec = json.loads(out.strip())
+    assert (rec["closure"], rec["joins"]) == ("E?b_", 0)
 
 
 def test_oracle(capsys):

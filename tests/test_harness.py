@@ -32,6 +32,7 @@ from spectralham.harness import (
 )
 from spectralham.oracle import is_hamiltonian, is_traceable
 from spectralham.spectral import radius_intervals, spectral_radius
+from spectralham.transforms import bc_closure
 
 
 def _index_bits(nbits, start, stop):
@@ -498,7 +499,9 @@ def _count_calls(monkeypatch, module, names):
 
 def test_indexed_conclusions_use_batched_oracle(monkeypatch):
     # enumerated spaces decide Hamiltonicity by the batched Held-Karp kernel
-    # and build a row's graph only for the recognizers (exceptional rows here)
+    # and build a graph only for the recognizers, once per relabelling class:
+    # the 36 exceptional rows of fn_rho fall into 2 classes, the 63 of
+    # bip_q_qc into 5
     calls = _count_calls(monkeypatch, harness,
                          ("is_hamiltonian", "is_traceable", "_held_karp_batch", "_row_graph"))
     rep = verify_theorem("fn_rho", SearchSpace.all_labeled(6))
@@ -506,12 +509,12 @@ def test_indexed_conclusions_use_batched_oracle(monkeypatch):
     assert rep.clean
     assert calls["is_hamiltonian"] == calls["is_traceable"] == 0
     assert calls["_held_karp_batch"] > 0
-    assert calls["_row_graph"] == rep.exceptional_matches
+    assert calls["_row_graph"] == 2
     calls.update(dict.fromkeys(calls, 0))
     rep = verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(3))
     assert rep.clean and rep.hypothesis_count > 0
     assert calls["is_hamiltonian"] == calls["is_traceable"] == 0
-    assert calls["_row_graph"] == rep.exceptional_matches
+    assert calls["_row_graph"] == 5
 
 
 def test_batched_and_scalar_conclusions_agree(monkeypatch):
@@ -536,6 +539,57 @@ def test_batched_and_scalar_conclusions_agree(monkeypatch):
     for a, b in zip(batched, scalar):
         _drop_times(a), _drop_times(b)
         assert a == b
+
+
+def _identity_keys(size, bip, bits, deg):
+    # each row its own class: the row read as an int64, relabelled by the identity
+    order = _bit_ends(size, bip)[2]
+    return (bits @ (1 << np.arange(bits.shape[1], dtype=np.int64)),
+            np.tile(np.arange(order), (len(bits), 1)))
+
+
+def _class_and_row_reports(monkeypatch, target, space, k=None, **opts):
+    # the report with each conclusion decided once per relabelling class, and
+    # with the identity relabelling, which makes every labeled row a class
+    by_class = _drop_times(verify_theorem(target, space, k=k, **opts).to_json())
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_class_keys", _identity_keys)
+        by_row = _drop_times(verify_theorem(target, space, k=k, **opts).to_json())
+    return by_class, by_row
+
+
+@pytest.mark.parametrize("target, space, k, opts", [
+    ("fn_rho", SearchSpace.all_labeled(6), None, {}),
+    ("ore", SearchSpace.all_labeled(6), None, {}),
+    ("ainouche_christofides", SearchSpace.all_labeled(6), None, {}),
+    # a budget below the batched charge: every aborted row is reported
+    ("ainouche_christofides", SearchSpace.all_labeled(6), None, {"oracle_budget": (1 << 6) - 1}),
+    ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4), None, {}),
+    ("moon_moser", SearchSpace.balanced_bipartite_labeled(4), None, {}),
+    ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(4), None, {}),
+    ("biclique_lemma", SearchSpace.balanced_bipartite_labeled(4), 1, {}),
+])
+def test_class_conclusions_match_row_conclusions(monkeypatch, target, space, k, opts):
+    by_class, by_row = _class_and_row_reports(monkeypatch, target, space, k, **opts)
+    assert by_class == by_row
+    assert by_class["hypothesis_count"] > 0 or by_class["aborted"]
+
+
+def test_class_clique_conclusions_match_row_conclusions(monkeypatch, tmp_path):
+    # clique_lemma's first order (n >= 6k + 5): three relabellings each of L
+    # and N at (11, 1), of closures of sparse random graphs (closed) and of
+    # dense random graphs (mostly not closed)
+    rng = np.random.default_rng(3)
+    graphs = [construct(FamilySpec(fam, n=11, k=1)) for fam in ("L", "N")]
+    graphs += [bc_closure(g)[0] for g in random_model("uniform_gnp", n=11, p=0.45, seed=9,
+                                                      count=40)]
+    graphs += list(random_model("uniform_gnp", n=11, p=0.85, seed=10, count=20))
+    path = tmp_path / "closed11.g6"
+    path.write_text("".join(graph6_encode(g.relabel(rng.permutation(11))) + "\n"
+                            for g in graphs for _ in range(3)))
+    by_class, by_row = _class_and_row_reports(
+        monkeypatch, "clique_lemma", SearchSpace.graph6_file(str(path)), 1)
+    assert by_class == by_row and by_class["hypothesis_count"] > 0
 
 
 def _drop_times(report_json):
@@ -632,15 +686,16 @@ def test_trace_kernel_sees_only_rows_the_cycle_kernel_rejected(monkeypatch):
 def test_qc_recognizer_call_counts(monkeypatch):
     # one quasi-complement per recognized graph (2,794 per pass when each
     # Bset call built its own two); backtracking isomorphism only past the
-    # component-size gate
+    # component-size gate.  The recognizers see one graph per relabelling
+    # class, and the 990 exceptional rows fall into 44 classes
     space = SearchSpace.balanced_bipartite_labeled(4)
     verify_theorem("bip_q_qc", space)  # builds and summarises Gamma1 / Gamma2 once
     calls = _count_calls(monkeypatch, families, ("quasi_complement", "is_isomorphic"))
     recognized = _count_calls(monkeypatch, statements, ("recognize",))
     rep = verify_theorem("bip_q_qc", space)
     assert (rep.hypothesis_count, rep.exceptional_matches) == (7583, 990) and rep.clean
-    assert calls == {"quasi_complement": 988, "is_isomorphic": 192}
-    assert recognized["recognize"] == 2028
+    assert calls == {"quasi_complement": 44, "is_isomorphic": 12}
+    assert recognized["recognize"] == 99
 
 
 def test_budget_below_batched_charge_aborts():

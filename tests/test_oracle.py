@@ -306,6 +306,23 @@ def test_held_karp_tables_cache_is_bounded():
     assert tables.cache_info().hits == hits + len(working_set)
 
 
+def test_held_karp_tables_are_bounded_by_bytes():
+    # orders 9..16 build 28 MiB of tables; the kept ones fit the byte bound,
+    # tables larger than the bound (order 16) are never kept, and the order
+    # 7 and 8 tables of a campaign pass stay kept beside the last ones asked
+    for order in range(9, _HK_MAX_ORDER + 1):
+        for cycle in (True, False):
+            oracle._held_karp_tables(order, cycle)
+    for order, cycle in ((7, True), (7, False), (8, True)):
+        oracle._held_karp_tables(order, cycle)
+    kept = {key: sum(a.nbytes for layer in tables[2] for a in layer)
+            for key, (tables, _) in oracle._held_karp_tables.kept.items()}
+    assert sum(kept.values()) == oracle._held_karp_tables.cache_info().currsize
+    assert sum(kept.values()) <= oracle._HK_TABLE_BYTES
+    assert not {(16, True), (16, False)} & kept.keys()
+    assert {(7, True), (7, False), (8, True)} <= kept.keys()
+
+
 def test_scalar_oracle_rejects_invalid_witness(monkeypatch):
     c6 = cycle_graph(6)
     monkeypatch.setattr(oracle, "_ham_backtrack", lambda adj, n, budget: (True, [0, 1, 2, 3, 5, 4], 1))
