@@ -23,56 +23,65 @@ order (by side when a graph6 file is read through its bipartition for a
 bipartite target), and count the degrees from them; a random model draws
 ``rng.random((rows, pairs)) < p`` a block at a time.
 
-Per block, each statistic or spectral radius is one column, and
+Each statistic or spectral radius is one column, and
 ``Statement.hypothesis`` over the columns gives each statement's mask
 exactly, with the comparison the certifier applies to one graph's values.
-Before eigensolving, ``spectral.radius_intervals`` bounds each radius from
-(e, delta, Delta) alone; widened by the tolerance plus a rounding slack, a
-row whose masks fail at both ends of its interval fails them at the value
-too, so it is not eigensolved (its NaN fails every comparison).
-``_gate_table`` decides every triple of an order once, so a row is gated by
-one lookup; past _GATE_TABLE_MAX triples ``_may_pass`` gates the block's own
-rows instead.  The gate changes no verdict, count or failure list.
+Per block only the statistics and the gate run.  ``spectral.radius_intervals``
+bounds each radius from (e, delta, Delta) alone; widened by the tolerance
+plus a rounding slack, a row whose masks fail at both ends of its interval
+fails them at the value too, so it is not eigensolved (its NaN fails every
+comparison).  ``_gate_table`` decides every triple of an order once, so a
+row is gated by one lookup; past _GATE_TABLE_MAX triples ``_may_pass`` gates
+the block's own rows instead.  A row survives when it passes the gate of
+some radius statement, or the hypothesis of a statement on an integer
+quantity; the others fail every hypothesis.  The gate changes no verdict,
+count or failure list.
 
-Relabelling classes.  A row's key is the row relabelled by one round of
-colour refinement (stable order of degree, then neighbours' degree sum, each
-side on its own), read as an int64.  Equal keys mean isomorphic rows (and
-complements and quasi-complements).  ``_Classes.values`` is the one place a
-per-class value comes from: with a memo kept for one campaign per (quantity
-or question, order), it decides each key once, on the key's own bits, and
-scatters the value to the rows, so a value depends on its class alone (at
-tol = 0 a whole class lies on one side of a threshold).  Rows of more than
-63 bits (order 12 and up, side 8 and up) have no key: each is a class of
-one, its own representative, decided every time.  Matrix stacks are sized
-by bytes.
+Relabelling classes.  The surviving rows are gathered over blocks, up to
+_GROUP_ROWS of one order, and ``_eval_group`` keys each of them once.  A
+row's key is the row relabelled by one round of colour refinement (stable
+order of degree, then neighbours' degree sum, each side on its own), read as
+an int64.  Equal keys mean isomorphic rows (and complements and
+quasi-complements).  ``_Classes.values`` is the one place a per-class value
+comes from: with a memo kept for one call per (quantity or question, order),
+it decides each key once, on the key's own bits, and scatters the value to
+the rows, so a value depends on its class alone (at tol = 0 a whole class
+lies on one side of a threshold).  Rows of more than 63 bits (order 12 and
+up, side 8 and up) have no key: each is a class of one, its own
+representative, decided every time.  Matrix stacks are sized by bytes.
 
-Conclusions.  The candidate rows (some mask holds) are gathered over blocks,
-up to _CAND_ROWS of one order, and decided together, per class: the
-hypothesis and the conclusion are both isomorphism-invariant.  The
-representatives get their neighbourhood bitmasks from one matmul, and
-``_BatchVerdicts`` decides "Hamiltonian?" / "traceable?" for them:
-``oracle._held_karp_batch`` up to order 16 (every keyed row is of order at
-most 16), charging each row 1 << order nodes, which no relabelling changes
-(aborted past the budget), and validating every witness; the scalar oracle
-above that.  The closure checks, the clique / biclique conclusions and the
-exceptional-family recognizers are asked once per class too.  Every
-statement is finished a column at a time: a "not_ham" check reads the
-Hamiltonicity column, traceability is asked only of rows that are not
-Hamiltonian, and the other questions look at the masked rows only.  Counts
-(processed, hypotheses, exceptional matches) stay per row, and the graph6 of
-a failing or aborted row is built from that row's own bits.
+Conclusions.  With the same classes, each radius is eigensolved over the
+rows its gate kept (``_Classes.radii``), the hypothesis masks follow, and
+the candidate rows (some mask holds) are decided per class: the hypothesis
+and the conclusion are both isomorphism-invariant.  The representatives get
+their neighbourhood bitmasks from one matmul, and ``_BatchVerdicts`` decides
+"Hamiltonian?" / "traceable?" for them: ``oracle._held_karp_batch`` up to
+order 16 (every keyed row is of order at most 16), charging each row
+1 << order nodes, which no relabelling changes (aborted past the budget),
+and validating every witness; the scalar oracle above that.  The closure
+checks, the clique / biclique conclusions and the exceptional-family
+recognizers are asked once per class too.  Every statement is finished a
+column at a time: a "not_ham" check reads the Hamiltonicity column,
+traceability is asked only of rows that are not Hamiltonian, and the other
+questions look at the masked rows only.  Counts (processed, hypotheses,
+exceptional matches) stay per row, and the graph6 of a failing or aborted
+row is built from that row's own bits.
 
-``extremal_search`` and the soundness sweep read the same producers but
-eigensolve every row and use the scalar oracle.  Enumerated campaigns can be
-split across a worker pool; the merged report equals the serial one.
+``extremal_search`` and the soundness sweep read the same producers and take
+their radii per class the same way, with a memo per call, then ask the
+scalar oracle row by row.  An enumerated campaign can be split into ``jobs``
+index ranges, run by at most as many workers as there are ranges and CPUs;
+the merged report equals the serial one.
 ``VerificationReport.timings`` charges time to the stages stats (including
-producing the rows), gate, eigensolve, hypothesis, conclusion and recognize,
-lap by lap, so they sum to about the wall time of a serial run.
+producing the rows), gate, eigensolve (including the class keys),
+hypothesis, conclusion and recognize, lap by lap, so they sum to about the
+wall time of a serial run.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
@@ -127,8 +136,8 @@ _EIG_BYTES = 1 << 20
 _ROW_BYTES = 1 << 20
 # Entries of the largest (e, delta, Delta) gate table.
 _GATE_TABLE_MAX = 1 << 16
-# Candidate rows of one order gathered, over blocks, before their conclusions.
-_CAND_ROWS = 1 << 13
+# Surviving rows of one order gathered, over blocks, before one ``_eval_group``.
+_GROUP_ROWS = 1 << 13
 
 
 class SpaceCapError(ValueError):
@@ -551,17 +560,18 @@ def _class_keys(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray):
 
 @dataclass
 class _Classes:
-    """Rows grouped by relabelling class.
+    """Rows of pair bits (of one size and bip) grouped by relabelling class.
 
     Row r is in class of[r].  keys lists the class keys, or is None when the
     rows have more than 63 bits and so no int64 key; each row is then a
-    class of one, and rows holds the rows' own bits.
+    class of one.
     """
 
-    nbits: int
+    size: int
+    bip: bool
+    rows: np.ndarray
     of: np.ndarray
     keys: Optional[list] = None
-    rows: Optional[np.ndarray] = None
 
     @property
     def count(self) -> int:
@@ -572,7 +582,14 @@ class _Classes:
         key's own bits, or the row itself."""
         if self.keys is None:
             return self.rows if c is None else self.rows[c]
-        return _bits_of(self.nbits, self.keys if c is None else [self.keys[i] for i in c.tolist()])
+        return _bits_of(self.rows.shape[1],
+                        self.keys if c is None else [self.keys[i] for i in c.tolist()])
+
+    def radii(self, key: str, memo: dict, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """The spectral quantity ``key`` of the given rows (every row when None),
+        eigensolved once per class on its representative, so a value depends
+        on its class alone."""
+        return self.values(memo, lambda c: _radii(key, self.size, self.bip, self.bits(c)), rows)
 
     def values(self, memo: dict, solve: Callable, rows: Optional[np.ndarray] = None):
         """The value of each of the given rows (every row when None), decided per class.
@@ -604,28 +621,15 @@ def _row_classes(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray) -> _Cl
 
     Keys come from ``_class_keys``, ``_eig_rows(order)`` rows at a time.
     """
-    nbits = bits.shape[1]
-    if nbits > 63:
-        return _Classes(nbits, np.arange(len(bits)), rows=bits)
+    if bits.shape[1] > 63:
+        return _Classes(size, bip, bits, np.arange(len(bits)))
     step = _eig_rows(_bit_ends(size, bip)[2])
     keys = np.concatenate([
         _class_keys(size, bip, bits[lo : lo + step], deg[:, lo : lo + step])[0]
         for lo in range(0, len(bits), step)
     ])
     uniq, of = np.unique(keys, return_inverse=True)
-    return _Classes(nbits, of, uniq.tolist())
-
-
-def _class_radii(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarray,
-                 memo: dict) -> np.ndarray:
-    """The quantity ``key`` of each row, eigensolved once per relabelling class.
-
-    Each class is solved on its representative, so a value depends on its
-    class alone and never on which row of the class came first; a row of
-    more than 63 bits is a class of its own.
-    """
-    classes = _row_classes(size, bip, bits, deg)
-    return classes.values(memo, lambda c: _radii(key, size, bip, classes.bits(c)))
+    return _Classes(size, bip, bits, of, uniq.tolist())
 
 
 def _radius_interval(key: str, stats: dict, size: int, bip: bool):
@@ -768,7 +772,9 @@ class VerificationReport:
     satisfying several parts of a multi-part theorem is counted once per
     part.  conclusion_failures / aborted carry graph6 strings, sorted.
     timings holds perf_counter seconds per stage (stats, gate, eigensolve,
-    hypothesis, conclusion, recognize), summed over blocks and workers.
+    hypothesis, conclusion, recognize), summed over blocks and workers; the
+    gate stage includes choosing the surviving rows, and the eigensolve stage
+    keying them by class.
     """
 
     target: str
@@ -843,69 +849,62 @@ def _gate(target: str, key: str, stmts, stats: dict, size: int, bip: bool, k, to
 
 
 def _verify_blocks(target, space, k, tol, budget, blocks) -> VerificationReport:
-    """The campaign over blocks of rows: stats, gate, eigensolve, hypothesis, conclusion."""
+    """The campaign over blocks of rows: stats and gate per block, then the
+    rows that survive, gathered over blocks of one order, through ``_eval_group``.
+
+    A row survives when, within the space, it passes the gate of some
+    radius statement or the hypothesis of a statement on an integer
+    quantity; every other row fails every hypothesis.
+    """
     stmts = statements_for(target)
     report = VerificationReport(target, space.describe())
     clock = _Clock(report.timings)
     quantities = {st.quantity for st in stmts}
+    integral = [st for st in stmts if st.quantity not in _RADII]
     memos = {}  # {(quantity / question / statement id, size, bip): {class key: value}}
-    pending = {}  # {(size, bip): [(bits, deg, active) of some candidate rows]}
+    pending = {}  # {(size, bip): [(bits, stats, gates) of some surviving rows]}
     for blk in blocks:
         size, bip, stats, in_space = blk.size, blk.bip, blk.stats, blk.in_space
-        cnt = len(stats["e"])
-        report.processed += cnt if in_space is None else int(in_space.sum())
-        if quantities & set(_DEGREE_SUMS):
-            bits = blk.rows_bits()
-            for key in _DEGREE_SUMS:
-                if key in quantities:
-                    stats[key] = _min_degree_sum(size, bip, stats["deg"], bits)
+        report.processed += len(stats["e"]) if in_space is None else int(in_space.sum())
+        for key in quantities & set(_DEGREE_SUMS):  # min_ds or min_cross_ds
+            stats[key] = _min_degree_sum(size, bip, stats["deg"], blk.rows_bits())
         clock.lap("stats")
-        keeps = {}
-        for key in _RADII:
-            if key in quantities:
-                keep = _gate(target, key, stmts, stats, size, bip, k, tol)
-                keeps[key] = keep if in_space is None else keep & in_space
-        clock.lap("gate")
-        for key, keep in keeps.items():
-            rows = np.flatnonzero(keep)
-            vals = np.full(cnt, np.nan)  # NaN fails every comparison
-            if len(rows):
-                memo = memos.setdefault((key, size, bip), {})
-                vals[rows] = _class_radii(key, size, bip, blk.rows_bits(rows),
-                                          stats["deg"][:, rows], memo)
-            stats[key] = vals
-        clock.lap("eigensolve")
-        active = np.zeros((len(stmts), cnt), dtype=bool)  # statement-major
-        for i, st in enumerate(stmts):
-            active[i] = st.hypothesis(stats, size, k, tol)
+        gates = {key: _gate(target, key, stmts, stats, size, bip, k, tol)
+                 for key in _RADII if key in quantities}
+        survive = np.zeros(len(stats["e"]), dtype=bool)
+        for mask in [*gates.values(), *(st.hypothesis(stats, size, k, tol) for st in integral)]:
+            survive |= mask
         if in_space is not None:
-            active &= in_space
-        clock.lap("hypothesis")
-        cand = np.flatnonzero(active.any(axis=0))
-        if len(cand):
+            survive &= in_space
+        rows = np.flatnonzero(survive)
+        clock.lap("gate")
+        if len(rows):
             group = pending.setdefault((size, bip), [])
-            group.append((blk.rows_bits(cand), stats["deg"][:, cand], active[:, cand]))
-            if sum(len(bits) for bits, _, _ in group) >= _CAND_ROWS:
-                _eval_candidates(stmts, report, size, bip, group, k, budget, memos, clock)
+            group.append((blk.rows_bits(rows),
+                          {name: col[..., rows] for name, col in stats.items()},
+                          {key: gate[rows] for key, gate in gates.items()}))
+            clock.lap("stats")
+            if sum(len(bits) for bits, _, _ in group) >= _GROUP_ROWS:
+                _eval_group(stmts, report, size, bip, group, k, tol, budget, memos, clock)
                 group.clear()
-        clock.lap("conclusion")
     for (size, bip), group in pending.items():
         if group:
-            _eval_candidates(stmts, report, size, bip, group, k, budget, memos, clock)
-    clock.lap("conclusion")
+            _eval_group(stmts, report, size, bip, group, k, tol, budget, memos, clock)
     return report
 
 
-def _eval_candidates(stmts, report, size: int, bip: bool, group: list, k, budget,
-                     memos: dict, clock):
-    """Finish each statement's mask over candidate rows (rows where some mask holds).
+def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget,
+                memos: dict, clock):
+    """Radii, hypotheses and conclusions of surviving rows, per relabelling class.
 
-    group lists (bits, deg, active) of candidate rows of some blocks, active
-    holding each statement's mask as a row.  The rows are grouped by
-    relabelling class (``_row_classes``) and each question below is
-    answered once per class, on the class's representative, with one memo
-    per (question, order, bip) in memos; the answers are scattered back to
-    the rows.  Hamiltonicity is asked of every row a "ham" conclusion or a
+    group lists (bits, stats, gates) of the surviving rows of some blocks,
+    gates holding, per radius, the rows its gate kept.  The rows are keyed
+    once (``_row_classes``), and every per-class value comes from that one
+    ``_Classes``, with one memo per (quantity or question, order, bip) in
+    memos, answered on the class's representative and scattered back to the
+    rows: first each radius over its gated rows (NaN elsewhere, which fails
+    every comparison), then, after each statement's mask, the questions
+    below.  Hamiltonicity is asked of every row a "ham" conclusion or a
     "not_ham" check needs (such a statement's conclusion is "ham"),
     traceability only of the rows that are not Hamiltonian (a Hamiltonian
     graph is traceable).  A "not_ham" mask keeps the rows whose answer is
@@ -915,8 +914,17 @@ def _eval_candidates(stmts, report, size: int, bip: bool, group: list, k, budget
     row's own bits.
     """
     bits = np.concatenate([b for b, _, _ in group])
-    active = np.concatenate([a for _, _, a in group], axis=1)
-    classes = _row_classes(size, bip, bits, np.concatenate([d for _, d, _ in group], axis=1))
+    stats = {name: np.concatenate([s[name] for _, s, _ in group], axis=-1) for name in group[0][1]}
+    classes = _row_classes(size, bip, bits, stats["deg"])
+    for key in group[0][2]:
+        rows = np.flatnonzero(np.concatenate([g[key] for _, _, g in group]))
+        stats[key] = np.full(len(bits), np.nan)
+        stats[key][rows] = classes.radii(key, memos.setdefault((key, size, bip), {}), rows)
+    clock.lap("eigensolve")
+    active = np.zeros((len(stmts), len(bits)), dtype=bool)  # statement-major
+    for i, st in enumerate(stmts):
+        active[i] = st.hypothesis(stats, size, k, tol)
+    clock.lap("hypothesis")
     adj = _adjacency_rows(size, bip, classes.bits())
     batch = _BatchVerdicts(adj, _bit_ends(size, bip)[2], budget)
     graphs = {}
@@ -968,6 +976,7 @@ def _eval_candidates(stmts, report, size: int, bip: bool, group: list, k, budget
                                  on_graphs(lambda g: _exceptional(st, g, size, k, clock)))]
             report.exceptional_matches += len(no) - len(failed)
         report.conclusion_failures += g6(failed)
+    clock.lap("conclusion")
 
 
 def _worker(args):
@@ -989,6 +998,8 @@ def verify_theorem(
     """Check one theorem/lemma over a space; see the module docstring."""
     space.validate()
     _check_tol(tol)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     stmts = statements_for(target)
     if k is None and any(st.needs_k for st in stmts):
         raise ValueError(f"target {target} needs a k parameter")
@@ -1005,13 +1016,14 @@ def verify_theorem(
     t0 = time.perf_counter()
     total = _space_index_total(space)
     if total is not None and jobs > 1:
-        bounds = np.linspace(0, total, jobs + 1, dtype=np.int64)
+        # past one range per index the split gains no range (and the bounds no memory)
+        bounds = np.linspace(0, total, min(jobs, total) + 1, dtype=np.int64)
         tasks = [
             (target, space.kwargs(), k, tol, oracle_budget, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])
             if a < b
         ]
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
             parts = pool.map(_worker, tasks)
         report = VerificationReport(target, space.describe())
         for part in parts:
@@ -1058,8 +1070,8 @@ def extremal_search(
     constraint: "non_hamiltonian" or "non_traceable"; k adds a minimum-degree
     filter.  Returns (best value, sorted graph6 list of all optima within the
     comparison tolerance); (None, []) when nothing satisfies the constraint.
-    Every row of the space that passes the filters is eigensolved; the
-    oracle then walks them from the best value down.
+    Every row of the space that passes the filters takes its value from its
+    relabelling class; the oracle then walks the rows from the best value down.
     """
     space.validate()
     _check_tol(tol)
@@ -1068,6 +1080,7 @@ def extremal_search(
     if constraint not in ("non_hamiltonian", "non_traceable"):
         raise ValueError(f"unknown constraint {constraint!r}")
     stat_key, sense = _OBJECTIVES[objective]
+    oracle = is_hamiltonian if constraint == "non_hamiltonian" else is_traceable
     bip = space.is_bipartite_space
     if stat_key == "q_qc" and not bip:
         raise ValueError("min_q_qc needs a balanced-bipartite space")
@@ -1075,13 +1088,16 @@ def extremal_search(
         raise ValueError("min_rho_complement needs a plain-graph space")
 
     kept = []  # (block less its statistics, its filtered rows, their values)
+    memos = {}  # {(size, bip): {class key: value}}
     for blk in _space_blocks(space, bip):
         sel = blk.stats["delta"] >= (k if k is not None else 0)
         if blk.in_space is not None:
             sel &= blk.in_space
         rows = np.flatnonzero(sel)
         if len(rows):
-            values = _radii(stat_key, blk.size, blk.bip, blk.rows_bits(rows))
+            classes = _row_classes(blk.size, blk.bip, blk.rows_bits(rows),
+                                   blk.stats["deg"][:, rows])
+            values = classes.radii(stat_key, memos.setdefault((blk.size, blk.bip), {}))
             kept.append((replace(blk, stats=None, in_space=None), rows, values))
     if not kept:
         return None, []
@@ -1102,11 +1118,7 @@ def extremal_search(
         blk, rows, _ = kept[b]
         bits = blk.rows_bits(rows[i - offsets[b] :][:1])
         gg = as_graph(_graphs_from_bits(blk.size, blk.bip, bits)[0])
-        if constraint == "non_hamiltonian":
-            res = is_hamiltonian(gg, budget=oracle_budget)
-        else:
-            res = is_traceable(gg, budget=oracle_budget)
-        if res.status == "no":
+        if oracle(gg, budget=oracle_budget).status == "no":
             if best is None:
                 best = val
             winners.append(graph6_encode(gg))
@@ -1117,6 +1129,11 @@ def extremal_search(
 # Certifier soundness sweep (acceptance criterion 8)
 # ---------------------------------------------------------------------------
 
+# the oracle's answer each certifier verdict expects, and the violation's name otherwise
+_SWEEP_EXPECTS = {"certified_positive": ("yes", "certified_not_hamiltonian"),
+                  "exceptional": ("no", "exceptional_but_hamiltonian")}
+
+
 def certifier_soundness_sweep(
     ns=(3, 4, 5, 6, 7),
     bip_sides=(2, 3, 4),
@@ -1126,7 +1143,8 @@ def certifier_soundness_sweep(
     """Certify every labeled graph / balanced bipartite graph in the ranges.
 
     Checks that no certified_positive graph is oracle-negative and no
-    exceptional graph is oracle-positive.  Returns a summary dict with any
+    exceptional graph is oracle-positive.  Each graph's radii come from its
+    relabelling class, as in a campaign.  Returns a summary dict with any
     violations as graph6 strings.
     """
     _check_tol(tol)
@@ -1142,24 +1160,24 @@ def certifier_soundness_sweep(
     runs = [(n, False, certify_hamiltonicity, ("rho", "q", "rho_complement")) for n in ns]
     runs += [(side, True, certify_bipartite_hamiltonicity, ("rho", "q", "rho_qc", "q_qc"))
              for side in bip_sides]
+    memos = {}  # {(quantity, size, bip): {class key: value}}
     for size, bip, certify, keys in runs:
         total = 1 << (size * size if bip else size * (size - 1) // 2)
         for blk in _index_blocks(size, bip, 0, total):
             bits = blk.rows_bits()
-            values = {key: _radii(key, size, bip, bits).tolist() for key in keys}
+            classes = _row_classes(size, bip, bits, blk.stats["deg"])
+            values = {key: classes.radii(key, memos.setdefault((key, size, bip), {})).tolist()
+                      for key in keys}
             for i, g in enumerate(_graphs_from_bits(size, bip, bits)):
                 cert = certify(g, tol=tol, precomputed={key: values[key][i] for key in keys})
                 summary["bipartite_graphs" if bip else "graphs"] += 1
-                if cert.verdict not in ("certified_positive", "exceptional"):
+                if cert.verdict not in _SWEEP_EXPECTS:
                     summary["inconclusive"] += 1
                     continue
                 summary[cert.verdict] += 1
                 gg = as_graph(g)
                 res = is_hamiltonian(gg, budget=oracle_budget)
-                if cert.verdict == "certified_positive":
-                    want, kind = "yes", "certified_not_hamiltonian"
-                else:
-                    want, kind = "no", "exceptional_but_hamiltonian"
+                want, kind = _SWEEP_EXPECTS[cert.verdict]
                 if res.status == "aborted":
                     summary["aborted"].append(graph6_encode(gg))
                 elif res.status != want:

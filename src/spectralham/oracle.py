@@ -14,7 +14,8 @@ before it is returned; a witness that fails the check raises RuntimeError.
 
 ``_held_karp_batch`` decides many graphs of one small order at once: the
 same Held-Karp subset DP, run as one numpy "pull" step per subset size
-across all rows (the harness uses it for every campaign row of order <= 16).
+across all rows (the harness gives it the relabelling-class representatives
+of every campaign of order <= 16).
 Its witnesses are rebuilt from the DP table and validated the same way.
 
 Budget exhaustion is an explicit "aborted" outcome, never a wrong verdict.

@@ -173,6 +173,13 @@ def test_verify_clean_and_exit_codes(capsys):
     assert code == 2 and "preconditions" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_refuses_jobs_below_one(capsys, jobs):
+    code, _, err = run_cli(capsys, "verify", "ore", "--space", "all_labeled", "--n", "4",
+                           "--jobs", jobs)
+    assert code == 2 and f"jobs must be >= 1, got {jobs}" in err
+
+
 def test_verify_json_stream(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "ore", "--space", "all_labeled", "--n", "4", "--json"

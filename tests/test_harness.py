@@ -23,12 +23,12 @@ from spectralham.harness import (
     verify_theorem,
     _bit_ends,
     _class_keys,
-    _class_radii,
     _eig_rows,
     _graphs_from_bits,
     _index_blocks,
     _radii,
     _radius_interval,
+    _row_classes,
 )
 from spectralham.oracle import is_hamiltonian, is_traceable
 from spectralham.spectral import radius_intervals, spectral_radius
@@ -354,22 +354,23 @@ def test_class_values_match_row_values(keys, size, bip):
     for key in keys:
         memo = {}
         for bits, deg in _space_rows(size, bip):
-            got = _class_radii(key, size, bip, bits, deg, memo)
+            got = _row_classes(size, bip, bits, deg).radii(key, memo)
             assert np.allclose(got, _radii(key, size, bip, bits), rtol=0, atol=1e-12), key
 
 
 def test_gated_class_values_match_row_values(monkeypatch):
     # the rows a campaign actually eigensolves, against their own eigvalsh value
     seen = {}
-    orig = harness._class_radii
+    orig = harness._Classes.radii
 
-    def checking(key, size, bip, bits, deg, memo):
-        got = orig(key, size, bip, bits, deg, memo)
-        assert np.allclose(got, _radii(key, size, bip, bits), rtol=0, atol=1e-12), key
+    def checking(self, key, memo, rows=None):
+        got = orig(self, key, memo, rows)
+        bits = self.rows if rows is None else self.rows[rows]
+        assert np.allclose(got, _radii(key, self.size, self.bip, bits), rtol=0, atol=1e-12), key
         seen[key] = seen.get(key, 0) + len(bits)
         return got
 
-    monkeypatch.setattr(harness, "_class_radii", checking)
+    monkeypatch.setattr(harness._Classes, "radii", checking)
     assert verify_theorem("fn_rho", SearchSpace.all_labeled(7)).clean
     assert verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4)).clean
     assert seen.keys() == {"rho", "q_qc"} and min(seen.values()) > 0
@@ -415,36 +416,96 @@ def test_relabellings_share_one_class_value():
     deg = np.concatenate([_degree_stats(7, False, i, i + 1)["deg"] for i in idx.tolist()], axis=1)
     keys, _ = _class_keys(7, False, bits, deg)
     assert len(set(keys.tolist())) == 1
-    together = _class_radii("rho", 7, False, bits, deg, {})
+    together = _row_classes(7, False, bits, deg).radii("rho", {})
     assert len(set(together.tolist())) == 1
     shared = {}
     for chunk in sorted(set((idx // _CHUNK).tolist())):
         rows = np.flatnonzero(idx // _CHUNK == chunk)
         for memo in (shared, {}):
-            got = _class_radii("rho", 7, False, bits[rows], deg[:, rows], memo)
+            got = _row_classes(7, False, bits[rows], deg[:, rows]).radii("rho", memo)
             assert np.array_equal(got, together[rows])
 
 
 def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
-    # the benchmark's campaign pass; no value outlives a verify_theorem call,
-    # so a second identical pass eigensolves as many matrices as the first
-    solved = []
-    orig = np.linalg.eigvalsh
+    # the benchmark's campaign pass: every row that survives the gate is
+    # keyed once (9,171 fn_rho rows, 33,023 bip_q_qc rows), and its radii,
+    # hypotheses and conclusions share those keys.  No value outlives a
+    # verify_theorem call, so a second identical pass does as much as the first
+    keyed, solved, decided = [], [], []
+    orig_keys, orig_eig, orig_hk = harness._class_keys, np.linalg.eigvalsh, \
+        harness._held_karp_batch
 
-    def counting(a):
+    def keys(size, bip, bits, deg):
+        keyed.append(len(bits))
+        return orig_keys(size, bip, bits, deg)
+
+    def eig(a):
         solved.append(len(a))
-        return orig(a)
+        return orig_eig(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    totals = []
+    def held_karp(adj, order, cycle):
+        decided.append(len(adj))
+        return orig_hk(adj, order, cycle)
+
+    monkeypatch.setattr(harness, "_class_keys", keys)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eig)
+    monkeypatch.setattr(harness, "_held_karp_batch", held_karp)
     for _ in range(2):
-        solved.clear()
+        for counts in (keyed, solved, decided):
+            counts.clear()
         reps = [verify_theorem("fn_rho", SearchSpace.all_labeled(7)),
                 verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4))]
         assert [(r.processed, r.hypothesis_count, r.clean) for r in reps] == \
             [(1 << 21, 6890, True), (1 << 16, 7583, True)]
-        totals.append(sum(solved))
-    assert 0 < totals[0] == totals[1] <= 1000
+        assert (sum(keyed), sum(solved), sum(decided)) == (42_194, 431, 252)
+
+
+class _RecordingPool:
+    """A stand-in for multiprocessing.Pool that records its size and maps in-process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize("jobs, cpus, ranges, workers", [
+    (3, 2, 3, 2),  # no more workers than CPUs
+    (10 ** 9, 1000, 64, 64),  # no more workers (and ranges) than indices
+    (2, 1000, 2, 2),
+])
+def test_worker_pool_is_capped(monkeypatch, jobs, cpus, ranges, workers):
+    space = SearchSpace.all_labeled(4)
+    seen = []
+    orig = harness._worker
+
+    def worker(args):
+        seen.append(args[-2:])
+        return orig(args)
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(harness, "_worker", worker)
+    _RecordingPool.sizes.clear()
+    serial = _drop_times(verify_theorem("ore", space).to_json())
+    assert _drop_times(verify_theorem("ore", space, jobs=jobs).to_json()) == serial
+    assert _RecordingPool.sizes == [workers] and len(seen) == ranges
+    assert seen[0][0] == 0 and seen[-1][1] == 64
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_are_refused(jobs):
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        verify_theorem("ore", SearchSpace.all_labeled(4), jobs=jobs)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12, float("inf")])
@@ -715,7 +776,7 @@ def test_budget_below_batched_charge_aborts():
 
 
 # (space, objective, constraint, k, best, number of optima, sha256 prefix of
-# the sorted optima) recorded with every graph eigensolved
+# the sorted optima) recorded when every row was eigensolved on its own
 EXTREMAL_GOLDEN = (
     (SearchSpace.all_labeled(6), "max_rho", "non_hamiltonian", None,
      4.051374241731038, 30, "f5fb7c4cfbadbc4d"),
@@ -858,6 +919,6 @@ def test_order_12_rows_never_share_a_class_value():
     twins[:, 63:] = ~twins[:, 63:]
     rows = np.concatenate([bits, twins])
     deg = harness._row_block(12, False, rows).stats["deg"]
-    got = _class_radii("rho", 12, False, rows, deg, {})
+    got = _row_classes(12, False, rows, deg).radii("rho", {})
     assert np.array_equal(got, _radii("rho", 12, False, rows))
     assert np.all(got[:40] != got[40:])
