@@ -53,12 +53,13 @@ representative, decided every time.  Matrix stacks are sized by bytes.
 Conclusions.  With the same classes, each radius is eigensolved over the
 rows its gate kept (``_Classes.radii``), the hypothesis masks follow, and
 the candidate rows (some mask holds) are decided per class: the hypothesis
-and the conclusion are both isomorphism-invariant.  The representatives get
-their neighbourhood bitmasks from one matmul, and ``_BatchVerdicts`` decides
-"Hamiltonian?" / "traceable?" for them: ``oracle._held_karp_batch`` up to
-order 16 (every keyed row is of order at most 16), charging each row
-1 << order nodes, which no relabelling changes (aborted past the budget),
-and validating every witness; the scalar oracle above that.  The closure
+and the conclusion are both isomorphism-invariant.  ``_Classes.verdicts``
+is the one place an oracle verdict comes from: it decides "Hamiltonian?" /
+"traceable?" for the representatives, from their neighbourhood bitmasks
+(one matmul), with ``oracle._held_karp_batch`` up to order 16 (every keyed
+row is of order at most 16), charging each representative 1 << order nodes,
+which no relabelling changes (aborted past the budget), and validating every
+witness; the scalar oracle above that, and nowhere else.  The closure
 checks, the clique / biclique conclusions and the exceptional-family
 recognizers are asked once per class too.  Every statement is finished a
 column at a time: a "not_ham" check reads the Hamiltonicity column,
@@ -68,10 +69,15 @@ exceptional matches) stay per row, and the graph6 of a failing or aborted
 row is built from that row's own bits.
 
 ``extremal_search`` and the soundness sweep read the same producers and take
-their radii per class the same way, with a memo per call, then ask the
-scalar oracle row by row.  An enumerated campaign can be split into ``jobs``
-index ranges, run by at most as many workers as there are ranges and CPUs;
-the merged report equals the serial one.
+their radii and verdicts per class the same way, with a memo per call, so
+they pay the batched node charge too.  Extremal search asks for verdicts
+only on the rows that can still reach the best value decided "no" so far,
+and builds graph6 strings only for its optima; the sweep certifies every
+labeled graph on its own and asks for the verdicts of the fired rows.
+``_graph6_rows`` builds every reported graph6 string from the row's own
+bits.  An enumerated campaign can be split into ``jobs`` index ranges, run
+by at most as many workers as there are ranges and CPUs; the merged report
+equals the serial one.
 ``VerificationReport.timings`` charges time to the stages stats (including
 producing the rows), gate, eigensolve (including the class keys),
 hypothesis, conclusion and recognize, lap by lap, so they sum to about the
@@ -83,7 +89,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import compress
 from typing import Callable, Iterator, Optional
@@ -211,6 +217,9 @@ class SearchSpace:
                     f"all_labeled is capped at n <= {MAX_ALL_LABELED_N} "
                     f"(2^C(n,2) graphs); use graph6_file mode for larger orders"
                 )
+            if self.kind == "labeled_min_degree" and not (
+                    isinstance(self.k, (int, np.integer)) and self.k >= 0):
+                raise SpaceCapError("labeled_min_degree needs an int k >= 0")
         elif self.kind == "balanced_bipartite_labeled":
             if self.side is None or self.side < 1:
                 raise SpaceCapError("bipartite enumeration needs side >= 1")
@@ -279,10 +288,11 @@ def random_model(kind: str, *, n: Optional[int] = None, side: Optional[int] = No
 
     The stream is a pure function of (kind, parameters, seed): graph i uses
     the next block of uniform deviates, one per vertex pair (``pair_order``)
-    or per cross pair x_i y_j (bit i*side+j).
+    or per cross pair x_i y_j (bit i*side+j).  The parameters are checked as
+    a random_model ``SearchSpace``'s.
     """
-    if kind not in ("uniform_gnp", "bipartite_gnp"):
-        raise ValueError(f"unknown random model {kind!r}")
+    SearchSpace("random_model", model=kind, n=n, side=side, p=p, seed=seed,
+                count=count).validate()
     bip = kind == "bipartite_gnp"
     size = side if bip else n
     for bits in _gnp_bits(size, bip, p, seed, count):
@@ -591,6 +601,29 @@ class _Classes:
         on its class alone."""
         return self.values(memo, lambda c: _radii(key, self.size, self.bip, self.bits(c)), rows)
 
+    def verdicts(self, question: str, memo: dict, budget: int,
+                 rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Statuses ("yes" / "no" / "aborted") of "ham" or "trace" for the given
+        rows (every row when None), decided once per class on its representative.
+
+        Up to order _HK_MAX_ORDER the batched Held-Karp kernel decides them,
+        charging each representative 1 << order nodes (all "aborted" past the
+        budget); the scalar oracle decides larger orders one at a time.
+        """
+        order = _bit_ends(self.size, self.bip)[2]
+
+        def solve(c):
+            adj = _adjacency_rows(self.size, self.bip, self.bits(c))
+            if order > _HK_MAX_ORDER:
+                oracle = is_hamiltonian if question == "ham" else is_traceable
+                return [oracle(Graph(order, tuple(row)), budget=budget).status
+                        for row in adj.tolist()]
+            if (1 << order) > budget:
+                return np.full(len(c), "aborted")
+            return np.where(_held_karp_batch(adj, order, question == "ham")[0], "yes", "no")
+
+        return self.values(memo, solve, rows)
+
     def values(self, memo: dict, solve: Callable, rows: Optional[np.ndarray] = None):
         """The value of each of the given rows (every row when None), decided per class.
 
@@ -692,35 +725,14 @@ def _graphs_from_bits(size: int, bip: bool, bits: np.ndarray) -> list:
     return [_row_graph(size, bip, row) for row in _adjacency_rows(size, bip, bits).tolist()]
 
 
+def _graph6_rows(size: int, bip: bool, bits: np.ndarray) -> list[str]:
+    """The graph6 strings of rows of pair bits (a bipartite row as its whole graph)."""
+    return [graph6_encode(as_graph(g)) for g in _graphs_from_bits(size, bip, bits)]
+
+
 # ---------------------------------------------------------------------------
 # Verdicts and conclusions
 # ---------------------------------------------------------------------------
-
-class _BatchVerdicts:
-    """Oracle verdicts for class representatives (neighbourhood bitmasks adj).
-
-    Up to order _HK_MAX_ORDER the batched Held-Karp kernel decides them,
-    charging each row 1 << order nodes (all "aborted" past the budget); the
-    scalar oracle decides larger orders row by row.  ``column`` is the one
-    place a verdict comes from.
-    """
-
-    def __init__(self, adj: np.ndarray, order: int, budget: int):
-        self.adj = adj
-        self.order = order
-        self.budget = budget
-
-    def column(self, question: str, rows: np.ndarray) -> np.ndarray:
-        """Statuses ("yes" / "no" / "aborted") of the given rows for "ham" or "trace"."""
-        if self.order > _HK_MAX_ORDER:
-            oracle = is_hamiltonian if question == "ham" else is_traceable
-            return np.array([oracle(Graph(self.order, tuple(self.adj[r].tolist())),
-                                    budget=self.budget).status for r in rows.tolist()])
-        if (1 << self.order) > self.budget:
-            return np.full(len(rows), "aborted")
-        found = _held_karp_batch(self.adj[rows], self.order, question == "ham")[0]
-        return np.where(found, "yes", "no")
-
 
 # the graph checks that read the graph itself ("not_ham" reads the "ham" column)
 _GRAPH_CHECKS = {"closed": is_closed, "b_closed": is_b_closed}
@@ -926,7 +938,6 @@ def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget
         active[i] = st.hypothesis(stats, size, k, tol)
     clock.lap("hypothesis")
     adj = _adjacency_rows(size, bip, classes.bits())
-    batch = _BatchVerdicts(adj, _bit_ends(size, bip)[2], budget)
     graphs = {}
 
     def graph(c):
@@ -941,17 +952,16 @@ def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget
         return lambda c: [answer(graph(j)) for j in c.tolist()]
 
     def g6(rows):
-        if not len(rows):
-            return []
-        return [graph6_encode(as_graph(g)) for g in _graphs_from_bits(size, bip, bits[rows])]
+        return _graph6_rows(size, bip, bits[rows])
 
     need = {q: active[[st.conclusion == q for st in stmts]].any(axis=0) for q in ("ham", "trace")}
     ham = np.full(len(bits), "", dtype="<U7")
     asked = np.flatnonzero(need["ham"] | need["trace"])
-    ham[asked] = per_row("ham", asked, lambda c: batch.column("ham", c))
+    ham[asked] = classes.verdicts("ham", memos.setdefault(("ham", size, bip), {}), budget, asked)
     trace = np.where(ham == "yes", ham, "")
     asked = np.flatnonzero(need["trace"] & (ham != "yes"))
-    trace[asked] = per_row("trace", asked, lambda c: batch.column("trace", c))
+    trace[asked] = classes.verdicts("trace", memos.setdefault(("trace", size, bip), {}), budget,
+                                    asked)
     verdicts = {"ham": ham, "trace": trace}
     for st, mask in zip(stmts, active):
         if st.graph_check == "not_ham":
@@ -1070,8 +1080,12 @@ def extremal_search(
     constraint: "non_hamiltonian" or "non_traceable"; k adds a minimum-degree
     filter.  Returns (best value, sorted graph6 list of all optima within the
     comparison tolerance); (None, []) when nothing satisfies the constraint.
-    Every row of the space that passes the filters takes its value from its
-    relabelling class; the oracle then walks the rows from the best value down.
+    Every row of the space that passes the filters takes its value and its
+    verdict from its relabelling class (``_Classes.radii``,
+    ``_Classes.verdicts``), and a block asks for verdicts only on the rows
+    that can still reach the best value decided "no" so far.  Raises
+    ValueError when the oracle aborted on a row that could reach the
+    returned optimum, or on some row while none was decided "no".
     """
     space.validate()
     _check_tol(tol)
@@ -1080,49 +1094,46 @@ def extremal_search(
     if constraint not in ("non_hamiltonian", "non_traceable"):
         raise ValueError(f"unknown constraint {constraint!r}")
     stat_key, sense = _OBJECTIVES[objective]
-    oracle = is_hamiltonian if constraint == "non_hamiltonian" else is_traceable
+    question = "ham" if constraint == "non_hamiltonian" else "trace"
+    sign = 1.0 if sense == "max" else -1.0  # a signed value is better when larger
     bip = space.is_bipartite_space
     if stat_key == "q_qc" and not bip:
         raise ValueError("min_q_qc needs a balanced-bipartite space")
     if stat_key == "rho_complement" and bip:
         raise ValueError("min_rho_complement needs a plain-graph space")
 
-    kept = []  # (block less its statistics, its filtered rows, their values)
-    memos = {}  # {(size, bip): {class key: value}}
+    # the best signed value decided "no", and the best whose run aborted
+    best = reach = -np.inf
+    kept = []  # (size, bits, signed values) of the rows decided "no"
+    memos = {}  # {(quantity or question, size, bip): {class key: value}}
     for blk in _space_blocks(space, bip):
         sel = blk.stats["delta"] >= (k if k is not None else 0)
         if blk.in_space is not None:
             sel &= blk.in_space
         rows = np.flatnonzero(sel)
-        if len(rows):
-            classes = _row_classes(blk.size, blk.bip, blk.rows_bits(rows),
-                                   blk.stats["deg"][:, rows])
-            values = classes.radii(stat_key, memos.setdefault((blk.size, blk.bip), {}))
-            kept.append((replace(blk, stats=None, in_space=None), rows, values))
+        if not len(rows):
+            continue
+        size = blk.size
+        bits = blk.rows_bits(rows)
+        classes = _row_classes(size, bip, bits, blk.stats["deg"][:, rows])
+        values = sign * classes.radii(stat_key, memos.setdefault((stat_key, size, bip), {}))
+        # a row more than tol below the best "no" so far is no optimum
+        ask = np.flatnonzero(best - values <= tol)
+        status = classes.verdicts(question, memos.setdefault((question, size, bip), {}),
+                                  oracle_budget, ask)
+        reach = max(reach, values[ask[status == "aborted"]].max(initial=-np.inf))
+        no = ask[status == "no"]
+        if len(no):
+            kept.append((size, bits[no], values[no]))
+            best = max(best, values[no].max())
+    if reach > -np.inf and best - reach <= tol:
+        raise ValueError(f"the oracle aborted at budget {oracle_budget} on graphs that could "
+                         f"reach the optimum; raise the oracle budget")
     if not kept:
         return None, []
-    values = np.concatenate([vals for _, _, vals in kept])
-    offsets = np.cumsum([0] + [len(vals) for _, _, vals in kept])
-    order = np.argsort(values)
-    if sense == "max":
-        order = order[::-1]
-    best = None
-    winners = []
-    for i in order.tolist():
-        val = float(values[i])
-        if best is not None:
-            gap = (best - val) if sense == "max" else (val - best)
-            if gap > tol:
-                break
-        b = int(np.searchsorted(offsets, i, side="right")) - 1
-        blk, rows, _ = kept[b]
-        bits = blk.rows_bits(rows[i - offsets[b] :][:1])
-        gg = as_graph(_graphs_from_bits(blk.size, blk.bip, bits)[0])
-        if oracle(gg, budget=oracle_budget).status == "no":
-            if best is None:
-                best = val
-            winners.append(graph6_encode(gg))
-    return best, sorted(winners)
+    winners = [g6 for size, bits, values in kept
+               for g6 in _graph6_rows(size, bip, bits[best - values <= tol])]
+    return float(sign * best), sorted(winners)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,9 +1154,11 @@ def certifier_soundness_sweep(
     """Certify every labeled graph / balanced bipartite graph in the ranges.
 
     Checks that no certified_positive graph is oracle-negative and no
-    exceptional graph is oracle-positive.  Each graph's radii come from its
-    relabelling class, as in a campaign.  Returns a summary dict with any
-    violations as graph6 strings.
+    exceptional graph is oracle-positive.  Each labeled graph is certified on
+    its own, so the recognizers see labeled inputs; its radii, and the
+    oracle's answer for a fired certificate, come from its relabelling class
+    (``_Classes.radii``, ``_Classes.verdicts``), as in a campaign.  Returns a
+    summary dict with any violations and aborts as graph6 strings.
     """
     _check_tol(tol)
     summary = {
@@ -1160,7 +1173,7 @@ def certifier_soundness_sweep(
     runs = [(n, False, certify_hamiltonicity, ("rho", "q", "rho_complement")) for n in ns]
     runs += [(side, True, certify_bipartite_hamiltonicity, ("rho", "q", "rho_qc", "q_qc"))
              for side in bip_sides]
-    memos = {}  # {(quantity, size, bip): {class key: value}}
+    memos = {}  # {(quantity or question, size, bip): {class key: value}}
     for size, bip, certify, keys in runs:
         total = 1 << (size * size if bip else size * (size - 1) // 2)
         for blk in _index_blocks(size, bip, 0, total):
@@ -1168,19 +1181,21 @@ def certifier_soundness_sweep(
             classes = _row_classes(size, bip, bits, blk.stats["deg"])
             values = {key: classes.radii(key, memos.setdefault((key, size, bip), {})).tolist()
                       for key in keys}
+            fired = []  # (row, verdict, theorem) of the certificates the oracle must confirm
             for i, g in enumerate(_graphs_from_bits(size, bip, bits)):
                 cert = certify(g, tol=tol, precomputed={key: values[key][i] for key in keys})
-                summary["bipartite_graphs" if bip else "graphs"] += 1
-                if cert.verdict not in _SWEEP_EXPECTS:
-                    summary["inconclusive"] += 1
-                    continue
-                summary[cert.verdict] += 1
-                gg = as_graph(g)
-                res = is_hamiltonian(gg, budget=oracle_budget)
-                want, kind = _SWEEP_EXPECTS[cert.verdict]
-                if res.status == "aborted":
-                    summary["aborted"].append(graph6_encode(gg))
-                elif res.status != want:
-                    summary["violations"].append(
-                        {"graph6": graph6_encode(gg), "kind": kind, "theorem": cert.theorem})
+                if cert.verdict in _SWEEP_EXPECTS:
+                    fired.append((i, cert.verdict, cert.theorem))
+            summary["bipartite_graphs" if bip else "graphs"] += len(bits)
+            summary["inconclusive"] += len(bits) - len(fired)
+            rows = np.array([r for r, _, _ in fired], dtype=np.int64)
+            status = classes.verdicts("ham", memos.setdefault(("ham", size, bip), {}),
+                                      oracle_budget, rows)
+            summary["aborted"] += _graph6_rows(size, bip, bits[rows[status == "aborted"]])
+            for (r, verdict, theorem), got in zip(fired, status.tolist()):
+                summary[verdict] += 1
+                want, kind = _SWEEP_EXPECTS[verdict]
+                if got not in ("aborted", want):
+                    g6 = _graph6_rows(size, bip, bits[r : r + 1])[0]
+                    summary["violations"].append({"graph6": g6, "kind": kind, "theorem": theorem})
     return summary

@@ -14,9 +14,11 @@ before it is returned; a witness that fails the check raises RuntimeError.
 
 ``_held_karp_batch`` decides many graphs of one small order at once: the
 same Held-Karp subset DP, run as one numpy "pull" step per subset size
-across all rows (the harness gives it the relabelling-class representatives
-of every campaign of order <= 16).
-Its witnesses are rebuilt from the DP table and validated the same way.
+across all rows.  The harness gives it the relabelling-class representatives
+of order <= 16 of every campaign, extremal search and soundness sweep, and
+calls the scalar search only above that order.  Its index tables are built
+on every call.  Its witnesses are rebuilt from the DP table and validated
+the same way.
 
 Budget exhaustion is an explicit "aborted" outcome, never a wrong verdict.
 """
@@ -24,7 +26,7 @@ Budget exhaustion is an explicit "aborted" outcome, never a wrong verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -233,58 +235,7 @@ _HK_SCRATCH = 1 << 21
 _HK_MAX_ORDER = 16
 
 
-# Bytes of the batched DP's index tables kept between calls.  A campaign
-# pass's (7, cycle), (7, path) and (8, cycle) take 22 KiB; the order-16 pair
-# takes 14 MiB, so the tables of orders 15 (paths) and 16 are rebuilt per call.
-_HK_TABLE_BYTES = 1 << 22
-
-
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int  # bytes
-    currsize: int  # bytes
-
-
-class _KeptTables:
-    """``_build_held_karp_tables`` with its results kept up to max_bytes.
-
-    The least recently used tables are let go first, and tables larger than
-    the bound are returned but not kept.  ``cache_info()`` reads like
-    lru_cache's, with maxsize and currsize in bytes.
-    """
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.kept = {}  # {(order, cycle): (tables, bytes)}, least recently used first
-        self.hits = self.misses = 0
-
-    def __call__(self, order: int, cycle: bool):
-        key = (order, cycle)
-        if key in self.kept:
-            self.hits += 1
-            self.kept[key] = self.kept.pop(key)
-            return self.kept[key][0]
-        self.misses += 1
-        tables = _build_held_karp_tables(order, cycle)
-        size = sum(a.nbytes for layer in tables[2] for a in layer)
-        if size <= self.max_bytes:
-            self.kept[key] = (tables, size)
-            while self.kept_bytes() > self.max_bytes:
-                del self.kept[next(iter(self.kept))]
-        return tables
-
-    def kept_bytes(self) -> int:
-        return sum(size for _, size in self.kept.values())
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.max_bytes, self.kept_bytes())
-
-
-_held_karp_tables = _KeptTables(_HK_TABLE_BYTES)
-
-
-def _build_held_karp_tables(order: int, cycle: bool):
+def _held_karp_tables(order: int, cycle: bool):
     """Index tables of the batched subset DP for one (order, cycle).
 
     State bit j stands for vertex j + off, where off = 1 for cycles (their

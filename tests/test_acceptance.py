@@ -348,6 +348,7 @@ def test_criterion_08_certifier_soundness_sweep():
     assert summary["graphs"] == sum(1 << (n * (n - 1) // 2) for n in range(3, 8))
     assert summary["bipartite_graphs"] == sum(1 << (s * s) for s in (2, 3, 4))
     assert (summary["certified_positive"], summary["exceptional"]) == (443_831, 1_716)
+    assert summary["inconclusive"] == 1_751_533
     _report(
         8,
         f"soundness sweep: {summary['graphs']} graphs / "

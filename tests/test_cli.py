@@ -199,6 +199,12 @@ def test_search(capsys):
     assert abs(rec["best"] - 2.0) < 1e-9 and rec["graphs"]
 
 
+def test_search_with_an_aborted_optimum_is_an_error(capsys):
+    # below the batched charge of 1 << 5 nodes no class of order 5 is decided
+    code, out, err = run_cli(capsys, "search", "max_rho", "--n", "5", "--budget", "31")
+    assert code == 2 and not out and "budget 31" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "fn_rho", "--n", "5"),
     ("search", "max_rho", "--n", "5", "--constraint", "non_hamiltonian"),

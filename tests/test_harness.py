@@ -9,7 +9,9 @@ import spectralham.families as families
 import spectralham.harness as harness
 import spectralham.statements as statements
 from spectralham.families import FamilySpec, construct, recognize
-from spectralham.graphs import Graph, complete_graph, graph6_decode, graph6_encode, pair_order
+from spectralham.graphs import (
+    Graph, as_graph, complete_graph, graph6_decode, graph6_encode, pair_order, path_graph,
+)
 from spectralham.harness import (
     _CHUNK,
     SearchSpace,
@@ -271,6 +273,123 @@ def test_extremal_search_empty_constraint_set():
     )
     # every graph on 3 vertices with min degree >= 1 is P_3 or K_3: traceable
     assert best is None and winners == []
+
+
+def test_extremal_search_refuses_an_aborted_optimum():
+    # below the batched charge of 1 << 5 nodes every class aborts, so no
+    # optimum is known
+    with pytest.raises(ValueError, match="budget 31"):
+        extremal_search(SearchSpace.all_labeled(5), "max_rho", "non_hamiltonian",
+                        oracle_budget=(1 << 5) - 1)
+
+
+def test_extremal_search_refuses_aborts_that_could_reach_the_optimum(tmp_path):
+    # a budget of 63 decides order 5 (charge 32) and aborts order 6 (charge
+    # 64): an aborted P_6 lies far below N_5^1, an aborted N_6^1 above it
+    n51 = construct(FamilySpec("N", n=5, k=1))
+    path = tmp_path / "orders56.g6"
+    space = SearchSpace.graph6_file(str(path))
+    path.write_text(f"{graph6_encode(n51)}\n{graph6_encode(path_graph(6))}\n")
+    best, winners = extremal_search(space, "max_rho", "non_hamiltonian", oracle_budget=63)
+    assert abs(best - spectral_radius(n51).value) < 1e-12 and winners == [graph6_encode(n51)]
+    n61 = construct(FamilySpec("N", n=6, k=1))
+    path.write_text(f"{graph6_encode(n51)}\n{graph6_encode(n61)}\n")
+    with pytest.raises(ValueError, match="budget 63"):
+        extremal_search(space, "max_rho", "non_hamiltonian", oracle_budget=63)
+
+
+def _extremal_by_class_and_row(monkeypatch, space, objective, k=None):
+    # the answer with each class decided once, and with the identity
+    # relabelling, which makes every labeled row a class; the optima must be
+    # the same rows, and the values the same up to the rounding of eigvalsh on
+    # a relabelled matrix
+    by_class = extremal_search(space, objective, "non_hamiltonian", k=k)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_class_keys", _identity_keys)
+        by_row = extremal_search(space, objective, "non_hamiltonian", k=k)
+    assert abs(by_class[0] - by_row[0]) < 1e-12
+    return by_class[1], by_row[1]
+
+
+@pytest.mark.parametrize("space, objective, k", [
+    (SearchSpace.all_labeled(6), "max_rho", None),
+    (SearchSpace.all_labeled(6), "max_q", None),
+    (SearchSpace.balanced_bipartite_labeled(4), "min_q_qc", 2),
+])
+def test_extremal_class_answers_match_row_answers(monkeypatch, space, objective, k):
+    by_class, by_row = _extremal_by_class_and_row(monkeypatch, space, objective, k)
+    assert by_class == by_row and by_class
+
+
+def test_extremal_search_on_unkeyed_rows_matches_per_graph_reference(monkeypatch, tmp_path):
+    # order-12 rows have 66 bits and no key, so each is a class of one; the
+    # reference takes each graph's rho and verdict on its own
+    rng = np.random.default_rng(12)
+    graphs = [construct(FamilySpec(f, n=12, k=k)) for f in ("L", "N") for k in (1, 2)]
+    graphs += list(random_model("uniform_gnp", n=12, p=0.8, seed=12, count=10))
+    graphs = [g.relabel(rng.permutation(12)) for g in graphs for _ in range(3)]
+    path = tmp_path / "order12.g6"
+    path.write_text("".join(graph6_encode(g) + "\n" for g in graphs))
+    space = SearchSpace.graph6_file(str(path))
+    by_class, by_row = _extremal_by_class_and_row(monkeypatch, space, "max_rho")
+    assert by_class == by_row
+    non_ham = [(graph6_encode(g), spectral_radius(g).value) for g in graphs
+               if is_hamiltonian(g).status == "no"]
+    best = max(val for _, val in non_ham)
+    assert abs(extremal_search(space, "max_rho", "non_hamiltonian")[0] - best) < 1e-12
+    # L and N coincide at k = 1: three relabellings each, one of them twice
+    assert by_class == sorted(g6 for g6, val in non_ham if best - val <= 1e-9)
+    assert len(by_class) == 6
+
+
+def test_sweep_class_verdicts_match_row_verdicts(monkeypatch):
+    by_class = certifier_soundness_sweep(ns=(5, 6), bip_sides=(3,))
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_class_keys", _identity_keys)
+        by_row = certifier_soundness_sweep(ns=(5, 6), bip_sides=(3,))
+    assert by_class == by_row
+    assert by_class["certified_positive"] and by_class["exceptional"]
+
+
+def test_extremal_search_and_sweep_use_batched_verdicts(monkeypatch):
+    # every verdict comes from the batched kernel; the scalar oracle (which
+    # the certifier would call only with use_oracle) is never reached
+    import spectralham.certifier as certifier
+
+    calls = _count_calls(monkeypatch, harness,
+                         ("is_hamiltonian", "is_traceable", "_held_karp_batch"))
+    certifier_calls = _count_calls(monkeypatch, certifier, ("is_hamiltonian", "is_traceable"))
+    best, winners = extremal_search(SearchSpace.balanced_bipartite_labeled(4), "max_rho",
+                                    "non_hamiltonian", k=2)
+    assert len(winners) == 36
+    assert calls["is_hamiltonian"] == calls["is_traceable"] == 0
+    assert calls["_held_karp_batch"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    summary = certifier_soundness_sweep(ns=(6,), bip_sides=())
+    assert summary["certified_positive"] and summary["exceptional"] and not summary["aborted"]
+    assert calls["is_hamiltonian"] == calls["is_traceable"] == 0
+    assert calls["_held_karp_batch"] > 0
+    assert certifier_calls == {"is_hamiltonian": 0, "is_traceable": 0}
+
+
+def test_labeled_min_degree_needs_k():
+    for k in (None, -1, 1.5):
+        space = SearchSpace("labeled_min_degree", n=4, k=k)
+        with pytest.raises(SpaceCapError, match="labeled_min_degree needs an int k >= 0"):
+            space.validate()
+        with pytest.raises(SpaceCapError, match="labeled_min_degree needs an int k >= 0"):
+            list(enumerate_space(space))
+    assert sum(1 for _ in enumerate_space(SearchSpace.labeled_min_degree(4, 0))) == 64
+
+
+def test_random_model_checks_its_space():
+    for kwargs, message in ((dict(kind="bipartite_gnp", n=3), "bipartite_gnp needs side >= 1"),
+                            (dict(kind="uniform_gnp", side=3), "uniform_gnp needs n >= 1"),
+                            (dict(kind="gnp", n=3), "unknown random model 'gnp'")):
+        with pytest.raises(SpaceCapError, match=message):
+            list(random_model(p=0.5, seed=0, count=2, **kwargs))
+    with pytest.raises(SpaceCapError, match="edge probability"):
+        list(random_model("uniform_gnp", n=3, p=1.5, seed=0, count=2))
 
 
 def test_soundness_sweep_tiny():
@@ -588,14 +707,15 @@ def test_batched_and_scalar_conclusions_agree(monkeypatch):
              ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(3), None))
     batched = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
 
-    def scalar_column(self, question, rows):
+    def scalar_verdicts(self, question, memo, budget, rows=None):
         oracle = is_hamiltonian if question == "ham" else is_traceable
-        return np.array([oracle(Graph(self.order, tuple(self.adj[r].tolist()))).status
-                         for r in rows])
+        bits = self.rows if rows is None else self.rows[rows]
+        return np.array([oracle(as_graph(g), budget=budget).status
+                         for g in _graphs_from_bits(self.size, self.bip, bits)], dtype="<U7")
 
-    # column() is where every statement's verdicts come from, the "not_ham"
+    # verdicts() is where every statement's verdicts come from, the "not_ham"
     # checks included
-    monkeypatch.setattr(harness._BatchVerdicts, "column", scalar_column)
+    monkeypatch.setattr(harness._Classes, "verdicts", scalar_verdicts)
     scalar = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
     for a, b in zip(batched, scalar):
         _drop_times(a), _drop_times(b)

@@ -17,7 +17,6 @@ import spectralham.oracle as oracle
 from spectralham.harness import bipartite_from_index, graph_from_index
 from spectralham.oracle import (
     OracleResult,
-    _HK_MAX_ORDER,
     _held_karp_batch,
     _valid_orders,
     clique_number,
@@ -287,40 +286,6 @@ def test_batched_witness_validation_rejects_bad_orders():
     p4 = np.array([path_graph(4).adj])
     assert _valid_orders(p4, np.array([[0, 1, 2, 3]]), False).all()
     assert not _valid_orders(p4, np.array([[0, 1, 2, 3]]), True).any()  # 3-0 is no edge
-
-
-def test_held_karp_tables_cache_is_bounded():
-    # the order-16 tables alone hold 14 MiB; a campaign pass's three stay cached
-    tables = oracle._held_karp_tables
-    for order in range(9, _HK_MAX_ORDER + 1):
-        for cycle in (True, False):
-            tables(order, cycle)
-    info = tables.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    working_set = ((7, True), (7, False), (8, True))
-    for order, cycle in working_set:
-        tables(order, cycle)
-    hits = tables.cache_info().hits
-    for order, cycle in working_set:
-        tables(order, cycle)
-    assert tables.cache_info().hits == hits + len(working_set)
-
-
-def test_held_karp_tables_are_bounded_by_bytes():
-    # orders 9..16 build 28 MiB of tables; the kept ones fit the byte bound,
-    # tables larger than the bound (order 16) are never kept, and the order
-    # 7 and 8 tables of a campaign pass stay kept beside the last ones asked
-    for order in range(9, _HK_MAX_ORDER + 1):
-        for cycle in (True, False):
-            oracle._held_karp_tables(order, cycle)
-    for order, cycle in ((7, True), (7, False), (8, True)):
-        oracle._held_karp_tables(order, cycle)
-    kept = {key: sum(a.nbytes for layer in tables[2] for a in layer)
-            for key, (tables, _) in oracle._held_karp_tables.kept.items()}
-    assert sum(kept.values()) == oracle._held_karp_tables.cache_info().currsize
-    assert sum(kept.values()) <= oracle._HK_TABLE_BYTES
-    assert not {(16, True), (16, False)} & kept.keys()
-    assert {(7, True), (7, False), (8, True)} <= kept.keys()
 
 
 def test_scalar_oracle_rejects_invalid_witness(monkeypatch):
