@@ -40,7 +40,6 @@ from .spectral import (
     SpectralResult,
     bound_report,
     closed_form,
-    jacobi_eigenvalues,
     q_radius,
     spectral_radius,
 )

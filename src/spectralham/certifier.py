@@ -133,6 +133,36 @@ def _walk(walk, g, vals, ev, n, k, tol, use_oracle, oracle, budget) -> Certifica
     return Certificate(verdict, theorem, ev, spec, witness)
 
 
+# Each certifier: input type, minimum order and its error text, evidence head,
+# cascade and oracle.  The order is n, or the side size of a balanced graph.
+_CERTIFIERS = {
+    "hamiltonicity": (Graph, 3, "Hamiltonicity certification needs n >= 3",
+                      {"mode": "hamiltonicity"}, _HAM, is_hamiltonian),
+    "traceability": (Graph, 1, "traceability certification needs n >= 1",
+                     {"mode": "traceability", "part": 1}, _TRACE, is_traceable),
+    "bipartite_hamiltonicity": (BipartiteGraph, 2, "bipartite certification needs side size >= 2",
+                                {"mode": "bipartite_hamiltonicity"}, _BIPARTITE, is_hamiltonian),
+}
+
+
+def _certify(mode, g, use_oracle, tol, oracle_budget, precomputed) -> Certificate:
+    """Check the input, take k = delta(G) and walk the mode's cascade."""
+    kind, min_order, order_error, head, walk, oracle = _CERTIFIERS[mode]
+    if not isinstance(g, kind):
+        raise TypeError(f"certify_{mode} expects a {kind.__name__}")
+    _check_tol(tol)
+    bip = kind is BipartiteGraph
+    if bip and not g.balanced:
+        raise ValueError("bipartite certification needs a balanced bipartite graph")
+    n = g.nx if bip else g.n
+    if n < min_order:
+        raise ValueError(order_error)
+    delta, e = (g.min_degree(), g.edge_count) if bip else degree_profile(g)[1:]
+    vals = GraphValues(g, {**(precomputed or {}), "e": e, "delta": delta})
+    ev = {**head, "side" if bip else "n": n, "e": e, "delta": delta, "k": delta, "tolerance": tol}
+    return _walk(walk, g, vals, ev, n, delta, tol, use_oracle, oracle, oracle_budget)
+
+
 def certify_hamiltonicity(
     g: Graph,
     use_oracle: bool = False,
@@ -141,16 +171,7 @@ def certify_hamiltonicity(
     precomputed: Optional[dict] = None,
 ) -> Certificate:
     """Run the Hamiltonicity cascade on a graph of order >= 3."""
-    if not isinstance(g, Graph):
-        raise TypeError("certify_hamiltonicity expects a Graph")
-    _check_tol(tol)
-    n = g.n
-    if n < 3:
-        raise ValueError("Hamiltonicity certification needs n >= 3")
-    _, delta, e = degree_profile(g)
-    vals = GraphValues(g, {**(precomputed or {}), "e": e, "delta": delta})
-    ev = {"mode": "hamiltonicity", "n": n, "e": e, "delta": delta, "k": delta, "tolerance": tol}
-    return _walk(_HAM, g, vals, ev, n, delta, tol, use_oracle, is_hamiltonian, oracle_budget)
+    return _certify("hamiltonicity", g, use_oracle, tol, oracle_budget, precomputed)
 
 
 def certify_traceability(
@@ -161,17 +182,7 @@ def certify_traceability(
     precomputed: Optional[dict] = None,
 ) -> Certificate:
     """Run the traceability cascade (the part-(1) theorem clauses)."""
-    if not isinstance(g, Graph):
-        raise TypeError("certify_traceability expects a Graph")
-    _check_tol(tol)
-    n = g.n
-    if n < 1:
-        raise ValueError("traceability certification needs n >= 1")
-    _, delta, e = degree_profile(g)
-    vals = GraphValues(g, {**(precomputed or {}), "e": e, "delta": delta})
-    ev = {"mode": "traceability", "part": 1, "n": n, "e": e, "delta": delta, "k": delta,
-          "tolerance": tol}
-    return _walk(_TRACE, g, vals, ev, n, delta, tol, use_oracle, is_traceable, oracle_budget)
+    return _certify("traceability", g, use_oracle, tol, oracle_budget, precomputed)
 
 
 def certify_bipartite_hamiltonicity(
@@ -182,18 +193,4 @@ def certify_bipartite_hamiltonicity(
     precomputed: Optional[dict] = None,
 ) -> Certificate:
     """Run the balanced-bipartite Hamiltonicity cascade (side size >= 2)."""
-    if not isinstance(b, BipartiteGraph):
-        raise TypeError("certify_bipartite_hamiltonicity expects a BipartiteGraph")
-    _check_tol(tol)
-    if not b.balanced:
-        raise ValueError("bipartite certification needs a balanced bipartite graph")
-    n = b.nx
-    if n < 2:
-        raise ValueError("bipartite certification needs side size >= 2")
-    delta = b.min_degree()
-    e = b.edge_count
-    vals = GraphValues(b, {**(precomputed or {}), "e": e, "delta": delta})
-    ev = {"mode": "bipartite_hamiltonicity", "side": n, "e": e, "delta": delta, "k": delta,
-          "tolerance": tol}
-    return _walk(_BIPARTITE, b, vals, ev, n, delta, tol, use_oracle, is_hamiltonian,
-                 oracle_budget)
+    return _certify("bipartite_hamiltonicity", b, use_oracle, tol, oracle_budget, precomputed)

@@ -140,9 +140,12 @@ class FamilySpec:
             if n is None or k is None:
                 raise ValueError("Bset needs n and k")
             # the inner payload of Bset is bipartite k x (n-k), X labeled first
-            g = inner
-            rows = [g.adj[i] >> k for i in range(k)]
-            inner = BipartiteGraph(k, n - k, tuple(rows))
+            if not (0 <= k <= n == inner.n) or any(
+                    inner.adj[i] & ((1 << k) - 1) for i in range(k)) or any(
+                    inner.adj[i] >> k for i in range(k, n)):
+                raise ValueError(f"Bset inner graph must have order n={n} and edges only "
+                                 f"between vertices < k={k} and >= k")
+            inner = BipartiteGraph(k, n - k, tuple(inner.adj[i] >> k for i in range(k)))
         return FamilySpec(name, n=n, k=k, inner=inner)
 
 

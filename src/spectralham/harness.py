@@ -1158,9 +1158,14 @@ def certifier_soundness_sweep(
     its own, so the recognizers see labeled inputs; its radii, and the
     oracle's answer for a fired certificate, come from its relabelling class
     (``_Classes.radii``, ``_Classes.verdicts``), as in a campaign.  Returns a
-    summary dict with any violations and aborts as graph6 strings.
+    summary dict with any violations and aborts as graph6 strings.  Every
+    order and side is checked against the enumeration caps before any work.
     """
     _check_tol(tol)
+    for n in ns:
+        SearchSpace.all_labeled(n).validate()
+    for side in bip_sides:
+        SearchSpace.balanced_bipartite_labeled(side).validate()
     summary = {
         "graphs": 0,
         "bipartite_graphs": 0,

@@ -3,9 +3,10 @@
 rho(G) is the largest eigenvalue of the adjacency matrix A; q(G) is the
 largest eigenvalue of the signless Laplacian Q = A + D.  The default backend
 is the dense symmetric LAPACK eigensolver at every order (deterministic,
-residuals near machine precision); a self-contained cyclic Jacobi-rotation
-solver is provided as an independent recomputation route, and shifted power
-iteration runs only on request (``method="power"``).
+residuals near machine precision), and the only one the library itself
+uses; shifted power iteration runs only on request (``method="power"``), and
+any other method name raises ValueError.  The tests check LAPACK's radii
+against exact Sturm root counts of the integer characteristic polynomial.
 
 A single comparison tolerance (1e-9) is used wherever a computed eigenvalue
 meets a closed form or another computed eigenvalue.
@@ -29,7 +30,6 @@ __all__ = [
     "BoundReport",
     "adjacency_matrix",
     "signless_laplacian_matrix",
-    "jacobi_eigenvalues",
     "spectral_radius",
     "q_radius",
     "closed_form",
@@ -68,7 +68,7 @@ class SpectralResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver hit its iteration cap; carries the best estimate."""
+    """Power iteration hit its iteration cap; carries the best estimate."""
 
     def __init__(self, message: str, best: float, residual: float):
         super().__init__(f"{message} (best estimate {best:.12g}, residual {residual:.3g})")
@@ -88,67 +88,6 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Eigensolvers
 # ---------------------------------------------------------------------------
-
-def jacobi_eigenvalues(
-    m, tol: float = 1e-12, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cyclic Jacobi rotation sweeps on a symmetric matrix.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below ``tol``.
-    Returns (eigenvalues ascending, eigenvector columns, sweeps).  Raises
-    ConvergenceError after ``max_sweeps`` (never observed in practice: the
-    method converges quadratically).
-    """
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0)), 0
-    v = np.eye(n)
-    sweeps = 0
-    diag_idx = np.arange(n)
-    for sweeps in range(1, max_sweeps + 1):
-        offm = a.copy()
-        offm[diag_idx, diag_idx] = 0.0
-        off = float(np.linalg.norm(offm))
-        if off < tol:
-            sweeps -= 1
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-150 * max(1.0, abs(diff)):
-                    continue  # negligible pivot; rotating it would over/underflow
-                theta = diff / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        w = np.diag(a)
-        i = int(np.argmax(w))
-        res = float(np.max(np.abs(np.asarray(m) @ v[:, i] - w[i] * v[:, i])))
-        raise ConvergenceError("Jacobi sweeps did not converge", float(w[i]), res)
-    w = np.diag(a).copy()
-    order = np.argsort(w)
-    return w[order], v[:, order], sweeps
-
 
 def _top_eigenpair_lapack(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of symmetric m and an eigenvector for it.
@@ -205,16 +144,10 @@ def _extreme(g: Graph, which: str, method: str) -> SpectralResult:
     if g.edge_count == 0:
         return SpectralResult(0.0, "closed_form", 0.0, 0)
     m = adjacency_matrix(g) if which == "adjacency" else signless_laplacian_matrix(g)
-    if method in ("auto", "lapack"):
+    if method == "auto":
         lam, x = _top_eigenpair_lapack(m)
         res = float(np.max(np.abs(m @ x - lam * x)))
         return SpectralResult(lam, "dense_eigensolver", res, 1)
-    if method == "jacobi":
-        w, v, sweeps = jacobi_eigenvalues(m)
-        lam = float(w[-1])
-        x = v[:, -1]
-        res = float(np.max(np.abs(m @ x - lam * x)))
-        return SpectralResult(lam, "dense_eigensolver", res, sweeps)
     if method == "power":
         if which == "adjacency":
             # Shift by nI so the extreme adjacency eigenvalue is on top even

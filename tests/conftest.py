@@ -1,12 +1,17 @@
-"""Shared test helpers: independent brute-force oracles and random models.
+"""Shared test helpers: independent brute-force oracles, exact root counts
+and random models.
 
 The brute-force routines here are deliberately naive (permutation scans,
-subset scans) so they stay independent of the library's search code.
+subset scans) so they stay independent of the library's search code.  The
+exact routines (integer characteristic polynomials, Sturm chains over
+``Fraction``) check the library's floating-point eigenvalues without using
+any of its code.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -150,3 +155,74 @@ def random_biregular(a: int, b: int, da: int, rng: np.random.Generator) -> Graph
         if g.is_connected():
             return g
     return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def charpoly(m) -> list[int]:
+    """Integer characteristic polynomial det(xI - M), highest degree first.
+
+    Faddeev-LeVerrier in Python ints: M_k = M M_{k-1} + c_{k-1} I and
+    c_k = -tr(M M_k) / k, where every division is exact for integer M.
+    """
+    a = np.array(m, dtype=object)
+    n = a.shape[0]
+    coeffs = [1]
+    mk = np.zeros((n, n), dtype=object)
+    for k in range(1, n + 1):
+        mk = a.dot(mk)
+        for i in range(n):
+            mk[i, i] += coeffs[-1]
+        am = a.dot(mk)
+        tr = sum(am[i, i] for i in range(n))
+        assert tr % k == 0
+        coeffs.append(-tr // k)
+    return coeffs
+
+
+def _poly_eval(p, x):
+    acc = Fraction(0)
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _poly_rem(p, d):
+    """Remainder of p divided by d (coefficient lists, highest degree first)."""
+    r = [Fraction(c) for c in p]
+    while len(r) >= len(d):
+        f = r[0] / d[0]
+        for i in range(len(d)):
+            r[i] -= f * d[i]
+        r.pop(0)
+    while r and r[0] == 0:
+        r.pop(0)
+    return r
+
+
+def sturm_chain(p) -> list[list[Fraction]]:
+    """p, p', then negated remainders down to gcd(p, p').
+
+    Counting sign changes of this chain counts distinct real roots, so the
+    repeated eigenvalues graphs have need no special case.
+    """
+    deg = len(p) - 1
+    chain = [[Fraction(c) for c in p], [Fraction(c * (deg - i)) for i, c in enumerate(p[:-1])]]
+    while True:
+        r = _poly_rem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append([-c for c in r])
+
+
+def _sign_changes(signs) -> int:
+    signs = [s for s in signs if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def roots_above(chain, x: Fraction) -> int:
+    """Distinct real roots of chain[0] greater than x, for x not a root.
+
+    Sturm's theorem: sign changes at x minus sign changes at +infinity.
+    """
+    at_x = [(v > 0) - (v < 0) for v in (_poly_eval(q, x) for q in chain)]
+    at_inf = [(q[0] > 0) - (q[0] < 0) for q in chain]
+    return _sign_changes(at_x) - _sign_changes(at_inf)

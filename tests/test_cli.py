@@ -30,6 +30,9 @@ def test_gen(capsys):
 def test_gen_bad_spec(capsys):
     code, _, err = run_cli(capsys, "gen", "N:n=5,k=4")
     assert code == 2 and "error" in err
+    for g6 in ("@", "A_", "C~"):  # malformed Bset cores are domain errors too
+        code, _, err = run_cli(capsys, "gen", f"Bset:n=4,k=2,inner={g6}")
+        assert code == 2 and "Bset inner graph" in err
 
 
 def test_spectral(capsys):

@@ -290,6 +290,11 @@ def test_familyspec_text_roundtrip():
         FamilySpec.parse("Z:n=3")
     with pytest.raises(ValueError):
         FamilySpec.parse("N:q=3")
+    # a Bset core is an order-n graph whose edges all join 0..k-1 to k..n-1:
+    # @ has order 1, A_ order 2, and C~ = K_4 has edges inside both sides
+    for g6 in ("@", "A_", "C~"):
+        with pytest.raises(ValueError, match="Bset inner graph"):
+            FamilySpec.parse(f"Bset:n=4,k=2,inner={g6}")
 
 
 def test_h_members_contained_in_extremal_families():

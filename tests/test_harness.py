@@ -398,6 +398,20 @@ def test_soundness_sweep_tiny():
     assert s["graphs"] == 8 + 64 + 1024
 
 
+def test_soundness_sweep_checks_its_ranges_first(monkeypatch):
+    # n = 9 would start a 2^36-graph enumeration, n = 0 used to fail inside numpy
+    def no_work(*args):
+        pytest.fail("the sweep enumerated before checking its ranges")
+
+    monkeypatch.setattr(harness, "_index_blocks", no_work)
+    for kwargs, message in ((dict(ns=(3, 9), bip_sides=()), "all_labeled is capped at n <= 8"),
+                            (dict(ns=(0,), bip_sides=()), "labeled enumeration needs n >= 1"),
+                            (dict(ns=(3,), bip_sides=(6,)),
+                             "balanced_bipartite_labeled is capped at side <= 5")):
+        with pytest.raises(SpaceCapError, match=message):
+            certifier_soundness_sweep(**kwargs)
+
+
 def test_index_decoding_matches_enumeration():
     for idx in (0, 1, 37, 63):
         assert graph_from_index(4, idx) == list(enumerate_space(SearchSpace.all_labeled(4)))[idx]

@@ -1,30 +1,40 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spectralham.graphs import (
+    as_graph,
     build_graph,
     complete_bipartite_graph,
+    complement,
     complete_graph,
     cycle_graph,
     empty_graph,
     join,
     k_copies,
     path_graph,
+    quasi_complement,
 )
 from spectralham.spectral import (
     ConvergenceError,
     bound_report,
     closed_form,
-    jacobi_eigenvalues,
     q_radius,
     rho_complete_split,
-    signless_laplacian_matrix,
     spectral_radius,
 )
 
-from conftest import gnp, random_biregular, random_connected, random_regular
+from conftest import (
+    charpoly,
+    gnp,
+    random_biregular,
+    random_connected,
+    random_regular,
+    roots_above,
+    sturm_chain,
+)
 
 TOL = 1e-9
 
@@ -47,6 +57,12 @@ def test_edgeless_and_errors():
     assert q_radius(empty_graph(1)).value == 0.0
     with pytest.raises(ValueError):
         spectral_radius(empty_graph(0))
+    # LAPACK is the one eigensolver route: no Jacobi solver, no second name for it
+    for method in ("jacobi", "lapack"):
+        with pytest.raises(ValueError, match="unknown method"):
+            spectral_radius(cycle_graph(5), method=method)
+        with pytest.raises(ValueError, match="unknown method"):
+            q_radius(cycle_graph(5), method=method)
 
 
 def test_residuals_reported():
@@ -54,25 +70,59 @@ def test_residuals_reported():
     assert res.method == "dense_eigensolver" and res.residual < 1e-9
 
 
-def test_jacobi_agrees_with_lapack():
-    # dual-route check: the LAPACK default against the self-contained Jacobi
-    # solver, 10^3 random graphs with n <= 12
+def _integer_matrices(g):
+    """Adjacency and signless Laplacian of g as lists of Python ints."""
+    g = as_graph(g)
+    a = [[int(g.has_edge(u, v)) for v in range(g.n)] for u in range(g.n)]
+    return a, [[a[u][v] + (u == v) * sum(a[u]) for v in range(g.n)] for u in range(g.n)]
+
+
+def _assert_top_root(m, lam):
+    # no root of det(xI - M) lies above lam + 1e-9, and one lies above lam - 1e-9;
+    # lam +- 1e-9 is never an integer, so never a root of the monic integer polynomial
+    chain = sturm_chain(charpoly(m))
+    eps = Fraction(1, 10**9)
+    assert roots_above(chain, Fraction(lam) + eps) == 0, lam
+    assert roots_above(chain, Fraction(lam) - eps) >= 1, lam
+
+
+def _assert_lapack_exact(g):
+    a, q = _integer_matrices(g)
+    for m, res in ((a, spectral_radius(g)), (q, q_radius(g))):
+        assert res.method in ("dense_eigensolver", "closed_form")
+        _assert_top_root(m, res.value)
+
+
+def test_lapack_matches_sturm_counts_on_families():
+    from spectralham.families import FamilySpec, construct
+
+    k4, _ = _integer_matrices(complete_graph(4))
+    assert charpoly(k4) == [1, 0, -6, -8, -3]  # (x - 3)(x + 1)^3
+    chain = sturm_chain(charpoly(k4))
+    assert [roots_above(chain, Fraction(x)) for x in (-2, 0, 4)] == [2, 1, 0]  # distinct roots
+    # the criterion-2 families: barL, barN, L, N with their complements at
+    # n <= 12, and B with its quasi-complement at sides <= 12
+    for n in range(2, 13):
+        members = [construct(FamilySpec(fam, n=n, k=k))
+                   for fam in ("barL", "barN") for k in range(0, (n - 2) // 2 + 1)]
+        members += [construct(FamilySpec(fam, n=n, k=k))
+                    for fam in ("L", "N") for k in range(1, (n - 1) // 2 + 1)]
+        for g in members:
+            _assert_lapack_exact(g)
+            _assert_lapack_exact(complement(g))
+        for k in range(1, n // 2 + 1):
+            b = construct(FamilySpec("B", n=n, k=k))
+            _assert_lapack_exact(b)
+            _assert_lapack_exact(quasi_complement(b))
+
+
+def test_lapack_matches_sturm_counts_on_random_graphs():
+    # 10^3 seeded G(n, p) draws with n <= 12
     rng = np.random.default_rng(17)
     for _ in range(1000):
         g = gnp(int(rng.integers(2, 13)), float(rng.uniform(0.1, 0.9)), rng)
-        if g.edge_count == 0:
-            continue
-        for which in (spectral_radius, q_radius):
-            a = which(g, method="lapack")
-            b = which(g, method="jacobi")
-            assert abs(a.value - b.value) < TOL
-            assert b.residual < 1e-9
-
-
-def test_jacobi_eigen_full_spectrum():
-    g = cycle_graph(5)
-    w, v, _ = jacobi_eigenvalues(signless_laplacian_matrix(g))
-    assert np.allclose(np.sort(w), np.sort(np.linalg.eigvalsh(signless_laplacian_matrix(g))), atol=1e-10)
+        if g.edge_count:
+            _assert_lapack_exact(g)
 
 
 def test_power_iteration_paths():
