@@ -77,20 +77,22 @@ __all__ = [
     "FAMILY_NAMES",
 ]
 
-FAMILY_NAMES = (
-    "L",
-    "N",
-    "barL",
-    "barN",
-    "H",
-    "B",
-    "Bset",
-    "Gamma1",
-    "Gamma2",
-    "complete",
-    "complete_bipartite",
-    "complete_split",
-)
+# the parameters each family reads; ``FamilySpec.parse`` refuses any other
+_FAMILY_PARAMS = {
+    "L": ("n", "k"),
+    "N": ("n", "k"),
+    "barL": ("n", "k"),
+    "barN": ("n", "k"),
+    "H": ("n", "inner"),
+    "B": ("n", "k"),
+    "Bset": ("n", "k", "inner"),
+    "Gamma1": (),
+    "Gamma2": (),
+    "complete": ("n",),
+    "complete_bipartite": ("n", "k"),
+    "complete_split": ("n", "k"),
+}
+FAMILY_NAMES = tuple(_FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -123,19 +125,15 @@ class FamilySpec:
         name, _, rest = text.partition(":")
         if name not in FAMILY_NAMES:
             raise ValueError(f"unknown family {name!r}")
-        n = k = None
-        inner = None
-        if rest:
-            for item in rest.split(","):
-                key, _, val = item.partition("=")
-                if key == "n":
-                    n = int(val)
-                elif key == "k":
-                    k = int(val)
-                elif key == "inner":
-                    inner = graph6_decode(val)
-                else:
-                    raise ValueError(f"unknown family parameter {key!r}")
+        vals = {}
+        for item in rest.split(",") if rest else ():
+            key, _, val = item.partition("=")
+            if key not in _FAMILY_PARAMS[name]:
+                raise ValueError(f"family {name} takes no parameter {key!r}")
+            if key in vals:
+                raise ValueError(f"family parameter {key!r} is given twice")
+            vals[key] = graph6_decode(val) if key == "inner" else int(val)
+        n, k, inner = vals.get("n"), vals.get("k"), vals.get("inner")
         if inner is not None and name == "Bset":
             if n is None or k is None:
                 raise ValueError("Bset needs n and k")

@@ -18,7 +18,15 @@ Row blocks.  Every space reaches one engine as blocks of rows of one order
 carries its rows' edge counts and degrees (int16, vertex-major).  Index
 ranges (the enumerated spaces) take the degrees from ``_degree_table``,
 built once per (size, bip), and unpack the bits of an index only where they
-are read.  graph6 files and random models materialise the bits, grouped by
+are read.  A campaign gives statistics only to the index rows whose edge
+count some statement of its target can accept (``_edge_window``, from the
+same (e, delta, Delta) evaluation as the gate table), and counts the others
+as processed: per popcount of the high index bits, ``_window_rows`` keeps the
+admitted rows of the degree table, and the admitted rows of consecutive
+table blocks are joined into C-contiguous blocks of at most _CHUNK rows.  A
+target with a statement on a minimum degree sum, and a labeled_min_degree
+space (whose processed count reads every row's delta), admit every edge
+count.  graph6 files and random models materialise the bits, grouped by
 order (by side when a graph6 file is read through its bipartition for a
 bipartite target), and count the degrees from them; a random model draws
 ``rng.random((rows, pairs)) < p`` a block at a time.
@@ -32,10 +40,13 @@ plus a rounding slack, a row whose masks fail at both ends of its interval
 fails them at the value too, so it is not eigensolved (its NaN fails every
 comparison).  ``_gate_table`` decides every triple of an order once, so a
 row is gated by one lookup; past _GATE_TABLE_MAX triples ``_may_pass`` gates
-the block's own rows instead.  A row survives when it passes the gate of
-some radius statement, or the hypothesis of a statement on an integer
-quantity; the others fail every hypothesis.  The gate changes no verdict,
-count or failure list.
+the block's own rows instead.  For a radius with an "le" statement, the rows
+that pass are gated again with the lower end of their interval raised to
+the Rayleigh quotient x^T M x / x^T x at the degree vector x of the graph
+the radius is taken on (``_rayleigh``, exact int64 sums).  A row survives
+when it passes the gate of some radius statement, or the hypothesis of a
+statement on an integer quantity; the others fail every hypothesis.  The
+edge-count window and the gate change no verdict, count or failure list.
 
 Relabelling classes.  The surviving rows are gathered over blocks, up to
 _GROUP_ROWS of one order, and ``_eval_group`` keys each of them once.  A
@@ -140,6 +151,8 @@ _EIG_BYTES = 1 << 20
 # Bytes of float64 deviates per random-model block; graph6 blocks take as
 # many rows.
 _ROW_BYTES = 1 << 20
+# Bytes of one (pairs, rows) int64 temporary of ``_rayleigh``: 1,024 rows at side 4.
+_RAYLEIGH_BYTES = 1 << 17
 # Entries of the largest (e, delta, Delta) gate table.
 _GATE_TABLE_MAX = 1 << 16
 # Surviving rows of one order gathered, over blocks, before one ``_eval_group``.
@@ -372,40 +385,52 @@ def _stats(deg: np.ndarray, e: np.ndarray) -> dict:
 
 @dataclass
 class _Block:
-    """Rows of one order: materialised pair bits, or the indices start, start + 1, ...
+    """Rows of one order: materialised pair bits, or the rows' space indices.
 
-    stats are the rows' integer statistics (``_stats``); in_space masks the
-    rows of a labeled_min_degree space (None keeps every row).
+    stats are the rows' integer statistics (``_stats``); span counts the rows
+    of the space the block stands for, its own and those an edge-count window
+    passed over; in_space masks the rows of a labeled_min_degree space (None
+    keeps every row).
     """
 
     size: int
     bip: bool
-    stats: Optional[dict]
+    stats: dict
+    span: int
     bits: Optional[np.ndarray] = None
-    start: int = 0
+    index: Optional[np.ndarray] = None
     in_space: Optional[np.ndarray] = None
 
     def rows_bits(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """The pair bits of the given rows (every row when None)."""
-        if rows is None:
-            rows = np.arange(len(self.stats["e"]))
         if self.bits is not None:
-            return self.bits[rows]
-        return _bits_of(len(_bit_ends(self.size, self.bip)[0]), self.start + rows)
+            return self.bits if rows is None else self.bits[rows]
+        return _bits_of(len(_bit_ends(self.size, self.bip)[0]),
+                        self.index if rows is None else self.index[rows])
 
 
-def _index_blocks(size: int, bip: bool, start: int, stop: int,
-                  min_deg: Optional[int] = None) -> Iterator[_Block]:
-    """The index range [start, stop) as blocks, one degree-table block each.
+@lru_cache(maxsize=64)
+def _window_rows(size: int, bip: bool, window: bytes, high: int) -> np.ndarray:
+    """The rows of ``_degree_table`` whose edge count plus high the window admits."""
+    return np.flatnonzero(np.frombuffer(window, dtype=bool)[_degree_table(size, bip)[1] + high])
 
-    A row's degrees are a contiguous slice of ``_degree_table`` for its low
-    index bits plus the degrees of its high bits, which are the same for the
-    whole block.
+
+def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional[int] = None,
+                  window: Optional[bytes] = None) -> Iterator[_Block]:
+    """The index range [start, stop) as blocks of at most _CHUNK rows.
+
+    A row's degrees are a slice of ``_degree_table`` for its low index bits
+    plus the degrees of its high bits, which are the same for the whole
+    table block.  window (one bool per edge count) keeps only the rows whose
+    edge count it admits: a table block takes its admitted rows from
+    ``_window_rows`` for the popcount of its high bits, and the admitted rows
+    of consecutive table blocks are joined into one C-contiguous block.
     """
     us, vs, order = _bit_ends(size, bip)
     deg_low, e_low = _degree_table(size, bip)
     width = deg_low.shape[1]
     low = width.bit_length() - 1
+    parts, rows = [], 0  # (index, deg, e, span) of the table blocks gathered, and their rows
     pos = start
     while pos < stop:
         block, lo = divmod(pos, width)
@@ -414,10 +439,31 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int,
         high = np.zeros(order, dtype=np.int16)
         np.add.at(high, us[low:], on)
         np.add.at(high, vs[low:], on)
-        stats = _stats(deg_low[:, lo:hi] + high[:, None], e_low[lo:hi] + block.bit_count())
-        in_space = None if min_deg is None else stats["delta"] >= min_deg
-        yield _Block(size, bip, stats, start=pos, in_space=in_space)
+        if window is None:
+            sel, deg, e = np.arange(lo, hi), deg_low[:, lo:hi], e_low[lo:hi]
+        else:
+            sel = _window_rows(size, bip, window, block.bit_count())
+            sel = sel[slice(*np.searchsorted(sel, (lo, hi)))]
+            # take keeps deg C-contiguous (deg_low[:, sel] would not), so the
+            # per-vertex reductions of _stats run over contiguous rows
+            deg, e = deg_low.take(sel, axis=1), e_low[sel]
+        if parts and rows + len(sel) > _CHUNK:
+            yield _joined_block(size, bip, parts, min_deg)
+            parts, rows = [], 0
+        parts.append((block * width + sel, deg + high[:, None], e + block.bit_count(), hi - lo))
+        rows += len(sel)
         pos = block * width + hi
+    if parts:
+        yield _joined_block(size, bip, parts, min_deg)
+
+
+def _joined_block(size: int, bip: bool, parts: list, min_deg: Optional[int]) -> _Block:
+    """One block of the index rows gathered in parts by ``_index_blocks``."""
+    index, deg, e = (col[0] if len(parts) == 1 else np.concatenate(col, axis=-1)
+                     for col in list(zip(*parts))[:3])
+    stats = _stats(deg, e)
+    in_space = None if min_deg is None else stats["delta"] >= min_deg
+    return _Block(size, bip, stats, sum(p[3] for p in parts), index=index, in_space=in_space)
 
 
 def _block_rows(nbits: int) -> int:
@@ -479,7 +525,7 @@ def _row_block(size: int, bip: bool, bits: np.ndarray) -> _Block:
     ends = np.concatenate([us[t], vs[t]]) * len(bits) + np.concatenate([rows, rows])
     deg = np.bincount(ends, minlength=order * len(bits)).reshape(order, len(bits))
     return _Block(size, bip, _stats(deg.astype(np.int16), bits.sum(axis=1, dtype=np.int64)),
-                  bits=bits)
+                  len(bits), bits=bits)
 
 
 def _space_index_total(space: SearchSpace) -> Optional[int]:
@@ -490,12 +536,13 @@ def _space_index_total(space: SearchSpace) -> Optional[int]:
     return None
 
 
-def _space_blocks(space: SearchSpace, bip: bool, start: int = 0,
-                  stop: Optional[int] = None) -> Iterator[_Block]:
+def _space_blocks(space: SearchSpace, bip: bool, start: int = 0, stop: Optional[int] = None,
+                  window: Optional[bytes] = None) -> Iterator[_Block]:
     """The space's rows as blocks; bip reads a graph6 file as balanced bipartite graphs.
 
     Enumerated spaces give the index range [start, stop) (the whole space
-    when stop is None); the other spaces give all their rows.
+    when stop is None), cut to the edge-count window when one is given
+    (``_index_blocks``); the other spaces give all their rows.
     """
     if space.kind == "graph6_file":
         return _graph6_blocks(space.path, bip)
@@ -505,7 +552,7 @@ def _space_blocks(space: SearchSpace, bip: bool, start: int = 0,
                 for bits in _gnp_bits(size, bip, space.p, space.seed, space.count))
     min_deg = space.k if space.kind == "labeled_min_degree" else None
     stop = _space_index_total(space) if stop is None else stop
-    return _index_blocks(size, bip, start, stop, min_deg)
+    return _index_blocks(size, bip, start, stop, min_deg, window)
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +723,31 @@ def _radius_interval(key: str, stats: dict, size: int, bip: bool):
     return q if key in ("q", "q_qc") else rho
 
 
+def _rayleigh(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """x^T M x / x^T x at the degree vector x of the graph the quantity ``key`` is taken on.
+
+    The quotient is a lower bound on the largest eigenvalue of M
+    (Brouwer-Haemers, *Spectra of Graphs*, 3.1), here the adjacency matrix
+    (rho keys) or the signless Laplacian (q keys) of the graph of each row
+    of bits, its complement or its quasi-complement, with deg (order, rows)
+    the row's degrees.  An edge uv adds 2 x_u x_v to x^T A x and
+    (x_u + x_v)^2 to x^T Q x.  Numerator and denominator are int64 sums, so
+    exact.  Its temporaries are (pairs, rows) int64 arrays; ``_gate`` bounds
+    them by _RAYLEIGH_BYTES.  A row whose x is 0 gets 0.
+    """
+    us, vs, _ = _bit_ends(size, bip)
+    x = deg.astype(np.int64, order="C")
+    edges = bits.T
+    if key in _COMPLEMENTED:
+        x = (size if bip else size - 1) - x
+        edges = ~edges
+    xu, xv = x[us], x[vs]
+    w = (xu + xv) ** 2 if key in ("q", "q_qc") else 2 * xu * xv
+    num = np.einsum("tr,tr->r", w, edges)
+    den = np.einsum("vr,vr->r", x, x)
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
+
+
 def _min_degree_sum(size: int, bip: bool, deg: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Minimum of d(u) + d(v) over non-adjacent pairs (cross pairs when bip); inf if none."""
     us, vs, _ = _bit_ends(size, bip)
@@ -821,9 +893,14 @@ class VerificationReport:
         return asdict(self)
 
 
-def _may_pass(key, stmts, stats, size, bip, k, tol) -> np.ndarray:
-    """Rows where some statement on ``key`` holds at either end of its padded interval."""
+def _may_pass(key, stmts, stats, size, bip, k, tol, floor=None) -> np.ndarray:
+    """Rows where some statement on ``key`` holds at either end of its padded interval.
+
+    floor, a lower bound on each row's value, raises the interval's lower end.
+    """
     lo, hi = _radius_interval(key, stats, size, bip)
+    if floor is not None:
+        lo = np.maximum(lo, floor)
     pad = tol + _GATE_SLACK
     keep = np.zeros(len(lo), dtype=bool)
     for st in stmts:
@@ -833,55 +910,114 @@ def _may_pass(key, stmts, stats, size, bip, k, tol) -> np.ndarray:
     return keep
 
 
+def _triples(size: int, bip: bool):
+    """The (e, delta, Delta) triples of order size, coded (e * order + delta) * order + Delta.
+
+    Returns a mask of the codes some graph can have (not delta > Delta, and
+    2e within [order delta, order Delta]) and those triples' statistics.
+    """
+    us, _, order = _bit_ends(size, bip)
+    e, dmin, dmax = np.indices((len(us) + 1, order, order)).reshape(3, -1)
+    real = (dmin <= dmax) & (order * dmin <= 2 * e) & (2 * e <= order * dmax)
+    return real, {"e": e[real], "delta": dmin[real], "two_delta": 2 * dmin[real],
+                  "Delta": dmax[real]}
+
+
 @lru_cache(maxsize=256)
 def _gate_table(target: str, key: str, size: int, bip: bool, k, tol: float) -> np.ndarray:
     """``_may_pass`` for every (e, delta, Delta) that a graph of the space can have.
 
     The interval of ``key`` and the hypotheses on it depend on these three
-    integers only, so a block gates each row by one lookup at
-    (e * order + delta) * order + Delta.  Triples no graph has (delta >
-    Delta, or 2e outside [order delta, order Delta]) stay False.
+    integers only, so a block gates each row by one lookup at its triple's
+    code (``_triples``).  Triples no graph has stay False.
     """
-    us, _, order = _bit_ends(size, bip)
-    e, dmin, dmax = np.indices((len(us) + 1, order, order)).reshape(3, -1)
-    real = (dmin <= dmax) & (order * dmin <= 2 * e) & (2 * e <= order * dmax)
-    stats = {"e": e[real], "delta": dmin[real], "two_delta": 2 * dmin[real], "Delta": dmax[real]}
-    keep = np.zeros(len(e), dtype=bool)
+    real, stats = _triples(size, bip)
+    keep = np.zeros(len(real), dtype=bool)
     keep[real] = _may_pass(key, statements_for(target), stats, size, bip, k, tol)
     return keep
 
 
-def _gate(target: str, key: str, stmts, stats: dict, size: int, bip: bool, k, tol: float):
-    """Rows of a block that may pass some statement on ``key``: one table lookup each."""
+@lru_cache(maxsize=256)
+def _edge_window(target: str, size: int, bip: bool, k, tol: float) -> Optional[bytes]:
+    """The edge counts of the rows of order size that may pass some statement of target.
+
+    A count is admitted when one of its (e, delta, Delta) triples passes the
+    gate table of some radius statement or the hypothesis of a statement on
+    e or two_delta; a row of another count fails every hypothesis.  Returns
+    one bool per count 0..pairs, or None when every count is admitted or a
+    statement on a minimum degree sum (which reads the bits) needs every row.
+    """
+    stmts = statements_for(target)
+    if any(st.quantity in _DEGREE_SUMS for st in stmts):
+        return None
+    real, stats = _triples(size, bip)
+    keep = np.zeros(len(real), dtype=bool)
+    for st in stmts:
+        if st.quantity in _RADII:
+            keep |= _gate_table(target, st.quantity, size, bip, k, tol)
+        else:
+            keep[real] |= st.hypothesis(stats, size, k, tol)
+    order = _bit_ends(size, bip)[2]
+    window = keep.reshape(-1, order * order).any(axis=1)
+    return None if window.all() else window.tobytes()
+
+
+def _gate(target: str, key: str, stmts, blk: _Block, k, tol: float):
+    """Rows of a block that may pass some statement on ``key``.
+
+    The interval gate is one table lookup per row.  When key has an "le"
+    statement, the rows it keeps are gated again with the lower end of their
+    interval raised to ``_rayleigh``'s quotient, _RAYLEIGH_BYTES of one of
+    its temporaries at a time.
+    """
+    stats, size, bip = blk.stats, blk.size, blk.bip
     us, _, order = _bit_ends(size, bip)
     if (len(us) + 1) * order * order > _GATE_TABLE_MAX:
-        return _may_pass(key, stmts, stats, size, bip, k, tol)
-    code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
-    return _gate_table(target, key, size, bip, k, tol)[code]
+        keep = _may_pass(key, stmts, stats, size, bip, k, tol)
+    else:
+        code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
+        keep = _gate_table(target, key, size, bip, k, tol)[code]
+    if any(st.quantity == key and st.relation == "le" for st in stmts):
+        rows = np.flatnonzero(keep)
+        step = max(1, _RAYLEIGH_BYTES // (8 * max(len(us), 1)))
+        for lo in range(0, len(rows), step):
+            part = rows[lo : lo + step]
+            kept = {name: col[..., part] for name, col in stats.items()}
+            floor = _rayleigh(key, size, bip, blk.rows_bits(part), kept["deg"])
+            keep[part] = _may_pass(key, stmts, kept, size, bip, k, tol, floor)
+    return keep
 
 
-def _verify_blocks(target, space, k, tol, budget, blocks) -> VerificationReport:
-    """The campaign over blocks of rows: stats and gate per block, then the
-    rows that survive, gathered over blocks of one order, through ``_eval_group``.
+def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> VerificationReport:
+    """The campaign over the space's rows (the index range [start, stop) of
+    an enumerated space): stats and gate per block, then the rows that
+    survive, gathered over blocks of one order, through ``_eval_group``.
 
     A row survives when, within the space, it passes the gate of some
     radius statement or the hypothesis of a statement on an integer
-    quantity; every other row fails every hypothesis.
+    quantity; every other row fails every hypothesis.  An enumerated space
+    without a minimum-degree filter gives only the rows in the target's
+    ``_edge_window``, and counts the others as processed.
     """
     stmts = statements_for(target)
+    bip = stmts[0].domain == "bipartite"
+    window = None
+    if space.kind in ("all_labeled", "balanced_bipartite_labeled"):
+        window = _edge_window(target, space.side if bip else space.n, bip, k, tol)
     report = VerificationReport(target, space.describe())
     clock = _Clock(report.timings)
     quantities = {st.quantity for st in stmts}
     integral = [st for st in stmts if st.quantity not in _RADII]
     memos = {}  # {(quantity / question / statement id, size, bip): {class key: value}}
     pending = {}  # {(size, bip): [(bits, stats, gates) of some surviving rows]}
-    for blk in blocks:
-        size, bip, stats, in_space = blk.size, blk.bip, blk.stats, blk.in_space
-        report.processed += len(stats["e"]) if in_space is None else int(in_space.sum())
+    gathered = {}  # {(size, bip): rows in pending}
+    for blk in _space_blocks(space, bip, start, stop, window):
+        size, stats, in_space = blk.size, blk.stats, blk.in_space
+        report.processed += blk.span if in_space is None else int(in_space.sum())
         for key in quantities & set(_DEGREE_SUMS):  # min_ds or min_cross_ds
             stats[key] = _min_degree_sum(size, bip, stats["deg"], blk.rows_bits())
         clock.lap("stats")
-        gates = {key: _gate(target, key, stmts, stats, size, bip, k, tol)
+        gates = {key: _gate(target, key, stmts, blk, k, tol)
                  for key in _RADII if key in quantities}
         survive = np.zeros(len(stats["e"]), dtype=bool)
         for mask in [*gates.values(), *(st.hypothesis(stats, size, k, tol) for st in integral)]:
@@ -895,10 +1031,12 @@ def _verify_blocks(target, space, k, tol, budget, blocks) -> VerificationReport:
             group.append((blk.rows_bits(rows),
                           {name: col[..., rows] for name, col in stats.items()},
                           {key: gate[rows] for key, gate in gates.items()}))
+            gathered[size, bip] = gathered.get((size, bip), 0) + len(rows)
             clock.lap("stats")
-            if sum(len(bits) for bits, _, _ in group) >= _GROUP_ROWS:
+            if gathered[size, bip] >= _GROUP_ROWS:
                 _eval_group(stmts, report, size, bip, group, k, tol, budget, memos, clock)
                 group.clear()
+                gathered[size, bip] = 0
     for (size, bip), group in pending.items():
         if group:
             _eval_group(stmts, report, size, bip, group, k, tol, budget, memos, clock)
@@ -991,9 +1129,7 @@ def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget
 
 def _worker(args):
     target, space_dict, k, tol, budget, start, stop = args
-    space = SearchSpace(**space_dict)
-    blocks = _space_blocks(space, space.is_bipartite_space, start, stop)
-    return _verify_blocks(target, space, k, tol, budget, blocks)
+    return _verify_blocks(target, SearchSpace(**space_dict), k, tol, budget, start, stop)
 
 
 def verify_theorem(
@@ -1039,8 +1175,7 @@ def verify_theorem(
         for part in parts:
             report.merge(part)
     else:
-        blocks = _space_blocks(space, domains == {"bipartite"})
-        report = _verify_blocks(target, space, k, tol, oracle_budget, blocks)
+        report = _verify_blocks(target, space, k, tol, oracle_budget)
     report.finalize()
     report.wall_time = time.perf_counter() - t0
     if emit is not None:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from spectralham.cli import main
+from spectralham.families import FAMILY_NAMES
 from spectralham.graphs import (
     build_graph,
     complete_graph,
@@ -33,6 +34,21 @@ def test_gen_bad_spec(capsys):
     for g6 in ("@", "A_", "C~"):  # malformed Bset cores are domain errors too
         code, _, err = run_cli(capsys, "gen", f"Bset:n=4,k=2,inner={g6}")
         assert code == 2 and "Bset inner graph" in err
+
+
+def test_gen_refuses_parameters_the_family_does_not_read(capsys):
+    for spec, name in (("N:n=7,k=2,inner=C~", "'inner'"), ("Gamma1:n=3", "'n'"),
+                       ("complete:n=3,k=9,inner=A_", "'k'"), ("N:n=7,k=2,n=8", "'n'")):
+        code, out, err = run_cli(capsys, "gen", spec)
+        assert code == 2 and not out and name in err, spec
+    # a valid spec of every family still builds
+    specs = ("L:n=7,k=2", "N:n=7,k=2", "barL:n=7,k=2", "barN:n=7,k=2", "H:n=5,inner=A_",
+             "B:n=4,k=2", "Bset:n=4,k=2,inner=CQ", "Gamma1", "Gamma2", "complete:n=3",
+             "complete_bipartite:n=2,k=3", "complete_split:n=7,k=2")
+    assert [spec.partition(":")[0] for spec in specs] == list(FAMILY_NAMES)
+    for spec in specs:
+        code, out, _ = run_cli(capsys, "gen", spec)
+        assert code == 0 and graph6_decode(out.strip()).n > 0, spec
 
 
 def test_spectral(capsys):

@@ -10,7 +10,8 @@ import spectralham.harness as harness
 import spectralham.statements as statements
 from spectralham.families import FamilySpec, construct, recognize
 from spectralham.graphs import (
-    Graph, as_graph, complete_graph, graph6_decode, graph6_encode, pair_order, path_graph,
+    Graph, as_graph, complement, complete_graph, graph6_decode, graph6_encode, pair_order,
+    path_graph, quasi_complement,
 )
 from spectralham.harness import (
     _CHUNK,
@@ -33,7 +34,7 @@ from spectralham.harness import (
     _row_classes,
 )
 from spectralham.oracle import is_hamiltonian, is_traceable
-from spectralham.spectral import radius_intervals, spectral_radius
+from spectralham.spectral import DEFAULT_TOL, radius_intervals, spectral_radius
 from spectralham.transforms import bc_closure
 
 
@@ -427,7 +428,8 @@ def test_index_decoding_matches_enumeration():
 @pytest.mark.parametrize("size, bip", [(6, False), (4, True)])
 def test_radius_intervals_bracket_eigvalsh(size, bip):
     # every graph of all_labeled(6) / balanced_bipartite_labeled(4): the
-    # integer-statistics interval of each quantity holds the eigvalsh value
+    # integer-statistics interval of each quantity holds the eigvalsh value,
+    # and so does the Rayleigh quotient's lower end
     keys = ("rho", "q", "rho_qc", "q_qc") if bip else ("rho", "q", "rho_complement")
     total = 1 << (size * size if bip else size * (size - 1) // 2)
     seen_regular = 0
@@ -439,11 +441,50 @@ def test_radius_intervals_bracket_eigvalsh(size, bip):
             lo, hi = _radius_interval(key, stats, size, bip)
             val = _radii(key, size, bip, blk.rows_bits())
             assert np.all(lo <= val + 1e-9) and np.all(val <= hi + 1e-9), key
+            floor = harness._rayleigh(key, size, bip, blk.rows_bits(), stats["deg"])
+            assert np.all(floor <= val + 1e-12), key
             # equality cases: regular graphs (K_n, K_{s,s}, the empty graph,
             # cycles, ...) and their complements pin the value exactly
             assert np.allclose(lo[regular], val[regular], atol=1e-9), key
             assert np.allclose(hi[regular], val[regular], atol=1e-9), key
     assert seen_regular > 2
+
+
+def _dense_rayleigh(g, signless):
+    """x^T M x / x^T x at the degree vector x of g, from g's dense matrix M."""
+    a = np.array([[g.adj[u] >> v & 1 for v in range(g.n)] for u in range(g.n)], dtype=float)
+    x = a.sum(axis=1)
+    m = a + np.diag(x) if signless else a
+    return x @ m @ x / (x @ x) if x.any() else 0.0
+
+
+def test_rayleigh_lower_end_on_large_family_members(tmp_path):
+    # L, N and B members of order 60-200 and their complements (the
+    # quasi-complement for B), read from a graph6 file: the int64 quotient is
+    # the dense float one (no overflow at order 200) and at most eigvalsh
+    plain = [construct(FamilySpec(fam, n=n, k=k)) for fam in ("L", "N")
+             for n in (60, 129, 200) for k in (1, 3)]
+    plain += [complement(g) for g in plain]
+    bips = [construct(FamilySpec("B", n=side, k=k)) for side in (30, 64, 100) for k in (1, 3)]
+    bips += [quasi_complement(b) for b in bips]
+    for graphs, bip, keys in ((plain, False, ("rho", "q", "rho_complement")),
+                              ([b.to_graph() for b in bips], True,
+                               ("rho", "q", "rho_qc", "q_qc"))):
+        path = tmp_path / f"members{int(bip)}.g6"
+        path.write_text("".join(graph6_encode(g) + "\n" for g in graphs))
+        seen = 0
+        for blk in harness._graph6_blocks(str(path), bip):
+            bits = blk.rows_bits()
+            seen += len(bits)
+            for key in keys:
+                floor = harness._rayleigh(key, blk.size, bip, bits, blk.stats["deg"])
+                assert np.all(floor <= _radii(key, blk.size, bip, bits) + 1e-12), key
+                rows = harness._graphs_from_bits(blk.size, bip, bits)
+                if key in ("rho_complement", "rho_qc", "q_qc"):
+                    rows = [complement(g) if not bip else quasi_complement(g) for g in rows]
+                dense = [_dense_rayleigh(as_graph(g), key in ("q", "q_qc")) for g in rows]
+                assert np.allclose(floor, dense, rtol=1e-12, atol=0), key
+        assert seen == len(graphs)
 
 
 def test_radius_intervals_complete_graphs():
@@ -560,13 +601,20 @@ def test_relabellings_share_one_class_value():
 
 
 def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
-    # the benchmark's campaign pass: every row that survives the gate is
-    # keyed once (9,171 fn_rho rows, 33,023 bip_q_qc rows), and its radii,
-    # hypotheses and conclusions share those keys.  No value outlives a
-    # verify_theorem call, so a second identical pass does as much as the first
-    keyed, solved, decided = [], [], []
+    # the benchmark's campaign pass: only the rows in the edge-count window
+    # get statistics (82,160 fn_rho rows, e in [15, 21], and 39,203 bip_q_qc
+    # rows), every row that survives the gate, with the Rayleigh lower end for
+    # q_qc, is keyed once (9,171 fn_rho rows, 9,023 bip_q_qc rows), and its
+    # radii, hypotheses and conclusions share those keys.  No value outlives
+    # a verify_theorem call, so a second identical pass does as much as the first
+    keyed, solved, decided, statted = [], [], [], []
     orig_keys, orig_eig, orig_hk = harness._class_keys, np.linalg.eigvalsh, \
         harness._held_karp_batch
+    orig_stats = harness._stats
+
+    def stats(deg, e):
+        statted.append(len(e))
+        return orig_stats(deg, e)
 
     def keys(size, bip, bits, deg):
         keyed.append(len(bits))
@@ -583,14 +631,76 @@ def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
     monkeypatch.setattr(harness, "_class_keys", keys)
     monkeypatch.setattr(np.linalg, "eigvalsh", eig)
     monkeypatch.setattr(harness, "_held_karp_batch", held_karp)
+    monkeypatch.setattr(harness, "_stats", stats)
     for _ in range(2):
         for counts in (keyed, solved, decided):
             counts.clear()
-        reps = [verify_theorem("fn_rho", SearchSpace.all_labeled(7)),
-                verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4))]
-        assert [(r.processed, r.hypothesis_count, r.clean) for r in reps] == \
-            [(1 << 21, 6890, True), (1 << 16, 7583, True)]
-        assert (sum(keyed), sum(solved), sum(decided)) == (42_194, 431, 252)
+        given = []
+        for target, space, processed, hyps in (
+                ("fn_rho", SearchSpace.all_labeled(7), 1 << 21, 6890),
+                ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4), 1 << 16, 7583)):
+            statted.clear()
+            rep = verify_theorem(target, space)
+            assert (rep.processed, rep.hypothesis_count, rep.clean) == (processed, hyps, True)
+            given.append(sum(statted))
+        assert given == [82_160, 39_203]
+        assert (sum(keyed), sum(solved), sum(decided)) == (18_194, 280, 252)
+
+
+def _gates_off(m):
+    """Switch off the edge-count window and the Rayleigh lower end."""
+    m.setattr(harness, "_edge_window", lambda *args: None)
+    m.setattr(harness, "_rayleigh", lambda key, size, bip, bits, deg: np.zeros(len(bits)))
+
+
+@pytest.mark.parametrize("target, k", [
+    ("fn_rho", None), ("fn_rho_complement", None), ("yu_fan_q", None), ("ore", None),
+    ("bip_rho_qc", 2), ("bip_q_qc", None),
+])
+def test_row_gates_change_no_report(monkeypatch, tmp_path, target, k):
+    # with and without the edge-count window and the Rayleigh lower end, on a
+    # labeled space (also split over two workers), a graph6 file and a random
+    # model, at the default tolerance and at 0: the same report
+    bip = target.startswith("bip")
+    if bip:
+        lines = [b.to_graph() for b in random_model("bipartite_gnp", side=5, p=0.8, seed=21,
+                                                       count=300)]
+        spaces = [SearchSpace.balanced_bipartite_labeled(4),
+                  SearchSpace.bipartite_gnp(5, 0.8, 300, seed=22)]
+    else:
+        lines = list(random_model("uniform_gnp", n=8, p=0.75, seed=21, count=300))
+        spaces = [SearchSpace.all_labeled(6), SearchSpace.gnp(8, 0.75, 300, seed=22)]
+    path = tmp_path / "rows.g6"
+    path.write_text("".join(graph6_encode(g) + "\n" for g in lines))
+    spaces.append(SearchSpace.graph6_file(str(path)))
+    given, keyed = {True: 0, False: 0}, {True: 0, False: 0}
+    orig_stats, orig_keys = harness._stats, harness._class_keys
+    gated = True
+
+    def stats(deg, e):
+        given[gated] += len(e)
+        return orig_stats(deg, e)
+
+    def keys(size, bip, bits, deg):
+        keyed[gated] += len(bits)
+        return orig_keys(size, bip, bits, deg)
+
+    monkeypatch.setattr(harness, "_stats", stats)
+    monkeypatch.setattr(harness, "_class_keys", keys)
+    for space in spaces:
+        for tol in (DEFAULT_TOL, 0.0):
+            gated = False
+            with monkeypatch.context() as m:
+                _gates_off(m)
+                off = _drop_times(verify_theorem(target, space, k=k, tol=tol).to_json())
+            gated = True
+            assert _drop_times(verify_theorem(target, space, k=k, tol=tol).to_json()) == off
+            if space.kind not in ("graph6_file", "random_model"):
+                assert _drop_times(verify_theorem(target, space, k=k, tol=tol,
+                                                  jobs=2).to_json()) == off
+    assert given[True] < given[False]
+    if target in ("fn_rho_complement", "bip_rho_qc", "bip_q_qc"):  # an "le" statement
+        assert keyed[True] < keyed[False]
 
 
 class _RecordingPool:
@@ -812,6 +922,35 @@ def test_degree_table_matches_incidence_matmul(size, bip, ranges):
         assert np.array_equal(stats["delta"], deg.min(axis=0))
         assert np.array_equal(stats["two_delta"], 2 * deg.min(axis=0))
         assert np.array_equal(stats["Delta"], deg.max(axis=0))
+
+
+@pytest.mark.parametrize("size, bip, target, k, ranges", [
+    (8, False, "fn_rho", None, [(12345, 15001), (3 * _CHUNK - 777, 9 * _CHUNK + 1234)]),
+    (6, False, "ore", None, [(0, 1 << 15), (_CHUNK - 1, _CHUNK + 1), (5, (1 << 15) - 3)]),
+    (5, True, "bip_q_qc", None, [(7, 7 + 4099), (1000 * _CHUNK + 5, 1002 * _CHUNK + 17)]),
+    (4, True, "bip_rho_qc", 2, [(0, 1 << 16)]),
+])
+def test_edge_window_keeps_exactly_the_admitted_rows(size, bip, target, k, ranges):
+    # a windowed index range gives the rows of the whole range whose edge
+    # count the window admits, with the same statistics, in blocks of at most
+    # _CHUNK C-contiguous rows whose spans add up to the range
+    window = harness._edge_window(target, size, bip, k, DEFAULT_TOL)
+    admitted = np.frombuffer(window, dtype=bool)
+    assert 0 < admitted.sum() < len(admitted)
+    for start, stop in ranges:
+        blocks = list(_index_blocks(size, bip, start, stop, window=window))
+        assert sum(blk.span for blk in blocks) == stop - start
+        assert all(len(blk.index) <= _CHUNK and blk.stats["deg"].flags.c_contiguous
+                   for blk in blocks)
+        got = {name: np.concatenate([blk.stats[name] for blk in blocks], axis=-1)
+               for name in ("deg", "e", "delta", "Delta")}
+        full = _degree_stats(size, bip, start, stop)
+        keep = np.flatnonzero(admitted[full["e"]])
+        assert np.array_equal(np.concatenate([blk.index for blk in blocks]), start + keep)
+        for name, col in got.items():
+            assert np.array_equal(col, full[name][..., keep]), name
+        assert np.array_equal(np.concatenate([blk.rows_bits() for blk in blocks]),
+                              _index_bits(len(_bit_ends(size, bip)[0]), start, stop)[keep])
 
 
 @pytest.mark.parametrize("target, space, k", [
