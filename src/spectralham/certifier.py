@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .families import FamilySpec
-from .graphs import BipartiteGraph, Graph, degree_profile
+from .graphs import BipartiteGraph, Graph
 from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
 from .spectral import DEFAULT_TOL, _check_tol
-from .statements import SPECTRAL, STATEMENTS, GraphValues, holds
+from .statements import SPECTRAL, STATEMENTS, GraphValues
 
 __all__ = [
     "Certificate",
@@ -88,9 +88,10 @@ class Certificate:
 def _walk(walk, g, vals, ev, n, k, tol, use_oracle, oracle, budget) -> Certificate:
     """Walk one cascade of statements in order; the first that fires decides.
 
-    A strict spectral comparison inside the tolerance band is borderline and
-    fails.  A fired statement's exceptional family makes the verdict
-    "exceptional"; when nothing fires the oracle, if asked, resolves the graph.
+    Each step compares with ``Statement.holds_at``.  A strict spectral value
+    inside the tolerance band fails and is recorded as borderline.  A fired
+    statement's exceptional family makes the verdict "exceptional"; when
+    nothing fires the oracle, if asked, resolves the graph.
     """
     trail, borderline = [], []
     theorem = spec = witness = None
@@ -98,14 +99,10 @@ def _walk(walk, g, vals, ev, n, k, tol, use_oracle, oracle, budget) -> Certifica
         if not st.admits(n, k):
             trail.append([name, "skipped"])
             continue
-        value, threshold = vals[st.quantity], st.threshold(n, k)
-        spectral = st.quantity in SPECTRAL
-        if spectral:
-            ev[st.quantity] = value
-        if spectral and st.relation == "gt" and abs(value - threshold) <= tol:
-            borderline.append({"theorem": name, "check": st.quantity,
-                               "value": value, "threshold": threshold})
-        elif holds(value, st.relation, threshold, tol if spectral else 0):
+        if st.quantity in SPECTRAL:
+            ev[st.quantity] = vals[st.quantity]
+        if st.holds_at(vals, n, k, tol):
+            value, threshold = vals[st.quantity], st.threshold(n, k)
             slack = (threshold - value) if st.relation == "le" else (value - threshold)
             ev["checks"] = {name: {_CHECK_NAMES.get(st.quantity, st.quantity): {
                 "value": float(value),
@@ -119,6 +116,11 @@ def _walk(walk, g, vals, ev, n, k, tol, use_oracle, oracle, budget) -> Certifica
                 ev["exceptional"] = spec.text()
             verdict = "exceptional" if spec else "certified_positive"
             break
+        if st.relation == "gt" and st.quantity in SPECTRAL:
+            value, threshold = vals[st.quantity], st.threshold(n, k)
+            if abs(value - threshold) <= tol:
+                borderline.append({"theorem": name, "check": st.quantity,
+                                   "value": value, "threshold": threshold})
         trail.append([name, "failed"])
     else:
         verdict = "inconclusive"
@@ -145,7 +147,7 @@ _CERTIFIERS = {
 }
 
 
-def _certify(mode, g, use_oracle, tol, oracle_budget, precomputed) -> Certificate:
+def _certify(mode, g, use_oracle, tol, oracle_budget) -> Certificate:
     """Check the input, take k = delta(G) and walk the mode's cascade."""
     kind, min_order, order_error, head, walk, oracle = _CERTIFIERS[mode]
     if not isinstance(g, kind):
@@ -157,8 +159,9 @@ def _certify(mode, g, use_oracle, tol, oracle_budget, precomputed) -> Certificat
     n = g.nx if bip else g.n
     if n < min_order:
         raise ValueError(order_error)
-    delta, e = (g.min_degree(), g.edge_count) if bip else degree_profile(g)[1:]
-    vals = GraphValues(g, {**(precomputed or {}), "e": e, "delta": delta})
+    degs = g.x_degrees() + g.y_degrees() if bip else g.degrees()
+    delta, e = min(degs), sum(degs) // 2
+    vals = GraphValues(g, {"e": e, "delta": delta, "two_delta": 2 * delta})
     ev = {**head, "side" if bip else "n": n, "e": e, "delta": delta, "k": delta, "tolerance": tol}
     return _walk(walk, g, vals, ev, n, delta, tol, use_oracle, oracle, oracle_budget)
 
@@ -168,10 +171,9 @@ def certify_hamiltonicity(
     use_oracle: bool = False,
     tol: float = DEFAULT_TOL,
     oracle_budget: int = DEFAULT_BUDGET,
-    precomputed: Optional[dict] = None,
 ) -> Certificate:
     """Run the Hamiltonicity cascade on a graph of order >= 3."""
-    return _certify("hamiltonicity", g, use_oracle, tol, oracle_budget, precomputed)
+    return _certify("hamiltonicity", g, use_oracle, tol, oracle_budget)
 
 
 def certify_traceability(
@@ -179,10 +181,9 @@ def certify_traceability(
     use_oracle: bool = False,
     tol: float = DEFAULT_TOL,
     oracle_budget: int = DEFAULT_BUDGET,
-    precomputed: Optional[dict] = None,
 ) -> Certificate:
     """Run the traceability cascade (the part-(1) theorem clauses)."""
-    return _certify("traceability", g, use_oracle, tol, oracle_budget, precomputed)
+    return _certify("traceability", g, use_oracle, tol, oracle_budget)
 
 
 def certify_bipartite_hamiltonicity(
@@ -190,7 +191,6 @@ def certify_bipartite_hamiltonicity(
     use_oracle: bool = False,
     tol: float = DEFAULT_TOL,
     oracle_budget: int = DEFAULT_BUDGET,
-    precomputed: Optional[dict] = None,
 ) -> Certificate:
     """Run the balanced-bipartite Hamiltonicity cascade (side size >= 2)."""
-    return _certify("bipartite_hamiltonicity", b, use_oracle, tol, oracle_budget, precomputed)
+    return _certify("bipartite_hamiltonicity", b, use_oracle, tol, oracle_budget)

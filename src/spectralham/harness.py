@@ -83,8 +83,13 @@ row is built from that row's own bits.
 their radii and verdicts per class the same way, with a memo per call, so
 they pay the batched node charge too.  Extremal search asks for verdicts
 only on the rows that can still reach the best value decided "no" so far,
-and builds graph6 strings only for its optima; the sweep certifies every
-labeled graph on its own and asks for the verdicts of the fired rows.
+and builds graph6 strings only for its optima.  The sweep builds no
+``Certificate``: it runs a certifier cascade on a block's columns
+(``_fired_rows``), so that per k = delta(G) a row fires at the first step
+whose precondition and ``Statement.holds_at`` pass, the comparison the
+certifier makes on one graph.  It builds a labeled graph only for a fired
+row, for the fired statement's exceptional families, and asks for the
+verdicts of the fired rows.
 ``_graph6_rows`` builds every reported graph6 string from the row's own
 bits.  An enumerated campaign can be split into ``jobs`` index ranges, run
 by at most as many workers as there are ranges and CPUs; the merged report
@@ -107,7 +112,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .certifier import certify_bipartite_hamiltonicity, certify_hamiltonicity
+from .certifier import _CERTIFIERS
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -127,7 +132,7 @@ from .oracle import (
     is_traceable,
 )
 from .spectral import DEFAULT_TOL, _check_tol, radius_intervals
-from .statements import VERIFY_TARGETS, Statement, statements_for
+from .statements import SPECTRAL, VERIFY_TARGETS, Statement, statements_for
 from .transforms import is_b_closed, is_closed
 
 __all__ = [
@@ -161,6 +166,9 @@ _GROUP_ROWS = 1 << 13
 
 class SpaceCapError(ValueError):
     pass
+
+
+_INTS = (int, np.integer)  # the parameter types a space accepts for an integer
 
 
 @dataclass(frozen=True)
@@ -222,25 +230,24 @@ class SearchSpace:
         return asdict(self)
 
     def validate(self):
+        for name, value in (("n", self.n), ("side", self.side), ("count", self.count)):
+            if value is not None and not isinstance(value, _INTS):
+                raise SpaceCapError(f"{name} must be an int, got {value!r}")
         if self.kind in ("all_labeled", "labeled_min_degree"):
             if self.n is None or self.n < 1:
                 raise SpaceCapError("labeled enumeration needs n >= 1")
             if self.n > MAX_ALL_LABELED_N:
-                raise SpaceCapError(
-                    f"all_labeled is capped at n <= {MAX_ALL_LABELED_N} "
-                    f"(2^C(n,2) graphs); use graph6_file mode for larger orders"
-                )
+                raise SpaceCapError(f"all_labeled is capped at n <= {MAX_ALL_LABELED_N} "
+                                    "(2^C(n,2) graphs); use graph6_file mode for larger orders")
             if self.kind == "labeled_min_degree" and not (
-                    isinstance(self.k, (int, np.integer)) and self.k >= 0):
+                    isinstance(self.k, _INTS) and self.k >= 0):
                 raise SpaceCapError("labeled_min_degree needs an int k >= 0")
         elif self.kind == "balanced_bipartite_labeled":
             if self.side is None or self.side < 1:
                 raise SpaceCapError("bipartite enumeration needs side >= 1")
             if self.side > MAX_BIP_SIDE:
-                raise SpaceCapError(
-                    f"balanced_bipartite_labeled is capped at side <= {MAX_BIP_SIDE}; "
-                    f"use graph6_file mode for larger sides"
-                )
+                raise SpaceCapError(f"balanced_bipartite_labeled is capped at side <= "
+                                    f"{MAX_BIP_SIDE}; use graph6_file mode for larger sides")
         elif self.kind == "random_model":
             if self.model not in ("uniform_gnp", "bipartite_gnp"):
                 raise SpaceCapError(f"unknown random model {self.model!r}")
@@ -252,6 +259,8 @@ class SearchSpace:
                 raise SpaceCapError("edge probability must lie in [0, 1]")
             if self.count is None or self.count < 0:
                 raise SpaceCapError("random_model needs a sample count")
+            if not (isinstance(self.seed, _INTS) and self.seed >= 0):
+                raise SpaceCapError(f"random_model needs an int seed >= 0, got {self.seed!r}")
         elif self.kind == "graph6_file":
             if not self.path:
                 raise SpaceCapError("graph6_file needs a path")
@@ -301,15 +310,11 @@ def random_model(kind: str, *, n: Optional[int] = None, side: Optional[int] = No
 
     The stream is a pure function of (kind, parameters, seed): graph i uses
     the next block of uniform deviates, one per vertex pair (``pair_order``)
-    or per cross pair x_i y_j (bit i*side+j).  The parameters are checked as
-    a random_model ``SearchSpace``'s.
+    or per cross pair x_i y_j (bit i*side+j).  It is the stream of the
+    random_model ``SearchSpace``, whose checks the parameters pass.
     """
-    SearchSpace("random_model", model=kind, n=n, side=side, p=p, seed=seed,
-                count=count).validate()
-    bip = kind == "bipartite_gnp"
-    size = side if bip else n
-    for bits in _gnp_bits(size, bip, p, seed, count):
-        yield from _graphs_from_bits(size, bip, bits)
+    return enumerate_space(SearchSpace("random_model", model=kind, n=n, side=side, p=p,
+                                       seed=seed, count=count))
 
 
 def enumerate_space(space: SearchSpace) -> Iterator:
@@ -328,7 +333,6 @@ def enumerate_space(space: SearchSpace) -> Iterator:
 # Row blocks
 # ---------------------------------------------------------------------------
 
-_RADII = ("rho", "q", "rho_complement", "rho_qc", "q_qc")
 _COMPLEMENTED = ("rho_complement", "rho_qc", "q_qc")
 _DEGREE_SUMS = ("min_ds", "min_cross_ds")
 # Added to the tolerance when gating: it covers the rounding of eigvalsh
@@ -953,7 +957,7 @@ def _edge_window(target: str, size: int, bip: bool, k, tol: float) -> Optional[b
     real, stats = _triples(size, bip)
     keep = np.zeros(len(real), dtype=bool)
     for st in stmts:
-        if st.quantity in _RADII:
+        if st.quantity in SPECTRAL:
             keep |= _gate_table(target, st.quantity, size, bip, k, tol)
         else:
             keep[real] |= st.hypothesis(stats, size, k, tol)
@@ -1007,7 +1011,7 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
     report = VerificationReport(target, space.describe())
     clock = _Clock(report.timings)
     quantities = {st.quantity for st in stmts}
-    integral = [st for st in stmts if st.quantity not in _RADII]
+    integral = [st for st in stmts if st.quantity not in SPECTRAL]
     memos = {}  # {(quantity / question / statement id, size, bip): {class key: value}}
     pending = {}  # {(size, bip): [(bits, stats, gates) of some surviving rows]}
     gathered = {}  # {(size, bip): rows in pending}
@@ -1018,7 +1022,7 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
             stats[key] = _min_degree_sum(size, bip, stats["deg"], blk.rows_bits())
         clock.lap("stats")
         gates = {key: _gate(target, key, stmts, blk, k, tol)
-                 for key in _RADII if key in quantities}
+                 for key in sorted(quantities & SPECTRAL)}
         survive = np.zeros(len(stats["e"]), dtype=bool)
         for mask in [*gates.values(), *(st.hypothesis(stats, size, k, tol) for st in integral)]:
             survive |= mask
@@ -1280,52 +1284,71 @@ _SWEEP_EXPECTS = {"certified_positive": ("yes", "certified_not_hamiltonian"),
                   "exceptional": ("no", "exceptional_but_hamiltonian")}
 
 
+def _fired_rows(mode: str, classes: _Classes, stats: dict, memos: dict, tol: float) -> list:
+    """(row, verdict, theorem) of each row whose ``certify_<mode>`` cascade fires.
+
+    classes holds the rows' bits and stats their statistics.  The radii the
+    cascade reads come from the classes (``_Classes.radii``).  For each
+    k = delta(G) of the rows, a row fires at the first step of the walk whose
+    precondition and ``Statement.holds_at`` pass, as ``certifier._walk``
+    decides one graph.  A labeled graph is built only for a fired row, and
+    the fired statement's exceptional families, recognized on it, make the
+    verdict "exceptional".
+    """
+    walk = _CERTIFIERS[mode][4]
+    size, bip = classes.size, classes.bip
+    cols = dict(stats)
+    for key in {st.quantity for _, st in walk} & SPECTRAL:
+        cols[key] = classes.radii(key, memos.setdefault((key, size, bip), {}))
+    delta = cols["delta"]
+    first = np.full(len(delta), -1)  # the step that fires, -1 while none has
+    for k in np.unique(delta).tolist():
+        for i, (_, st) in enumerate(walk):
+            if st.admits(size, k):
+                first[(first < 0) & (delta == k) & st.holds_at(cols, size, k, tol)] = i
+    rows = np.flatnonzero(first >= 0).tolist()
+    graphs = _graphs_from_bits(size, bip, classes.rows[rows])
+    return [(r, "exceptional" if st.exception(g, size, int(delta[r])) else "certified_positive",
+             name) for r, g, (name, st) in zip(rows, graphs, (walk[first[r]] for r in rows))]
+
+
 def certifier_soundness_sweep(
     ns=(3, 4, 5, 6, 7),
     bip_sides=(2, 3, 4),
     tol: float = DEFAULT_TOL,
     oracle_budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """Certify every labeled graph / balanced bipartite graph in the ranges.
+    """Run the certifier cascades over every labeled graph / balanced bipartite graph in the ranges.
 
     Checks that no certified_positive graph is oracle-negative and no
-    exceptional graph is oracle-positive.  Each labeled graph is certified on
-    its own, so the recognizers see labeled inputs; its radii, and the
-    oracle's answer for a fired certificate, come from its relabelling class
-    (``_Classes.radii``, ``_Classes.verdicts``), as in a campaign.  Returns a
-    summary dict with any violations and aborts as graph6 strings.  Every
-    order and side is checked against the enumeration caps before any work.
+    exceptional graph is oracle-positive.  The Hamiltonicity cascade runs on
+    every graph of order n in ns, the bipartite one on every graph of side
+    in bip_sides, a block at a time (``_fired_rows``): each row gets the
+    verdict and theorem its certifier would give, with the radii taken per
+    relabelling class and the exceptional families recognized on the row's
+    own labeled graph, and no ``Certificate`` is built.  The oracle's answer
+    for a fired row comes from its class (``_Classes.verdicts``), as in a
+    campaign.  Returns a summary dict with any violations and aborts as
+    graph6 strings.  Every order and side is checked against the
+    enumeration caps and its certifier's minimum order before any work.
     """
     _check_tol(tol)
-    for n in ns:
-        SearchSpace.all_labeled(n).validate()
-    for side in bip_sides:
-        SearchSpace.balanced_bipartite_labeled(side).validate()
-    summary = {
-        "graphs": 0,
-        "bipartite_graphs": 0,
-        "certified_positive": 0,
-        "exceptional": 0,
-        "inconclusive": 0,
-        "violations": [],
-        "aborted": [],
-    }
-    runs = [(n, False, certify_hamiltonicity, ("rho", "q", "rho_complement")) for n in ns]
-    runs += [(side, True, certify_bipartite_hamiltonicity, ("rho", "q", "rho_qc", "q_qc"))
+    runs = [("hamiltonicity", SearchSpace.all_labeled(n)) for n in ns]
+    runs += [("bipartite_hamiltonicity", SearchSpace.balanced_bipartite_labeled(side))
              for side in bip_sides]
+    for mode, space in runs:
+        space.validate()
+        if space.order_hint < _CERTIFIERS[mode][1]:
+            raise ValueError(_CERTIFIERS[mode][2])
+    summary = {**dict.fromkeys(("graphs", "bipartite_graphs", "certified_positive", "exceptional",
+                                "inconclusive"), 0), "violations": [], "aborted": []}
     memos = {}  # {(quantity or question, size, bip): {class key: value}}
-    for size, bip, certify, keys in runs:
-        total = 1 << (size * size if bip else size * (size - 1) // 2)
-        for blk in _index_blocks(size, bip, 0, total):
-            bits = blk.rows_bits()
+    for mode, space in runs:
+        bip = space.is_bipartite_space
+        for blk in _space_blocks(space, bip):
+            size, bits = blk.size, blk.rows_bits()
             classes = _row_classes(size, bip, bits, blk.stats["deg"])
-            values = {key: classes.radii(key, memos.setdefault((key, size, bip), {})).tolist()
-                      for key in keys}
-            fired = []  # (row, verdict, theorem) of the certificates the oracle must confirm
-            for i, g in enumerate(_graphs_from_bits(size, bip, bits)):
-                cert = certify(g, tol=tol, precomputed={key: values[key][i] for key in keys})
-                if cert.verdict in _SWEEP_EXPECTS:
-                    fired.append((i, cert.verdict, cert.theorem))
+            fired = _fired_rows(mode, classes, blk.stats, memos, tol)
             summary["bipartite_graphs" if bip else "graphs"] += len(bits)
             summary["inconclusive"] += len(bits) - len(fired)
             rows = np.array([r for r, _, _ in fired], dtype=np.int64)

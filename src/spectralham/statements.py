@@ -10,11 +10,14 @@ its threshold, order precondition and exceptional families; multi-part
 theorems are split into parts ``.1`` (traceability) and ``.2``
 (Hamiltonicity).
 
-The certifier cascades walk this table with k = delta(G), on one graph's
-``GraphValues``; ``harness.verify_theorem`` evaluates it with a campaign's k,
-on the statistics columns of a block of rows of any space.
-``Statement.hypothesis`` is written with plain operators so that both give
-the same answer.  Tolerance applies to spectral quantities only.
+Three callers evaluate the table.  The certifier cascades walk it with
+k = delta(G), on one graph's ``GraphValues``; ``harness.verify_theorem``
+evaluates it with a campaign's k, on the statistics columns of a block of
+rows of any space; ``harness.certifier_soundness_sweep`` walks the cascades
+on a block's columns, with each row's own k = delta(G).  All three compare
+through ``Statement.holds_at``, the one place a comparison is written, with
+plain operators so that values and columns give the same answer.  Tolerance
+applies to spectral quantities only.
 
 Refusals.  A campaign refuses a space whose order can never meet a
 statement's precondition (or a k below the statement's range) with the
@@ -34,22 +37,9 @@ from .families import FamilySpec, construct, recognize, spanning_subgraph_of
 from .graphs import BipartiteGraph, complement, quasi_complement
 from .spectral import q_radius, spectral_radius
 
-__all__ = ["Statement", "STATEMENTS", "VERIFY_TARGETS", "GraphValues", "holds", "statements_for"]
+__all__ = ["Statement", "STATEMENTS", "VERIFY_TARGETS", "GraphValues", "statements_for"]
 
 SPECTRAL = frozenset(["rho", "q", "rho_complement", "rho_qc", "q_qc"])
-
-
-def holds(value, relation: str, threshold, tol):
-    """``value relation threshold`` with the tolerance band; numpy columns or Python numbers.
-
-    gt is value > threshold + tol, ge is value >= threshold - tol, le is
-    value <= threshold + tol.  NaN fails all three.
-    """
-    if relation == "gt":
-        return value > threshold + tol
-    if relation == "ge":
-        return value >= threshold - tol
-    return value <= threshold + tol
 
 
 @lru_cache(maxsize=None)
@@ -122,10 +112,10 @@ class Statement:
         if self.any_k:
             out, kk = False, self.k_min
             while self.admits(n, kk):
-                out = out | self._holds(vals, n, kk, tol)
+                out = out | self.holds_at(vals, n, kk, tol)
                 kk += 1
             return out
-        return self._holds(vals, n, k, tol) if self.admits(n, k) else False
+        return self.holds_at(vals, n, k, tol) if self.admits(n, k) else False
 
     def exception(self, g, n: int, k: Optional[int]) -> Optional[FamilySpec]:
         """The first of ``families(n, k)`` that g belongs to (as a spanning
@@ -136,9 +126,23 @@ class Statement:
                 return spec
         return None
 
-    def _holds(self, vals, n, k, tol):
-        ok = holds(vals[self.quantity], self.relation, self.threshold(n, k),
-                   tol if self.quantity in SPECTRAL else 0)
+    def holds_at(self, vals, n: int, k: Optional[int], tol: float):
+        """The hypothesis at (n, k), precondition and graph check left out, on one
+        graph's values or a block's columns.
+
+        The tolerance band applies to spectral quantities only: gt is value >
+        threshold + tol, ge is value >= threshold - tol and le is value <=
+        threshold + tol, so a strict value inside the band never holds.  NaN
+        fails all three.
+        """
+        value, threshold = vals[self.quantity], self.threshold(n, k)
+        tol = tol if self.quantity in SPECTRAL else 0
+        if self.relation == "gt":
+            ok = value > threshold + tol
+        elif self.relation == "ge":
+            ok = value >= threshold - tol
+        else:
+            ok = value <= threshold + tol
         return ok & (vals["delta"] >= k) if self.delta_ge_k else ok
 
 

@@ -165,22 +165,6 @@ def test_borderline_reported_not_certified():
     assert any(b["theorem"] == "fn_rho" for b in cert.evidence.get("borderline", []))
 
 
-def test_precomputed_spectra_match_computed():
-    from spectralham.graphs import complement
-    from spectralham.spectral import q_radius, spectral_radius
-
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(3, 9))
-        g = gnp(n, float(rng.uniform(0.2, 0.9)), rng)
-        pre = {
-            "rho": spectral_radius(g).value,
-            "q": q_radius(g).value,
-            "rho_complement": spectral_radius(complement(g)).value,
-        }
-        assert certify_hamiltonicity(g, precomputed=pre) == certify_hamiltonicity(g)
-
-
 def test_certificate_serializes_to_json():
     g = construct(FamilySpec("N", n=17, k=2))
     cert = certify_hamiltonicity(g)

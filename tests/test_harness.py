@@ -359,18 +359,21 @@ def test_extremal_search_and_sweep_use_batched_verdicts(monkeypatch):
 
     calls = _count_calls(monkeypatch, harness,
                          ("is_hamiltonian", "is_traceable", "_held_karp_batch"))
-    certifier_calls = _count_calls(monkeypatch, certifier, ("is_hamiltonian", "is_traceable"))
+    certifier_calls = _count_calls(monkeypatch, certifier, (
+        "is_hamiltonian", "is_traceable", "certify_hamiltonicity", "certify_traceability",
+        "certify_bipartite_hamiltonicity", "_certify", "_walk", "Certificate"))
     best, winners = extremal_search(SearchSpace.balanced_bipartite_labeled(4), "max_rho",
                                     "non_hamiltonian", k=2)
     assert len(winners) == 36
     assert calls["is_hamiltonian"] == calls["is_traceable"] == 0
     assert calls["_held_karp_batch"] > 0
     calls.update(dict.fromkeys(calls, 0))
-    summary = certifier_soundness_sweep(ns=(6,), bip_sides=())
+    summary = certifier_soundness_sweep(ns=(6,), bip_sides=(3,))
     assert summary["certified_positive"] and summary["exceptional"] and not summary["aborted"]
     assert calls["is_hamiltonian"] == calls["is_traceable"] == 0
     assert calls["_held_karp_batch"] > 0
-    assert certifier_calls == {"is_hamiltonian": 0, "is_traceable": 0}
+    # the sweep certifies no graph on its own and builds no Certificate
+    assert certifier_calls == dict.fromkeys(certifier_calls, 0)
 
 
 def test_labeled_min_degree_needs_k():
@@ -381,6 +384,29 @@ def test_labeled_min_degree_needs_k():
         with pytest.raises(SpaceCapError, match="labeled_min_degree needs an int k >= 0"):
             list(enumerate_space(space))
     assert sum(1 for _ in enumerate_space(SearchSpace.labeled_min_degree(4, 0))) == 64
+
+
+def test_space_parameters_must_be_ints():
+    # 5.0 used to die inside a shift, a count of 2.5 inside numpy, and a seed
+    # of None drew a fresh OS seed on every call
+    for space, message in ((SearchSpace.all_labeled(5.0), "n must be an int, got 5.0"),
+                           (SearchSpace.labeled_min_degree(4.5, 1), "n must be an int"),
+                           (SearchSpace.balanced_bipartite_labeled(2.0), "side must be an int"),
+                           (SearchSpace.gnp(5, 0.5, 2.5, 0), "count must be an int, got 2.5"),
+                           (SearchSpace.bipartite_gnp(3.0, 0.5, 2, 0), "side must be an int"),
+                           (SearchSpace.gnp(5, 0.5, 10, None), "int seed >= 0, got None"),
+                           (SearchSpace.gnp(5, 0.5, 10, -1), "int seed >= 0, got -1"),
+                           (SearchSpace.gnp(5, 0.5, 10, 1.0), "int seed >= 0, got 1.0")):
+        with pytest.raises(SpaceCapError, match=message):
+            space.validate()
+        with pytest.raises(SpaceCapError, match=message):
+            list(enumerate_space(space))
+    with pytest.raises(SpaceCapError, match="int seed >= 0, got None"):
+        list(random_model("uniform_gnp", n=5, p=0.5, seed=None, count=2))
+    # numpy integers stay accepted
+    assert len(list(enumerate_space(SearchSpace.all_labeled(np.int64(3))))) == 8
+    space = SearchSpace.gnp(np.int64(5), 0.5, np.int32(3), np.uint8(2))
+    assert list(enumerate_space(space)) == list(enumerate_space(SearchSpace.gnp(5, 0.5, 3, 2)))
 
 
 def test_random_model_checks_its_space():
@@ -405,12 +431,68 @@ def test_soundness_sweep_checks_its_ranges_first(monkeypatch):
         pytest.fail("the sweep enumerated before checking its ranges")
 
     monkeypatch.setattr(harness, "_index_blocks", no_work)
-    for kwargs, message in ((dict(ns=(3, 9), bip_sides=()), "all_labeled is capped at n <= 8"),
-                            (dict(ns=(0,), bip_sides=()), "labeled enumeration needs n >= 1"),
-                            (dict(ns=(3,), bip_sides=(6,)),
-                             "balanced_bipartite_labeled is capped at side <= 5")):
-        with pytest.raises(SpaceCapError, match=message):
+    for kwargs, error, message in (
+            (dict(ns=(3, 9), bip_sides=()), SpaceCapError, "all_labeled is capped at n <= 8"),
+            (dict(ns=(0,), bip_sides=()), SpaceCapError, "labeled enumeration needs n >= 1"),
+            (dict(ns=(3,), bip_sides=(6,)), SpaceCapError,
+             "balanced_bipartite_labeled is capped at side <= 5"),
+            # below the certifiers' own minimum orders
+            (dict(ns=(3, 2), bip_sides=()), ValueError,
+             "Hamiltonicity certification needs n >= 3"),
+            (dict(ns=(3,), bip_sides=(1,)), ValueError,
+             "bipartite certification needs side size >= 2")):
+        with pytest.raises(error, match=message):
             certifier_soundness_sweep(**kwargs)
+
+
+@pytest.mark.parametrize("mode, space", [
+    ("hamiltonicity", SearchSpace.all_labeled(6)),
+    ("bipartite_hamiltonicity", SearchSpace.balanced_bipartite_labeled(4)),
+])
+def test_sweep_cascade_matches_per_graph_certificates(mode, space):
+    # the sweep's column cascade gives every row the verdict and theorem
+    # that the per-graph certifier gives that row's own graph
+    import spectralham.certifier as certifier
+
+    certify = getattr(certifier, f"certify_{mode}")
+    bip = space.is_bipartite_space
+    size = space.side if bip else space.n
+    memos, fired, expected, offset = {}, [], [], 0
+    for blk in _index_blocks(size, bip, 0, harness._space_index_total(space)):
+        bits = blk.rows_bits()
+        classes = _row_classes(size, bip, bits, blk.stats["deg"])
+        fired += [(offset + r, verdict, theorem) for r, verdict, theorem
+                  in harness._fired_rows(mode, classes, blk.stats, memos, DEFAULT_TOL)]
+        for r, g in enumerate(_graphs_from_bits(size, bip, bits)):
+            cert = certify(g)
+            if cert.verdict != "inconclusive":
+                expected.append((offset + r, cert.verdict, cert.theorem))
+        offset += len(bits)
+    assert offset == 1 << (size * size if bip else size * (size - 1) // 2)
+    assert fired == expected
+    assert {verdict for _, verdict, _ in fired} == {"certified_positive", "exceptional"}
+    assert len({theorem for _, _, theorem in fired}) >= 3
+
+
+def test_soundness_sweep_reports_planted_defects(monkeypatch):
+    # ore with its threshold lowered to 4 edges fires on non-Hamiltonian
+    # graphs, and dirac with K_n as its exceptional family calls K_5 exceptional
+    import dataclasses
+
+    import spectralham.certifier as certifier
+
+    head = certifier._CERTIFIERS["hamiltonicity"]
+    changed = {"ore": dict(threshold=lambda n, k: 4),
+               "dirac": dict(families=lambda n, k: [FamilySpec("complete", n=n)])}
+    walk = [(name, dataclasses.replace(st, **changed.get(name, {}))) for name, st in head[4]]
+    monkeypatch.setitem(certifier._CERTIFIERS, "hamiltonicity", (*head[:4], walk, *head[5:]))
+    summary = certifier_soundness_sweep(ns=(5,), bip_sides=())
+    found = {(v["kind"], v["theorem"]) for v in summary["violations"]}
+    assert found == {("certified_not_hamiltonian", "ore"), ("exceptional_but_hamiltonian", "dirac")}
+    k5 = graph6_encode(complete_graph(5))
+    assert {"graph6": k5, "kind": "exceptional_but_hamiltonian",
+            "theorem": "dirac"} in summary["violations"]
+    assert summary["exceptional"] == 1 and not summary["aborted"]
 
 
 def test_index_decoding_matches_enumeration():
@@ -967,7 +1049,7 @@ def test_gate_table_matches_interval_gate(target, space, k):
     size = space.side if bip else space.n
     total = harness._space_index_total(space)
     stmts = harness.statements_for(target)
-    keys = {st.quantity for st in stmts} & set(harness._RADII)
+    keys = {st.quantity for st in stmts} & statements.SPECTRAL
     _, _, order = _bit_ends(size, bip)
     for pos in range(0, total, _CHUNK):
         stats = _degree_stats(size, bip, pos, min(pos + _CHUNK, total))
