@@ -24,7 +24,7 @@ from typing import Optional
 
 from .families import FamilySpec
 from .graphs import BipartiteGraph, Graph
-from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
+from .oracle import DEFAULT_BUDGET, _check_budget, is_hamiltonian, is_traceable
 from .spectral import DEFAULT_TOL, _check_tol
 from .statements import SPECTRAL, STATEMENTS, GraphValues
 
@@ -153,6 +153,7 @@ def _certify(mode, g, use_oracle, tol, oracle_budget) -> Certificate:
     if not isinstance(g, kind):
         raise TypeError(f"certify_{mode} expects a {kind.__name__}")
     _check_tol(tol)
+    _check_budget(oracle_budget)
     bip = kind is BipartiteGraph
     if bip and not g.balanced:
         raise ValueError("bipartite certification needs a balanced bipartite graph")

@@ -28,7 +28,7 @@ from .harness import (
     extremal_search,
     verify_theorem,
 )
-from .oracle import DEFAULT_BUDGET, is_hamiltonian, is_traceable
+from .oracle import DEFAULT_BUDGET, _check_budget, is_hamiltonian, is_traceable
 from .spectral import DEFAULT_TOL, _check_tol, bound_report
 from .transforms import bc_closure, bipartite_closure
 
@@ -201,20 +201,24 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _tolerance(text: str) -> float:
-    try:
-        return _check_tol(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(convert, check):
+    def parse(text: str):
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 # the shared flags, added to each command that reads them
 _COMMON = {
     "seed": dict(type=int, default=0, help="random-model seed"),
     "jobs": dict(type=int, default=1, help="worker processes for campaigns"),
-    "tolerance": dict(type=_tolerance, default=DEFAULT_TOL, help="spectral comparison tolerance"),
+    "tolerance": dict(type=_checked(float, _check_tol), default=DEFAULT_TOL,
+                      help="spectral comparison tolerance"),
     "json": dict(action="store_true", help="JSON / JSON-lines output"),
-    "budget": dict(type=int, default=DEFAULT_BUDGET, help="oracle node budget"),
+    "budget": dict(type=_checked(int, _check_budget), default=DEFAULT_BUDGET,
+                   help="oracle node budget"),
 }
 
 

@@ -15,17 +15,18 @@ exhaustion is recorded per graph and never counted as a pass.
 Row blocks.  Every space reaches one engine as blocks of rows of one order
 (one side for bipartite rows).  A row is a graph's pair bits, in
 ``pair_order`` or bit i*side+j for the cross pair x_i y_j, and a block
-carries its rows' edge counts and degrees (int16, vertex-major).  Index
-ranges (the enumerated spaces) take the degrees from ``_degree_table``,
-built once per (size, bip), and unpack the bits of an index only where they
-are read.  A campaign gives statistics only to the index rows whose edge
-count some statement of its target can accept (``_edge_window``, from the
-same (e, delta, Delta) evaluation as the gate table), and counts the others
-as processed: per popcount of the high index bits, ``_window_rows`` keeps the
-admitted rows of the degree table, and the admitted rows of consecutive
-table blocks are joined into C-contiguous blocks of at most _CHUNK rows.  A
-target with a statement on a minimum degree sum, and a labeled_min_degree
-space (whose processed count reads every row's delta), admit every edge
+carries its rows' edge counts and degrees (int16, vertex-major).  A block
+holds only rows of its space (a labeled_min_degree range drops its rows with
+delta < k).  Index ranges (the enumerated spaces) add the degrees of the low
+and the high index bits from two ``_degree_table``s, built once per (size,
+bip), and unpack the bits of an index only where they are read.  A campaign
+gives statistics only to the index rows whose edge count some statement of
+its target can accept (``_edge_window``, from the same (e, delta, Delta)
+evaluation as the gate table), and counts the others as processed: per edge
+count of the high index bits, ``_window_rows`` keeps the admitted rows of
+the low table, and the admitted rows of consecutive table blocks are joined
+into C-contiguous blocks of at most _CHUNK rows.  A target with a statement
+on a minimum degree sum, and a labeled_min_degree space, admit every edge
 count.  graph6 files and random models materialise the bits, grouped by
 order (by side when a graph6 file is read through its bipartition for a
 bipartite target), and count the degrees from them; a random model draws
@@ -54,12 +55,12 @@ row's key is the row relabelled by one round of colour refinement (stable
 order of degree, then neighbours' degree sum, each side on its own), read as
 an int64.  Equal keys mean isomorphic rows (and complements and
 quasi-complements).  ``_Classes.values`` is the one place a per-class value
-comes from: with a memo kept for one call per (quantity or question, order),
-it decides each key once, on the key's own bits, and scatters the value to
-the rows, so a value depends on its class alone (at tol = 0 a whole class
-lies on one side of a threshold).  Rows of more than 63 bits (order 12 and
-up, side 8 and up) have no key: each is a class of one, its own
-representative, decided every time.  Matrix stacks are sized by bytes.
+comes from: with the call's memos, keyed per (quantity or question, order)
+by the ``_Classes`` itself, it decides each key once, on the key's own bits,
+and scatters the value to the rows, so a value depends on its class alone
+(at tol = 0 a whole class lies on one side of a threshold).  Rows of more
+than 63 bits (order 12 and up, side 8 and up) have no key: each is a class
+of one, decided every time.  Matrix stacks are sized by bytes.
 
 Conclusions.  With the same classes, each radius is eigensolved over the
 rows its gate kept (``_Classes.radii``), the hypothesis masks follow, and
@@ -80,7 +81,7 @@ exceptional matches) stay per row, and the graph6 of a failing or aborted
 row is built from that row's own bits.
 
 ``extremal_search`` and the soundness sweep read the same producers and take
-their radii and verdicts per class the same way, with a memo per call, so
+their radii and verdicts per class the same way, with memos per call, so
 they pay the batched node charge too.  Extremal search asks for verdicts
 only on the rows that can still reach the best value decided "no" so far,
 and builds graph6 strings only for its optima.  The sweep builds no
@@ -105,9 +106,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import compress
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -125,6 +126,7 @@ from .graphs import (
 from .oracle import (
     DEFAULT_BUDGET,
     _HK_MAX_ORDER,
+    _check_budget,
     _held_karp_batch,
     clique_number,
     contains_biclique,
@@ -226,9 +228,6 @@ class SearchSpace:
     def describe(self) -> dict:
         return {name: val for name, val in asdict(self).items() if val is not None}
 
-    def kwargs(self) -> dict:
-        return asdict(self)
-
     def validate(self):
         for name, value in (("n", self.n), ("side", self.side), ("count", self.count)):
             if value is not None and not isinstance(value, _INTS):
@@ -325,8 +324,7 @@ def enumerate_space(space: SearchSpace) -> Iterator:
             yield from (graph6_decode(line) for line in fh if line.strip())
         return
     for blk in _space_blocks(space, space.is_bipartite_space):
-        graphs = _graphs_from_bits(blk.size, blk.bip, blk.rows_bits())
-        yield from graphs if blk.in_space is None else compress(graphs, blk.in_space)
+        yield from _graphs_from_bits(blk.size, blk.bip, blk.rows_bits())
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +355,16 @@ def _bit_ends(size: int, bip: bool):
 
 
 @lru_cache(maxsize=None)
-def _degree_table(size: int, bip: bool):
-    """Degrees and edge counts of the graphs whose index is below 2^low.
+def _degree_table(size: int, bip: bool, first: int = 0):
+    """Degrees and edge counts of the graphs on the pair bits first .. first + low - 1.
 
-    low = min(index bits, log2 _CHUNK).  deg[v, i] (int16, vertex-major) is
-    the degree of v and e[i] the edge count of the graph with index i; the
-    table doubles once per bit, and index i + 2^t adds bit t's two ends to
-    index i.  It holds at most 10 x 16,384 entries.
+    low = min(bits past first, log2 _CHUNK).  deg[v, i] (int16, vertex-major)
+    is the degree of v and e[i] the edge count of the graph whose bits read i;
+    the table doubles once per bit, and i + 2^t adds bit first + t's two ends
+    to i.  It holds at most 10 x 16,384 entries.
     """
     us, vs, order = _bit_ends(size, bip)
+    us, vs = us[first:], vs[first:]
     low = min(len(us), _CHUNK.bit_length() - 1)
     deg = np.zeros((order, 1 << low), dtype=np.int16)
     for t in range(low):
@@ -391,10 +390,9 @@ def _stats(deg: np.ndarray, e: np.ndarray) -> dict:
 class _Block:
     """Rows of one order: materialised pair bits, or the rows' space indices.
 
-    stats are the rows' integer statistics (``_stats``); span counts the rows
-    of the space the block stands for, its own and those an edge-count window
-    passed over; in_space masks the rows of a labeled_min_degree space (None
-    keeps every row).
+    Every row is in the space.  stats are the rows' integer statistics
+    (``_stats``); span counts the rows of the space the block stands for,
+    its own and those an edge-count window passed over.
     """
 
     size: int
@@ -403,7 +401,6 @@ class _Block:
     span: int
     bits: Optional[np.ndarray] = None
     index: Optional[np.ndarray] = None
-    in_space: Optional[np.ndarray] = None
 
     def rows_bits(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """The pair bits of the given rows (every row when None)."""
@@ -423,30 +420,27 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
                   window: Optional[bytes] = None) -> Iterator[_Block]:
     """The index range [start, stop) as blocks of at most _CHUNK rows.
 
-    A row's degrees are a slice of ``_degree_table`` for its low index bits
-    plus the degrees of its high bits, which are the same for the whole
-    table block.  window (one bool per edge count) keeps only the rows whose
+    A row's degrees and edge count are a slice of ``_degree_table`` for its
+    low index bits plus one column of the table over the high bits (at most
+    log2 _CHUNK of them), the same for the whole table block.  window (one
+    bool per edge count, never given with min_deg) keeps only the rows whose
     edge count it admits: a table block takes its admitted rows from
-    ``_window_rows`` for the popcount of its high bits, and the admitted rows
-    of consecutive table blocks are joined into one C-contiguous block.
+    ``_window_rows`` for the edge count of its high bits, and the admitted
+    rows of consecutive table blocks are joined into one C-contiguous block.
     """
-    us, vs, order = _bit_ends(size, bip)
     deg_low, e_low = _degree_table(size, bip)
     width = deg_low.shape[1]
-    low = width.bit_length() - 1
+    deg_high, e_high = _degree_table(size, bip, width.bit_length() - 1)
     parts, rows = [], 0  # (index, deg, e, span) of the table blocks gathered, and their rows
     pos = start
     while pos < stop:
         block, lo = divmod(pos, width)
         hi = min(stop - block * width, width)
-        on = block >> np.arange(len(us) - low) & 1  # the high index bits
-        high = np.zeros(order, dtype=np.int16)
-        np.add.at(high, us[low:], on)
-        np.add.at(high, vs[low:], on)
+        high, e_top = deg_high[:, block, None], int(e_high[block])
         if window is None:
             sel, deg, e = np.arange(lo, hi), deg_low[:, lo:hi], e_low[lo:hi]
         else:
-            sel = _window_rows(size, bip, window, block.bit_count())
+            sel = _window_rows(size, bip, window, e_top)
             sel = sel[slice(*np.searchsorted(sel, (lo, hi)))]
             # take keeps deg C-contiguous (deg_low[:, sel] would not), so the
             # per-vertex reductions of _stats run over contiguous rows
@@ -454,7 +448,7 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
         if parts and rows + len(sel) > _CHUNK:
             yield _joined_block(size, bip, parts, min_deg)
             parts, rows = [], 0
-        parts.append((block * width + sel, deg + high[:, None], e + block.bit_count(), hi - lo))
+        parts.append((block * width + sel, deg + high, e + e_top, hi - lo))
         rows += len(sel)
         pos = block * width + hi
     if parts:
@@ -462,12 +456,15 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
 
 
 def _joined_block(size: int, bip: bool, parts: list, min_deg: Optional[int]) -> _Block:
-    """One block of the index rows gathered in parts by ``_index_blocks``."""
+    """One block of the index rows gathered in parts by ``_index_blocks``; with
+    min_deg only those of minimum degree >= min_deg, which its span counts."""
     index, deg, e = (col[0] if len(parts) == 1 else np.concatenate(col, axis=-1)
                      for col in list(zip(*parts))[:3])
-    stats = _stats(deg, e)
-    in_space = None if min_deg is None else stats["delta"] >= min_deg
-    return _Block(size, bip, stats, sum(p[3] for p in parts), index=index, in_space=in_space)
+    span = sum(p[3] for p in parts)
+    if min_deg is not None:
+        keep = np.flatnonzero(deg.min(axis=0) >= min_deg)
+        index, deg, e, span = index[keep], deg.take(keep, axis=1), e[keep], len(keep)
+    return _Block(size, bip, _stats(deg, e), span, index=index)
 
 
 def _block_rows(nbits: int) -> int:
@@ -625,13 +622,14 @@ class _Classes:
 
     Row r is in class of[r].  keys lists the class keys, or is None when the
     rows have more than 63 bits and so no int64 key; each row is then a
-    class of one.
+    class of one.  memos is the call's {(name, size, bip): {class key: value}}.
     """
 
     size: int
     bip: bool
     rows: np.ndarray
     of: np.ndarray
+    memos: defaultdict
     keys: Optional[list] = None
 
     @property
@@ -646,13 +644,13 @@ class _Classes:
         return _bits_of(self.rows.shape[1],
                         self.keys if c is None else [self.keys[i] for i in c.tolist()])
 
-    def radii(self, key: str, memo: dict, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    def radii(self, key: str, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """The spectral quantity ``key`` of the given rows (every row when None),
         eigensolved once per class on its representative, so a value depends
         on its class alone."""
-        return self.values(memo, lambda c: _radii(key, self.size, self.bip, self.bits(c)), rows)
+        return self.values(key, lambda c: _radii(key, self.size, self.bip, self.bits(c)), rows)
 
-    def verdicts(self, question: str, memo: dict, budget: int,
+    def verdicts(self, question: str, budget: int,
                  rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Statuses ("yes" / "no" / "aborted") of "ham" or "trace" for the given
         rows (every row when None), decided once per class on its representative.
@@ -673,15 +671,15 @@ class _Classes:
                 return np.full(len(c), "aborted")
             return np.where(_held_karp_batch(adj, order, question == "ham")[0], "yes", "no")
 
-        return self.values(memo, solve, rows)
+        return self.values(question, solve, rows)
 
-    def values(self, memo: dict, solve: Callable, rows: Optional[np.ndarray] = None):
-        """The value of each of the given rows (every row when None), decided per class.
+    def values(self, name: str, solve: Callable, rows: Optional[np.ndarray] = None):
+        """The value ``name`` of each of the given rows (every row when None), per class.
 
-        A keyed class takes memo[key] ({class key: value}); only the classes
-        missing from memo go to solve, which gets their indices and returns
-        their values, computed on the representatives, and memo keeps them.
-        Unkeyed classes are solved every time.
+        A keyed class takes memo[key], memo = memos[name, size, bip]; only the
+        classes missing from memo go to solve, which gets their indices and
+        returns their values, computed on the representatives, and memo keeps
+        them.  Unkeyed classes are solved every time.
         """
         if rows is None:
             which, at = range(self.count), self.of
@@ -692,6 +690,7 @@ class _Classes:
             return np.zeros(0, dtype=bool)
         if self.keys is None:
             return np.asarray(solve(np.array(which)))[at]
+        memo = self.memos[name, self.size, self.bip]
         keys = self.keys if rows is None else [self.keys[c] for c in which]
         new = [c for c, key in zip(which, keys) if key not in memo]
         if new:
@@ -700,20 +699,21 @@ class _Classes:
         return np.array([memo[key] for key in keys])[at]
 
 
-def _row_classes(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray) -> _Classes:
+def _row_classes(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray, memos) -> _Classes:
     """The relabelling classes of rows of pair bits with degrees deg (order, rows).
 
-    Keys come from ``_class_keys``, ``_eig_rows(order)`` rows at a time.
+    Keys come from ``_class_keys``, ``_eig_rows(order)`` rows at a time;
+    memos (a defaultdict(dict)) is the calling driver's.
     """
     if bits.shape[1] > 63:
-        return _Classes(size, bip, bits, np.arange(len(bits)))
+        return _Classes(size, bip, bits, np.arange(len(bits)), memos)
     step = _eig_rows(_bit_ends(size, bip)[2])
     keys = np.concatenate([
         _class_keys(size, bip, bits[lo : lo + step], deg[:, lo : lo + step])[0]
         for lo in range(0, len(bits), step)
     ])
     uniq, of = np.unique(keys, return_inverse=True)
-    return _Classes(size, bip, bits, of, uniq.tolist())
+    return _Classes(size, bip, bits, of, memos, uniq.tolist())
 
 
 def _radius_interval(key: str, stats: dict, size: int, bip: bool):
@@ -950,6 +950,7 @@ def _edge_window(target: str, size: int, bip: bool, k, tol: float) -> Optional[b
     e or two_delta; a row of another count fails every hypothesis.  Returns
     one bool per count 0..pairs, or None when every count is admitted or a
     statement on a minimum degree sum (which reads the bits) needs every row.
+    A labeled_min_degree space takes none: its producer reads every delta.
     """
     stmts = statements_for(target)
     if any(st.quantity in _DEGREE_SUMS for st in stmts):
@@ -997,11 +998,11 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
     an enumerated space): stats and gate per block, then the rows that
     survive, gathered over blocks of one order, through ``_eval_group``.
 
-    A row survives when, within the space, it passes the gate of some
-    radius statement or the hypothesis of a statement on an integer
-    quantity; every other row fails every hypothesis.  An enumerated space
-    without a minimum-degree filter gives only the rows in the target's
-    ``_edge_window``, and counts the others as processed.
+    A row survives when it passes the gate of some radius statement or the
+    hypothesis of a statement on an integer quantity; every other row fails
+    every hypothesis.  An enumerated space without a minimum-degree filter
+    gives only the rows in the target's ``_edge_window``, and counts the
+    others as processed.
     """
     stmts = statements_for(target)
     bip = stmts[0].domain == "bipartite"
@@ -1012,12 +1013,11 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
     clock = _Clock(report.timings)
     quantities = {st.quantity for st in stmts}
     integral = [st for st in stmts if st.quantity not in SPECTRAL]
-    memos = {}  # {(quantity / question / statement id, size, bip): {class key: value}}
+    memos = defaultdict(dict)  # the call's per-class values (``_Classes``)
     pending = {}  # {(size, bip): [(bits, stats, gates) of some surviving rows]}
-    gathered = {}  # {(size, bip): rows in pending}
     for blk in _space_blocks(space, bip, start, stop, window):
-        size, stats, in_space = blk.size, blk.stats, blk.in_space
-        report.processed += blk.span if in_space is None else int(in_space.sum())
+        size, stats = blk.size, blk.stats
+        report.processed += blk.span
         for key in quantities & set(_DEGREE_SUMS):  # min_ds or min_cross_ds
             stats[key] = _min_degree_sum(size, bip, stats["deg"], blk.rows_bits())
         clock.lap("stats")
@@ -1026,8 +1026,6 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
         survive = np.zeros(len(stats["e"]), dtype=bool)
         for mask in [*gates.values(), *(st.hypothesis(stats, size, k, tol) for st in integral)]:
             survive |= mask
-        if in_space is not None:
-            survive &= in_space
         rows = np.flatnonzero(survive)
         clock.lap("gate")
         if len(rows):
@@ -1035,12 +1033,10 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
             group.append((blk.rows_bits(rows),
                           {name: col[..., rows] for name, col in stats.items()},
                           {key: gate[rows] for key, gate in gates.items()}))
-            gathered[size, bip] = gathered.get((size, bip), 0) + len(rows)
             clock.lap("stats")
-            if gathered[size, bip] >= _GROUP_ROWS:
+            if sum(len(bits) for bits, _, _ in group) >= _GROUP_ROWS:
                 _eval_group(stmts, report, size, bip, group, k, tol, budget, memos, clock)
                 group.clear()
-                gathered[size, bip] = 0
     for (size, bip), group in pending.items():
         if group:
             _eval_group(stmts, report, size, bip, group, k, tol, budget, memos, clock)
@@ -1054,41 +1050,32 @@ def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget
     group lists (bits, stats, gates) of the surviving rows of some blocks,
     gates holding, per radius, the rows its gate kept.  The rows are keyed
     once (``_row_classes``), and every per-class value comes from that one
-    ``_Classes``, with one memo per (quantity or question, order, bip) in
-    memos, answered on the class's representative and scattered back to the
-    rows: first each radius over its gated rows (NaN elsewhere, which fails
-    every comparison), then, after each statement's mask, the questions
-    below.  Hamiltonicity is asked of every row a "ham" conclusion or a
-    "not_ham" check needs (such a statement's conclusion is "ham"),
-    traceability only of the rows that are not Hamiltonian (a Hamiltonian
-    graph is traceable).  A "not_ham" mask keeps the rows whose answer is
-    "no" and reports the aborted ones.  A representative's graph is built
-    once, and only for a graph check, a structural conclusion or a
-    recognizer; the graph6 of a failing or aborted row is built from that
-    row's own bits.
+    ``_Classes``, kept in the call's memos, answered on the class's
+    representative and scattered back to the rows: first each radius over
+    its gated rows (NaN elsewhere, which fails every comparison), then,
+    after each statement's mask, the questions below.  Hamiltonicity is
+    asked of every row a "ham" conclusion or a "not_ham" check needs (such a
+    statement's conclusion is "ham"), traceability only of the rows that are
+    not Hamiltonian (a Hamiltonian graph is traceable).  A "not_ham" mask
+    keeps the rows whose answer is "no" and reports the aborted ones.  A
+    representative's graph is built once, and only for a graph check, a
+    structural conclusion or a recognizer; the graph6 of a failing or
+    aborted row is built from that row's own bits.
     """
     bits = np.concatenate([b for b, _, _ in group])
     stats = {name: np.concatenate([s[name] for _, s, _ in group], axis=-1) for name in group[0][1]}
-    classes = _row_classes(size, bip, bits, stats["deg"])
+    classes = _row_classes(size, bip, bits, stats["deg"], memos)
     for key in group[0][2]:
         rows = np.flatnonzero(np.concatenate([g[key] for _, _, g in group]))
         stats[key] = np.full(len(bits), np.nan)
-        stats[key][rows] = classes.radii(key, memos.setdefault((key, size, bip), {}), rows)
+        stats[key][rows] = classes.radii(key, rows)
     clock.lap("eigensolve")
     active = np.zeros((len(stmts), len(bits)), dtype=bool)  # statement-major
     for i, st in enumerate(stmts):
         active[i] = st.hypothesis(stats, size, k, tol)
     clock.lap("hypothesis")
     adj = _adjacency_rows(size, bip, classes.bits())
-    graphs = {}
-
-    def graph(c):
-        if c not in graphs:
-            graphs[c] = _row_graph(size, bip, adj[c].tolist())
-        return graphs[c]
-
-    def per_row(name, rows, solve):
-        return classes.values(memos.setdefault((name, size, bip), {}), solve, rows)
+    graph = lru_cache(maxsize=None)(lambda c: _row_graph(size, bip, adj[c].tolist()))
 
     def on_graphs(answer):
         return lambda c: [answer(graph(j)) for j in c.tolist()]
@@ -1099,11 +1086,10 @@ def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget
     need = {q: active[[st.conclusion == q for st in stmts]].any(axis=0) for q in ("ham", "trace")}
     ham = np.full(len(bits), "", dtype="<U7")
     asked = np.flatnonzero(need["ham"] | need["trace"])
-    ham[asked] = classes.verdicts("ham", memos.setdefault(("ham", size, bip), {}), budget, asked)
+    ham[asked] = classes.verdicts("ham", budget, asked)
     trace = np.where(ham == "yes", ham, "")
     asked = np.flatnonzero(need["trace"] & (ham != "yes"))
-    trace[asked] = classes.verdicts("trace", memos.setdefault(("trace", size, bip), {}), budget,
-                                    asked)
+    trace[asked] = classes.verdicts("trace", budget, asked)
     verdicts = {"ham": ham, "trace": trace}
     for st, mask in zip(stmts, active):
         if st.graph_check == "not_ham":
@@ -1111,29 +1097,29 @@ def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget
             mask &= ham == "no"
         elif st.graph_check:
             rows = np.flatnonzero(mask)
-            mask[rows] = per_row(st.graph_check, rows, on_graphs(_GRAPH_CHECKS[st.graph_check]))
+            mask[rows] = classes.values(st.graph_check,
+                                        on_graphs(_GRAPH_CHECKS[st.graph_check]), rows)
         rows = np.flatnonzero(mask)
         report.hypothesis_count += len(rows)
         if st.conclusion == "clique":
-            failed = rows[~per_row("clique", rows,
-                                   on_graphs(lambda g: clique_number(g) >= size - k))]
+            failed = rows[~classes.values(
+                "clique", on_graphs(lambda g: clique_number(g) >= size - k), rows)]
         elif st.conclusion == "biclique":
-            failed = rows[~per_row("biclique", rows,
-                                   on_graphs(lambda g: _biclique_conclusion(g, size, k)))]
+            failed = rows[~classes.values(
+                "biclique", on_graphs(lambda g: _biclique_conclusion(g, size, k)), rows)]
         else:
             got = verdicts[st.conclusion][rows]
             report.aborted += g6(rows[got == "aborted"])
             no = rows[got == "no"]
-            failed = no[~per_row(st.id, no,
-                                 on_graphs(lambda g: _exceptional(st, g, size, k, clock)))]
+            failed = no[~classes.values(
+                st.id, on_graphs(lambda g: _exceptional(st, g, size, k, clock)), no)]
             report.exceptional_matches += len(no) - len(failed)
         report.conclusion_failures += g6(failed)
     clock.lap("conclusion")
 
 
 def _worker(args):
-    target, space_dict, k, tol, budget, start, stop = args
-    return _verify_blocks(target, SearchSpace(**space_dict), k, tol, budget, start, stop)
+    return _verify_blocks(*args)
 
 
 def verify_theorem(
@@ -1148,6 +1134,7 @@ def verify_theorem(
     """Check one theorem/lemma over a space; see the module docstring."""
     space.validate()
     _check_tol(tol)
+    _check_budget(oracle_budget)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     stmts = statements_for(target)
@@ -1169,7 +1156,7 @@ def verify_theorem(
         # past one range per index the split gains no range (and the bounds no memory)
         bounds = np.linspace(0, total, min(jobs, total) + 1, dtype=np.int64)
         tasks = [
-            (target, space.kwargs(), k, tol, oracle_budget, int(a), int(b))
+            (target, space, k, tol, oracle_budget, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])
             if a < b
         ]
@@ -1228,6 +1215,7 @@ def extremal_search(
     """
     space.validate()
     _check_tol(tol)
+    _check_budget(oracle_budget)
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     if constraint not in ("non_hamiltonian", "non_traceable"):
@@ -1244,22 +1232,18 @@ def extremal_search(
     # the best signed value decided "no", and the best whose run aborted
     best = reach = -np.inf
     kept = []  # (size, bits, signed values) of the rows decided "no"
-    memos = {}  # {(quantity or question, size, bip): {class key: value}}
+    memos = defaultdict(dict)  # the call's per-class values (``_Classes``)
     for blk in _space_blocks(space, bip):
-        sel = blk.stats["delta"] >= (k if k is not None else 0)
-        if blk.in_space is not None:
-            sel &= blk.in_space
-        rows = np.flatnonzero(sel)
+        rows = np.flatnonzero(blk.stats["delta"] >= (k if k is not None else 0))
         if not len(rows):
             continue
         size = blk.size
         bits = blk.rows_bits(rows)
-        classes = _row_classes(size, bip, bits, blk.stats["deg"][:, rows])
-        values = sign * classes.radii(stat_key, memos.setdefault((stat_key, size, bip), {}))
+        classes = _row_classes(size, bip, bits, blk.stats["deg"][:, rows], memos)
+        values = sign * classes.radii(stat_key)
         # a row more than tol below the best "no" so far is no optimum
         ask = np.flatnonzero(best - values <= tol)
-        status = classes.verdicts(question, memos.setdefault((question, size, bip), {}),
-                                  oracle_budget, ask)
+        status = classes.verdicts(question, oracle_budget, ask)
         reach = max(reach, values[ask[status == "aborted"]].max(initial=-np.inf))
         no = ask[status == "no"]
         if len(no):
@@ -1284,7 +1268,7 @@ _SWEEP_EXPECTS = {"certified_positive": ("yes", "certified_not_hamiltonian"),
                   "exceptional": ("no", "exceptional_but_hamiltonian")}
 
 
-def _fired_rows(mode: str, classes: _Classes, stats: dict, memos: dict, tol: float) -> list:
+def _fired_rows(mode: str, classes: _Classes, stats: dict, tol: float) -> list:
     """(row, verdict, theorem) of each row whose ``certify_<mode>`` cascade fires.
 
     classes holds the rows' bits and stats their statistics.  The radii the
@@ -1299,7 +1283,7 @@ def _fired_rows(mode: str, classes: _Classes, stats: dict, memos: dict, tol: flo
     size, bip = classes.size, classes.bip
     cols = dict(stats)
     for key in {st.quantity for _, st in walk} & SPECTRAL:
-        cols[key] = classes.radii(key, memos.setdefault((key, size, bip), {}))
+        cols[key] = classes.radii(key)
     delta = cols["delta"]
     first = np.full(len(delta), -1)  # the step that fires, -1 while none has
     for k in np.unique(delta).tolist():
@@ -1333,6 +1317,7 @@ def certifier_soundness_sweep(
     enumeration caps and its certifier's minimum order before any work.
     """
     _check_tol(tol)
+    _check_budget(oracle_budget)
     runs = [("hamiltonicity", SearchSpace.all_labeled(n)) for n in ns]
     runs += [("bipartite_hamiltonicity", SearchSpace.balanced_bipartite_labeled(side))
              for side in bip_sides]
@@ -1342,18 +1327,17 @@ def certifier_soundness_sweep(
             raise ValueError(_CERTIFIERS[mode][2])
     summary = {**dict.fromkeys(("graphs", "bipartite_graphs", "certified_positive", "exceptional",
                                 "inconclusive"), 0), "violations": [], "aborted": []}
-    memos = {}  # {(quantity or question, size, bip): {class key: value}}
+    memos = defaultdict(dict)  # the call's per-class values (``_Classes``)
     for mode, space in runs:
         bip = space.is_bipartite_space
         for blk in _space_blocks(space, bip):
             size, bits = blk.size, blk.rows_bits()
-            classes = _row_classes(size, bip, bits, blk.stats["deg"])
-            fired = _fired_rows(mode, classes, blk.stats, memos, tol)
+            classes = _row_classes(size, bip, bits, blk.stats["deg"], memos)
+            fired = _fired_rows(mode, classes, blk.stats, tol)
             summary["bipartite_graphs" if bip else "graphs"] += len(bits)
             summary["inconclusive"] += len(bits) - len(fired)
             rows = np.array([r for r, _, _ in fired], dtype=np.int64)
-            status = classes.verdicts("ham", memos.setdefault(("ham", size, bip), {}),
-                                      oracle_budget, rows)
+            status = classes.verdicts("ham", oracle_budget, rows)
             summary["aborted"] += _graph6_rows(size, bip, bits[rows[status == "aborted"]])
             for (r, verdict, theorem), got in zip(fired, status.tolist()):
                 summary[verdict] += 1

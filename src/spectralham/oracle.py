@@ -45,6 +45,14 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 
+
+def _check_budget(budget: int) -> int:
+    """budget itself; ValueError unless it is an int >= 0 (0 decides only the trivial cases)."""
+    if not (isinstance(budget, (int, np.integer)) and budget >= 0):
+        raise ValueError(f"oracle budget must be an int >= 0, got {budget!r}")
+    return budget
+
+
 # Backtracking probe before the subset DP takes over (orders 12..21).
 _PROBE_BUDGET = 50_000
 _DP_MIN, _DP_MAX = 12, 21
@@ -185,6 +193,7 @@ def is_hamiltonian(g, budget: int = DEFAULT_BUDGET, method: str = "auto") -> Ora
     method: "auto" (backtracking, subset DP fallback for orders 12..21),
     "backtracking", or "dp".
     """
+    _check_budget(budget)
     g = as_graph(g)
     n = g.n
     if n < 3:
@@ -211,6 +220,7 @@ def is_traceable(g, budget: int = DEFAULT_BUDGET) -> OracleResult:
 
     The subset-DP fallback covers G of order 11..20 (joins of order 12..21).
     """
+    _check_budget(budget)
     g = as_graph(g)
     if g.n < 1:
         raise ValueError("traceability undefined on the 0-vertex graph")

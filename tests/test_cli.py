@@ -237,6 +237,22 @@ def test_bad_tolerance_is_usage_error(capsys, argv, tol):
     assert "tolerance must be finite and >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "fn_rho", "--n", "5"),
+    ("search", "max_rho", "--n", "5"),
+    ("certify", "Dhc", "--oracle"),
+    ("oracle", "Dhc"),
+])
+@pytest.mark.parametrize("budget", ["-1", "-3", "1.5"])
+def test_bad_budget_is_usage_error(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget", budget])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --budget" in err and ("oracle budget must be an int >= 0" in err
+                                           or "invalid literal for int()" in err)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not_a_target", "--n", "5"])

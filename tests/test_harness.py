@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -457,12 +458,12 @@ def test_sweep_cascade_matches_per_graph_certificates(mode, space):
     certify = getattr(certifier, f"certify_{mode}")
     bip = space.is_bipartite_space
     size = space.side if bip else space.n
-    memos, fired, expected, offset = {}, [], [], 0
+    memos, fired, expected, offset = defaultdict(dict), [], [], 0
     for blk in _index_blocks(size, bip, 0, harness._space_index_total(space)):
         bits = blk.rows_bits()
-        classes = _row_classes(size, bip, bits, blk.stats["deg"])
+        classes = _row_classes(size, bip, bits, blk.stats["deg"], memos)
         fired += [(offset + r, verdict, theorem) for r, verdict, theorem
-                  in harness._fired_rows(mode, classes, blk.stats, memos, DEFAULT_TOL)]
+                  in harness._fired_rows(mode, classes, blk.stats, DEFAULT_TOL)]
         for r, g in enumerate(_graphs_from_bits(size, bip, bits)):
             cert = certify(g)
             if cert.verdict != "inconclusive":
@@ -608,9 +609,9 @@ def _space_rows(size, bip):
 def test_class_values_match_row_values(keys, size, bip):
     # every row of the space, with one memo per quantity shared across chunks
     for key in keys:
-        memo = {}
+        memos = defaultdict(dict)
         for bits, deg in _space_rows(size, bip):
-            got = _row_classes(size, bip, bits, deg).radii(key, memo)
+            got = _row_classes(size, bip, bits, deg, memos).radii(key)
             assert np.allclose(got, _radii(key, size, bip, bits), rtol=0, atol=1e-12), key
 
 
@@ -619,8 +620,8 @@ def test_gated_class_values_match_row_values(monkeypatch):
     seen = {}
     orig = harness._Classes.radii
 
-    def checking(self, key, memo, rows=None):
-        got = orig(self, key, memo, rows)
+    def checking(self, key, rows=None):
+        got = orig(self, key, rows)
         bits = self.rows if rows is None else self.rows[rows]
         assert np.allclose(got, _radii(key, self.size, self.bip, bits), rtol=0, atol=1e-12), key
         seen[key] = seen.get(key, 0) + len(bits)
@@ -672,13 +673,13 @@ def test_relabellings_share_one_class_value():
     deg = np.concatenate([_degree_stats(7, False, i, i + 1)["deg"] for i in idx.tolist()], axis=1)
     keys, _ = _class_keys(7, False, bits, deg)
     assert len(set(keys.tolist())) == 1
-    together = _row_classes(7, False, bits, deg).radii("rho", {})
+    together = _row_classes(7, False, bits, deg, defaultdict(dict)).radii("rho")
     assert len(set(together.tolist())) == 1
-    shared = {}
+    shared = defaultdict(dict)
     for chunk in sorted(set((idx // _CHUNK).tolist())):
         rows = np.flatnonzero(idx // _CHUNK == chunk)
-        for memo in (shared, {}):
-            got = _row_classes(7, False, bits[rows], deg[:, rows]).radii("rho", memo)
+        for memos in (shared, defaultdict(dict)):
+            got = _row_classes(7, False, bits[rows], deg[:, rows], memos).radii("rho")
             assert np.array_equal(got, together[rows])
 
 
@@ -913,7 +914,7 @@ def test_batched_and_scalar_conclusions_agree(monkeypatch):
              ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(3), None))
     batched = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
 
-    def scalar_verdicts(self, question, memo, budget, rows=None):
+    def scalar_verdicts(self, question, budget, rows=None):
         oracle = is_hamiltonian if question == "ham" else is_traceable
         bits = self.rows if rows is None else self.rows[rows]
         return np.array([oracle(as_graph(g), budget=budget).status
@@ -1035,6 +1036,63 @@ def test_edge_window_keeps_exactly_the_admitted_rows(size, bip, target, k, range
                               _index_bits(len(_bit_ends(size, bip)[0]), start, stop)[keep])
 
 
+@pytest.mark.parametrize("size, bip, k, ranges", [
+    # at order 8 a table block gives vertex 6 an edge only with high bit 1
+    # (pair bit 15) and vertex 7 only with high bit 7; at side 5, x_3 only
+    # with high bit 1 and x_4 only with high bit 6: k = 1 empties table
+    # blocks 127-129 and 63-65, and not 130-131 and 66-67
+    (8, False, 1, [(127 * _CHUNK + 77, 131 * _CHUNK + 1234), (12345, 15001)]),
+    (8, False, 5, [(3 * _CHUNK - 777, 3 * _CHUNK + 1234), ((1 << 28) - 2 * _CHUNK - 99, 1 << 28)]),
+    (5, True, 1, [(63 * _CHUNK + 5, 67 * _CHUNK + 17)]),
+    (5, True, 3, [(1000 * _CHUNK + 5, 1002 * _CHUNK + 17), ((1 << 25) - _CHUNK - 3, 1 << 25)]),
+])
+def test_min_degree_blocks_hold_exactly_the_space_rows(size, bip, k, ranges):
+    # a labeled_min_degree range gives the rows of the range with delta >= k,
+    # in index order, with the same statistics, in C-contiguous blocks whose
+    # spans count their own rows
+    nbits = len(_bit_ends(size, bip)[0])
+    for start, stop in ranges:
+        blocks = list(_index_blocks(size, bip, start, stop, min_deg=k))
+        full = _degree_stats(size, bip, start, stop)
+        keep = np.flatnonzero(full["delta"] >= k)
+        assert all(blk.span == len(blk.index) and blk.stats["deg"].flags.c_contiguous
+                   for blk in blocks)
+        assert np.array_equal(np.concatenate([blk.index for blk in blocks]), start + keep)
+        for name in ("deg", "e", "delta", "two_delta", "Delta"):
+            got = np.concatenate([blk.stats[name] for blk in blocks], axis=-1)
+            assert np.array_equal(got, full[name][..., keep]), name
+        assert np.array_equal(np.concatenate([blk.rows_bits() for blk in blocks]),
+                              _index_bits(nbits, start, stop)[keep])
+        if k == 1 and stop - start > 3 * _CHUNK:
+            table_blocks = set(range(start // _CHUNK, (stop - 1) // _CHUNK + 1))
+            assert 0 < len(set(((start + keep) // _CHUNK).tolist())) < len(table_blocks)
+
+
+@pytest.mark.parametrize("size, bip", [(harness.MAX_ALL_LABELED_N, False),
+                                       (harness.MAX_BIP_SIDE, True)])
+def test_high_index_bits_fit_one_degree_table(size, bip):
+    # _index_blocks reads a table block's high-bit degrees from one column of
+    # the table over the pair bits past the low table, which covers at most
+    # log2 _CHUNK bits: raising an enumeration cap past 28 / 25 pair bits
+    # needs a third table
+    nbits = len(_bit_ends(size, bip)[0])
+    low = harness._degree_table(size, bip)[1].size.bit_length() - 1
+    assert nbits - low <= _CHUNK.bit_length() - 1
+    assert harness._degree_table(size, bip, low)[1].size == 1 << (nbits - low)
+
+
+@pytest.mark.parametrize("objective", ["max_rho", "max_q"])
+@pytest.mark.parametrize("k0, k", [(0, None), (2, None), (1, 2), (2, 1)])
+def test_extremal_search_on_a_min_degree_space(objective, k0, k):
+    # labeled_min_degree(6, k0) is all_labeled(6) cut to delta >= k0 (no
+    # non-Hamiltonian graph of order 6 has delta >= 3)
+    got = extremal_search(SearchSpace.labeled_min_degree(6, k0), objective, "non_hamiltonian",
+                          k=k)
+    want = extremal_search(SearchSpace.all_labeled(6), objective, "non_hamiltonian",
+                           k=max(k or 0, k0))
+    assert got == want and got[1]
+
+
 @pytest.mark.parametrize("target, space, k", [
     ("fn_rho", SearchSpace.all_labeled(6), None),
     ("fn_rho_complement", SearchSpace.all_labeled(6), None),
@@ -1060,11 +1118,15 @@ def test_gate_table_matches_interval_gate(target, space, k):
             assert np.array_equal(table[code], direct), key
 
 
-@pytest.mark.parametrize("target, space", [("fn_rho", SearchSpace.all_labeled(7)),
-                                           ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4))])
-def test_three_jobs_match_one(target, space):
-    serial = _drop_times(verify_theorem(target, space).to_json())
-    assert serial == _drop_times(verify_theorem(target, space, jobs=3).to_json())
+@pytest.mark.parametrize("target, space, k", [
+    ("fn_rho", SearchSpace.all_labeled(7), None),
+    ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4), None),
+    # each range counts its own rows with delta >= 1 as processed
+    ("main_rho_complement.2", SearchSpace.labeled_min_degree(7, 1), 1),
+])
+def test_three_jobs_match_one(target, space, k):
+    serial = _drop_times(verify_theorem(target, space, k=k).to_json())
+    assert serial == _drop_times(verify_theorem(target, space, k=k, jobs=3).to_json())
 
 
 def test_stage_timings_cover_the_wall_time():
@@ -1274,6 +1336,6 @@ def test_order_12_rows_never_share_a_class_value():
     twins[:, 63:] = ~twins[:, 63:]
     rows = np.concatenate([bits, twins])
     deg = harness._row_block(12, False, rows).stats["deg"]
-    got = _row_classes(12, False, rows, deg).radii("rho", {})
+    got = _row_classes(12, False, rows, deg, defaultdict(dict)).radii("rho")
     assert np.array_equal(got, _radii("rho", 12, False, rows))
     assert np.all(got[:40] != got[40:])

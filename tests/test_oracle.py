@@ -305,3 +305,53 @@ def test_scalar_oracle_rejects_invalid_witness(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="invalid Hamilton path"):
         is_traceable(path_graph(6))
+
+
+def _budget_entry_points():
+    from spectralham.certifier import (
+        certify_bipartite_hamiltonicity, certify_hamiltonicity, certify_traceability,
+    )
+    from spectralham.harness import (
+        SearchSpace, certifier_soundness_sweep, extremal_search, verify_theorem,
+    )
+
+    k33 = complete_bipartite_graph(3, 3)
+    return {
+        "is_hamiltonian": lambda b: is_hamiltonian(cycle_graph(6), budget=b),
+        "is_traceable": lambda b: is_traceable(path_graph(6), budget=b),
+        "certify_hamiltonicity": lambda b: certify_hamiltonicity(cycle_graph(6), oracle_budget=b),
+        "certify_traceability": lambda b: certify_traceability(path_graph(6), oracle_budget=b),
+        "certify_bipartite_hamiltonicity":
+            lambda b: certify_bipartite_hamiltonicity(k33, oracle_budget=b),
+        "verify_theorem":
+            lambda b: verify_theorem("fn_rho", SearchSpace.all_labeled(5), oracle_budget=b),
+        "extremal_search": lambda b: extremal_search(SearchSpace.all_labeled(5), "max_rho",
+                                                     "non_hamiltonian", oracle_budget=b),
+        "certifier_soundness_sweep":
+            lambda b: certifier_soundness_sweep(ns=(5,), bip_sides=(), oracle_budget=b),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_budget_entry_points()))
+def test_a_negative_oracle_budget_is_refused_before_any_work(monkeypatch, entry):
+    import spectralham.certifier as certifier
+    import spectralham.harness as harness
+
+    call = _budget_entry_points()[entry]
+
+    def no_work(*args, **kwargs):
+        pytest.fail(f"{entry} started work before checking its budget")
+
+    with monkeypatch.context() as m:
+        for module, name in ((oracle, "as_graph"), (certifier, "_walk"),
+                             (harness, "_space_blocks")):
+            m.setattr(module, name, no_work)
+        for budget in (-1, 2.5, "10"):
+            with pytest.raises(ValueError, match="oracle budget must be an int >= 0"):
+                call(budget)
+    # 0 stays legal: it decides only the trivial cases, and a search whose
+    # optimum it cannot decide says so
+    try:
+        call(0)
+    except ValueError as exc:
+        assert "raise the oracle budget" in str(exc)
