@@ -50,17 +50,24 @@ statement on an integer quantity; the others fail every hypothesis.  The
 edge-count window and the gate change no verdict, count or failure list.
 
 Relabelling classes.  The surviving rows are gathered over blocks, up to
-_GROUP_ROWS of one order, and ``_eval_group`` keys each of them once.  A
+_GROUP_ROWS of one order (their statistics taken with ``take``, so the
+degrees stay vertex-major), and ``_eval_group`` keys each of them once.  A
 row's key is the row relabelled by one round of colour refinement (stable
 order of degree, then neighbours' degree sum, each side on its own), read as
-an int64.  Equal keys mean isomorphic rows (and complements and
-quasi-complements).  ``_Classes.values`` is the one place a per-class value
-comes from: with the call's memos, keyed per (quantity or question, order)
-by the ``_Classes`` itself, it decides each key once, on the key's own bits,
-and scatters the value to the rows, so a value depends on its class alone
-(at tol = 0 a whole class lies on one side of a threshold).  Rows of more
-than 63 bits (order 12 and up, side 8 and up) have no key: each is a class
-of one, decided every time.  Matrix stacks are sized by bytes.
+an int64.  ``_class_keys`` computes it straight from the pair bits,
+vertex-major over the rows: the neighbour sums in one pass over the pairs,
+distinct int32 scores (degree, neighbour sum, then the vertex, the stable
+tie-break), each vertex's new label as the count of smaller scores on its
+side, and the key as the sum of a cached table's 1 << pair bit at the new
+labels of each set pair; no adjacency stack or sort is built.  Equal keys
+mean isomorphic rows (and complements and quasi-complements).
+``_Classes.values`` is the one place a per-class value comes from: with the
+call's memos, keyed per (quantity or question, order) by the ``_Classes``
+itself, it decides each key once, on the key's own bits, and scatters the
+value to the rows, so a value depends on its class alone (at tol = 0 a whole
+class lies on one side of a threshold).  Rows of more than 63 bits (order
+12 and up, side 8 and up) have no key: each is a class of one, decided every
+time.  Matrix stacks are sized by bytes.
 
 Conclusions.  With the same classes, each radius is eigensolved over the
 rows its gate kept (``_Classes.radii``), the hypothesis masks follow, and
@@ -591,29 +598,50 @@ def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _pair_weights(size: int, bip: bool) -> np.ndarray:
+    """Flat (order * order) int64 table: entry u * order + v is 1 << the pair bit
+    joining u and v, and 0 where no pair bit does (entry 0 among them)."""
+    us, vs, order = _bit_ends(size, bip)
+    w = np.zeros((order, order), dtype=np.int64)
+    w[us, vs] = w[vs, us] = 1 << np.arange(len(us), dtype=np.int64)
+    return w.ravel()
+
+
+def _ranks(score: np.ndarray) -> np.ndarray:
+    """rank[v, r] = #{u : score[u, r] < score[v, r]}, for distinct scores (order, rows)."""
+    return (score[:, None] < score[None]).sum(axis=0, dtype=np.int16)
+
+
 def _class_keys(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray):
     """Relabelling-class keys of rows of pair bits, and the relabellings behind them.
 
     deg (order, rows) holds the rows' degrees.  Each row's vertices are put
     in stable order of (degree, sum of neighbour degrees), one round of
-    colour refinement, each side on its own when bip; perm[r, v] is the
-    vertex that becomes v.  The key is the relabelled row's bits read as an
-    int64 (so at most 63 bits), and rows with equal keys are isomorphic.
+    colour refinement, each side on its own when bip; rank[v, r] is the
+    vertex that v becomes in row r.  The key is the relabelled row's bits
+    read as an int64 (so at most 63 bits), and rows with equal keys are
+    isomorphic.  Everything is vertex- or pair-major over the rows: the
+    neighbour sums take one pass over the pairs, a rank counts the smaller
+    scores, and the key adds ``_pair_weights`` at the ranks of each set pair.
     """
     us, vs, order = _bit_ends(size, bip)
-    adj = np.zeros((len(bits), order, order), dtype=bool)
-    adj[:, us, vs] = bits
-    adj[:, vs, us] = bits
-    deg = deg.T.astype(np.int64)
-    # the neighbour sum is below order^2, so degree decides first
-    score = deg * order * order + np.einsum("rvu,ru->rv", adj, deg)
+    edges = np.ascontiguousarray(bits.T)
+    deg = deg.astype(np.int32)
+    nsum = np.zeros_like(deg)
+    for t, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        nsum[u] += edges[t] * deg[v]
+        nsum[v] += edges[t] * deg[u]
+    # the neighbour sum is below order^2, so degree decides first, and the
+    # vertex breaks ties as a stable sort does (below order^4: 38,416 at order 14)
+    score = (deg * order * order + nsum) * order + np.arange(order, dtype=np.int32)[:, None]
     if bip:
-        perm = np.concatenate([np.argsort(score[:, :size], axis=1, kind="stable"),
-                               size + np.argsort(score[:, size:], axis=1, kind="stable")], axis=1)
+        rank = np.concatenate([_ranks(score[:size]), size + _ranks(score[size:])])
     else:
-        perm = np.argsort(score, axis=1, kind="stable")
-    relabelled = adj[np.arange(len(bits))[:, None], perm[:, us], perm[:, vs]]
-    return relabelled @ (1 << np.arange(len(us), dtype=np.int64)), perm
+        rank = _ranks(score)
+    # an absent pair reads entry 0 of the table, which is 0
+    at = (rank[us] * order + rank[vs]) * edges
+    return _pair_weights(size, bip).take(at).sum(axis=0), rank
 
 
 @dataclass
@@ -971,9 +999,9 @@ def _gate(target: str, key: str, stmts, blk: _Block, k, tol: float):
     """Rows of a block that may pass some statement on ``key``.
 
     The interval gate is one table lookup per row.  When key has an "le"
-    statement, the rows it keeps are gated again with the lower end of their
-    interval raised to ``_rayleigh``'s quotient, _RAYLEIGH_BYTES of one of
-    its temporaries at a time.
+    statement, the rows it keeps are gated again, by one ``_may_pass``, with
+    the lower end of their interval raised to ``_rayleigh``'s quotient, taken
+    _RAYLEIGH_BYTES of one of its temporaries at a time.
     """
     stats, size, bip = blk.stats, blk.size, blk.bip
     us, _, order = _bit_ends(size, bip)
@@ -984,12 +1012,14 @@ def _gate(target: str, key: str, stmts, blk: _Block, k, tol: float):
         keep = _gate_table(target, key, size, bip, k, tol)[code]
     if any(st.quantity == key and st.relation == "le" for st in stmts):
         rows = np.flatnonzero(keep)
+        kept = {name: col.take(rows, axis=-1) for name, col in stats.items()}
         step = max(1, _RAYLEIGH_BYTES // (8 * max(len(us), 1)))
+        floor = np.empty(len(rows))
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step]
-            kept = {name: col[..., part] for name, col in stats.items()}
-            floor = _rayleigh(key, size, bip, blk.rows_bits(part), kept["deg"])
-            keep[part] = _may_pass(key, stmts, kept, size, bip, k, tol, floor)
+            floor[lo : lo + step] = _rayleigh(key, size, bip, blk.rows_bits(part),
+                                              stats["deg"].take(part, axis=1))
+        keep[rows] = _may_pass(key, stmts, kept, size, bip, k, tol, floor)
     return keep
 
 
@@ -1031,7 +1061,7 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
         if len(rows):
             group = pending.setdefault((size, bip), [])
             group.append((blk.rows_bits(rows),
-                          {name: col[..., rows] for name, col in stats.items()},
+                          {name: col.take(rows, axis=-1) for name, col in stats.items()},
                           {key: gate[rows] for key, gate in gates.items()}))
             clock.lap("stats")
             if sum(len(bits) for bits, _, _ in group) >= _GROUP_ROWS:
@@ -1239,7 +1269,7 @@ def extremal_search(
             continue
         size = blk.size
         bits = blk.rows_bits(rows)
-        classes = _row_classes(size, bip, bits, blk.stats["deg"][:, rows], memos)
+        classes = _row_classes(size, bip, bits, blk.stats["deg"].take(rows, axis=1), memos)
         values = sign * classes.radii(stat_key)
         # a row more than tol below the best "no" so far is no optimum
         ask = np.flatnonzero(best - values <= tol)

@@ -633,28 +633,113 @@ def test_gated_class_values_match_row_values(monkeypatch):
     assert seen.keys() == {"rho", "q_qc"} and min(seen.values()) > 0
 
 
+def _incidence_degrees(size, bip, bits):
+    """The degrees (order, rows) int16 of rows of pair bits, by one incidence matmul."""
+    us, vs, order = _bit_ends(size, bip)
+    inc = np.zeros((order, bits.shape[1]), dtype=np.int64)
+    inc[us, np.arange(bits.shape[1])] = inc[vs, np.arange(bits.shape[1])] = 1
+    return (inc @ bits.T).astype(np.int16)
+
+
 @pytest.mark.parametrize("size, bip", [(5, False), (7, False), (3, True), (4, True)])
 def test_class_key_is_the_relabelled_row(size, bip):
-    # perm[r, v] is the vertex that becomes v; relabelling the row's graph so
-    # gives the graph whose index is the key, and bipartite rows keep sides
+    # rank[v, r] is the vertex that v becomes in row r; relabelling the row's
+    # graph so gives the graph whose index is the key, and bipartite rows keep sides
     nbits = size * size if bip else size * (size - 1) // 2
     idx = np.arange(1 << nbits) if nbits <= 10 else \
         np.random.default_rng(5).choice(1 << nbits, 3000, replace=False)
     bits = harness._bits_of(nbits, idx)
-    us, vs, order = _bit_ends(size, bip)
-    inc = np.zeros((order, nbits), dtype=np.int64)
-    inc[us, np.arange(nbits)] = inc[vs, np.arange(nbits)] = 1
-    keys, perm = _class_keys(size, bip, bits, inc @ bits.T)
+    keys, rank = _class_keys(size, bip, bits, _incidence_degrees(size, bip, bits))
     decode = bipartite_from_index if bip else graph_from_index
-    for i, key, p in zip(idx.tolist(), keys.tolist(), perm.tolist()):
+    for i, key, relabel in zip(idx.tolist(), keys.tolist(), rank.T.tolist()):
         g, h = decode(size, i), decode(size, key)
         if bip:
-            assert sorted(p[:size]) == list(range(size))
+            assert sorted(relabel[:size]) == list(range(size))
             g, h = g.to_graph(), h.to_graph()
-        inverse = [0] * len(p)
-        for new, old in enumerate(p):
-            inverse[old] = new
-        assert g.relabel(inverse) == h
+        assert g.relabel(relabel) == h
+
+
+def _dense_class_keys(size, bip, bits, deg):
+    """``_class_keys`` by a dense adjacency stack, an einsum and a stable argsort.
+
+    perm[r, v] is the vertex that becomes v, the inverse of ``_class_keys``'s
+    rank[:, r].
+    """
+    us, vs, order = _bit_ends(size, bip)
+    adj = np.zeros((len(bits), order, order), dtype=bool)
+    adj[:, us, vs] = bits
+    adj[:, vs, us] = bits
+    deg = deg.T.astype(np.int64)
+    score = deg * order * order + np.einsum("rvu,ru->rv", adj, deg)
+    if bip:
+        perm = np.concatenate([np.argsort(score[:, :size], axis=1, kind="stable"),
+                               size + np.argsort(score[:, size:], axis=1, kind="stable")], axis=1)
+    else:
+        perm = np.argsort(score, axis=1, kind="stable")
+    relabelled = adj[np.arange(len(bits))[:, None], perm[:, us], perm[:, vs]]
+    return relabelled @ (1 << np.arange(len(us), dtype=np.int64)), perm
+
+
+def _assert_dense_class_keys(size, bip, bits, deg):
+    keys, rank = _class_keys(size, bip, bits, deg)
+    want, perm = _dense_class_keys(size, bip, bits, deg)
+    assert keys.dtype == np.int64 and np.array_equal(keys, want)
+    assert np.array_equal(rank, np.argsort(perm, axis=1).T)
+
+
+def test_class_keys_match_dense_reference(tmp_path):
+    # every row of all_labeled(6) and side 3, 3,000-row samples of
+    # all_labeled(7) and sides 4 and 5 (once with F-ordered degrees), and
+    # graph6 rows of the largest keyed orders: order 11 (55 bits) and side 7
+    # (49 bits), the complete ones carrying the largest scores
+    for size, bip in ((6, False), (3, True)):
+        for bits, deg in _space_rows(size, bip):
+            _assert_dense_class_keys(size, bip, bits, deg)
+    rng = np.random.default_rng(18)
+    for size, bip in ((7, False), (4, True), (5, True)):
+        nbits = size * size if bip else size * (size - 1) // 2
+        bits = harness._bits_of(nbits, rng.choice(1 << nbits, 3000, replace=False))
+        deg = _incidence_degrees(size, bip, bits)
+        _assert_dense_class_keys(size, bip, bits, deg)
+        if size == 7:
+            _assert_dense_class_keys(size, bip, bits, np.asfortranarray(deg))
+    for size, bip in ((11, False), (7, True)):
+        if bip:
+            graphs = [b.to_graph() for p in (0.3, 0.6, 0.9, 1.0) for b in random_model(
+                "bipartite_gnp", side=size, p=p, seed=18, count=200)]
+        else:
+            graphs = [g for p in (0.3, 0.6, 0.9, 1.0) for g in random_model(
+                "uniform_gnp", n=size, p=p, seed=18, count=200)]
+        path = tmp_path / f"rows{size}{bip}.g6"
+        path.write_text("".join(graph6_encode(g) + "\n" for g in graphs))
+        blocks = list(harness._space_blocks(SearchSpace.graph6_file(str(path)), bip))
+        assert sum(len(blk.bits) for blk in blocks) == 800
+        for blk in blocks:
+            assert blk.bits.shape[1] <= 63
+            _assert_dense_class_keys(size, bip, blk.bits, blk.stats["deg"])
+
+
+def test_keyed_and_rayleigh_degrees_are_vertex_major(monkeypatch):
+    # the degrees gathered for the class keys and the Rayleigh floors keep
+    # their rows contiguous, as every block's statistics do
+    seen = {"keys": [], "rayleigh": []}
+    orig_classes, orig_rayleigh = harness._row_classes, harness._rayleigh
+
+    def classes(size, bip, bits, deg, memos):
+        seen["keys"].append(deg.flags.c_contiguous)
+        return orig_classes(size, bip, bits, deg, memos)
+
+    def rayleigh(key, size, bip, bits, deg):
+        seen["rayleigh"].append(deg.flags.c_contiguous)
+        return orig_rayleigh(key, size, bip, bits, deg)
+
+    monkeypatch.setattr(harness, "_row_classes", classes)
+    monkeypatch.setattr(harness, "_rayleigh", rayleigh)
+    assert verify_theorem("fn_rho", SearchSpace.all_labeled(7)).clean
+    assert verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4)).clean
+    extremal_search(SearchSpace.all_labeled(6), "max_rho", "non_hamiltonian", k=2)
+    assert all(seen["keys"]) and all(seen["rayleigh"])
+    assert len(seen["keys"]) > 2 and seen["rayleigh"]
 
 
 def _index_of(g) -> int:
@@ -933,7 +1018,7 @@ def _identity_keys(size, bip, bits, deg):
     # each row its own class: the row read as an int64, relabelled by the identity
     order = _bit_ends(size, bip)[2]
     return (bits @ (1 << np.arange(bits.shape[1], dtype=np.int64)),
-            np.tile(np.arange(order), (len(bits), 1)))
+            np.repeat(np.arange(order)[:, None], len(bits), axis=1))
 
 
 def _class_and_row_reports(monkeypatch, target, space, k=None, **opts):
