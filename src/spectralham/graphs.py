@@ -21,6 +21,8 @@ then ``m`` lines ``"u v"``, 0-based, LF-terminated).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import getitem, or_
 from typing import Iterator, Optional
 
 import numpy as np
@@ -498,6 +500,63 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
+# Orders up to this cap run the graph6 codec and ``harness.graph_from_index``
+# through per-order tables (``_g6_masks``), built on first use; the tables
+# grow as O(n^4) bytes, about 1.6 MiB for every order up to the cap, so larger
+# orders run the bit loops.
+_G6_TABLE_CAP = 24
+# A 6-bit group of pair bits read least significant first, as a graph6 byte
+# value (first pair in the top bit), and that value's character.
+_REV6 = bytes(int(f"{c:06b}"[::-1], 2) for c in range(64))
+_REV6_CHARS = bytes(c + 63 for c in _REV6)
+_LESS_63 = bytes(max(0, c - 63) for c in range(256))  # graph6 character -> value
+
+
+@lru_cache(maxsize=None)
+def _g6_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """masks[k][val]: the pairs that value val of body byte k sets, as a row-major mask.
+
+    Bit b of byte k is pair 6k + 5 - b of ``pair_order(n)``; its mask has
+    bits v*n + u and u*n + v, so OR-ing one mask per body byte gives the
+    adjacency with row v at bits v*n .. v*n + n - 1.  Padding bits set
+    nothing.
+    """
+    pairs = pair_order(n)
+    out = []
+    for k in range(0, len(pairs), 6):
+        group = pairs[k : k + 6]
+        masks = [0]  # masks[val] for val < 2^b after value bits 0 .. b - 1
+        for j in range(5, -1, -1):  # value bit 5 - j, pair 6k + j
+            bit = 0
+            if j < len(group):
+                u, v = group[j]
+                bit = 1 << (v * n + u) | 1 << (u * n + v)
+            masks += [m | bit for m in masks]
+        out.append(tuple(masks))
+    return tuple(out)
+
+
+def _graph_from_masks(n: int, masks, values) -> Graph:
+    """The graph whose body byte values are ``values``, from ``_g6_masks(n)``."""
+    adj = reduce(or_, map(getitem, masks, values), 0)
+    full = (1 << n) - 1
+    return Graph(n, tuple([adj >> s & full for s in range(0, n * n, max(n, 1))]))
+
+
+def _graph_from_pair_bits(n: int, idx: int) -> Graph:
+    """The graph whose pair bits read idx, bit t for pair_order(n)[t]; higher bits are ignored."""
+    if n <= _G6_TABLE_CAP:
+        masks = _g6_masks(n)
+        return _graph_from_masks(n, masks, bytes(
+            [_REV6[idx >> t & 63] for t in range(0, 6 * len(masks), 6)]))
+    rows = [0] * n
+    for t, (u, v) in enumerate(pair_order(n)):
+        if idx >> t & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
 def graph6_encode(g: Graph) -> str:
     """Standard graph6 string for g (supports n up to 258047)."""
     n = g.n
@@ -507,6 +566,13 @@ def graph6_encode(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError("graph6 encoding supported up to n = 258047")
+    if n <= _G6_TABLE_CAP:
+        # column v's pairs (u, v), u < v, are the low v bits of adj[v]
+        stream = 0
+        for v in range(1, n):
+            stream |= (g.adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
+        nbits = n * (n - 1) // 2
+        return head + bytes([_REV6_CHARS[stream >> t & 63] for t in range(0, nbits, 6)]).decode()
     out = [head]
     acc = 0
     nbits = 0
@@ -523,21 +589,27 @@ def graph6_encode(g: Graph) -> str:
 
 
 def graph6_decode(s: str) -> Graph:
-    """Decode a graph6 string, rejecting malformed input with a byte offset."""
+    """Decode a graph6 string, rejecting malformed input with a byte offset.
+
+    Surrounding whitespace is ignored; offsets count in s itself, leading
+    whitespace included.
+    """
+    lead = len(s) - len(s.lstrip())
     s = s.strip()
     if not s:
-        raise Graph6Error("empty graph6 string", 0)
-    for i, ch in enumerate(s):
-        if not (63 <= ord(ch) <= 126):
-            raise Graph6Error(f"byte {ord(ch)} outside graph6 range 63..126", i)
+        raise Graph6Error("empty graph6 string", lead)
+    if not (s.isascii() and min(s) >= "?" and max(s) <= "~"):
+        for i, ch in enumerate(s):
+            if not (63 <= ord(ch) <= 126):
+                raise Graph6Error(f"byte {ord(ch)} outside graph6 range 63..126", lead + i)
     if s[0] != "~":
         n = ord(s[0]) - 63
         body_at = 1
     else:
         if len(s) >= 2 and s[1] == "~":
-            raise Graph6Error("graph6 orders beyond 258047 are not supported", 1)
+            raise Graph6Error("graph6 orders beyond 258047 are not supported", lead + 1)
         if len(s) < 4:
-            raise Graph6Error("truncated extended order field", len(s))
+            raise Graph6Error("truncated extended order field", lead + len(s))
         n = 0
         for i in range(1, 4):
             n = (n << 6) | (ord(s[i]) - 63)
@@ -547,8 +619,13 @@ def graph6_decode(s: str) -> Graph:
     if len(s) - body_at != nbytes:
         raise Graph6Error(
             f"expected {nbytes} body bytes for n={n}, found {len(s) - body_at}",
-            min(len(s), body_at + nbytes),
+            lead + min(len(s), body_at + nbytes),
         )
+    if n <= _G6_TABLE_CAP:
+        body = s[body_at:].encode().translate(_LESS_63)
+        if body and body[-1] & ((1 << (6 * nbytes - npairs)) - 1):
+            raise Graph6Error("nonzero padding bits", lead + len(s) - 1)
+        return _graph_from_masks(n, _g6_masks(n), body)
     rows = [0] * n
     pairs = pair_order(n)
     idx = 0
@@ -563,7 +640,7 @@ def graph6_decode(s: str) -> Graph:
                     rows[v] |= 1 << u
                 idx += 1
             elif bit:
-                raise Graph6Error("nonzero padding bits", body_at + k)
+                raise Graph6Error("nonzero padding bits", lead + body_at + k)
     return Graph(n, tuple(rows))
 
 

@@ -124,6 +124,7 @@ from .certifier import _CERTIFIERS
 from .graphs import (
     BipartiteGraph,
     Graph,
+    _graph_from_pair_bits,
     as_graph,
     bipartite_from_graph,
     graph6_decode,
@@ -280,12 +281,7 @@ class SearchSpace:
 
 def graph_from_index(n: int, idx: int) -> Graph:
     """The idx-th labeled graph on n vertices (edge-subset index, graph6 bit order)."""
-    rows = [0] * n
-    for t, (u, v) in enumerate(pair_order(n)):
-        if idx >> t & 1:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return _graph_from_pair_bits(n, idx)
 
 
 def bipartite_from_index(side: int, idx: int) -> BipartiteGraph:

@@ -8,6 +8,12 @@ uses; shifted power iteration runs only on request (``method="power"``), and
 any other method name raises ValueError.  The tests check LAPACK's radii
 against exact Sturm root counts of the integer characteristic polynomial.
 
+The library's own readers of a radius (``bound_report``, and in
+``statements`` the certifiers' ``GraphValues`` and the family thresholds
+``family_radius``) take the eigenvalue alone, from LAPACK's values-only
+solver.  An eigenpair and its residual come only from the public
+``spectral_radius`` / ``q_radius``.
+
 A single comparison tolerance (1e-9) is used wherever a computed eigenvalue
 meets a closed form or another computed eigenvalue.
 """
@@ -80,7 +86,11 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return g.matrix()
 
 def signless_laplacian_matrix(g: Graph) -> np.ndarray:
-    a = g.matrix()
+    return _add_degrees(g.matrix())
+
+
+def _add_degrees(a: np.ndarray) -> np.ndarray:
+    """a with its row sums written on its diagonal, in place: Q from A."""
     a[np.diag_indices_from(a)] = a.sum(axis=1)
     return a
 
@@ -88,6 +98,19 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Eigensolvers
 # ---------------------------------------------------------------------------
+
+def _top_eigenvalue(m: np.ndarray) -> float:
+    """Largest eigenvalue of symmetric m, the value alone.
+
+    0.0 when m is zero (an edgeless graph's A or Q, as in ``_extreme``);
+    ValueError on the 0-by-0 matrix of the 0-vertex graph.
+    """
+    if m.shape[0] < 1:
+        raise ValueError("spectral radius undefined on the 0-vertex graph")
+    if not m.any():
+        return 0.0
+    return float(np.linalg.eigvalsh(m)[-1])
+
 
 def _top_eigenpair_lapack(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of symmetric m and an eigenvector for it.
@@ -101,7 +124,7 @@ def _top_eigenpair_lapack(m: np.ndarray) -> tuple[float, np.ndarray]:
     buffers are live at once, where eigh with eigenvectors needs five.
     """
     n = m.shape[0]
-    lam = float(np.linalg.eigvalsh(m)[-1])
+    lam = _top_eigenvalue(m)
     diag = np.diag_indices(n)
     d = m[diag]
     np.negative(m, out=m)
@@ -364,8 +387,9 @@ def bound_report(g: Graph, k: Optional[int] = None, tol: float = DEFAULT_TOL) ->
         raise ValueError("bound report undefined on the 0-vertex graph")
     degs, delta, e = g.degrees(), min(g.degrees()), g.edge_count
     n = g.n
-    rho = spectral_radius(g).value
-    q = q_radius(g).value
+    a = g.matrix()
+    rho = _top_eigenvalue(a)
+    q = _top_eigenvalue(_add_degrees(a))
     records = []
 
     # (a) Nikiforov: rho <= (k-1)/2 + sqrt(2e - nk + (k+1)^2/4), needs delta >= k

@@ -33,9 +33,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+import numpy as np
+
 from .families import FamilySpec, construct, recognize, spanning_subgraph_of
-from .graphs import BipartiteGraph, complement, quasi_complement
-from .spectral import q_radius, spectral_radius
+from .graphs import BipartiteGraph, as_graph
+from .spectral import _add_degrees, _top_eigenvalue
 
 __all__ = ["Statement", "STATEMENTS", "VERIFY_TARGETS", "GraphValues", "statements_for"]
 
@@ -45,8 +47,8 @@ SPECTRAL = frozenset(["rho", "q", "rho_complement", "rho_qc", "q_qc"])
 @lru_cache(maxsize=None)
 def family_radius(quantity: str, family: str, n: int, k: int) -> float:
     """rho (quantity "rho") or q of the family member with parameters (n, k)."""
-    g = construct(FamilySpec(family, n=n, k=k))
-    return (spectral_radius(g) if quantity == "rho" else q_radius(g)).value
+    a = as_graph(construct(FamilySpec(family, n=n, k=k))).matrix()
+    return _top_eigenvalue(a if quantity == "rho" else _add_degrees(a))
 
 
 @dataclass(frozen=True)
@@ -311,11 +313,32 @@ class GraphValues(dict):
     ``precomputed`` seeds any of them.  For a BipartiteGraph, rho and q are
     those of the bipartite graph and rho_qc / q_qc those of its
     quasi-complement; min_cross_ds runs over the non-adjacent cross pairs.
+    The radii are eigenvalues alone, of matrices derived from one adjacency
+    matrix A: Q = A + D, the complement's J - I - A and the
+    quasi-complement's K - A (K that of the complete bipartite graph on the
+    same sides).
     """
 
     def __init__(self, g, precomputed: Optional[dict] = None):
         super().__init__(precomputed or {})
         self.g = g
+        self._a = None
+
+    def _matrix(self, key: str) -> np.ndarray:
+        """The matrix whose top eigenvalue is the radius ``key``."""
+        if self._a is None:
+            self._a = as_graph(self.g).matrix()
+        a = self._a
+        if key in ("rho", "q"):
+            return a if key == "rho" else _add_degrees(a.copy())
+        m = 1.0 - a  # J - A; then zero the blocks that are not vertex pairs of the complement
+        if isinstance(self.g, BipartiteGraph):
+            nx = self.g.nx
+            m[:nx, :nx] = 0.0
+            m[nx:, nx:] = 0.0
+        else:
+            np.fill_diagonal(m, 0.0)
+        return _add_degrees(m) if key == "q_qc" else m
 
     def __missing__(self, key: str):
         self[key] = value = self._compute(key)
@@ -331,16 +354,8 @@ class GraphValues(dict):
             return min(g.degrees()) if g.n else 0
         if key == "two_delta":
             return 2 * self["delta"]
-        if key == "rho":
-            return float(spectral_radius(g).value)
-        if key == "q":
-            return float(q_radius(g).value)
-        if key == "rho_complement":
-            return float(spectral_radius(complement(g)).value)
-        if key == "rho_qc":
-            return float(spectral_radius(quasi_complement(g).to_graph()).value)
-        if key == "q_qc":
-            return float(q_radius(quasi_complement(g).to_graph()).value)
+        if key in SPECTRAL:
+            return _top_eigenvalue(self._matrix(key))
         if key == "min_ds":
             degs = g.degrees()
             return min((degs[u] + degs[v] for u in range(g.n) for v in range(u + 1, g.n)

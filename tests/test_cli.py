@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spectralham.cli import main
@@ -83,27 +84,21 @@ def test_spectral_json_matches_separate_solves(capsys):
 
 
 def test_spectral_solves_each_graph_once(capsys, monkeypatch, tmp_path):
-    import spectralham.cli as cli
-    import spectralham.spectral as spectral
+    # every dense solve, whichever route reaches it, goes through eigvalsh
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
 
-    calls = {"spectral_radius": 0, "q_radius": 0}
-    for module in (spectral, cli):  # the command's own bindings count too
-        for name in calls:
-            if not hasattr(module, name):
-                continue
-            orig = getattr(module, name)
+    def counting(m):
+        calls.append(m.shape[0])
+        return eigvalsh(m)
 
-            def counting(*args, _name=name, _orig=orig, **kwargs):
-                calls[_name] += 1
-                return _orig(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     path = tmp_path / "three.g6"
     graphs = [PETERSEN_G6, graph6_encode(cycle_graph(7)), graph6_encode(complete_graph(5))]
     path.write_text("\n".join(graphs) + "\n")
     code, out, _ = run_cli(capsys, "spectral", str(path), "--json")
     assert code == 0 and len(out.strip().splitlines()) == 3
-    assert calls == {"spectral_radius": 3, "q_radius": 3}
+    assert calls == [10, 10, 7, 7, 5, 5]  # rho and q of each graph, once
 
 
 def test_spectral_edge_list_file(capsys, tmp_path):

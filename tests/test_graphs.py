@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectralham import graphs
 from spectralham.graphs import (
     Graph6Error,
     bipartite_from_graph,
@@ -204,21 +205,96 @@ def test_graph6_large_order_header():
     assert graph6_decode(s) == g
 
 
+def _tables_and_loops(fn):
+    """fn() with the codec's per-order tables, then with its bit loops at every order."""
+    with pytest.MonkeyPatch.context() as mp:
+        tables = fn()
+        mp.setattr(graphs, "_G6_TABLE_CAP", -1)
+        return tables, fn()
+
+
+def test_graph6_tables_match_bit_loops():
+    from math import comb
+    from random import Random
+
+    from spectralham.harness import graph_from_index
+
+    rng = Random(19)
+    cases = [(n, idx) for n in range(6) for idx in range(1 << comb(n, 2))]
+    # both sides of the cap, and the orders where the header switches
+    for n in [*range(6, graphs._G6_TABLE_CAP + 3), 62, 63]:
+        cases += [(n, rng.getrandbits(comb(n, 2))) for _ in range(6)]
+        cases += [(n, 0), (n, (1 << comb(n, 2)) - 1)]
+        cases.append((n, rng.getrandbits(8) << comb(n, 2) | rng.getrandbits(comb(n, 2))))
+
+    def run():
+        out = []
+        for n, idx in cases:
+            g = graph_from_index(n, idx)
+            s = graph6_encode(g)
+            out.append((g, s, graph6_decode(s)))
+        return out
+
+    tables, loops = _tables_and_loops(run)
+    assert tables == loops
+    assert all(decoded == g for g, _, decoded in tables)
+
+
+def _padded(n):
+    """A graph6 string of order n whose last body byte sets its top padding bit."""
+    npairs = n * (n - 1) // 2
+    pad = 6 * ((npairs + 5) // 6) - npairs
+    return chr(n + 63) + "?" * ((npairs - 1) // 6) + chr(63 + (1 << (pad - 1)))
+
+
+# (malformed input, byte offset in that input)
+G6_ERRORS = [
+    ("", 0),
+    ("C~~", 2),  # a body that is long
+    ("C", 1),  # and short
+    ("I???", 4),
+    ("C" + chr(10), 1),  # the newline is stripped, leaving a short body
+    ("A" + chr(63 + 1), 1),  # nonzero padding
+    (">C~", 0),  # bytes outside 63..126: first, middle, last
+    ("I???>????", 4),
+    ("I???????" + chr(127), 8),
+    ("I???????" + chr(233), 8),
+    ("~~", 1),
+    ("~~~???", 1),
+    ("~", 1),  # a truncated extended header
+    ("~??", 3),
+    ("~??~", 4),  # extended order 62, missing its body
+    # leading whitespace counts in the offset, trailing whitespace does not
+    ("  C~~", 4),
+    ("\tC~~", 3),
+    (" \t>C~", 2),
+    (" A" + chr(63 + 1), 2),
+    (" " + _padded(26), len(_padded(26))),
+    ("  ", 2),
+    ("C~~ \n", 2),
+] + [
+    # nonzero padding for each residue 1, 3, 4 of C(n, 2) mod 6 (residue 0 has
+    # no padding bits), below the cap and above it
+    (_padded(n), len(_padded(n)) - 1) for n in (2, 3, 5, 11, 6, 8, 26, 27, 29)
+]
+
+
 def test_graph6_errors_carry_offsets():
-    with pytest.raises(Graph6Error) as exc:
-        graph6_decode("C~~")  # trailing data
-    assert exc.value.offset == 2
-    with pytest.raises(Graph6Error) as exc:
-        graph6_decode("C")  # missing body
-    assert exc.value.offset == 1
-    with pytest.raises(Graph6Error) as exc:
-        graph6_decode("C" + chr(10))  # byte below 63 after strip-resistant spot
-    with pytest.raises(Graph6Error):
-        graph6_decode("")
-    # nonzero padding bits: n=2 needs one body byte with only the top bit used
-    with pytest.raises(Graph6Error) as exc:
-        graph6_decode("A" + chr(63 + 1))
-    assert exc.value.offset == 1
+    def run():
+        out = []
+        for bad, _ in G6_ERRORS:
+            with pytest.raises(Graph6Error) as exc:
+                graph6_decode(bad)
+            out.append((str(exc.value), exc.value.offset))
+        return out
+
+    tables, loops = _tables_and_loops(run)
+    assert tables == loops
+    assert [offset for _, offset in tables] == [offset for _, offset in G6_ERRORS]
+    messages = dict(zip((bad for bad, _ in G6_ERRORS), (msg for msg, _ in tables)))
+    assert messages["I???>????"] == "byte 62 outside graph6 range 63..126 (byte offset 4)"
+    assert messages["  C~~"] == "expected 1 body bytes for n=4, found 2 (byte offset 4)"
+    assert messages[_padded(26)].startswith("nonzero padding bits")
 
 
 def test_edge_list_roundtrip():

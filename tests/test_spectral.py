@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spectralham.families import FamilySpec, construct
 from spectralham.graphs import (
+    BipartiteGraph,
     as_graph,
     build_graph,
     complete_bipartite_graph,
@@ -25,6 +27,7 @@ from spectralham.spectral import (
     rho_complete_split,
     spectral_radius,
 )
+from spectralham.statements import GraphValues, family_radius
 
 from conftest import (
     charpoly,
@@ -94,26 +97,107 @@ def _assert_lapack_exact(g):
 
 
 def test_lapack_matches_sturm_counts_on_families():
-    from spectralham.families import FamilySpec, construct
-
     k4, _ = _integer_matrices(complete_graph(4))
     assert charpoly(k4) == [1, 0, -6, -8, -3]  # (x - 3)(x + 1)^3
     chain = sturm_chain(charpoly(k4))
     assert [roots_above(chain, Fraction(x)) for x in (-2, 0, 4)] == [2, 1, 0]  # distinct roots
-    # the criterion-2 families: barL, barN, L, N with their complements at
-    # n <= 12, and B with its quasi-complement at sides <= 12
+    # the criterion-2 families with their complements (quasi-complements for B) at n <= 12
     for n in range(2, 13):
-        members = [construct(FamilySpec(fam, n=n, k=k))
-                   for fam in ("barL", "barN") for k in range(0, (n - 2) // 2 + 1)]
-        members += [construct(FamilySpec(fam, n=n, k=k))
-                    for fam in ("L", "N") for k in range(1, (n - 1) // 2 + 1)]
+        members, bips = _criterion2_members(n)
         for g in members:
             _assert_lapack_exact(g)
             _assert_lapack_exact(complement(g))
-        for k in range(1, n // 2 + 1):
-            b = construct(FamilySpec("B", n=n, k=k))
+        for b in bips:
             _assert_lapack_exact(b)
             _assert_lapack_exact(quasi_complement(b))
+
+
+def _criterion2_members(n):
+    """The criterion-2 families at n: (barL, barN, L and N members; B members of side n)."""
+    specs = [FamilySpec(fam, n=n, k=k)
+             for fam in ("barL", "barN") for k in range(0, (n - 2) // 2 + 1)]
+    specs += [FamilySpec(fam, n=n, k=k) for fam in ("L", "N") for k in range(1, (n - 1) // 2 + 1)]
+    return ([construct(spec) for spec in specs],
+            [construct(FamilySpec("B", n=n, k=k)) for k in range(1, n // 2 + 1)])
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def _assert_values_match_results(g):
+    """The value-only radii of g equal the public eigenpair routes' values bit for bit."""
+    vals = GraphValues(g)
+    if isinstance(g, BipartiteGraph):
+        qc = quasi_complement(g)
+        expect = {"rho": spectral_radius(g), "q": q_radius(g),
+                  "rho_qc": spectral_radius(qc), "q_qc": q_radius(qc)}
+    else:
+        expect = {"rho": spectral_radius(g), "q": q_radius(g),
+                  "rho_complement": spectral_radius(complement(g))}
+    assert {key: _bits(vals[key]) for key in expect} == {
+        key: _bits(res.value) for key, res in expect.items()}, g
+    rep = bound_report(g)
+    assert (_bits(rep.rho), _bits(rep.q)) == (_bits(expect["rho"].value), _bits(expect["q"].value))
+
+
+def test_value_only_radii_match_eigenpair_routes_bitwise():
+    # the helper that bound_report, GraphValues and family_radius read, against
+    # spectral_radius / q_radius: G(n, p) draws (edgeless and complete included)
+    # and their complements, balanced bipartite draws and their quasi-complements,
+    # and the criterion-2 family members
+    rng = np.random.default_rng(23)
+    for n in range(1, 41):
+        for g in (empty_graph(n), complete_graph(n), *(gnp(n, p, rng) for p in (0.2, 0.5, 0.8))):
+            _assert_values_match_results(g)
+            _assert_values_match_results(complement(g))
+    for side in range(1, 21):
+        full = (1 << side) - 1
+        for rows in ((0,) * side, (full,) * side,
+                     *(tuple(int(r) for r in rng.integers(0, full + 1, side)) for _ in range(3))):
+            b = BipartiteGraph(side, side, rows)
+            _assert_values_match_results(b)
+            _assert_values_match_results(quasi_complement(b))
+    for n in range(2, 13):
+        members, bips = _criterion2_members(n)
+        for g in members + bips:
+            _assert_values_match_results(g)
+    for quantity, fam, n, k in (("rho", "N", 11, 1), ("q", "barN", 16, 1), ("rho", "B", 4, 1),
+                                ("q", "B", 9, 2)):
+        res = (spectral_radius if quantity == "rho" else q_radius)(
+            construct(FamilySpec(fam, n=n, k=k)))
+        assert _bits(family_radius.__wrapped__(quantity, fam, n, k)) == _bits(res.value)
+
+
+def test_certificates_and_bounds_solve_no_eigenvector(monkeypatch):
+    # certificates, bound reports and family thresholds read eigenvalues alone:
+    # the eigenpair route and its inverse-iteration solve must never run
+    import spectralham.spectral as spectral
+    from spectralham.certifier import (
+        certify_bipartite_hamiltonicity,
+        certify_hamiltonicity,
+        certify_traceability,
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvector was computed")
+
+    monkeypatch.setattr(spectral, "_top_eigenpair_lapack", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    rng = np.random.default_rng(29)
+    read = set()
+    for n in range(6, 13):
+        members, bips = _criterion2_members(n)
+        for g in members + [gnp(n, 0.5, rng)]:
+            for cert in (certify_hamiltonicity(g), certify_traceability(g)):
+                read |= cert.evidence.keys()
+            bound_report(g, k=min(g.degrees()))
+        for b in bips + [quasi_complement(b) for b in bips]:
+            read |= certify_bipartite_hamiltonicity(b).evidence.keys()
+            bound_report(b)
+        family_radius.__wrapped__("rho", "N", n, 1)
+        family_radius.__wrapped__("q", "B", n, 1)
+    assert {"rho", "q", "rho_complement", "rho_qc", "q_qc"} <= read
 
 
 def test_lapack_matches_sturm_counts_on_random_graphs():
