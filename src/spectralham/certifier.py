@@ -160,9 +160,8 @@ def _certify(mode, g, use_oracle, tol, oracle_budget) -> Certificate:
     n = g.nx if bip else g.n
     if n < min_order:
         raise ValueError(order_error)
-    degs = g.x_degrees() + g.y_degrees() if bip else g.degrees()
-    delta, e = min(degs), sum(degs) // 2
-    vals = GraphValues(g, {"e": e, "delta": delta, "two_delta": 2 * delta})
+    vals = GraphValues(g)
+    delta, e = vals["delta"], vals["e"]
     ev = {**head, "side" if bip else "n": n, "e": e, "delta": delta, "k": delta, "tolerance": tol}
     return _walk(walk, g, vals, ev, n, delta, tol, use_oracle, oracle, oracle_budget)
 

@@ -15,6 +15,7 @@ from .certifier import certify_bipartite_hamiltonicity, certify_hamiltonicity, c
 from .families import FamilySpec, construct
 from .graphs import (
     BipartiteGraph,
+    _graph6_lines,
     bipartite_from_graph,
     bipartite_sides,
     graph6_decode,
@@ -39,12 +40,12 @@ def _load_graphs(arg: str):
     Files may hold graph6 lines or one edge-list block ("n m" header).
     """
     if os.path.exists(arg):
-        with open(arg, "r", encoding="ascii") as fh:
+        with open(arg, "r", encoding="latin-1") as fh:
             text = fh.read()
         first = text.strip().splitlines()[0].split() if text.strip() else []
         if len(first) == 2 and all(tok.isdigit() for tok in first):
             return [parse_edge_list(text)]
-        return [graph6_decode(line) for line in text.splitlines() if line.strip()]
+        return [g for _, _, g in _graph6_lines(arg)]
     return [graph6_decode(arg)]
 
 

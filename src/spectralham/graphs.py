@@ -183,9 +183,6 @@ class BipartiteGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 
-    def x_degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def y_degree(self, j: int) -> int:
         return sum(r >> j & 1 for r in self.rows)
 
@@ -222,14 +219,6 @@ class BipartiteGraph:
         for j in range(self.ny):
             rows[self.nx + j] = self.col(j)
         return Graph(n, tuple(rows))
-
-    def matrix(self) -> np.ndarray:
-        """Dense nx-by-ny biadjacency matrix."""
-        a = np.zeros((self.nx, self.ny))
-        for i in range(self.nx):
-            for j in bits(self.rows[i]):
-                a[i, j] = 1.0
-        return a
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -642,6 +631,25 @@ def graph6_decode(s: str) -> Graph:
             elif bit:
                 raise Graph6Error("nonzero padding bits", lead + body_at + k)
     return Graph(n, tuple(rows))
+
+
+def _graph6_lines(path: str) -> Iterator[tuple[str, str, Graph]]:
+    """(where, line, graph) for each non-blank line of a graph6 file, in file order.
+
+    where is the line's "path, line N: " prefix, which a line that does not
+    decode carries in its ValueError; line is stripped.  Latin-1 reads each
+    byte as one character, so a byte outside graph6's range is reported
+    with its line and offset too.
+    """
+    with open(path, "r", encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                where = f"{path}, line {lineno}: "
+                try:
+                    g = graph6_decode(line)
+                except Graph6Error as exc:
+                    raise ValueError(f"{where}{exc}") from exc
+                yield where, line.strip(), g
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,11 @@ and the high index bits from two ``_degree_table``s, built once per (size,
 bip), and unpack the bits of an index only where they are read.  A campaign
 gives statistics only to the index rows whose edge count some statement of
 its target can accept (``_edge_window``, from the same (e, delta, Delta)
-evaluation as the gate table), and counts the others as processed: per edge
-count of the high index bits, ``_window_rows`` keeps the admitted rows of
-the low table, and the admitted rows of consecutive table blocks are joined
-into C-contiguous blocks of at most _CHUNK rows.  A target with a statement
-on a minimum degree sum, and a labeled_min_degree space, admit every edge
-count.  graph6 files and random models materialise the bits, grouped by
-order (by side when a graph6 file is read through its bipartition for a
-bipartite target), and count the degrees from them; a random model draws
-``rng.random((rows, pairs)) < p`` a block at a time.
+evaluation as the gate table), and counts the others as processed.  A
+target with a statement on a minimum degree sum, and a labeled_min_degree
+space, admit every edge count.  graph6 files and random models materialise
+the bits, grouped by order (by side when a graph6 file is read through its
+bipartition for a bipartite target), and count the degrees from them.
 
 Each statistic or spectral radius is one column, and
 ``Statement.hypothesis`` over the columns gives each statement's mask
@@ -50,40 +46,34 @@ statement on an integer quantity; the others fail every hypothesis.  The
 edge-count window and the gate change no verdict, count or failure list.
 
 Relabelling classes.  The surviving rows are gathered over blocks, up to
-_GROUP_ROWS of one order (their statistics taken with ``take``, so the
-degrees stay vertex-major), and ``_eval_group`` keys each of them once.  A
+_GROUP_ROWS of one order, and ``_eval_group`` keys each of them once.  A
 row's key is the row relabelled by one round of colour refinement (stable
 order of degree, then neighbours' degree sum, each side on its own), read as
-an int64.  ``_class_keys`` computes it straight from the pair bits,
-vertex-major over the rows: the neighbour sums in one pass over the pairs,
-distinct int32 scores (degree, neighbour sum, then the vertex, the stable
-tie-break), each vertex's new label as the count of smaller scores on its
-side, and the key as the sum of a cached table's 1 << pair bit at the new
-labels of each set pair; no adjacency stack or sort is built.  Equal keys
-mean isomorphic rows (and complements and quasi-complements).
+an int64 (``_class_keys``).  Equal keys mean isomorphic rows (and
+complements and quasi-complements).
 ``_Classes.values`` is the one place a per-class value comes from: with the
 call's memos, keyed per (quantity or question, order) by the ``_Classes``
 itself, it decides each key once, on the key's own bits, and scatters the
 value to the rows, so a value depends on its class alone (at tol = 0 a whole
 class lies on one side of a threshold).  Rows of more than 63 bits (order
 12 and up, side 8 and up) have no key: each is a class of one, decided every
-time.  Matrix stacks are sized by bytes.
+time.
 
 Conclusions.  With the same classes, each radius is eigensolved over the
-rows its gate kept (``_Classes.radii``), the hypothesis masks follow, and
-the candidate rows (some mask holds) are decided per class: the hypothesis
-and the conclusion are both isomorphism-invariant.  ``_Classes.verdicts``
-is the one place an oracle verdict comes from: it decides "Hamiltonian?" /
-"traceable?" for the representatives, from their neighbourhood bitmasks
-(one matmul), with ``oracle._held_karp_batch`` up to order 16 (every keyed
-row is of order at most 16), charging each representative 1 << order nodes,
-which no relabelling changes (aborted past the budget), and validating every
-witness; the scalar oracle above that, and nowhere else.  The closure
-checks, the clique / biclique conclusions and the exceptional-family
-recognizers are asked once per class too.  Every statement is finished a
-column at a time: a "not_ham" check reads the Hamiltonicity column,
-traceability is asked only of rows that are not Hamiltonian, and the other
-questions look at the masked rows only.  Counts (processed, hypotheses,
+rows its gate kept (``_Classes.radii``, batched eigvalsh of the
+representatives' ``statements.radius_matrix``), the hypothesis masks
+follow, and the candidate rows (some mask holds) are decided per class: the
+hypothesis and the conclusion are both isomorphism-invariant.
+``_Classes.verdicts`` is the one place an oracle verdict comes from: it
+decides "Hamiltonian?" / "traceable?" for the representatives with
+``oracle._held_karp_batch`` up to order 16, charging each representative
+1 << order nodes, which no relabelling changes (aborted past the budget),
+and validating every witness; the scalar oracle above that, and nowhere
+else.  The closure checks, the clique / biclique conclusions and the
+exceptional-family recognizers are asked once per class too.  Every
+statement is finished a column at a time: a "not_ham" check reads the
+Hamiltonicity column, traceability is asked only of rows that are not
+Hamiltonian, and the other questions look at the masked rows only.  Counts (processed, hypotheses,
 exceptional matches) stay per row, and the graph6 of a failing or aborted
 row is built from that row's own bits.
 
@@ -97,11 +87,9 @@ and builds graph6 strings only for its optima.  The sweep builds no
 whose precondition and ``Statement.holds_at`` pass, the comparison the
 certifier makes on one graph.  It builds a labeled graph only for a fired
 row, for the fired statement's exceptional families, and asks for the
-verdicts of the fired rows.
-``_graph6_rows`` builds every reported graph6 string from the row's own
-bits.  An enumerated campaign can be split into ``jobs`` index ranges, run
-by at most as many workers as there are ranges and CPUs; the merged report
-equals the serial one.
+verdicts of the fired rows.  An enumerated campaign can be split into
+``jobs`` index ranges, run by at most as many workers as there are ranges
+and CPUs; the merged report equals the serial one.
 ``VerificationReport.timings`` charges time to the stages stats (including
 producing the rows), gate, eigensolve (including the class keys),
 hypothesis, conclusion and recognize, lap by lap, so they sum to about the
@@ -124,10 +112,10 @@ from .certifier import _CERTIFIERS
 from .graphs import (
     BipartiteGraph,
     Graph,
+    _graph6_lines,
     _graph_from_pair_bits,
     as_graph,
     bipartite_from_graph,
-    graph6_decode,
     graph6_encode,
     pair_order,
 )
@@ -142,7 +130,7 @@ from .oracle import (
     is_traceable,
 )
 from .spectral import DEFAULT_TOL, _check_tol, radius_intervals
-from .statements import SPECTRAL, VERIFY_TARGETS, Statement, statements_for
+from .statements import RADII, SPECTRAL, VERIFY_TARGETS, Statement, radius_matrix, statements_for
 from .transforms import is_b_closed, is_closed
 
 __all__ = [
@@ -323,8 +311,7 @@ def enumerate_space(space: SearchSpace) -> Iterator:
     """Stream the space's graphs in deterministic order (a graph6 file's in file order)."""
     space.validate()
     if space.kind == "graph6_file":
-        with open(space.path, "r", encoding="ascii") as fh:
-            yield from (graph6_decode(line) for line in fh if line.strip())
+        yield from (g for _, _, g in _graph6_lines(space.path))
         return
     for blk in _space_blocks(space, space.is_bipartite_space):
         yield from _graphs_from_bits(blk.size, blk.bip, blk.rows_bits())
@@ -334,7 +321,6 @@ def enumerate_space(space: SearchSpace) -> Iterator:
 # Row blocks
 # ---------------------------------------------------------------------------
 
-_COMPLEMENTED = ("rho_complement", "rho_qc", "q_qc")
 _DEGREE_SUMS = ("min_ds", "min_cross_ds")
 # Added to the tolerance when gating: it covers the rounding of eigvalsh
 # (about 1e-14 at the enumeration caps) and of the bound formulas, so a row whose
@@ -492,31 +478,25 @@ def _graph6_blocks(path: str, bip: bool) -> Iterator[_Block]:
     order 0 is refused.
     """
     groups = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            g = graph6_decode(line)
-            where = f"{path}, line {lineno}: "
-            if g.n == 0:
-                raise ValueError(f"{where}the order-0 graph {line!r} has no statement to check")
-            if bip:
-                try:
-                    b = bipartite_from_graph(g)
-                except ValueError as exc:
-                    raise ValueError(f"{where}{exc}") from exc
-                if not b.balanced:
-                    raise ValueError(f"{where}bipartite target needs balanced bipartite inputs")
-                size, bits = b.nx, _mask_bits(b.rows, b.nx).reshape(-1)
-            else:
-                us, vs, _ = _bit_ends(g.n, False)
-                size, bits = g.n, _mask_bits(g.adj, g.n)[us, vs]
-            group = groups.setdefault(size, [])
-            group.append(bits)
-            if len(group) == _block_rows(len(bits)):
-                yield _row_block(size, bip, np.array(group))
-                group.clear()
+    for where, line, g in _graph6_lines(path):
+        if g.n == 0:
+            raise ValueError(f"{where}the order-0 graph {line!r} has no statement to check")
+        if bip:
+            try:
+                b = bipartite_from_graph(g)
+            except ValueError as exc:
+                raise ValueError(f"{where}{exc}") from exc
+            if not b.balanced:
+                raise ValueError(f"{where}bipartite target needs balanced bipartite inputs")
+            size, bits = b.nx, _mask_bits(b.rows, b.nx).reshape(-1)
+        else:
+            us, vs, _ = _bit_ends(g.n, False)
+            size, bits = g.n, _mask_bits(g.adj, g.n)[us, vs]
+        group = groups.setdefault(size, [])
+        group.append(bits)
+        if len(group) == _block_rows(len(bits)):
+            yield _row_block(size, bip, np.array(group))
+            group.clear()
     for size, group in groups.items():
         if group:
             yield _row_block(size, bip, np.array(group))
@@ -569,28 +549,24 @@ def _eig_rows(order: int) -> int:
 
 
 def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
-    """The spectral quantity ``key`` of each row of bits, by batched eigvalsh.
+    """The spectral quantity ``key`` of each row of bits: the top eigenvalue of
+    its ``radius_matrix`` (the X side of a bipartite row is its first size
+    vertices), by batched eigvalsh.
 
-    rho / q are taken on the graph, rho_complement on its complement and
-    rho_qc / q_qc on its quasi-complement (the bipartite complement).  Rows
-    go to eigvalsh ``_eig_rows(order)`` at a time, which bounds the float64
-    matrix stack by _EIG_BYTES; eigvalsh solves each matrix on its own, so
-    the values do not depend on the block.
+    Rows go to eigvalsh ``_eig_rows(order)`` at a time, which bounds the
+    float64 matrix stack by _EIG_BYTES; eigvalsh solves each matrix on its
+    own, so the values do not depend on the block.
     """
     us, vs, order = _bit_ends(size, bip)
     step = _eig_rows(order)
     out = np.empty(len(bits))
     for lo in range(0, len(bits), step):
         x = bits[lo : lo + step]
-        if key in _COMPLEMENTED:
-            x = ~x
         a = np.zeros((len(x), order, order))
         a[:, us, vs] = x
         a[:, vs, us] = x
-        if key in ("q", "q_qc"):
-            diag = np.arange(order)
-            a[:, diag, diag] = a.sum(axis=2)
-        out[lo : lo + step] = np.linalg.eigvalsh(a)[:, -1]
+        m = radius_matrix(key, a, size if bip else None)
+        out[lo : lo + step] = np.linalg.eigvalsh(m)[:, -1]
     return out
 
 
@@ -744,11 +720,12 @@ def _radius_interval(key: str, stats: dict, size: int, bip: bool):
     """[lo, hi] containing the quantity ``key`` of each row, from integer stats alone."""
     us, _, order = _bit_ends(size, bip)
     e, dmin, dmax = stats["e"], stats["delta"], stats["Delta"]
-    if key in _COMPLEMENTED:
+    complemented, signless = RADII[key]
+    if complemented:
         full = size if bip else size - 1  # a vertex's degree in K_{side,side} or K_n
         e, dmin, dmax = len(us) - e, full - dmax, full - dmin
     rho, q = radius_intervals(order, e, dmin, dmax, size if bip else None)
-    return q if key in ("q", "q_qc") else rho
+    return q if signless else rho
 
 
 def _rayleigh(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -766,11 +743,12 @@ def _rayleigh(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarray)
     us, vs, _ = _bit_ends(size, bip)
     x = deg.astype(np.int64, order="C")
     edges = bits.T
-    if key in _COMPLEMENTED:
+    complemented, signless = RADII[key]
+    if complemented:
         x = (size if bip else size - 1) - x
         edges = ~edges
     xu, xv = x[us], x[vs]
-    w = (xu + xv) ** 2 if key in ("q", "q_qc") else 2 * xu * xv
+    w = (xu + xv) ** 2 if signless else 2 * xu * xv
     num = np.einsum("tr,tr->r", w, edges)
     den = np.einsum("vr,vr->r", x, x)
     return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)

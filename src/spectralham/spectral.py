@@ -90,8 +90,9 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
 
 
 def _add_degrees(a: np.ndarray) -> np.ndarray:
-    """a with its row sums written on its diagonal, in place: Q from A."""
-    a[np.diag_indices_from(a)] = a.sum(axis=1)
+    """a with its row sums written on its diagonal, in place: Q from A (or a stack of them)."""
+    i = np.arange(a.shape[-1])
+    a[..., i, i] = a.sum(axis=-1)
     return a
 
 
@@ -320,15 +321,6 @@ class BoundReport:
         return {rec.bound_id: rec.to_json() for rec in self.records}
 
 
-def _record(bound_id, kind, bound, measured, tol) -> BoundRecord:
-    slack = (bound - measured) if kind == "upper" else (measured - bound)
-    return BoundRecord(bound_id, kind, True, bound, measured, slack >= -tol, slack)
-
-
-def _inapplicable(bound_id, kind) -> BoundRecord:
-    return BoundRecord(bound_id, kind, False, None, None, None, None)
-
-
 # The bound formulas below serve both bound_report (one graph, Python
 # numbers) and radius_intervals (numpy arrays, elementwise).
 
@@ -375,74 +367,48 @@ def radius_intervals(n: int, e, dmin, dmax, half: Optional[int] = None):
 
 
 def bound_report(g: Graph, k: Optional[int] = None, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Evaluate the seven bound inequalities on g.
+    """Evaluate the seven bound inequalities on g, in ``BOUND_IDS`` order.
 
     k is the minimum-degree parameter for the Nikiforov upper bound; when
     omitted or exceeding delta(G) that record is marked inapplicable, as are
-    the structurally gated bounds (bipartite / balanced-bipartite ones).
+    the structurally gated bounds (bipartite / balanced-bipartite ones).  A
+    bound is evaluated only where it applies.
     """
     _check_tol(tol)
     g = as_graph(g)
     if g.n == 0:
         raise ValueError("bound report undefined on the 0-vertex graph")
-    degs, delta, e = g.degrees(), min(g.degrees()), g.edge_count
-    n = g.n
+    degs, n, e = g.degrees(), g.n, g.edge_count
     a = g.matrix()
     rho = _top_eigenvalue(a)
     q = _top_eigenvalue(_add_degrees(a))
-    records = []
-
-    # (a) Nikiforov: rho <= (k-1)/2 + sqrt(2e - nk + (k+1)^2/4), needs delta >= k
-    if k is not None and 0 <= k <= delta:
-        records.append(_record("nikiforov", "upper", float(_nikiforov(n, e, k)), rho, tol))
-    else:
-        records.append(_inapplicable("nikiforov", "upper"))
-
-    # (b) Feng-Yu: q <= 2e/(n-1) + n - 2
-    if n >= 2:
-        records.append(_record("feng_yu", "upper", _feng_yu(n, e), q, tol))
-    else:
-        records.append(_inapplicable("feng_yu", "upper"))
-
-    # (c) bipartite: rho <= sqrt(e)
     sides = bipartition(g)
-    if sides is not None:
-        records.append(_record("bipartite_sqrt_e", "upper", math.sqrt(e), rho, tol))
-    else:
-        records.append(_inapplicable("bipartite_sqrt_e", "upper"))
-
-    # (d) degree mean: q <= max_u d(u) + avg degree over N(u)
-    if e >= 1:
-        val = max(
-            degs[u] + sum(degs[v] for v in bits(g.adj[u])) / degs[u]
-            for u in range(n)
-            if degs[u] > 0
-        )
-        records.append(_record("degree_mean", "upper", val, q, tol))
-    else:
-        records.append(_inapplicable("degree_mean", "upper"))
-
-    # (e) balanced bipartite: q <= e/half + half
-    if sides is not None and len(sides[0]) == len(sides[1]) and n >= 2:
-        half = n // 2
-        records.append(
-            _record("balanced_bipartite_q", "upper", _balanced_bipartite_q(e, half), q, tol)
-        )
-    else:
-        records.append(_inapplicable("balanced_bipartite_q", "upper"))
-
-    # (f) Berman-Zhang: rho >= min over edges sqrt(d(u) d(v))
-    if e >= 1:
-        val = min(math.sqrt(degs[u] * degs[v]) for u, v in g.edges())
-        records.append(_record("berman_zhang", "lower", val, rho, tol))
-    else:
-        records.append(_inapplicable("berman_zhang", "lower"))
-
-    # (g) Anderson-Morley: q >= min over edges d(u) + d(v)
-    if e >= 1:
-        val = min(degs[u] + degs[v] for u, v in g.edges())
-        records.append(_record("anderson_morley", "lower", float(val), q, tol))
-    else:
-        records.append(_inapplicable("anderson_morley", "lower"))
-
+    # (id, kind, applies, bound, measured value)
+    table = (
+        ("nikiforov", "upper", k is not None and 0 <= k <= min(degs),
+         lambda: float(_nikiforov(n, e, k)), rho),
+        ("feng_yu", "upper", n >= 2, lambda: _feng_yu(n, e), q),
+        ("bipartite_sqrt_e", "upper", sides is not None, lambda: math.sqrt(e), rho),
+        # q <= max_u d(u) + the mean degree over N(u)
+        ("degree_mean", "upper", e >= 1,
+         lambda: max(degs[u] + sum(degs[v] for v in bits(g.adj[u])) / degs[u]
+                     for u in range(n) if degs[u] > 0), q),
+        ("balanced_bipartite_q", "upper",
+         sides is not None and len(sides[0]) == len(sides[1]) and n >= 2,
+         lambda: _balanced_bipartite_q(e, n // 2), q),
+        # Berman-Zhang: rho >= min over edges sqrt(d(u) d(v))
+        ("berman_zhang", "lower", e >= 1,
+         lambda: min(math.sqrt(degs[u] * degs[v]) for u, v in g.edges()), rho),
+        # Anderson-Morley: q >= min over edges d(u) + d(v)
+        ("anderson_morley", "lower", e >= 1,
+         lambda: float(min(degs[u] + degs[v] for u, v in g.edges())), q),
+    )
+    records = []
+    for bound_id, kind, applies, bound, measured in table:
+        if not applies:
+            records.append(BoundRecord(bound_id, kind, False, None, None, None, None))
+            continue
+        value = bound()
+        slack = (value - measured) if kind == "upper" else (measured - value)
+        records.append(BoundRecord(bound_id, kind, True, value, measured, slack >= -tol, slack))
     return BoundReport(tuple(records), rho, q)

@@ -17,7 +17,9 @@ rows of any space; ``harness.certifier_soundness_sweep`` walks the cascades
 on a block's columns, with each row's own k = delta(G).  All three compare
 through ``Statement.holds_at``, the one place a comparison is written, with
 plain operators so that values and columns give the same answer.  Tolerance
-applies to spectral quantities only.
+applies to spectral quantities only.  ``radius_matrix`` is the one place a
+spectral quantity's matrix is built, for one graph or a stack of rows, from
+the quantity's flags in ``RADII``.
 
 Refusals.  A campaign refuses a space whose order can never meet a
 statement's precondition (or a k below the statement's range) with the
@@ -41,14 +43,44 @@ from .spectral import _add_degrees, _top_eigenvalue
 
 __all__ = ["Statement", "STATEMENTS", "VERIFY_TARGETS", "GraphValues", "statements_for"]
 
-SPECTRAL = frozenset(["rho", "q", "rho_complement", "rho_qc", "q_qc"])
+# Each spectral quantity: (is it taken on the complement, the quasi-complement
+# for a bipartite graph?, is it the radius of Q = A + D rather than of A?).
+RADII = {
+    "rho": (False, False),
+    "q": (False, True),
+    "rho_complement": (True, False),
+    "rho_qc": (True, False),
+    "q_qc": (True, True),
+}
+SPECTRAL = frozenset(RADII)
+
+
+def radius_matrix(key: str, a: np.ndarray, side: Optional[int] = None) -> np.ndarray:
+    """The matrix whose top eigenvalue is the radius ``key`` of the graph with
+    adjacency matrix a, one (n, n) matrix or a stack (..., n, n); a is not changed.
+
+    A complemented key takes J - I - A, or with side (the X side of a graph
+    whose vertices 0 .. side - 1 form X) the quasi-complement's K - A, K that
+    of the complete bipartite graph on the same sides.
+    """
+    complemented, signless = RADII[key]
+    if not complemented:
+        return _add_degrees(a.copy()) if signless else a
+    m = 1.0 - a
+    if side is None:
+        i = np.arange(m.shape[-1])
+        m[..., i, i] = 0.0
+    else:
+        m[..., :side, :side] = 0.0
+        m[..., side:, side:] = 0.0
+    return _add_degrees(m) if signless else m
 
 
 @lru_cache(maxsize=None)
 def family_radius(quantity: str, family: str, n: int, k: int) -> float:
     """rho (quantity "rho") or q of the family member with parameters (n, k)."""
     a = as_graph(construct(FamilySpec(family, n=n, k=k))).matrix()
-    return _top_eigenvalue(a if quantity == "rho" else _add_degrees(a))
+    return _top_eigenvalue(radius_matrix(quantity, a))
 
 
 @dataclass(frozen=True)
@@ -310,35 +342,16 @@ def statements_for(target: str) -> list[Statement]:
 class GraphValues(dict):
     """A graph's statement quantities, each computed on first read.
 
-    ``precomputed`` seeds any of them.  For a BipartiteGraph, rho and q are
-    those of the bipartite graph and rho_qc / q_qc those of its
-    quasi-complement; min_cross_ds runs over the non-adjacent cross pairs.
-    The radii are eigenvalues alone, of matrices derived from one adjacency
-    matrix A: Q = A + D, the complement's J - I - A and the
-    quasi-complement's K - A (K that of the complete bipartite graph on the
-    same sides).
+    For a BipartiteGraph, rho and q are those of the bipartite graph and
+    rho_qc / q_qc those of its quasi-complement; min_cross_ds runs over the
+    non-adjacent cross pairs.  The radii are eigenvalues alone, of the
+    ``radius_matrix`` of one adjacency matrix.
     """
 
-    def __init__(self, g, precomputed: Optional[dict] = None):
-        super().__init__(precomputed or {})
+    def __init__(self, g):
+        super().__init__()
         self.g = g
         self._a = None
-
-    def _matrix(self, key: str) -> np.ndarray:
-        """The matrix whose top eigenvalue is the radius ``key``."""
-        if self._a is None:
-            self._a = as_graph(self.g).matrix()
-        a = self._a
-        if key in ("rho", "q"):
-            return a if key == "rho" else _add_degrees(a.copy())
-        m = 1.0 - a  # J - A; then zero the blocks that are not vertex pairs of the complement
-        if isinstance(self.g, BipartiteGraph):
-            nx = self.g.nx
-            m[:nx, :nx] = 0.0
-            m[nx:, nx:] = 0.0
-        else:
-            np.fill_diagonal(m, 0.0)
-        return _add_degrees(m) if key == "q_qc" else m
 
     def __missing__(self, key: str):
         self[key] = value = self._compute(key)
@@ -355,7 +368,10 @@ class GraphValues(dict):
         if key == "two_delta":
             return 2 * self["delta"]
         if key in SPECTRAL:
-            return _top_eigenvalue(self._matrix(key))
+            if self._a is None:
+                self._a = as_graph(g).matrix()
+            return _top_eigenvalue(radius_matrix(
+                key, self._a, g.nx if isinstance(g, BipartiteGraph) else None))
         if key == "min_ds":
             degs = g.degrees()
             return min((degs[u] + degs[v] for u in range(g.n) for v in range(u + 1, g.n)

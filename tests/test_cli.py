@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from spectralham.graphs import (
     cycle_graph,
     graph6_decode,
     graph6_encode,
+    path_graph,
 )
+from spectralham.harness import SearchSpace, enumerate_space, extremal_search, verify_theorem
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +204,68 @@ def test_verify_json_stream(capsys):
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines[-1]["verdict"] == "summary"
+
+
+def _counts(out):
+    """(processed, hypothesis, exceptional, failures, aborted) of verify's text summary."""
+    m = re.search(r"processed (\d+), hypothesis (\d+), exceptional (\d+), failures (\d+), "
+                  r"aborted (\d+)", out)
+    return tuple(map(int, m.groups()))
+
+
+def test_verify_over_each_enumerated_and_file_space(capsys, tmp_path):
+    path = tmp_path / "three.g6"
+    path.write_text("".join(graph6_encode(g) + "\n"
+                            for g in (complete_graph(5), cycle_graph(5), path_graph(5))))
+    for argv, target, space, k in (
+        (("--space", "min_degree", "--n", "5", "--min-degree", "2", "--k", "2"), "erdos",
+         SearchSpace.labeled_min_degree(5, 2), 2),
+        (("--space", "bipartite", "--side", "3"), "moon_moser",
+         SearchSpace.balanced_bipartite_labeled(3), None),
+        (("--space", "file", "--file", str(path)), "ore", SearchSpace.graph6_file(str(path)),
+         None),
+    ):
+        code, out, _ = run_cli(capsys, "verify", target, *argv)
+        rep = verify_theorem(target, space, k=k)
+        want = (rep.processed, rep.hypothesis_count, rep.exceptional_matches,
+                len(rep.conclusion_failures), len(rep.aborted))
+        assert code == 0 and _counts(out) == want and want[1] > 0, argv
+        assert f"target {target} over {space.describe()}:" in out
+    code, out, err = run_cli(capsys, "verify", "ore", "--space", "min_degree", "--n", "5")
+    assert code == 2 and not out and "--space min_degree needs --min-degree" in err
+
+
+def test_search_text_output(capsys):
+    code, out, _ = run_cli(capsys, "search", "max_rho", "--space", "min_degree", "--n", "5",
+                           "--min-degree", "1")
+    best, winners = extremal_search(SearchSpace.labeled_min_degree(5, 1), "max_rho",
+                                    "non_hamiltonian")
+    assert code == 0
+    assert out.splitlines() == [f"optimum {best:.10f} attained by {len(winners)} graph(s):",
+                                *(f"  {g6}" for g6 in winners)]
+    # K_4 is the only graph of order 4 with delta >= 3, and it is Hamiltonian
+    code, out, _ = run_cli(capsys, "search", "max_rho", "--space", "min_degree", "--n", "4",
+                           "--min-degree", "3")
+    assert code == 0 and out == "no graph satisfies the constraint\n"
+
+
+def test_graph6_file_errors_name_the_file_and_line(capsys, tmp_path):
+    # a campaign's blocks, enumerate_space and the commands that load graphs
+    # all read a file's lines through one reader
+    path = tmp_path / "bad.g6"
+    for second, error in ((b"C~~", "expected 1 body bytes for n=4, found 2 (byte offset 2)"),
+                          ("C\u00e9".encode(), "byte 195 outside graph6 range 63..126 "
+                                               "(byte offset 1)")):
+        path.write_bytes(b"C~\n" + second + b"\nC~\n")
+        message = f"{path}, line 2: {error}"
+        space = SearchSpace.graph6_file(str(path))
+        for call in (lambda: verify_theorem("ore", space), lambda: list(enumerate_space(space))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+        for argv in (("verify", "ore", "--space", "file", "--file", str(path)),
+                     ("spectral", str(path)), ("certify", str(path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and not out and err == f"error: {message}\n", argv
 
 
 def test_search(capsys):

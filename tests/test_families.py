@@ -151,6 +151,9 @@ def test_recognizers_match_isomorphism_exhaustively_n5():
     for k in range(1, n):
         configs.append(("complete_split", n + k, k,
                         construct(FamilySpec("complete_split", n=n + k, k=k))))
+    for a in range(1, n):
+        configs.append(("complete_bipartite", a, n - a,
+                        construct(FamilySpec("complete_bipartite", n=a, k=n - a)).to_graph()))
     assert all(ref.n == n for *_, ref in configs)
     h_members = list(h_family_members(n))
     for idx in range(1 << (n * (n - 1) // 2)):

@@ -100,6 +100,44 @@ def test_graph6_line_of_order_zero_is_refused(tmp_path):
             call()
 
 
+def test_enumerate_graph6_file_keeps_file_order_and_skips_blank_lines(tmp_path):
+    graphs = [path_graph(4), complete_graph(3), graph6_decode("?"), complete_graph(1),
+              path_graph(4)]
+    path = tmp_path / "order.g6"
+    g6 = [graph6_encode(g) for g in graphs]
+    path.write_text(f"\n{g6[0]}\n\n  {g6[1]}\t\n{g6[2]}\n \n{g6[3]}\n{g6[4]}")
+    assert list(enumerate_space(SearchSpace.graph6_file(str(path)))) == graphs
+
+
+def test_verify_emits_counterexample_and_aborted_records(monkeypatch, tmp_path):
+    import dataclasses
+
+    p5, k5 = graph6_encode(path_graph(5)), graph6_encode(complete_graph(5))
+    path = tmp_path / "two.g6"
+    path.write_text(f"{p5}\n{k5}\n")
+    space = SearchSpace.graph6_file(str(path))
+    # planted defect: ore with its threshold lowered to 3 edges holds on P_5
+    ore = statements.statements_for("ore")[0]
+    monkeypatch.setattr(harness, "statements_for",
+                        lambda target: [dataclasses.replace(ore, threshold=lambda n, k: 3)])
+    records = []
+    rep = verify_theorem("ore", space, emit=records.append)
+    assert rep.conclusion_failures == [p5] and not rep.aborted
+    assert records[:-1] == [{"target": "ore", "space": rep.space, "verdict": "counterexample",
+                             "detail": {"graph6": p5,
+                                        "reason": "hypothesis held but conclusion failed"}}]
+    assert records[-1] == {"target": "ore", "space": rep.space, "verdict": "summary",
+                           "detail": rep.to_json()}
+    monkeypatch.undo()
+    # ore holds on K_5 alone, and no oracle call fits in a budget of 0 nodes
+    records = []
+    rep = verify_theorem("ore", space, oracle_budget=0, emit=records.append)
+    assert rep.aborted == [k5] and not rep.conclusion_failures
+    assert records[:-1] == [{"target": "ore", "space": rep.space, "verdict": "aborted",
+                             "detail": {"graph6": k5, "reason": "oracle budget exhausted"}}]
+    assert records[-1]["verdict"] == "summary" and records[-1]["detail"] == rep.to_json()
+
+
 def test_graph6_refusals_for_bipartite_targets_name_the_line(tmp_path):
     # a bipartite target reads each line through its bipartition
     path = tmp_path / "sides.g6"
@@ -578,18 +616,23 @@ def test_radius_intervals_complete_graphs():
     assert rho_lo == rho_hi == 3 and q_lo == q_hi == 6
 
 
-@pytest.mark.parametrize("key, size, bip", [("q", 6, False), ("rho_qc", 4, True)])
+@pytest.mark.parametrize("key, size, bip", [
+    ("rho", 6, False), ("q", 6, False), ("rho_complement", 6, False),
+    ("rho", 4, True), ("q", 4, True), ("rho_qc", 4, True), ("q_qc", 4, True),
+])
 def test_blocked_radii_equal_one_stacked_eigvalsh(key, size, bip):
-    # rows cross several eigvalsh blocks; each value equals the one-stack solve bitwise
+    # rows cross several eigvalsh blocks; each value equals the one-stack solve
+    # of hand-built matrices bitwise: the complement (of a plain row) and the
+    # quasi-complement (of a bipartite row) are the row's missing pairs
     nbits = size * size if bip else size * (size - 1) // 2
     order = 2 * size if bip else size
     bits = _index_bits(nbits, 0, min(1 << nbits, 3 * _eig_rows(order) + 5))
     us, vs, _ = _bit_ends(size, bip)
-    x = ~bits if key == "rho_qc" else bits
+    x = ~bits if key in ("rho_complement", "rho_qc", "q_qc") else bits
     a = np.zeros((len(bits), order, order))
     a[:, us, vs] = x
     a[:, vs, us] = x
-    if key == "q":
+    if key in ("q", "q_qc"):
         a[:, np.arange(order), np.arange(order)] = a.sum(axis=2)
     assert np.array_equal(_radii(key, size, bip, bits), np.linalg.eigvalsh(a)[:, -1])
 
