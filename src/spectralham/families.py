@@ -31,17 +31,17 @@ isomorphism); tests cross-check them against the backtracking isomorphism
 test on small orders.  Out-of-range parameters make ``recognize`` return
 False (an empty family has no members), while ``construct`` raises.
 
-Quasi-complement summary.  ``Bset`` (every k), ``B`` and the Gamma1/Gamma2
-gate read ``_qc_summary``: the sorted component sizes of the graph's
+Quasi-complement summary.  ``Bset`` (every k) and ``B`` read
+``_qc_summary``: the sorted component sizes of the graph's
 quasi-complement and the side counts (x, y) of its complete bipartite
 components, computed once per graph object and kept while it lives.  G is
 in Bset_n^k when one of those complete components has n - k vertices on one
 side and k on the other (that component is the K_{n-k,k} that Bset's
 construction leaves out of the quasi-complement); it is in B_n^k when, besides,
 every other component is a single vertex.  Gamma1 and Gamma2 are
-connected, so an isomorphism keeps their sides up to a swap and their
-quasi-complements' component sizes (C_6 + K_2 and C_6 + 2K_1);
-``is_isomorphic`` runs only on graphs whose sizes match.
+connected, so an isomorphism keeps their sides up to a swap: a 4+4 graph is
+recognized by looking its ``rows`` up in the set of the reference's 1,152
+labelings (``_gamma_labelings``, built on first use).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import permutations
 from typing import Optional, Union
 
 from .graphs import (
@@ -62,7 +63,6 @@ from .graphs import (
     empty_graph,
     graph6_decode,
     graph6_encode,
-    is_isomorphic,
     join,
     quasi_complement,
 )
@@ -237,6 +237,27 @@ def _gamma(fam: str) -> BipartiteGraph:
     return g
 
 
+@lru_cache(maxsize=None)
+def _gamma_labelings(fam: str) -> frozenset:
+    """The ``rows`` of every 4+4 labeling of Gamma1 / Gamma2: each permutation
+    of X, each of Y, with and without the sides swapped (1,152 labelings).
+
+    The graph is connected, so its bipartition is unique up to a swap and
+    every isomorphism onto a 4+4 BipartiteGraph is one of these labelings:
+    a BipartiteGraph is isomorphic to it exactly when its rows are in the set.
+    """
+    ref = _gamma(fam)
+    out = set()
+    for rows in (ref.rows, tuple(ref.cols())):
+        for px in permutations(range(4)):
+            for py in permutations(range(4)):
+                moved = [0] * 4
+                for i, row in enumerate(rows):
+                    moved[px[i]] = sum(1 << py[j] for j in bits(row))
+                out.add(tuple(moved))
+    return frozenset(out)
+
+
 def _gamma_gate(g: BipartiteGraph, fam: str):
     """Pin the Fig.-3 decoding: quasi-complement must be C_6 + K_2 (Gamma1)
     or C_6 + 2K_1 (Gamma2)."""
@@ -324,9 +345,9 @@ def _qc_summary(b: BipartiteGraph) -> tuple[tuple[int, ...], frozenset]:
     Returns (sizes, complete): the sorted component sizes, and the side
     counts (x, y) of each component that is complete bipartite (every X
     vertex of the component adjacent to every Y vertex of it).  The ``Bset``
-    recognizer (every k) and the Gamma1/Gamma2 gate read it; it is kept for
-    as long as the graph object lives, so the recognizers a conclusion tries
-    in turn on one graph share it.
+    (every k) and ``B`` recognizers read it; it is kept for as long as the
+    graph object lives, so the recognizers a conclusion tries in turn on one
+    graph share it.
     """
     summary = _QC_SUMMARIES.get(b)
     if summary is not None:
@@ -390,16 +411,7 @@ def recognize(g, family: str, n: Optional[int] = None, k: Optional[int] = None) 
             return _recognize_bset(g, n, k)
         if family == "B":  # the Bset member whose quasi-complement is K_{n-k,k} + n K_1
             return _recognize_bset(g, n, k) and _qc_summary(g)[0] == (1,) * n + (n,)
-        ref = _gamma(family)
-        # isomorphic graphs have quasi-complements with the same component
-        # sizes (C_6 + K_2 or C_6 + 2K_1), so the backtracking test runs
-        # only on graphs that pass that gate
-        return (
-            g.nx + g.ny == 8
-            and g.edge_count == ref.edge_count
-            and _qc_summary(g)[0] == _qc_summary(ref)[0]
-            and is_isomorphic(g.to_graph(), ref.to_graph())
-        )
+        return g.nx == g.ny == 4 and g.rows in _gamma_labelings(family)
     if not isinstance(g, Graph):
         raise TypeError(f"family {family} recognizer expects a Graph")
     if family in _SPLIT_JOINS:

@@ -35,21 +35,29 @@ Per block only the statistics and the gate run.  ``spectral.radius_intervals``
 bounds each radius from (e, delta, Delta) alone; widened by the tolerance
 plus a rounding slack, a row whose masks fail at both ends of its interval
 fails them at the value too, so it is not eigensolved (its NaN fails every
-comparison).  ``_gate_table`` decides every triple of an order once, so a
-row is gated by one lookup; past _GATE_TABLE_MAX triples ``_may_pass`` gates
-the block's own rows instead.  For a radius with an "le" statement, the rows
-that pass are gated again with the lower end of their interval raised to
-the Rayleigh quotient x^T M x / x^T x at the degree vector x of the graph
-the radius is taken on (``_rayleigh``, exact int64 sums).  A row survives
-when it passes the gate of some radius statement, or the hypothesis of a
-statement on an integer quantity; the others fail every hypothesis.  The
-edge-count window and the gate change no verdict, count or failure list.
+comparison).  ``_gate_table`` decides every triple of an order once and
+keeps, per triple, whether the row may pass, the interval's lower end, and
+whether it is sure to (some statement holds at the padded upper end), so a
+row is gated by one lookup; past _GATE_TABLE_MAX triples ``_may_pass``
+computes the same three columns for the block's own rows.  For a radius
+with an "le" statement, the rows that may pass but are not sure to are
+gated again, with the lower end of their interval raised to a floor on the
+value: for q and q_qc first the degree floor sum x^2 / e(H) (``_degree_floor``),
+then, on the rows it leaves, the Rayleigh quotient x^T M x / x^T x
+(``_rayleigh``), x being the degree vector of the graph H the radius is
+taken on.  Both are one division of exact int64 sums, and by
+Cauchy-Schwarz the degree floor is never above the quotient, so it cuts no
+row the quotient would keep.  A row survives when it passes the gate of
+some radius statement, or the hypothesis of a statement on an integer
+quantity; the others fail every hypothesis.  The edge-count window and the
+gate change no verdict, count or failure list.
 
 Relabelling classes.  The surviving rows are gathered over blocks, up to
 _GROUP_ROWS of one order, and ``_eval_group`` keys each of them once.  A
 row's key is the row relabelled by one round of colour refinement (stable
 order of degree, then neighbours' degree sum, each side on its own), read as
-an int64 (``_class_keys``).  Equal keys mean isomorphic rows (and
+an int64 (``_class_keys``, its neighbour sums two float32 products with a
+cached incidence matrix).  Equal keys mean isomorphic rows (and
 complements and quasi-complements).
 ``_Classes.values`` is the one place a per-class value comes from: with the
 call's memos, keyed per (quantity or question, order) by the ``_Classes``
@@ -148,14 +156,14 @@ __all__ = [
 MAX_ALL_LABELED_N = 8
 MAX_BIP_SIDE = 5
 _CHUNK = 1 << 14
-# Bytes of one float64 matrix stack per eigvalsh call (the class keys'
-# temporaries take the same number of rows): 2,048 rows at order 8.
+# Bytes of one float64 matrix stack per eigvalsh call: 2,048 rows at order 8.
 _EIG_BYTES = 1 << 20
 # Bytes of float64 deviates per random-model block; graph6 blocks take as
 # many rows.
 _ROW_BYTES = 1 << 20
-# Bytes of one (pairs, rows) int64 temporary of ``_rayleigh``: 1,024 rows at side 4.
-_RAYLEIGH_BYTES = 1 << 17
+# Bytes of one (pairs, rows) int64 temporary of ``_rayleigh`` or ``_class_keys``:
+# 1,024 rows at side 4.
+_PAIR_BYTES = 1 << 17
 # Entries of the largest (e, delta, Delta) gate table.
 _GATE_TABLE_MAX = 1 << 16
 # Surviving rows of one order gathered, over blocks, before one ``_eval_group``.
@@ -544,8 +552,14 @@ def _space_blocks(space: SearchSpace, bip: bool, start: int = 0, stop: Optional[
 # ---------------------------------------------------------------------------
 
 def _eig_rows(order: int) -> int:
-    """Rows per eigvalsh call (and per class-key block) at this order."""
+    """Rows per eigvalsh call at this order."""
     return max(1, _EIG_BYTES // (8 * order * order))
+
+
+def _pair_rows(size: int, bip: bool) -> int:
+    """Rows per ``_rayleigh`` or ``_class_keys`` call: a (pairs, rows) int64
+    temporary in _PAIR_BYTES."""
+    return max(1, _PAIR_BYTES // (8 * max(len(_bit_ends(size, bip)[0]), 1)))
 
 
 def _radii(key: str, size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
@@ -580,6 +594,17 @@ def _pair_weights(size: int, bip: bool) -> np.ndarray:
     return w.ravel()
 
 
+@lru_cache(maxsize=None)
+def _incidence(size: int, bip: bool):
+    """(order, pairs) float32 matrices at_u and at_v: pair bit t has a 1 in
+    column t at row us[t] of at_u and at row vs[t] of at_v."""
+    us, vs, order = _bit_ends(size, bip)
+    t = np.arange(len(us))
+    at_u, at_v = np.zeros((2, order, len(us)), dtype=np.float32)
+    at_u[us, t] = at_v[vs, t] = 1.0
+    return at_u, at_v
+
+
 def _ranks(score: np.ndarray) -> np.ndarray:
     """rank[v, r] = #{u : score[u, r] < score[v, r]}, for distinct scores (order, rows)."""
     return (score[:, None] < score[None]).sum(axis=0, dtype=np.int16)
@@ -594,16 +619,17 @@ def _class_keys(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray):
     vertex that v becomes in row r.  The key is the relabelled row's bits
     read as an int64 (so at most 63 bits), and rows with equal keys are
     isomorphic.  Everything is vertex- or pair-major over the rows: the
-    neighbour sums take one pass over the pairs, a rank counts the smaller
-    scores, and the key adds ``_pair_weights`` at the ranks of each set pair.
+    neighbour sums are one float32 product per pair side with
+    ``_incidence`` (exact: each term is a degree, at most 13 at order 14,
+    and each sum is below 2^24), a rank counts the smaller scores, and the
+    key adds ``_pair_weights`` at the ranks of each set pair.
     """
     us, vs, order = _bit_ends(size, bip)
     edges = np.ascontiguousarray(bits.T)
+    at_u, at_v = _incidence(size, bip)
+    degf, edgef = deg.astype(np.float32), edges.astype(np.float32)
+    nsum = (at_u @ (edgef * degf[vs]) + at_v @ (edgef * degf[us])).astype(np.int32)
     deg = deg.astype(np.int32)
-    nsum = np.zeros_like(deg)
-    for t, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-        nsum[u] += edges[t] * deg[v]
-        nsum[v] += edges[t] * deg[u]
     # the neighbour sum is below order^2, so degree decides first, and the
     # vertex breaks ties as a stable sort does (below order^4: 38,416 at order 14)
     score = (deg * order * order + nsum) * order + np.arange(order, dtype=np.int32)[:, None]
@@ -702,12 +728,12 @@ class _Classes:
 def _row_classes(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray, memos) -> _Classes:
     """The relabelling classes of rows of pair bits with degrees deg (order, rows).
 
-    Keys come from ``_class_keys``, ``_eig_rows(order)`` rows at a time;
+    Keys come from ``_class_keys``, ``_pair_rows`` rows at a time;
     memos (a defaultdict(dict)) is the calling driver's.
     """
     if bits.shape[1] > 63:
         return _Classes(size, bip, bits, np.arange(len(bits)), memos)
-    step = _eig_rows(_bit_ends(size, bip)[2])
+    step = _pair_rows(size, bip)
     keys = np.concatenate([
         _class_keys(size, bip, bits[lo : lo + step], deg[:, lo : lo + step])[0]
         for lo in range(0, len(bits), step)
@@ -738,7 +764,7 @@ def _rayleigh(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarray)
     the row's degrees.  An edge uv adds 2 x_u x_v to x^T A x and
     (x_u + x_v)^2 to x^T Q x.  Numerator and denominator are int64 sums, so
     exact.  Its temporaries are (pairs, rows) int64 arrays; ``_gate`` bounds
-    them by _RAYLEIGH_BYTES.  A row whose x is 0 gets 0.
+    them by _PAIR_BYTES.  A row whose x is 0 gets 0.
     """
     us, vs, _ = _bit_ends(size, bip)
     x = deg.astype(np.int64, order="C")
@@ -752,6 +778,28 @@ def _rayleigh(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarray)
     num = np.einsum("tr,tr->r", w, edges)
     den = np.einsum("vr,vr->r", x, x)
     return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
+
+
+def _degree_floor(key: str, size: int, bip: bool, deg: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sum x^2 / e(H) at the degree vector x of the graph H the signless quantity
+    ``key`` is taken on, with deg (order, rows) and e the rows' degrees and edge counts.
+
+    It is 2 plus the average degree of H's line graph, a lower bound on
+    q(H) = 2 + rho(line graph).  By Cauchy-Schwarz,
+    (sum_v x_v^2)^2 <= e(H) sum_uv (x_u + x_v)^2, so it is at most
+    ``_rayleigh``'s quotient.  Both are one correctly rounded division of
+    exact int64 sums, so the computed floor is at most the computed quotient
+    too.  A row whose H has no edge gets 0.  The sums are taken from deg
+    directly (sum d^2, and sum d = 2e), so no int64 copy of deg is made.
+    """
+    us, _, order = _bit_ends(size, bip)
+    num = np.einsum("vr,vr->r", deg, deg, dtype=np.int64)
+    if RADII[key][0]:
+        # x = full - d, so sum x^2 = order full^2 - 2 full sum d + sum d^2
+        full = size if bip else size - 1
+        num += order * full * full - 4 * full * e
+        e = len(us) - e
+    return np.divide(num, e, out=np.zeros(len(num)), where=e > 0)
 
 
 def _min_degree_sum(size: int, bip: bool, deg: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -899,21 +947,26 @@ class VerificationReport:
         return asdict(self)
 
 
-def _may_pass(key, stmts, stats, size, bip, k, tol, floor=None) -> np.ndarray:
-    """Rows where some statement on ``key`` holds at either end of its padded interval.
-
-    floor, a lower bound on each row's value, raises the interval's lower end.
-    """
-    lo, hi = _radius_interval(key, stats, size, bip)
-    if floor is not None:
-        lo = np.maximum(lo, floor)
-    pad = tol + _GATE_SLACK
-    keep = np.zeros(len(lo), dtype=bool)
+def _some_holds(key: str, stmts, stats: dict, value, size: int, k, tol: float) -> np.ndarray:
+    """Rows where some statement on ``key`` holds with the key's column set to value."""
+    vals = dict(stats, **{key: value})
+    out = np.zeros(len(value), dtype=bool)
     for st in stmts:
         if st.quantity == key:
-            for end in (lo - pad, hi + pad):
-                keep |= st.hypothesis(dict(stats, **{key: end}), size, k, tol)
-    return keep
+            out |= st.hypothesis(vals, size, k, tol)
+    return out
+
+
+def _may_pass(key, stmts, stats, size, bip, k, tol):
+    """(keep, lo, sure) per row from the padded interval [lo - pad, hi + pad] of ``key``.
+
+    keep: some statement on key holds at either end; sure: one holds at
+    hi + pad; lo: the interval's unpadded lower end.
+    """
+    lo, hi = _radius_interval(key, stats, size, bip)
+    pad = tol + _GATE_SLACK
+    sure = _some_holds(key, stmts, stats, hi + pad, size, k, tol)
+    return sure | _some_holds(key, stmts, stats, lo - pad, size, k, tol), lo, sure
 
 
 def _triples(size: int, bip: bool):
@@ -930,17 +983,19 @@ def _triples(size: int, bip: bool):
 
 
 @lru_cache(maxsize=256)
-def _gate_table(target: str, key: str, size: int, bip: bool, k, tol: float) -> np.ndarray:
-    """``_may_pass`` for every (e, delta, Delta) that a graph of the space can have.
+def _gate_table(target: str, key: str, size: int, bip: bool, k, tol: float) -> tuple:
+    """``_may_pass``'s (keep, lo, sure) for every (e, delta, Delta) that a graph
+    of the space can have.
 
     The interval of ``key`` and the hypotheses on it depend on these three
-    integers only, so a block gates each row by one lookup at its triple's
-    code (``_triples``).  Triples no graph has stay False.
+    integers only, so a block reads each row's columns by one lookup at its
+    triple's code (``_triples``).  Triples no graph has are not kept.
     """
     real, stats = _triples(size, bip)
-    keep = np.zeros(len(real), dtype=bool)
-    keep[real] = _may_pass(key, statements_for(target), stats, size, bip, k, tol)
-    return keep
+    table = (np.zeros(len(real), dtype=bool), np.zeros(len(real)), np.zeros(len(real), dtype=bool))
+    for col, got in zip(table, _may_pass(key, statements_for(target), stats, size, bip, k, tol)):
+        col[real] = got
+    return table
 
 
 @lru_cache(maxsize=256)
@@ -961,7 +1016,7 @@ def _edge_window(target: str, size: int, bip: bool, k, tol: float) -> Optional[b
     keep = np.zeros(len(real), dtype=bool)
     for st in stmts:
         if st.quantity in SPECTRAL:
-            keep |= _gate_table(target, st.quantity, size, bip, k, tol)
+            keep |= _gate_table(target, st.quantity, size, bip, k, tol)[0]
         else:
             keep[real] |= st.hypothesis(stats, size, k, tol)
     order = _bit_ends(size, bip)[2]
@@ -972,28 +1027,49 @@ def _edge_window(target: str, size: int, bip: bool, k, tol: float) -> Optional[b
 def _gate(target: str, key: str, stmts, blk: _Block, k, tol: float):
     """Rows of a block that may pass some statement on ``key``.
 
-    The interval gate is one table lookup per row.  When key has an "le"
-    statement, the rows it keeps are gated again, by one ``_may_pass``, with
-    the lower end of their interval raised to ``_rayleigh``'s quotient, taken
-    _RAYLEIGH_BYTES of one of its temporaries at a time.
+    The interval gate is one table lookup per row (``_may_pass`` on the
+    block's own rows past _GATE_TABLE_MAX).  When key has an "le" statement,
+    the rows it keeps without being sure of are gated again, with the lower
+    end of their interval raised to a floor: for a signless key first the
+    degree floor (``_degree_floor``), then, on the rows left, the Rayleigh
+    quotient (``_rayleigh``, ``_pair_rows`` rows at a time), which is never
+    below it.  A row is cut when no statement on key holds at
+    max(lo, floor) - pad.
     """
     stats, size, bip = blk.stats, blk.size, blk.bip
     us, _, order = _bit_ends(size, bip)
+    # at: each row's position in the (keep, lo, sure) columns
     if (len(us) + 1) * order * order > _GATE_TABLE_MAX:
-        keep = _may_pass(key, stmts, stats, size, bip, k, tol)
+        keep, lo, sure = _may_pass(key, stmts, stats, size, bip, k, tol)
+        at = np.arange(len(keep))
     else:
-        code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
-        keep = _gate_table(target, key, size, bip, k, tol)[code]
-    if any(st.quantity == key and st.relation == "le" for st in stmts):
-        rows = np.flatnonzero(keep)
-        kept = {name: col.take(rows, axis=-1) for name, col in stats.items()}
-        step = max(1, _RAYLEIGH_BYTES // (8 * max(len(us), 1)))
+        at = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
+        keep, lo, sure = _gate_table(target, key, size, bip, k, tol)
+    keep = keep[at]
+    if not any(st.quantity == key and st.relation == "le" for st in stmts):
+        return keep
+    step = _pair_rows(size, bip)
+    pad = tol + _GATE_SLACK
+
+    def rayleigh(rows):
         floor = np.empty(len(rows))
-        for lo in range(0, len(rows), step):
-            part = rows[lo : lo + step]
-            floor[lo : lo + step] = _rayleigh(key, size, bip, blk.rows_bits(part),
-                                              stats["deg"].take(part, axis=1))
-        keep[rows] = _may_pass(key, stmts, kept, size, bip, k, tol, floor)
+        for i in range(0, len(rows), step):
+            part = rows[i : i + step]
+            floor[i : i + step] = _rayleigh(key, size, bip, blk.rows_bits(part),
+                                            stats["deg"].take(part, axis=1))
+        return floor
+
+    def degrees(rows):
+        return _degree_floor(key, size, bip, stats["deg"].take(rows, axis=1), stats["e"][rows])
+
+    rows = np.flatnonzero(keep & ~sure[at])
+    lo = lo[at[rows]]
+    for floor in (degrees, rayleigh) if RADII[key][1] else (rayleigh,):
+        # a statement on key reads its column and delta alone (``Statement.holds_at``)
+        value = np.maximum(lo, floor(rows)) - pad
+        ok = _some_holds(key, stmts, {"delta": stats["delta"][rows]}, value, size, k, tol)
+        keep[rows[~ok]] = False
+        rows, lo = rows[ok], lo[ok]
     return keep
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from spectralham.families import (
     FamilySpec,
+    _gamma_labelings,
     construct,
     h_family_members,
     recognize,
@@ -87,6 +88,9 @@ def test_gamma_graphs():
         assert is_hamiltonian(g.to_graph()).status == "no"
     assert recognize(g1, "Gamma1") and not recognize(g1, "Gamma2")
     assert recognize(g2, "Gamma2") and not recognize(g2, "Gamma1")
+    # either side first; an order-8 graph with sides 3 and 5 is no member
+    assert recognize(g2.swap_sides(), "Gamma2") and not recognize(g2.swap_sides(), "Gamma1")
+    assert not recognize(complete_bipartite_graph(3, 5), "Gamma1")
 
 
 def test_recognize_roundtrip():
@@ -204,10 +208,14 @@ def _bset_per_k(b, n, k):
 
 @pytest.mark.parametrize("side", [1, 2, 3, 4])
 def test_qc_summary_recognizers_match_reference_exhaustively(side):
-    # every balanced bipartite graph of the side, every k: the Bset, B and
-    # Gamma recognizers (which read one cached quasi-complement summary per
-    # graph) against the per-k search and against backtracking isomorphism
+    # every balanced bipartite graph of the side, every k: the Bset and B
+    # recognizers (which read one cached quasi-complement summary per graph)
+    # against the per-k search and against backtracking isomorphism, and the
+    # Gamma recognizers (a lookup among the reference's labelings) against
+    # backtracking isomorphism; at side 4 each graph isomorphic to Gamma1 or
+    # Gamma2 is one of the labelings, 192 between them
     gammas = [construct(FamilySpec(fam)) for fam in ("Gamma1", "Gamma2")]
+    matches = 0
     bs = {k: construct(FamilySpec("B", n=side, k=k)).to_graph() for k in range(1, side // 2 + 1)}
     for idx in range(1 << (side * side)):
         b = graph_from_index_bip(side, idx)
@@ -217,7 +225,10 @@ def test_qc_summary_recognizers_match_reference_exhaustively(side):
             assert recognize(b, "B", n=side, k=k) == is_b, (idx, k)
         for fam, ref in zip(("Gamma1", "Gamma2"), gammas):
             iso = b.edge_count == ref.edge_count and is_isomorphic(b.to_graph(), ref.to_graph())
-            assert recognize(b, fam) == iso, (idx, fam)
+            assert recognize(b, fam) == iso == (b.rows in _gamma_labelings(fam)), (idx, fam)
+            matches += iso
+    labelings = sum(len(_gamma_labelings(fam)) for fam in ("Gamma1", "Gamma2"))
+    assert matches == (labelings if side == 4 else 0) and labelings == 192
 
 
 def test_spanning_subgraph_examples():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spectralham.families as families
+import spectralham.graphs as graphs_module
 import spectralham.harness as harness
 import spectralham.statements as statements
 from spectralham.families import FamilySpec, construct, recognize
@@ -550,7 +551,8 @@ def test_index_decoding_matches_enumeration():
 def test_radius_intervals_bracket_eigvalsh(size, bip):
     # every graph of all_labeled(6) / balanced_bipartite_labeled(4): the
     # integer-statistics interval of each quantity holds the eigvalsh value,
-    # and so does the Rayleigh quotient's lower end
+    # and so does the Rayleigh quotient's lower end, and for q and q_qc the
+    # degree floor below it
     keys = ("rho", "q", "rho_qc", "q_qc") if bip else ("rho", "q", "rho_complement")
     total = 1 << (size * size if bip else size * (size - 1) // 2)
     seen_regular = 0
@@ -564,6 +566,10 @@ def test_radius_intervals_bracket_eigvalsh(size, bip):
             assert np.all(lo <= val + 1e-9) and np.all(val <= hi + 1e-9), key
             floor = harness._rayleigh(key, size, bip, blk.rows_bits(), stats["deg"])
             assert np.all(floor <= val + 1e-12), key
+            if key in ("q", "q_qc"):
+                # the degree floor never passes the computed Rayleigh floor
+                degree = harness._degree_floor(key, size, bip, stats["deg"], stats["e"])
+                assert np.all(degree <= floor), key
             # equality cases: regular graphs (K_n, K_{s,s}, the empty graph,
             # cycles, ...) and their complements pin the value exactly
             assert np.allclose(lo[regular], val[regular], atol=1e-9), key
@@ -579,10 +585,17 @@ def _dense_rayleigh(g, signless):
     return x @ m @ x / (x @ x) if x.any() else 0.0
 
 
+def _dense_degree_floor(g):
+    """sum d^2 / e of g, from g's dense matrix."""
+    d = np.array([[g.adj[u] >> v & 1 for v in range(g.n)] for u in range(g.n)]).sum(axis=1)
+    return (d @ d) / (d.sum() / 2) if d.any() else 0.0
+
+
 def test_rayleigh_lower_end_on_large_family_members(tmp_path):
     # L, N and B members of order 60-200 and their complements (the
     # quasi-complement for B), read from a graph6 file: the int64 quotient is
-    # the dense float one (no overflow at order 200) and at most eigvalsh
+    # the dense float one (no overflow at order 200) and at most eigvalsh, and
+    # for q and q_qc the degree floor is the dense sum d^2 / e and at most the quotient
     plain = [construct(FamilySpec(fam, n=n, k=k)) for fam in ("L", "N")
              for n in (60, 129, 200) for k in (1, 3)]
     plain += [complement(g) for g in plain]
@@ -605,6 +618,12 @@ def test_rayleigh_lower_end_on_large_family_members(tmp_path):
                     rows = [complement(g) if not bip else quasi_complement(g) for g in rows]
                 dense = [_dense_rayleigh(as_graph(g), key in ("q", "q_qc")) for g in rows]
                 assert np.allclose(floor, dense, rtol=1e-12, atol=0), key
+                if key in ("q", "q_qc"):
+                    degree = harness._degree_floor(key, blk.size, bip, blk.stats["deg"],
+                                                   blk.stats["e"])
+                    assert np.all(degree <= floor), key
+                    dense = [_dense_degree_floor(as_graph(g)) for g in rows]
+                    assert np.allclose(degree, dense, rtol=1e-12, atol=0), key
         assert seen == len(graphs)
 
 
@@ -858,9 +877,37 @@ def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
         assert (sum(keyed), sum(solved), sum(decided)) == (18_194, 280, 252)
 
 
+def test_degree_floor_leaves_few_rows_to_rayleigh(monkeypatch):
+    # a bip_q_qc pass: of the 39,203 rows given statistics, the interval gate
+    # keeps 33,023, 209 of them sure to pass; the degree floor sees the other
+    # 32,814 and leaves 15,198 to _rayleigh (both floors would keep the sure
+    # rows), and 9,023 are keyed, as without the degree floor
+    seen = dict.fromkeys(("_degree_floor", "_rayleigh", "_class_keys"), 0)
+    orig = {name: getattr(harness, name) for name in seen}
+
+    def degree_floor(key, size, bip, deg, e):
+        seen["_degree_floor"] += len(e)
+        return orig["_degree_floor"](key, size, bip, deg, e)
+
+    def rayleigh(key, size, bip, bits, deg):
+        seen["_rayleigh"] += len(bits)
+        return orig["_rayleigh"](key, size, bip, bits, deg)
+
+    def class_keys(size, bip, bits, deg):
+        seen["_class_keys"] += len(bits)
+        return orig["_class_keys"](size, bip, bits, deg)
+
+    for name, fn in zip(seen, (degree_floor, rayleigh, class_keys)):
+        monkeypatch.setattr(harness, name, fn)
+    rep = verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4))
+    assert (rep.processed, rep.hypothesis_count, rep.clean) == (1 << 16, 7583, True)
+    assert seen == {"_degree_floor": 32_814, "_rayleigh": 15_198, "_class_keys": 9_023}
+
+
 def _gates_off(m):
-    """Switch off the edge-count window and the Rayleigh lower end."""
+    """Switch off the edge-count window and the degree and Rayleigh lower ends."""
     m.setattr(harness, "_edge_window", lambda *args: None)
+    m.setattr(harness, "_degree_floor", lambda key, size, bip, deg, e: np.zeros(len(e)))
     m.setattr(harness, "_rayleigh", lambda key, size, bip, bits, deg: np.zeros(len(bits)))
 
 
@@ -869,9 +916,9 @@ def _gates_off(m):
     ("bip_rho_qc", 2), ("bip_q_qc", None),
 ])
 def test_row_gates_change_no_report(monkeypatch, tmp_path, target, k):
-    # with and without the edge-count window and the Rayleigh lower end, on a
-    # labeled space (also split over two workers), a graph6 file and a random
-    # model, at the default tolerance and at 0: the same report
+    # with and without the edge-count window and the degree and Rayleigh
+    # lower ends, on a labeled space (also split over two workers), a graph6
+    # file and a random model, at the default tolerance and at 0: the same report
     bip = target.startswith("bip")
     if bip:
         lines = [b.to_graph() for b in random_model("bipartite_gnp", side=5, p=0.8, seed=21,
@@ -1229,21 +1276,62 @@ def test_extremal_search_on_a_min_degree_space(objective, k0, k):
     ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4), None),
     ("bip_rho_qc", SearchSpace.balanced_bipartite_labeled(4), 2),
 ])
-def test_gate_table_matches_interval_gate(target, space, k):
-    # the (e, delta, Delta) lookup keeps exactly the rows the interval gate keeps
+def test_gate_table_matches_interval_gate(monkeypatch, target, space, k):
+    # the (e, delta, Delta) lookup gives each row exactly the keep, lower end
+    # and sure columns of the per-row interval gate, and on every triple the
+    # lower end is the interval's and sure is some statement on the key
+    # holding at hi + pad; _gate keeps the same rows through the table and
+    # through the per-row path taken past _GATE_TABLE_MAX
     bip = space.is_bipartite_space
     size = space.side if bip else space.n
     total = harness._space_index_total(space)
     stmts = harness.statements_for(target)
     keys = {st.quantity for st in stmts} & statements.SPECTRAL
+    tol = 1e-9
     _, _, order = _bit_ends(size, bip)
     for pos in range(0, total, _CHUNK):
         stats = _degree_stats(size, bip, pos, min(pos + _CHUNK, total))
         code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
         for key in keys:
-            table = harness._gate_table(target, key, size, bip, k, 1e-9)
-            direct = harness._may_pass(key, stmts, stats, size, bip, k, 1e-9)
-            assert np.array_equal(table[code], direct), key
+            table = harness._gate_table(target, key, size, bip, k, tol)
+            direct = harness._may_pass(key, stmts, stats, size, bip, k, tol)
+            for col, want in zip(table, direct):
+                assert np.array_equal(col[code], want), key
+    real, triples = harness._triples(size, bip)
+    for key in keys:
+        keep, lo, sure = (col[real] for col in harness._gate_table(target, key, size, bip, k, tol))
+        want_lo, hi = _radius_interval(key, triples, size, bip)
+        at_hi = np.zeros(len(hi), dtype=bool)
+        for st in stmts:
+            if st.quantity == key:
+                at_hi |= st.hypothesis(dict(triples, **{key: hi + tol + harness._GATE_SLACK}),
+                                       size, k, tol)
+        assert np.array_equal(lo, want_lo) and np.array_equal(sure, at_hi), key
+        assert sure.any() and not (sure & ~keep).any(), key
+    blocks = list(harness._space_blocks(space, bip))
+    tabled = [harness._gate(target, key, stmts, blk, k, tol) for blk in blocks for key in keys]
+    monkeypatch.setattr(harness, "_GATE_TABLE_MAX", 0)
+    per_row = [harness._gate(target, key, stmts, blk, k, tol) for blk in blocks for key in keys]
+    assert all(np.array_equal(a, b) for a, b in zip(tabled, per_row))
+
+
+def test_degree_floor_of_edgeless_graphs_warns_nothing():
+    # K_{4,4} (edgeless quasi-complement), K_6 (edgeless complement) and the
+    # empty graphs: where the graph H a quantity is taken on has no edge both
+    # floors are 0, with no 0 / 0 (pyproject turns a RuntimeWarning into an
+    # error), and on a regular H both are q(H) = 2 d exactly
+    for size, bip, complete, want in (
+            (4, True, True, {"q": 8.0, "q_qc": 0.0}),
+            (4, True, False, {"q": 0.0, "q_qc": 8.0}),
+            (6, False, True, {"q": 10.0, "rho_complement": 0.0}),
+            (6, False, False, {"q": 0.0})):
+        us, _, order = _bit_ends(size, bip)
+        bits = np.full((1, len(us)), complete)
+        deg = np.full((order, 1), (size if bip else size - 1) if complete else 0, dtype=np.int16)
+        e = bits.sum(axis=1, dtype=np.int64)
+        for key, value in want.items():
+            assert harness._degree_floor(key, size, bip, deg, e).tolist() == [value], key
+            assert harness._rayleigh(key, size, bip, bits, deg).tolist() == [value], key
 
 
 @pytest.mark.parametrize("target, space, k", [
@@ -1291,16 +1379,20 @@ def test_trace_kernel_sees_only_rows_the_cycle_kernel_rejected(monkeypatch):
 
 def test_qc_recognizer_call_counts(monkeypatch):
     # one quasi-complement per recognized graph (2,794 per pass when each
-    # Bset call built its own two); backtracking isomorphism only past the
-    # component-size gate.  The recognizers see one graph per relabelling
-    # class, and the 990 exceptional rows fall into 44 classes
+    # Bset call built its own two); no backtracking isomorphism, since Gamma1
+    # and Gamma2 are looked up among their labelings (families does not
+    # import is_isomorphic, so a call would go through the graphs module).
+    # The recognizers see one graph per relabelling class, and the 990
+    # exceptional rows fall into 44 classes
     space = SearchSpace.balanced_bipartite_labeled(4)
-    verify_theorem("bip_q_qc", space)  # builds and summarises Gamma1 / Gamma2 once
-    calls = _count_calls(monkeypatch, families, ("quasi_complement", "is_isomorphic"))
+    verify_theorem("bip_q_qc", space)  # builds Gamma1 / Gamma2 and their labelings once
+    assert not hasattr(families, "is_isomorphic")
+    calls = _count_calls(monkeypatch, families, ("quasi_complement",))
+    calls.update(_count_calls(monkeypatch, graphs_module, ("is_isomorphic",)))
     recognized = _count_calls(monkeypatch, statements, ("recognize",))
     rep = verify_theorem("bip_q_qc", space)
     assert (rep.hypothesis_count, rep.exceptional_matches) == (7583, 990) and rep.clean
-    assert calls == {"quasi_complement": 44, "is_isomorphic": 12}
+    assert calls == {"quasi_complement": 44, "is_isomorphic": 0}
     assert recognized["recognize"] == 99
 
 
