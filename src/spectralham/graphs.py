@@ -103,13 +103,13 @@ class Graph:
         out.sort()
         return out
 
-    def matrix(self) -> np.ndarray:
-        """Dense float64 adjacency matrix (row v unpacked from the bitmask adj[v])."""
+    def matrix(self, dtype=float) -> np.ndarray:
+        """Dense adjacency matrix, float64 by default (row v unpacked from the bitmask adj[v])."""
         n = self.n
         width = (n + 7) // 8
         raw = b"".join(row.to_bytes(width, "little") for row in self.adj)
         octets = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
-        return np.unpackbits(octets, axis=1, count=n, bitorder="little").astype(float)
+        return np.unpackbits(octets, axis=1, count=n, bitorder="little").astype(dtype)
 
     def with_edge(self, u: int, v: int) -> "Graph":
         if u == v:
@@ -492,7 +492,7 @@ def pair_order(n: int) -> list[tuple[int, int]]:
 # Orders up to this cap run the graph6 codec and ``harness.graph_from_index``
 # through per-order tables (``_g6_masks``), built on first use; the tables
 # grow as O(n^4) bytes, about 1.6 MiB for every order up to the cap, so larger
-# orders run the bit loops.
+# orders go through a bool adjacency matrix (``_graph_from_pairs``).
 _G6_TABLE_CAP = 24
 # A 6-bit group of pair bits read least significant first, as a graph6 byte
 # value (first pair in the top bit), and that value's character.
@@ -538,16 +538,27 @@ def _graph_from_pair_bits(n: int, idx: int) -> Graph:
         masks = _g6_masks(n)
         return _graph_from_masks(n, masks, bytes(
             [_REV6[idx >> t & 63] for t in range(0, 6 * len(masks), 6)]))
-    rows = [0] * n
-    for t, (u, v) in enumerate(pair_order(n)):
-        if idx >> t & 1:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    npairs = n * (n - 1) // 2
+    raw = (idx & ((1 << npairs) - 1)).to_bytes((npairs + 7) // 8, "little")
+    return _graph_from_pairs(n, np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8), count=npairs, bitorder="little"))
 
 
-def graph6_encode(g: Graph) -> str:
-    """Standard graph6 string for g (supports n up to 258047)."""
+def _graph_from_pairs(n: int, pairs: np.ndarray) -> Graph:
+    """The graph on n vertices whose pair bits, in ``pair_order(n)``, are ``pairs``.
+
+    ``pair_order`` is the row-major lower triangle of the adjacency matrix.
+    """
+    a = np.zeros((n, n), dtype=bool)
+    a[np.tri(n, n, -1, dtype=bool)] = pairs
+    a |= a.T
+    return Graph(n, tuple(int.from_bytes(row.tobytes(), "little")
+                          for row in np.packbits(a, axis=1, bitorder="little")))
+
+
+def graph6_encode(g) -> str:
+    """Standard graph6 string for g (supports n up to 258047); a BipartiteGraph as ``to_graph()``."""
+    g = as_graph(g)
     n = g.n
     if n <= 62:
         head = chr(n + 63)
@@ -562,19 +573,11 @@ def graph6_encode(g: Graph) -> str:
             stream |= (g.adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
         nbits = n * (n - 1) // 2
         return head + bytes([_REV6_CHARS[stream >> t & 63] for t in range(0, nbits, 6)]).decode()
-    out = [head]
-    acc = 0
-    nbits = 0
-    for u, v in pair_order(n):
-        acc = (acc << 1) | (g.adj[v] >> u & 1)
-        nbits += 1
-        if nbits == 6:
-            out.append(chr(acc + 63))
-            acc = 0
-            nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    pairs = g.matrix(bool)[np.tri(n, n, -1, dtype=bool)]  # pair_order(n), as in _graph_from_pairs
+    groups = np.zeros(-(-pairs.size // 6) * 6, dtype=bool)  # zero padding to whole bytes
+    groups[: pairs.size] = pairs
+    values = np.packbits(groups.reshape(-1, 6), axis=1).ravel() >> 2  # first pair in bit 5
+    return head + (values + 63).tobytes().decode()
 
 
 def graph6_decode(s: str) -> Graph:
@@ -610,27 +613,14 @@ def graph6_decode(s: str) -> Graph:
             f"expected {nbytes} body bytes for n={n}, found {len(s) - body_at}",
             lead + min(len(s), body_at + nbytes),
         )
+    body = s[body_at:].encode().translate(_LESS_63)
+    # the padding bits (fewer than 6) all sit in the last body byte
+    if body and body[-1] & ((1 << (6 * nbytes - npairs)) - 1):
+        raise Graph6Error("nonzero padding bits", lead + len(s) - 1)
     if n <= _G6_TABLE_CAP:
-        body = s[body_at:].encode().translate(_LESS_63)
-        if body and body[-1] & ((1 << (6 * nbytes - npairs)) - 1):
-            raise Graph6Error("nonzero padding bits", lead + len(s) - 1)
         return _graph_from_masks(n, _g6_masks(n), body)
-    rows = [0] * n
-    pairs = pair_order(n)
-    idx = 0
-    for k in range(nbytes):
-        val = ord(s[body_at + k]) - 63
-        for b in range(5, -1, -1):
-            bit = val >> b & 1
-            if idx < npairs:
-                if bit:
-                    u, v = pairs[idx]
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                idx += 1
-            elif bit:
-                raise Graph6Error("nonzero padding bits", lead + body_at + k)
-    return Graph(n, tuple(rows))
+    octets = np.frombuffer(body, dtype=np.uint8).reshape(-1, 1)
+    return _graph_from_pairs(n, np.unpackbits(octets, axis=1)[:, 2:].ravel()[:npairs])
 
 
 def _graph6_lines(path: str) -> Iterator[tuple[str, str, Graph]]:

@@ -122,7 +122,6 @@ from .graphs import (
     Graph,
     _graph6_lines,
     _graph_from_pair_bits,
-    as_graph,
     bipartite_from_graph,
     graph6_encode,
     pair_order,
@@ -853,7 +852,7 @@ def _graphs_from_bits(size: int, bip: bool, bits: np.ndarray) -> list:
 
 def _graph6_rows(size: int, bip: bool, bits: np.ndarray) -> list[str]:
     """The graph6 strings of rows of pair bits (a bipartite row as its whole graph)."""
-    return [graph6_encode(as_graph(g)) for g in _graphs_from_bits(size, bip, bits)]
+    return [graph6_encode(g) for g in _graphs_from_bits(size, bip, bits)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ must be reproduced exactly:
   the Hamiltonicity one and bip_q in the bipartite one fire on none of the
   n <= 6 / side <= 4 graphs nor on 36,000 seeded random graphs of order
   7-12 and 24,000 of side 5-8: the comparisons before them fire first.)
+* ``golden_bound_reports.json``: one sha256 over the lines ``graph6, k,
+  bound_report(g, k).to_json()`` of seeded G(n, p) graphs at n = 1..60, 40
+  graphs at orders 25-500 and 30 balanced bipartite graphs (passed as
+  ``BipartiteGraph``), with k cycling through None, 0, delta and delta + 1.
 
 Re-record (only when a change of behaviour is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -45,6 +49,7 @@ from spectralham.families import FamilySpec, construct, h_family_members
 from spectralham.graphs import (
     BipartiteGraph,
     Graph,
+    as_graph,
     bipartite_from_graph,
     build_bipartite,
     graph6_decode,
@@ -58,6 +63,7 @@ from spectralham.harness import (
     random_model,
     verify_theorem,
 )
+from spectralham.spectral import bound_report
 
 DATA = Path(__file__).parent / "data"
 VERIFY_FILE = DATA / "golden_verify.json"
@@ -65,6 +71,7 @@ LEMMA_G6 = DATA / "golden_lemma_graphs.g6"
 BIP_G6 = DATA / "golden_bipartite_graphs.g6"
 HASH_FILE = DATA / "golden_certificate_hashes.json"
 LINES_FILE = DATA / "golden_certificates.txt"
+BOUNDS_FILE = DATA / "golden_bound_reports.json"
 
 L6, BIP3, BIP4 = SearchSpace.all_labeled(6), SearchSpace.balanced_bipartite_labeled(3), \
     SearchSpace.balanced_bipartite_labeled(4)
@@ -373,6 +380,37 @@ def _select_lines(per_key: int = 3) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Bound reports
+# ---------------------------------------------------------------------------
+
+def _bound_graphs() -> list:
+    """Seeded G(n, p) at n = 1..60, 40 graphs at orders 25-500, 30 balanced bipartite graphs."""
+    rng = np.random.default_rng(3141)
+
+    def draw(kind, p, **order):
+        return next(iter(random_model(kind, p=p, seed=int(rng.integers(1 << 30)), count=1, **order)))
+
+    graphs = [draw("uniform_gnp", p, n=n) for n in range(1, 61) for p in (0.05, 0.3, 0.8)]
+    orders = [25, 26, 62, 63, 64, 200, 500] + sorted(int(n) for n in rng.integers(27, 500, 33))
+    graphs += [draw("uniform_gnp", (0.01, 0.1, 0.5, 0.95)[i % 4], n=n) for i, n in enumerate(orders)]
+    graphs += [draw("bipartite_gnp", (0.2, 0.6, 0.9)[side % 3], side=side) for side in range(1, 31)]
+    return graphs
+
+
+def _bound_lines() -> list[str]:
+    lines = []
+    for i, g in enumerate(_bound_graphs()):
+        delta = min(as_graph(g).degrees())
+        k = (None, 0, delta, delta + 1)[i % 4]
+        lines.append(f"{graph6_encode(g)}\t{k}\t{json.dumps(bound_report(g, k).to_json())}")
+    return lines
+
+
+def _bound_hash() -> str:
+    return hashlib.sha256("".join(line + "\n" for line in _bound_lines()).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
 
@@ -418,6 +456,10 @@ def test_certificate_lines_golden():
         assert _cert_line(mode, _graph_from_text(graph), oracle == "1") == line, (mode, graph)
 
 
+def test_bound_reports_golden():
+    assert _bound_hash() == _load(BOUNDS_FILE)["sha256"]
+
+
 def _record():
     DATA.mkdir(exist_ok=True)
     _write_graph6_files()
@@ -433,6 +475,7 @@ def _record():
         {name: _group_hash(mode, build()) for name, (mode, build) in _hash_groups().items()},
         indent=1) + "\n")
     LINES_FILE.write_text("\n".join(_select_lines()) + "\n")
+    BOUNDS_FILE.write_text(json.dumps({"sha256": _bound_hash()}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

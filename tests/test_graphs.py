@@ -189,6 +189,14 @@ def test_graph6_goldens():
     assert graph6_decode("C~") == complete_graph(4)
 
 
+def test_graph6_encode_takes_a_bipartite_graph_as_its_whole_graph():
+    k23 = complete_bipartite_graph(2, 3)
+    assert graph6_encode(k23) == graph6_encode(k23.to_graph()) == "D]o"
+    assert graph6_decode(graph6_encode(k23)) == k23.to_graph()
+    with pytest.raises(TypeError):
+        graph6_encode("D]o")
+
+
 def test_graph6_roundtrip_small():
     from spectralham.harness import graph_from_index
 
@@ -205,8 +213,66 @@ def test_graph6_large_order_header():
     assert graph6_decode(s) == g
 
 
+# Pure-Python reference codec: the per-pair bit loops the library ran above the
+# table cap before its array path, kept here to check that path against.
+
+def _loop_graph_from_pair_bits(n, idx):
+    rows = [0] * n
+    for t, (u, v) in enumerate(graphs.pair_order(n)):
+        if idx >> t & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return graphs.Graph(n, tuple(rows))
+
+
+def _loop_encode(g):
+    n = g.n
+    out = [chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))]
+    acc = nbits = 0
+    for u, v in graphs.pair_order(n):
+        acc = (acc << 1) | (g.adj[v] >> u & 1)
+        nbits += 1
+        if nbits == 6:
+            out.append(chr(acc + 63))
+            acc = nbits = 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def _loop_decode(s):
+    """Decode a graph6 string with in-range bytes and a complete order field."""
+    lead = len(s) - len(s.lstrip())
+    s = s.strip()
+    if s[0] != "~":
+        n, body_at = ord(s[0]) - 63, 1
+    else:
+        n, body_at = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63), 4
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    if len(s) - body_at != nbytes:
+        raise Graph6Error(f"expected {nbytes} body bytes for n={n}, found {len(s) - body_at}",
+                          lead + min(len(s), body_at + nbytes))
+    rows = [0] * n
+    pairs = graphs.pair_order(n)
+    idx = 0
+    for k in range(nbytes):
+        val = ord(s[body_at + k]) - 63
+        for b in range(5, -1, -1):
+            bit = val >> b & 1
+            if idx < npairs:
+                if bit:
+                    u, v = pairs[idx]
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                idx += 1
+            elif bit:
+                raise Graph6Error("nonzero padding bits", lead + body_at + k)
+    return graphs.Graph(n, tuple(rows))
+
+
 def _tables_and_loops(fn):
-    """fn() with the codec's per-order tables, then with its bit loops at every order."""
+    """fn() with the codec's per-order tables, then with its array path at every order."""
     with pytest.MonkeyPatch.context() as mp:
         tables = fn()
         mp.setattr(graphs, "_G6_TABLE_CAP", -1)
@@ -238,6 +304,43 @@ def test_graph6_tables_match_bit_loops():
     tables, loops = _tables_and_loops(run)
     assert tables == loops
     assert all(decoded == g for g, _, decoded in tables)
+    reference = []
+    for n, idx in cases:
+        g = _loop_graph_from_pair_bits(n, idx)
+        reference.append((g, _loop_encode(g), _loop_decode(_loop_encode(g))))
+    assert loops == reference
+
+
+@pytest.mark.parametrize("n", sorted({*range(25, 71), 62, 63, 64, 200, 500}))
+def test_graph6_array_path_matches_python_reference(n):
+    from math import comb
+    from random import Random
+
+    from spectralham.harness import graph_from_index
+
+    rng = Random(n)
+    npairs = comb(n, 2)
+    # random, empty and complete graphs, and indices with bits above C(n, 2) set
+    for idx in (rng.getrandbits(npairs), rng.getrandbits(npairs) & rng.getrandbits(npairs),
+                0, (1 << npairs) - 1, rng.getrandbits(9) << npairs | rng.getrandbits(npairs)):
+        g = graph_from_index(n, idx)
+        assert g == _loop_graph_from_pair_bits(n, idx)
+        s = graph6_encode(g)
+        assert s == _loop_encode(g)
+        assert graph6_decode(s) == _loop_decode(s) == g
+    assert graph_from_index(n, (1 << npairs) - 1) == complete_graph(n)
+    assert graph_from_index(n, 1 << npairs) == empty_graph(n)
+
+
+def test_graph6_errors_above_the_cap_match_python_reference():
+    full = graph6_encode(empty_graph(100))
+    for bad in (_padded(26), _padded(27), _padded(29), " " + _padded(29), full + "?", full[:-1],
+                full[:-7]):
+        with pytest.raises(Graph6Error) as got:
+            graph6_decode(bad)
+        with pytest.raises(Graph6Error) as want:
+            _loop_decode(bad)
+        assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
 
 
 def _padded(n):

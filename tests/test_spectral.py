@@ -13,6 +13,7 @@ from spectralham.graphs import (
     complement,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     join,
     k_copies,
@@ -297,6 +298,44 @@ def test_bound_report_equality_examples():
     rep = bound_report(complete_bipartite_graph(3, 3).to_graph())
     rec = rep["balanced_bipartite_q"]
     assert rec.applicable and abs(rec.bound_value - 6) < TOL and abs(rec.slack) < TOL
+
+
+# The per-vertex and per-edge bounds as bound_report once summed them, one
+# Python number at a time: the reference for its array formulas.
+_PYTHON_BOUNDS = {
+    "degree_mean": lambda g, degs: max(
+        degs[u] + sum(degs[v] for v in g.neighbors(u)) / degs[u] for u in range(g.n) if degs[u] > 0),
+    "berman_zhang": lambda g, degs: min(math.sqrt(degs[u] * degs[v]) for u, v in g.edges()),
+    "anderson_morley": lambda g, degs: float(min(degs[u] + degs[v] for u, v in g.edges())),
+}
+
+
+def test_bound_report_matches_python_formulas():
+    rng = np.random.default_rng(2024)
+    cases = [gnp(n, p, rng) for n in range(1, 61) for p in (0.05, 0.3, 0.8)]
+    # isolated vertices next to edges, edgeless graphs, K_{a,b} as a BipartiteGraph
+    cases += [disjoint_union(complete_graph(4), empty_graph(3)), join(empty_graph(2), empty_graph(1)),
+              disjoint_union(path_graph(2), empty_graph(5)), *map(empty_graph, (1, 2, 3))]
+    cases += [complete_bipartite_graph(a, b) for a in range(1, 5) for b in range(a, 7)]
+    checked = 0
+    for g in cases:
+        plain = as_graph(g)
+        degs = plain.degrees()
+        delta = min(degs)
+        for k in (None, 0, delta, delta + 1):
+            rep = bound_report(g, k)
+            for bound_id, formula in _PYTHON_BOUNDS.items():
+                rec = rep[bound_id]
+                assert rec.applicable == (plain.edge_count >= 1)
+                if not rec.applicable:
+                    continue
+                value = formula(plain, degs)
+                measured = rep.q if bound_id != "berman_zhang" else rep.rho
+                slack = value - measured if rec.kind == "upper" else measured - value
+                assert type(rec.bound_value) is float
+                assert (rec.bound_value, rec.slack, rec.satisfied) == (value, slack, slack >= -1e-9)
+                checked += 1
+    assert checked > 600
 
 
 def test_bound_report_applicability():
