@@ -288,36 +288,33 @@ def _induced(g: Graph, keep: list[int]) -> Graph:
     return Graph(len(keep), tuple(rows))
 
 
-def _clique_component_sizes(g: Graph) -> Optional[list[int]]:
-    """Component sizes if every component is a clique, else None."""
-    sizes = []
-    for m in g.components():
-        c = m.bit_count()
-        verts = list(bits(m))
-        for v in verts:
-            if (g.adj[v] & m).bit_count() != c - 1:
-                return None
-        sizes.append(c)
-    return sorted(sizes)
-
-
-def _dominating(g: Graph) -> list[int]:
-    return [v for v in range(g.n) if g.degree(v) == g.n - 1]
-
-
 def _is_split_join(g: Graph, d: int, clique_sizes: list[int]) -> bool:
-    """g == K_d v (disjoint cliques of the given sizes)?"""
+    """g == K_d v (disjoint cliques of the given sizes)?
+
+    On bitmasks: the vertices of degree n - 1 must number d, and once they
+    are removed each vertex's closed neighbourhood within the rest must equal
+    that of each of its members, which makes it a clique that no edge leaves
+    (a component).
+    """
     n = d + sum(clique_sizes)
     if g.n != n:
         return False
-    doms = _dominating(g)
+    full = (1 << n) - 1
+    doms = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() == n - 1)
     if len(clique_sizes) == 1:  # K_d v K_s is K_n, where every vertex dominates
-        return len(doms) == n
-    if len(doms) != d:
+        return doms == full
+    if doms.bit_count() != d:
         return False
-    rest = [v for v in range(n) if v not in doms]
-    got = _clique_component_sizes(_induced(g, rest))
-    return got == sorted(clique_sizes)
+    rest = left = full & ~doms
+    sizes = []
+    while left:
+        v = (left & -left).bit_length() - 1
+        comp = (g.adj[v] & rest) | (1 << v)
+        if any((g.adj[u] & rest) | (1 << u) != comp for u in bits(comp)):
+            return False
+        sizes.append(comp.bit_count())
+        left &= ~comp
+    return sorted(sizes) == sorted(clique_sizes)
 
 
 def recognize_h_family(g: Graph, n: int) -> bool:

@@ -15,18 +15,22 @@ exhaustion is recorded per graph and never counted as a pass.
 Row blocks.  Every space reaches one engine as blocks of rows of one order
 (one side for bipartite rows).  A row is a graph's pair bits, in
 ``pair_order`` or bit i*side+j for the cross pair x_i y_j, and a block
-carries its rows' edge counts and degrees (int16, vertex-major).  A block
-holds only rows of its space (a labeled_min_degree range drops its rows with
-delta < k).  Index ranges (the enumerated spaces) add the degrees of the low
-and the high index bits from two ``_degree_table``s, built once per (size,
-bip), and unpack the bits of an index only where they are read.  A campaign
-gives statistics only to the index rows whose edge count some statement of
-its target can accept (``_edge_window``, from the same (e, delta, Delta)
-evaluation as the gate table), and counts the others as processed.  A
-target with a statement on a minimum degree sum, and a labeled_min_degree
-space, admit every edge count.  graph6 files and random models materialise
-the bits, grouped by order (by side when a graph6 file is read through its
-bipartition for a bipartite target), and count the degrees from them.
+carries its rows' edge counts and degrees (vertex-major; int8 for index
+rows, whose order the enumeration caps keep at 10 or less, int16 for
+materialised rows).  A block holds only rows of its space (a
+labeled_min_degree range drops its rows with delta < k).  Index ranges (the
+enumerated spaces) add the degrees of the low and the high index bits from
+two ``_degree_table``s, built once per (size, bip), and unpack the bits of
+an index only where they are read.  A campaign gives statistics only to the
+index rows whose edge count some statement of its target can accept
+(``_edge_window``, from the same (e, delta, Delta) evaluation as the gate
+table; ``_window_rows`` keeps the admitted rows of the low table, with their
+degrees and edge counts, per edge count of the high bits), and counts the
+others as processed.  A target with a statement on a minimum degree sum,
+and a labeled_min_degree space, admit every edge count.  graph6 files and
+random models materialise the bits, grouped by order (by side when a graph6
+file is read through its bipartition for a bipartite target), and count the
+degrees from them.
 
 Each statistic or spectral radius is one column, and
 ``Statement.hypothesis`` over the columns gives each statement's mask
@@ -45,12 +49,12 @@ gated again, with the lower end of their interval raised to a floor on the
 value: for q and q_qc first the degree floor sum x^2 / e(H) (``_degree_floor``),
 then, on the rows it leaves, the Rayleigh quotient x^T M x / x^T x
 (``_rayleigh``), x being the degree vector of the graph H the radius is
-taken on.  Both are one division of exact int64 sums, and by
-Cauchy-Schwarz the degree floor is never above the quotient, so it cuts no
-row the quotient would keep.  A row survives when it passes the gate of
-some radius statement, or the hypothesis of a statement on an integer
-quantity; the others fail every hypothesis.  The edge-count window and the
-gate change no verdict, count or failure list.
+taken on.  Both are one division of exact sums (int32 terms summed in
+int64), and by Cauchy-Schwarz the degree floor is never above the quotient,
+so it cuts no row the quotient would keep.  A row survives when it passes
+the gate of some radius statement, or the hypothesis of a statement on an
+integer quantity; the others fail every hypothesis.  The edge-count window
+and the gate change no verdict, count or failure list.
 
 Relabelling classes.  The surviving rows are gathered over blocks, up to
 _GROUP_ROWS of one order, and ``_eval_group`` keys each of them once.  A
@@ -160,8 +164,8 @@ _EIG_BYTES = 1 << 20
 # Bytes of float64 deviates per random-model block; graph6 blocks take as
 # many rows.
 _ROW_BYTES = 1 << 20
-# Bytes of one (pairs, rows) int64 temporary of ``_rayleigh`` or ``_class_keys``:
-# 1,024 rows at side 4.
+# Bytes of one (pairs, rows) int64 temporary of ``_class_keys`` (``_rayleigh``'s
+# are int32, half of it): 1,024 rows at side 4.
 _PAIR_BYTES = 1 << 17
 # Entries of the largest (e, delta, Delta) gate table.
 _GATE_TABLE_MAX = 1 << 16
@@ -354,15 +358,17 @@ def _bit_ends(size: int, bip: bool):
 def _degree_table(size: int, bip: bool, first: int = 0):
     """Degrees and edge counts of the graphs on the pair bits first .. first + low - 1.
 
-    low = min(bits past first, log2 _CHUNK).  deg[v, i] (int16, vertex-major)
+    low = min(bits past first, log2 _CHUNK).  deg[v, i] (int8, vertex-major)
     is the degree of v and e[i] the edge count of the graph whose bits read i;
     the table doubles once per bit, and i + 2^t adds bit first + t's two ends
-    to i.  It holds at most 10 x 16,384 entries.
+    to i.  It holds at most 10 x 16,384 entries.  int8 holds every degree of
+    an index row: the enumeration caps keep the order at 10 or less, so a
+    degree, and even a sum of two (``_min_degree_sum``), stays below 127.
     """
     us, vs, order = _bit_ends(size, bip)
     us, vs = us[first:], vs[first:]
     low = min(len(us), _CHUNK.bit_length() - 1)
-    deg = np.zeros((order, 1 << low), dtype=np.int16)
+    deg = np.zeros((order, 1 << low), dtype=np.int8)
     for t in range(low):
         half = deg[:, 1 << t : 2 << t]
         half[...] = deg[:, : 1 << t]
@@ -374,8 +380,10 @@ def _degree_table(size: int, bip: bool, first: int = 0):
 def _stats(deg: np.ndarray, e: np.ndarray) -> dict:
     """A block's integer statistics from its degrees deg (order, rows) and edge counts e.
 
-    deg is vertex-major int16, so the reductions run over contiguous rows;
-    delta / Delta are the minimum / maximum degree and two_delta is 2 delta.
+    deg is vertex-major (int8 for index rows, int16 for materialised rows),
+    so the reductions run over contiguous rows; delta / Delta are the
+    minimum / maximum degree and two_delta is 2 delta, all three int64: the
+    bound formulas multiply them by Python ints, which int8 would wrap.
     """
     delta = deg.min(axis=0).astype(np.int64)
     return {"deg": deg, "e": e, "delta": delta, "two_delta": 2 * delta,
@@ -407,9 +415,15 @@ class _Block:
 
 
 @lru_cache(maxsize=64)
-def _window_rows(size: int, bip: bool, window: bytes, high: int) -> np.ndarray:
-    """The rows of ``_degree_table`` whose edge count plus high the window admits."""
-    return np.flatnonzero(np.frombuffer(window, dtype=bool)[_degree_table(size, bip)[1] + high])
+def _window_rows(size: int, bip: bool, window: bytes, high: int) -> tuple:
+    """The rows of ``_degree_table`` whose edge count plus high the window
+    admits, their degrees (C-contiguous) and their edge counts, read-only."""
+    deg, e = _degree_table(size, bip)
+    sel = np.flatnonzero(np.frombuffer(window, dtype=bool)[e + high])
+    cols = sel, deg.take(sel, axis=1), e[sel]
+    for col in cols:
+        col.flags.writeable = False
+    return cols
 
 
 def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional[int] = None,
@@ -420,9 +434,11 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
     low index bits plus one column of the table over the high bits (at most
     log2 _CHUNK of them), the same for the whole table block.  window (one
     bool per edge count, never given with min_deg) keeps only the rows whose
-    edge count it admits: a table block takes its admitted rows from
-    ``_window_rows`` for the edge count of its high bits, and the admitted
-    rows of consecutive table blocks are joined into one C-contiguous block.
+    edge count it admits: a table block takes its admitted rows, with their
+    degrees and edge counts, from ``_window_rows`` for the edge count of its
+    high bits (a slice of them for a partial first or last table block), and
+    the admitted rows of consecutive table blocks are joined into one
+    C-contiguous block.
     """
     deg_low, e_low = _degree_table(size, bip)
     width = deg_low.shape[1]
@@ -436,14 +452,15 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
         if window is None:
             sel, deg, e = np.arange(lo, hi), deg_low[:, lo:hi], e_low[lo:hi]
         else:
-            sel = _window_rows(size, bip, window, e_top)
-            sel = sel[slice(*np.searchsorted(sel, (lo, hi)))]
-            # take keeps deg C-contiguous (deg_low[:, sel] would not), so the
-            # per-vertex reductions of _stats run over contiguous rows
-            deg, e = deg_low.take(sel, axis=1), e_low[sel]
+            sel, deg, e = _window_rows(size, bip, window, e_top)
+            if lo or hi < width:
+                a, b = np.searchsorted(sel, (lo, hi))
+                sel, deg, e = sel[a:b], deg[:, a:b], e[a:b]
         if parts and rows + len(sel) > _CHUNK:
             yield _joined_block(size, bip, parts, min_deg)
             parts, rows = [], 0
+        # deg + high is a new C-contiguous array (never the read-only cache),
+        # so the per-vertex reductions of _stats run over contiguous rows
         parts.append((block * width + sel, deg + high, e + e_top, hi - lo))
         rows += len(sel)
         pos = block * width + hi
@@ -557,7 +574,7 @@ def _eig_rows(order: int) -> int:
 
 def _pair_rows(size: int, bip: bool) -> int:
     """Rows per ``_rayleigh`` or ``_class_keys`` call: a (pairs, rows) int64
-    temporary in _PAIR_BYTES."""
+    temporary in _PAIR_BYTES (``_rayleigh``'s int32 ones take half)."""
     return max(1, _PAIR_BYTES // (8 * max(len(_bit_ends(size, bip)[0]), 1)))
 
 
@@ -761,21 +778,29 @@ def _rayleigh(key: str, size: int, bip: bool, bits: np.ndarray, deg: np.ndarray)
     (rho keys) or the signless Laplacian (q keys) of the graph of each row
     of bits, its complement or its quasi-complement, with deg (order, rows)
     the row's degrees.  An edge uv adds 2 x_u x_v to x^T A x and
-    (x_u + x_v)^2 to x^T Q x.  Numerator and denominator are int64 sums, so
-    exact.  Its temporaries are (pairs, rows) int64 arrays; ``_gate`` bounds
-    them by _PAIR_BYTES.  A row whose x is 0 gets 0.
+    (x_u + x_v)^2 to x^T Q x.  x and the pair weights are int32, which
+    holds (2 d)^2 for every degree d below 23,170 (one row of that order
+    would hold 2.7e8 pair bits), and numerator and denominator are summed
+    in int64, so both are exact.  Its (pairs, rows) temporaries are bounded by
+    ``_gate`` (_PAIR_BYTES).  A row whose x is 0 gets 0.
     """
     us, vs, _ = _bit_ends(size, bip)
-    x = deg.astype(np.int64, order="C")
+    x = deg.astype(np.int32)
     edges = bits.T
     complemented, signless = RADII[key]
     if complemented:
         x = (size if bip else size - 1) - x
         edges = ~edges
-    xu, xv = x[us], x[vs]
-    w = (xu + xv) ** 2 if signless else 2 * xu * xv
-    num = np.einsum("tr,tr->r", w, edges)
-    den = np.einsum("vr,vr->r", x, x)
+    w = x[us]
+    if signless:
+        w += x[vs]
+        w *= w
+    else:
+        w *= x[vs]
+        w *= 2
+    w *= edges
+    num = w.sum(axis=0, dtype=np.int64)
+    den = np.square(x).sum(axis=0, dtype=np.int64)
     return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
 
 
@@ -789,10 +814,11 @@ def _degree_floor(key: str, size: int, bip: bool, deg: np.ndarray, e: np.ndarray
     ``_rayleigh``'s quotient.  Both are one correctly rounded division of
     exact int64 sums, so the computed floor is at most the computed quotient
     too.  A row whose H has no edge gets 0.  The sums are taken from deg
-    directly (sum d^2, and sum d = 2e), so no int64 copy of deg is made.
+    directly (sum d^2, and sum d = 2e), so no int64 copy of deg is made:
+    each d^2 is int32 (exact for any int16 degree) and their sum int64.
     """
     us, _, order = _bit_ends(size, bip)
-    num = np.einsum("vr,vr->r", deg, deg, dtype=np.int64)
+    num = np.square(deg, dtype=np.int32).sum(axis=0, dtype=np.int64)
     if RADII[key][0]:
         # x = full - d, so sum x^2 = order full^2 - 2 full sum d + sum d^2
         full = size if bip else size - 1

@@ -21,7 +21,7 @@ meets a closed form or another computed eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -297,7 +297,9 @@ class BoundRecord:
     slack: Optional[float]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # every field is a str, bool, float or None, so a shallow copy of the
+        # fields is dataclasses.asdict's result without its recursive deep copy
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -1250,10 +1250,14 @@ def test_high_index_bits_fit_one_degree_table(size, bip):
     # the table over the pair bits past the low table, which covers at most
     # log2 _CHUNK bits: raising an enumeration cap past 28 / 25 pair bits
     # needs a third table
-    nbits = len(_bit_ends(size, bip)[0])
+    nbits, order = len(_bit_ends(size, bip)[0]), _bit_ends(size, bip)[2]
     low = harness._degree_table(size, bip)[1].size.bit_length() - 1
     assert nbits - low <= _CHUNK.bit_length() - 1
     assert harness._degree_table(size, bip, low)[1].size == 1 << (nbits - low)
+    # the narrow table dtype holds a degree, and the sum of two that
+    # _min_degree_sum forms in it, at the largest order an index row has
+    for first in (0, low):
+        assert np.iinfo(harness._degree_table(size, bip, first)[0].dtype).max >= 2 * (order - 1)
 
 
 @pytest.mark.parametrize("objective", ["max_rho", "max_q"])
@@ -1332,6 +1336,35 @@ def test_degree_floor_of_edgeless_graphs_warns_nothing():
         for key, value in want.items():
             assert harness._degree_floor(key, size, bip, deg, e).tolist() == [value], key
             assert harness._rayleigh(key, size, bip, bits, deg).tolist() == [value], key
+
+
+def _gate_sums_int64(key, size, bip, bits, deg, e):
+    """``_rayleigh``'s quotient and ``_degree_floor``'s sum x^2 / e(H), every
+    product and sum in int64 and x formed directly (the reference)."""
+    us, vs, order = _bit_ends(size, bip)
+    x, edges, pairs = deg.astype(np.int64), bits.T, e
+    if statements.RADII[key][0]:
+        x, edges, pairs = (size if bip else size - 1) - x, ~edges, len(us) - e
+    w = (x[us] + x[vs]) ** 2 if statements.RADII[key][1] else 2 * x[us] * x[vs]
+    num, den = (w * edges).sum(axis=0), (x * x).sum(axis=0)
+    return (np.divide(num, den, out=np.zeros(len(den)), where=den > 0),
+            np.divide(den, pairs, out=np.zeros(len(den)), where=pairs > 0))
+
+
+@pytest.mark.parametrize("size, bip", [(60, False), (400, False), (30, True), (200, True)])
+@pytest.mark.parametrize("p", [0.9, 0.05])
+def test_narrow_gate_sums_stay_exact_at_large_order(size, bip, p):
+    # materialised int16 rows at orders 60 and 400: the int32 pair weights
+    # and squares of _rayleigh and _degree_floor, summed in int64, give the
+    # int64 reference bitwise (the dense q numerators pass 2^31 at order 400)
+    bits = np.concatenate(list(harness._gnp_bits(size, bip, p, 7, 3)))
+    blk = harness._row_block(size, bip, bits)
+    deg, e = blk.stats["deg"], blk.stats["e"]
+    assert deg.dtype == np.int16 and len(e) == 3
+    for key in statements.RADII:
+        rayleigh, floor = _gate_sums_int64(key, size, bip, bits, deg, e)
+        assert harness._rayleigh(key, size, bip, bits, deg).tobytes() == rayleigh.tobytes(), key
+        assert harness._degree_floor(key, size, bip, deg, e).tobytes() == floor.tobytes(), key
 
 
 @pytest.mark.parametrize("target, space, k", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -298,6 +299,10 @@ def test_bound_report_equality_examples():
     rep = bound_report(complete_bipartite_graph(3, 3).to_graph())
     rec = rep["balanced_bipartite_q"]
     assert rec.applicable and abs(rec.bound_value - 6) < TOL and abs(rec.slack) < TOL
+    # to_json's shallow dict is dataclasses.asdict's, on records that apply and that do not
+    recs = rep.records + bound_report(complete_graph(5), k=4).records
+    assert {rec.applicable for rec in recs} == {True, False}
+    assert all(rec.to_json() == dataclasses.asdict(rec) for rec in recs)
 
 
 # The per-vertex and per-edge bounds as bound_report once summed them, one
