@@ -62,44 +62,51 @@ row's key is the row relabelled by one round of colour refinement (stable
 order of degree, then neighbours' degree sum, each side on its own), read as
 an int64 (``_class_keys``, its neighbour sums two float32 products with a
 cached incidence matrix).  Equal keys mean isomorphic rows (and
-complements and quasi-complements).
-``_Classes.values`` is the one place a per-class value comes from: with the
-call's memos, keyed per (quantity or question, order) by the ``_Classes``
-itself, it decides each key once, on the key's own bits, and scatters the
-value to the rows, so a value depends on its class alone (at tol = 0 a whole
-class lies on one side of a threshold).  Rows of more than 63 bits (order
-12 and up, side 8 and up) have no key: each is a class of one, decided every
-time.
+complements and quasi-complements).  ``_row_classes`` gives each row's
+class, one row of each class and each class's size.  From then on a group
+is evaluated per class: everything a hypothesis or a conclusion reads (e,
+delta, Delta, the degree sums, the gate flags, the radii, the verdicts, the
+graph checks and the recognizers) is a class invariant, so each class takes
+its statistics and gate flags from one of its rows and the rest once.
+``_Classes.values`` is the one place a per-class value comes from: asked by
+class index, with the call's memos, keyed per (quantity or question, order)
+by the ``_Classes`` itself, it decides each key once, on the key's own bits,
+so a value depends on its class alone (at tol = 0 a whole class lies on one
+side of a threshold).  Rows of more than 63 bits (order 12 and up, side 8
+and up) have no key: each is a class of one, decided every time.
 
 Conclusions.  With the same classes, each radius is eigensolved over the
-rows its gate kept (``_Classes.radii``, batched eigvalsh of the
+classes its gate kept (``_Classes.radii``, batched eigvalsh of the
 representatives' ``statements.radius_matrix``), the hypothesis masks
-follow, and the candidate rows (some mask holds) are decided per class: the
-hypothesis and the conclusion are both isomorphism-invariant.
-``_Classes.verdicts`` is the one place an oracle verdict comes from: it
-decides "Hamiltonian?" / "traceable?" for the representatives with
-``oracle._held_karp_batch`` up to order 16, charging each representative
-1 << order nodes, which no relabelling changes (aborted past the budget),
-and validating every witness; the scalar oracle above that, and nowhere
-else.  The closure checks, the clique / biclique conclusions and the
-exceptional-family recognizers are asked once per class too.  Every
-statement is finished a column at a time: a "not_ham" check reads the
-Hamiltonicity column, traceability is asked only of rows that are not
-Hamiltonian, and the other questions look at the masked rows only.  Counts (processed, hypotheses,
-exceptional matches) stay per row, and the graph6 of a failing or aborted
-row is built from that row's own bits.
+follow, one entry per class, and the candidate classes (some mask holds)
+are decided: the hypothesis and the conclusion are both
+isomorphism-invariant.  ``_Classes.verdicts`` is the one place an oracle
+verdict comes from: it decides "Hamiltonian?" / "traceable?" for the
+representatives with ``oracle._held_karp_batch`` up to order 16, charging
+each representative 1 << order nodes, which no relabelling changes (aborted
+past the budget), and validating every witness; the scalar oracle above
+that, and nowhere else.  The closure checks, the clique / biclique
+conclusions and the exceptional-family recognizers are asked once per class
+too.  Every statement is finished a column at a time: a "not_ham" check
+reads the Hamiltonicity column, traceability is asked only of classes that
+are not Hamiltonian, and the other questions look at the masked classes
+only.  The class sizes are the row weights: processed counts the rows of
+the space, and hypothesis_count and exceptional_matches add the sizes of
+the classes that count.  Only a failing or aborted class is expanded back
+to its rows, and each of them is reported by the graph6 of its own bits.
 
 ``extremal_search`` and the soundness sweep read the same producers and take
 their radii and verdicts per class the same way, with memos per call, so
 they pay the batched node charge too.  Extremal search asks for verdicts
-only on the rows that can still reach the best value decided "no" so far,
-and builds graph6 strings only for its optima.  The sweep builds no
+only on the classes that can still reach the best value decided "no" so
+far, and builds graph6 strings only for the rows of its optima.  The sweep builds no
 ``Certificate``: it runs a certifier cascade on a block's columns
 (``_fired_rows``), so that per k = delta(G) a row fires at the first step
 whose precondition and ``Statement.holds_at`` pass, the comparison the
-certifier makes on one graph.  It builds a labeled graph only for a fired
-row, for the fired statement's exceptional families, and asks for the
-verdicts of the fired rows.  An enumerated campaign can be split into
+certifier makes on one graph.  It recognizes the fired statement's
+exceptional families once per (class, fired step) in the call, on the
+labeled graph of the first row that fires there, and asks for the verdicts
+of the fired rows' classes.  An enumerated campaign can be split into
 ``jobs`` index ranges, run by at most as many workers as there are ranges
 and CPUs; the merged report equals the serial one.
 ``VerificationReport.timings`` charges time to the stages stats (including
@@ -417,10 +424,12 @@ class _Block:
 @lru_cache(maxsize=64)
 def _window_rows(size: int, bip: bool, window: bytes, high: int) -> tuple:
     """The rows of ``_degree_table`` whose edge count plus high the window
-    admits, their degrees (C-contiguous) and their edge counts, read-only."""
+    admits: their int32 table indices, their degrees (C-contiguous) and their
+    int8 edge counts, read-only.  ``_joined_block`` widens the indices and
+    edge counts to int64."""
     deg, e = _degree_table(size, bip)
     sel = np.flatnonzero(np.frombuffer(window, dtype=bool)[e + high])
-    cols = sel, deg.take(sel, axis=1), e[sel]
+    cols = sel.astype(np.int32), deg.take(sel, axis=1), e[sel].astype(np.int8)
     for col in cols:
         col.flags.writeable = False
     return cols
@@ -460,7 +469,9 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
             yield _joined_block(size, bip, parts, min_deg)
             parts, rows = [], 0
         # deg + high is a new C-contiguous array (never the read-only cache),
-        # so the per-vertex reductions of _stats run over contiguous rows
+        # so the per-vertex reductions of _stats run over contiguous rows; a
+        # cached int32 index plus block * width stays below the 2^28 indices
+        # of the largest space, and an int8 edge count below its 28 pairs
         parts.append((block * width + sel, deg + high, e + e_top, hi - lo))
         rows += len(sel)
         pos = block * width + hi
@@ -470,9 +481,15 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
 
 def _joined_block(size: int, bip: bool, parts: list, min_deg: Optional[int]) -> _Block:
     """One block of the index rows gathered in parts by ``_index_blocks``; with
-    min_deg only those of minimum degree >= min_deg, which its span counts."""
+    min_deg only those of minimum degree >= min_deg, which its span counts.
+
+    Its indices and edge counts are int64 (``_window_rows`` caches them
+    narrower): ``_gate`` codes a row's triple as (e * order + delta) * order
+    + Delta, which int8 would wrap.
+    """
     index, deg, e = (col[0] if len(parts) == 1 else np.concatenate(col, axis=-1)
                      for col in list(zip(*parts))[:3])
+    index, e = index.astype(np.int64, copy=False), e.astype(np.int64, copy=False)
     span = sum(p[3] for p in parts)
     if min_deg is not None:
         keep = np.flatnonzero(deg.min(axis=0) >= min_deg)
@@ -662,21 +679,26 @@ def _class_keys(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray):
 class _Classes:
     """Rows of pair bits (of one size and bip) grouped by relabelling class.
 
-    Row r is in class of[r].  keys lists the class keys, or is None when the
-    rows have more than 63 bits and so no int64 key; each row is then a
-    class of one.  memos is the call's {(name, size, bip): {class key: value}}.
+    Row r is in class of[r]; row[c] is one of the rows of class c and
+    sizes[c] their number, the class's weight in every count.  keys
+    lists the class keys, or is None when the rows have more than 63 bits
+    and so no int64 key; each row is then a class of one.  memos is the
+    call's {(name, size, bip): {class key: value}}.  Values are asked by
+    class index c (an int array) and come back one per class.
     """
 
     size: int
     bip: bool
     rows: np.ndarray
     of: np.ndarray
+    row: np.ndarray
+    sizes: np.ndarray
     memos: defaultdict
     keys: Optional[list] = None
 
     @property
     def count(self) -> int:
-        return len(self.of) if self.keys is None else len(self.keys)
+        return len(self.row)
 
     def bits(self, c: Optional[np.ndarray] = None) -> np.ndarray:
         """The representatives of the classes c (every class when None): the
@@ -686,16 +708,15 @@ class _Classes:
         return _bits_of(self.rows.shape[1],
                         self.keys if c is None else [self.keys[i] for i in c.tolist()])
 
-    def radii(self, key: str, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """The spectral quantity ``key`` of the given rows (every row when None),
-        eigensolved once per class on its representative, so a value depends
-        on its class alone."""
-        return self.values(key, lambda c: _radii(key, self.size, self.bip, self.bits(c)), rows)
+    def radii(self, key: str, c: Optional[np.ndarray] = None) -> np.ndarray:
+        """The spectral quantity ``key`` of the classes c (every class when
+        None), eigensolved on their representatives."""
+        return self.values(key, lambda c: _radii(key, self.size, self.bip, self.bits(c)), c)
 
     def verdicts(self, question: str, budget: int,
-                 rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Statuses ("yes" / "no" / "aborted") of "ham" or "trace" for the given
-        rows (every row when None), decided once per class on its representative.
+                 c: Optional[np.ndarray] = None) -> np.ndarray:
+        """Statuses ("yes" / "no" / "aborted") of "ham" or "trace" for the
+        classes c (every class when None), decided on their representatives.
 
         Up to order _HK_MAX_ORDER the batched Held-Karp kernel decides them,
         charging each representative 1 << order nodes (all "aborted" past the
@@ -713,32 +734,28 @@ class _Classes:
                 return np.full(len(c), "aborted")
             return np.where(_held_karp_batch(adj, order, question == "ham")[0], "yes", "no")
 
-        return self.values(question, solve, rows)
+        return self.values(question, solve, c)
 
-    def values(self, name: str, solve: Callable, rows: Optional[np.ndarray] = None):
-        """The value ``name`` of each of the given rows (every row when None), per class.
+    def values(self, name: str, solve: Callable, c: Optional[np.ndarray] = None) -> np.ndarray:
+        """The value ``name`` of each of the classes c (every class when None).
 
         A keyed class takes memo[key], memo = memos[name, size, bip]; only the
         classes missing from memo go to solve, which gets their indices and
         returns their values, computed on the representatives, and memo keeps
         them.  Unkeyed classes are solved every time.
         """
-        if rows is None:
-            which, at = range(self.count), self.of
-        elif len(rows):
-            which, at = np.unique(self.of[rows], return_inverse=True)
-            which = which.tolist()
-        else:
+        if c is not None and not len(c):
             return np.zeros(0, dtype=bool)
         if self.keys is None:
-            return np.asarray(solve(np.array(which)))[at]
+            return np.asarray(solve(np.arange(self.count) if c is None else c))
         memo = self.memos[name, self.size, self.bip]
-        keys = self.keys if rows is None else [self.keys[c] for c in which]
-        new = [c for c, key in zip(which, keys) if key not in memo]
+        which = range(self.count) if c is None else c.tolist()
+        keys = self.keys if c is None else [self.keys[i] for i in which]
+        new = [i for i, key in zip(which, keys) if key not in memo]
         if new:
             solved = np.asarray(solve(np.array(new))).tolist()
-            memo.update(zip([self.keys[c] for c in new], solved))
-        return np.array([memo[key] for key in keys])[at]
+            memo.update(zip([self.keys[i] for i in new], solved))
+        return np.array([memo[key] for key in keys])
 
 
 def _row_classes(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray, memos) -> _Classes:
@@ -748,14 +765,17 @@ def _row_classes(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray, memos)
     memos (a defaultdict(dict)) is the calling driver's.
     """
     if bits.shape[1] > 63:
-        return _Classes(size, bip, bits, np.arange(len(bits)), memos)
+        rows = np.arange(len(bits))
+        return _Classes(size, bip, bits, rows, rows, np.ones(len(bits), dtype=np.int64), memos)
     step = _pair_rows(size, bip)
     keys = np.concatenate([
         _class_keys(size, bip, bits[lo : lo + step], deg[:, lo : lo + step])[0]
         for lo in range(0, len(bits), step)
     ])
-    uniq, of = np.unique(keys, return_inverse=True)
-    return _Classes(size, bip, bits, of, memos, uniq.tolist())
+    uniq, of, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    row = np.empty(len(uniq), dtype=np.int64)
+    row[of] = np.arange(len(keys))  # any row of a class will do: no sorting for the first
+    return _Classes(size, bip, bits, of, row, sizes, memos, uniq.tolist())
 
 
 def _radius_interval(key: str, stats: dict, size: int, bip: bool):
@@ -931,9 +951,13 @@ class _Clock:
 class VerificationReport:
     """Outcome of one campaign.
 
-    hypothesis_count sums over the target's atomic checks, so a graph
-    satisfying several parts of a multi-part theorem is counted once per
-    part.  conclusion_failures / aborted carry graph6 strings, sorted.
+    processed counts the graphs of the space.  hypothesis_count sums over
+    the target's atomic checks, so a graph satisfying several parts of a
+    multi-part theorem is counted once per part; the campaign decides each
+    relabelling class once and adds its size (its number of graphs) to
+    hypothesis_count and exceptional_matches.  conclusion_failures / aborted
+    carry graph6 strings, sorted, one per graph: a failing or aborted class
+    lists each of its graphs by its own labeling.
     timings holds perf_counter seconds per stage (stats, gate, eigensolve,
     hypothesis, conclusion, recognize), summed over blocks and workers; the
     gate stage includes choosing the surviving rows, and the eigensolve stage
@@ -1150,32 +1174,41 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
 
 def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget,
                 memos: dict, clock):
-    """Radii, hypotheses and conclusions of surviving rows, per relabelling class.
+    """Radii, hypotheses and conclusions of surviving rows, one relabelling class at a time.
 
     group lists (bits, stats, gates) of the surviving rows of some blocks,
     gates holding, per radius, the rows its gate kept.  The rows are keyed
-    once (``_row_classes``), and every per-class value comes from that one
-    ``_Classes``, kept in the call's memos, answered on the class's
-    representative and scattered back to the rows: first each radius over
-    its gated rows (NaN elsewhere, which fails every comparison), then,
-    after each statement's mask, the questions below.  Hamiltonicity is
-    asked of every row a "ham" conclusion or a "not_ham" check needs (such a
-    statement's conclusion is "ham"), traceability only of the rows that are
-    not Hamiltonian (a Hamiltonian graph is traceable).  A "not_ham" mask
-    keeps the rows whose answer is "no" and reports the aborted ones.  A
+    once (``_row_classes``), and from then on the work is per class: every
+    statistic and gate flag the statements read is a class invariant, so
+    each class takes them from one of its rows, and its values come from that
+    one ``_Classes``, kept in the call's memos and answered on the class's
+    representative: first each radius over the classes its gate kept (NaN
+    elsewhere, which fails every comparison), then, after each statement's
+    mask, the questions below.  Hamiltonicity is asked of every class a
+    "ham" conclusion or a "not_ham" check needs (such a statement's
+    conclusion is "ham"), traceability only of the classes that are not
+    Hamiltonian (a Hamiltonian graph is traceable).  A "not_ham" mask keeps
+    the classes whose answer is "no" and reports the aborted ones.  A
     representative's graph is built once, and only for a graph check, a
-    structural conclusion or a recognizer; the graph6 of a failing or
-    aborted row is built from that row's own bits.
+    structural conclusion or a recognizer.  Counts add the class sizes; a
+    failing or aborted class is expanded to its rows, each reported by the
+    graph6 of its own bits.
     """
     bits = np.concatenate([b for b, _, _ in group])
-    stats = {name: np.concatenate([s[name] for _, s, _ in group], axis=-1) for name in group[0][1]}
-    classes = _row_classes(size, bip, bits, stats["deg"], memos)
+    deg = np.concatenate([s["deg"] for _, s, _ in group], axis=-1)
+    classes = _row_classes(size, bip, bits, deg, memos)
+    weight = classes.sizes
+
+    def column(cols):  # the value at a row of each class
+        return (cols[0] if len(cols) == 1 else np.concatenate(cols))[classes.row]
+
+    stats = {name: column([s[name] for _, s, _ in group]) for name in group[0][1] if name != "deg"}
     for key in group[0][2]:
-        rows = np.flatnonzero(np.concatenate([g[key] for _, _, g in group]))
-        stats[key] = np.full(len(bits), np.nan)
-        stats[key][rows] = classes.radii(key, rows)
+        c = np.flatnonzero(column([g[key] for _, _, g in group]))
+        stats[key] = np.full(classes.count, np.nan)
+        stats[key][c] = classes.radii(key, c)
     clock.lap("eigensolve")
-    active = np.zeros((len(stmts), len(bits)), dtype=bool)  # statement-major
+    active = np.zeros((len(stmts), classes.count), dtype=bool)  # statement-major
     for i, st in enumerate(stmts):
         active[i] = st.hypothesis(stats, size, k, tol)
     clock.lap("hypothesis")
@@ -1185,41 +1218,41 @@ def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget
     def on_graphs(answer):
         return lambda c: [answer(graph(j)) for j in c.tolist()]
 
-    def g6(rows):
-        return _graph6_rows(size, bip, bits[rows])
-
     need = {q: active[[st.conclusion == q for st in stmts]].any(axis=0) for q in ("ham", "trace")}
-    ham = np.full(len(bits), "", dtype="<U7")
+    ham = np.full(classes.count, "", dtype="<U7")
     asked = np.flatnonzero(need["ham"] | need["trace"])
     ham[asked] = classes.verdicts("ham", budget, asked)
     trace = np.where(ham == "yes", ham, "")
     asked = np.flatnonzero(need["trace"] & (ham != "yes"))
     trace[asked] = classes.verdicts("trace", budget, asked)
     verdicts = {"ham": ham, "trace": trace}
+    failed, aborted = np.zeros((2, classes.count), dtype=bool)
     for st, mask in zip(stmts, active):
         if st.graph_check == "not_ham":
-            report.aborted += g6(np.flatnonzero(mask & (ham == "aborted")))
+            aborted |= mask & (ham == "aborted")
             mask &= ham == "no"
         elif st.graph_check:
-            rows = np.flatnonzero(mask)
-            mask[rows] = classes.values(st.graph_check,
-                                        on_graphs(_GRAPH_CHECKS[st.graph_check]), rows)
-        rows = np.flatnonzero(mask)
-        report.hypothesis_count += len(rows)
+            c = np.flatnonzero(mask)
+            mask[c] = classes.values(st.graph_check, on_graphs(_GRAPH_CHECKS[st.graph_check]), c)
+        c = np.flatnonzero(mask)
+        report.hypothesis_count += int(weight[c].sum())
         if st.conclusion == "clique":
-            failed = rows[~classes.values(
-                "clique", on_graphs(lambda g: clique_number(g) >= size - k), rows)]
+            bad = c[~classes.values(
+                "clique", on_graphs(lambda g: clique_number(g) >= size - k), c)]
         elif st.conclusion == "biclique":
-            failed = rows[~classes.values(
-                "biclique", on_graphs(lambda g: _biclique_conclusion(g, size, k)), rows)]
+            bad = c[~classes.values(
+                "biclique", on_graphs(lambda g: _biclique_conclusion(g, size, k)), c)]
         else:
-            got = verdicts[st.conclusion][rows]
-            report.aborted += g6(rows[got == "aborted"])
-            no = rows[got == "no"]
-            failed = no[~classes.values(
+            got = verdicts[st.conclusion][c]
+            aborted[c[got == "aborted"]] = True
+            no = c[got == "no"]
+            bad = no[~classes.values(
                 st.id, on_graphs(lambda g: _exceptional(st, g, size, k, clock)), no)]
-            report.exceptional_matches += len(no) - len(failed)
-        report.conclusion_failures += g6(failed)
+            report.exceptional_matches += int(weight[no].sum() - weight[bad].sum())
+        failed[bad] = True
+    for out, hit in ((report.conclusion_failures, failed), (report.aborted, aborted)):
+        if hit.any():
+            out += _graph6_rows(size, bip, bits[hit[classes.of]])
     clock.lap("conclusion")
 
 
@@ -1313,8 +1346,8 @@ def extremal_search(
     comparison tolerance); (None, []) when nothing satisfies the constraint.
     Every row of the space that passes the filters takes its value and its
     verdict from its relabelling class (``_Classes.radii``,
-    ``_Classes.verdicts``), and a block asks for verdicts only on the rows
-    that can still reach the best value decided "no" so far.  Raises
+    ``_Classes.verdicts``), and a block asks for verdicts only on the
+    classes that can still reach the best value decided "no" so far.  Raises
     ValueError when the oracle aborted on a row that could reach the
     returned optimum, or on some row while none was decided "no".
     """
@@ -1345,14 +1378,15 @@ def extremal_search(
         size = blk.size
         bits = blk.rows_bits(rows)
         classes = _row_classes(size, bip, bits, blk.stats["deg"].take(rows, axis=1), memos)
-        values = sign * classes.radii(stat_key)
-        # a row more than tol below the best "no" so far is no optimum
+        values = sign * classes.radii(stat_key)  # per class
+        # a class more than tol below the best "no" so far holds no optimum
         ask = np.flatnonzero(best - values <= tol)
         status = classes.verdicts(question, oracle_budget, ask)
         reach = max(reach, values[ask[status == "aborted"]].max(initial=-np.inf))
         no = ask[status == "no"]
         if len(no):
-            kept.append((size, bits[no], values[no]))
+            rows = np.flatnonzero(np.isin(classes.of, no))
+            kept.append((size, bits[rows], values[classes.of[rows]]))
             best = max(best, values[no].max())
     if reach > -np.inf and best - reach <= tol:
         raise ValueError(f"the oracle aborted at budget {oracle_budget} on graphs that could "
@@ -1380,25 +1414,37 @@ def _fired_rows(mode: str, classes: _Classes, stats: dict, tol: float) -> list:
     cascade reads come from the classes (``_Classes.radii``).  For each
     k = delta(G) of the rows, a row fires at the first step of the walk whose
     precondition and ``Statement.holds_at`` pass, as ``certifier._walk``
-    decides one graph.  A labeled graph is built only for a fired row, and
-    the fired statement's exceptional families, recognized on it, make the
-    verdict "exceptional".
+    decides one graph.  The fired statement's exceptional families, which
+    make the verdict "exceptional", are recognized once per (class, fired
+    step) in the call (``_Classes.values``), on the labeled graph of the
+    first row that fires there, and the answer holds for the class's other
+    rows: recognition is isomorphism-invariant.
     """
     walk = _CERTIFIERS[mode][4]
     size, bip = classes.size, classes.bip
     cols = dict(stats)
     for key in {st.quantity for _, st in walk} & SPECTRAL:
-        cols[key] = classes.radii(key)
+        cols[key] = classes.radii(key)[classes.of]
     delta = cols["delta"]
     first = np.full(len(delta), -1)  # the step that fires, -1 while none has
     for k in np.unique(delta).tolist():
         for i, (_, st) in enumerate(walk):
             if st.admits(size, k):
                 first[(first < 0) & (delta == k) & st.holds_at(cols, size, k, tol)] = i
-    rows = np.flatnonzero(first >= 0).tolist()
-    graphs = _graphs_from_bits(size, bip, classes.rows[rows])
-    return [(r, "exceptional" if st.exception(g, size, int(delta[r])) else "certified_positive",
-             name) for r, g, (name, st) in zip(rows, graphs, (walk[first[r]] for r in rows))]
+    rows = np.flatnonzero(first >= 0)
+    hit = np.zeros(len(delta), dtype=bool)
+    for i, (name, st) in enumerate(walk):
+        fired = rows[first[rows] == i]
+        c, at, back = np.unique(classes.of[fired], return_index=True, return_inverse=True)
+
+        def solve(new, st=st, seen=fired[at]):  # on the first fired row of each new class
+            seen = seen[np.searchsorted(c, new)]
+            return [st.exception(g, size, k) is not None for g, k in zip(
+                _graphs_from_bits(size, bip, classes.rows[seen]), delta[seen].tolist())]
+
+        hit[fired] = classes.values(("exception", name), solve, c)[back]
+    return [(r, "exceptional" if hit[r] else "certified_positive", walk[i][0])
+            for r, i in zip(rows.tolist(), first[rows].tolist())]
 
 
 def certifier_soundness_sweep(
@@ -1414,8 +1460,9 @@ def certifier_soundness_sweep(
     every graph of order n in ns, the bipartite one on every graph of side
     in bip_sides, a block at a time (``_fired_rows``): each row gets the
     verdict and theorem its certifier would give, with the radii taken per
-    relabelling class and the exceptional families recognized on the row's
-    own labeled graph, and no ``Certificate`` is built.  The oracle's answer
+    relabelling class and the exceptional families recognized once per
+    class and fired step in the call, on the labeled graph of its first
+    fired row, and no ``Certificate`` is built.  The oracle's answer
     for a fired row comes from its class (``_Classes.verdicts``), as in a
     campaign.  Returns a summary dict with any violations and aborts as
     graph6 strings.  Every order and side is checked against the
@@ -1442,7 +1489,8 @@ def certifier_soundness_sweep(
             summary["bipartite_graphs" if bip else "graphs"] += len(bits)
             summary["inconclusive"] += len(bits) - len(fired)
             rows = np.array([r for r, _, _ in fired], dtype=np.int64)
-            status = classes.verdicts("ham", oracle_budget, rows)
+            fired_classes, at = np.unique(classes.of[rows], return_inverse=True)
+            status = classes.verdicts("ham", oracle_budget, fired_classes)[at]
             summary["aborted"] += _graph6_rows(size, bip, bits[rows[status == "aborted"]])
             for (r, verdict, theorem), got in zip(fired, status.tolist()):
                 summary[verdict] += 1

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from collections import defaultdict
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -384,12 +385,18 @@ def test_extremal_search_on_unkeyed_rows_matches_per_graph_reference(monkeypatch
 
 
 def test_sweep_class_verdicts_match_row_verdicts(monkeypatch):
+    # the exceptional families are recognized once per (class, fired step) in
+    # the call: 236 recognizer calls, against one per fired row (8,498) when
+    # every row is its own class
+    calls = _count_calls(monkeypatch, statements.Statement, ("exception",))
     by_class = certifier_soundness_sweep(ns=(5, 6), bip_sides=(3,))
+    assert calls["exception"] == 236
     with monkeypatch.context() as m:
         m.setattr(harness, "_class_keys", _identity_keys)
         by_row = certifier_soundness_sweep(ns=(5, 6), bip_sides=(3,))
+    assert calls["exception"] == 236 + 8_498
     assert by_class == by_row
-    assert by_class["certified_positive"] and by_class["exceptional"]
+    assert (by_class["certified_positive"], by_class["exceptional"]) == (8_290, 208)
 
 
 def test_extremal_search_and_sweep_use_batched_verdicts(monkeypatch):
@@ -673,7 +680,8 @@ def test_class_values_match_row_values(keys, size, bip):
     for key in keys:
         memos = defaultdict(dict)
         for bits, deg in _space_rows(size, bip):
-            got = _row_classes(size, bip, bits, deg, memos).radii(key)
+            classes = _row_classes(size, bip, bits, deg, memos)
+            got = classes.radii(key)[classes.of]
             assert np.allclose(got, _radii(key, size, bip, bits), rtol=0, atol=1e-12), key
 
 
@@ -682,11 +690,15 @@ def test_gated_class_values_match_row_values(monkeypatch):
     seen = {}
     orig = harness._Classes.radii
 
-    def checking(self, key, rows=None):
-        got = orig(self, key, rows)
-        bits = self.rows if rows is None else self.rows[rows]
-        assert np.allclose(got, _radii(key, self.size, self.bip, bits), rtol=0, atol=1e-12), key
-        seen[key] = seen.get(key, 0) + len(bits)
+    def checking(self, key, c=None):
+        # the value of each class asked for, at each of its rows
+        got = orig(self, key, c)
+        at = np.full(self.count, -1)
+        at[np.arange(self.count) if c is None else c] = np.arange(len(got))
+        rows = np.flatnonzero(at[self.of] >= 0)
+        assert np.allclose(got[at[self.of[rows]]], _radii(key, self.size, self.bip,
+                                                          self.rows[rows]), rtol=0, atol=1e-12), key
+        seen[key] = seen.get(key, 0) + len(rows)
         return got
 
     monkeypatch.setattr(harness._Classes, "radii", checking)
@@ -820,14 +832,15 @@ def test_relabellings_share_one_class_value():
     deg = np.concatenate([_degree_stats(7, False, i, i + 1)["deg"] for i in idx.tolist()], axis=1)
     keys, _ = _class_keys(7, False, bits, deg)
     assert len(set(keys.tolist())) == 1
-    together = _row_classes(7, False, bits, deg, defaultdict(dict)).radii("rho")
+    classes = _row_classes(7, False, bits, deg, defaultdict(dict))
+    together = classes.radii("rho")[classes.of]
     assert len(set(together.tolist())) == 1
     shared = defaultdict(dict)
     for chunk in sorted(set((idx // _CHUNK).tolist())):
         rows = np.flatnonzero(idx // _CHUNK == chunk)
         for memos in (shared, defaultdict(dict)):
-            got = _row_classes(7, False, bits[rows], deg[:, rows], memos).radii("rho")
-            assert np.array_equal(got, together[rows])
+            classes = _row_classes(7, False, bits[rows], deg[:, rows], memos)
+            assert np.array_equal(classes.radii("rho")[classes.of], together[rows])
 
 
 def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
@@ -837,10 +850,12 @@ def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
     # q_qc, is keyed once (9,171 fn_rho rows, 9,023 bip_q_qc rows), and its
     # radii, hypotheses and conclusions share those keys.  No value outlives
     # a verify_theorem call, so a second identical pass does as much as the first
-    keyed, solved, decided, statted = [], [], [], []
+    # a radius, verdict and recognizer is asked once per class: 46
+    # Statement.exception calls per pass (2 fn_rho, 44 bip_q_qc)
+    keyed, solved, decided, statted, recognized = [], [], [], [], []
     orig_keys, orig_eig, orig_hk = harness._class_keys, np.linalg.eigvalsh, \
         harness._held_karp_batch
-    orig_stats = harness._stats
+    orig_stats, orig_exception = harness._stats, statements.Statement.exception
 
     def stats(deg, e):
         statted.append(len(e))
@@ -858,6 +873,11 @@ def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
         decided.append(len(adj))
         return orig_hk(adj, order, cycle)
 
+    def exception(self, g, n, k):
+        recognized[-1] += 1
+        return orig_exception(self, g, n, k)
+
+    monkeypatch.setattr(statements.Statement, "exception", exception)
     monkeypatch.setattr(harness, "_class_keys", keys)
     monkeypatch.setattr(np.linalg, "eigvalsh", eig)
     monkeypatch.setattr(harness, "_held_karp_batch", held_karp)
@@ -870,11 +890,41 @@ def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
                 ("fn_rho", SearchSpace.all_labeled(7), 1 << 21, 6890),
                 ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4), 1 << 16, 7583)):
             statted.clear()
+            recognized.append(0)
             rep = verify_theorem(target, space)
             assert (rep.processed, rep.hypothesis_count, rep.clean) == (processed, hyps, True)
             given.append(sum(statted))
         assert given == [82_160, 39_203]
         assert (sum(keyed), sum(solved), sum(decided)) == (18_194, 280, 252)
+        assert recognized[-2:] == [2, 44]
+
+
+def test_class_rows_share_statistics_and_gates(monkeypatch):
+    # _eval_group reads each class's statistics and gate flags at one of its
+    # rows: on both benchmark campaigns every row of a class has the same
+    # edge count, delta, two_delta, Delta, sorted degrees and gate flags
+    seen = defaultdict(int)
+    orig = harness._eval_group
+
+    def checking(stmts, report, size, bip, group, *rest):
+        bits = np.concatenate([b for b, _, _ in group])
+        cols = {name: np.concatenate([s[name] for _, s, _ in group], axis=-1)
+                for name in group[0][1]}
+        classes = _row_classes(size, bip, bits, cols["deg"], defaultdict(dict))
+        cols["deg"] = np.sort(cols["deg"], axis=0)
+        for key in group[0][2]:
+            cols[key] = np.concatenate([g[key] for _, _, g in group])
+        assert {"e", "delta", "two_delta", "Delta"} < cols.keys() and group[0][2]
+        for name, col in cols.items():
+            assert np.array_equal(col, col[..., classes.row][..., classes.of]), name
+        assert classes.sizes.sum() == len(bits) and classes.count < len(bits)
+        seen[stmts[0].theorem] += len(bits)
+        return orig(stmts, report, size, bip, group, *rest)
+
+    monkeypatch.setattr(harness, "_eval_group", checking)
+    assert verify_theorem("fn_rho", SearchSpace.all_labeled(7)).clean
+    assert verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4)).clean
+    assert seen == {"fn_rho": 9_171, "bip_q_qc": 9_023}
 
 
 def test_degree_floor_leaves_few_rows_to_rayleigh(monkeypatch):
@@ -1089,11 +1139,17 @@ def test_batched_and_scalar_conclusions_agree(monkeypatch):
              ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(3), None))
     batched = [verify_theorem(t, space, k=k).to_json() for t, space, k in cases]
 
-    def scalar_verdicts(self, question, budget, rows=None):
+    def scalar_verdicts(self, question, budget, c=None):
+        # every row of each class asked for, by the scalar oracle; the rows
+        # of a class must agree
         oracle = is_hamiltonian if question == "ham" else is_traceable
-        bits = self.rows if rows is None else self.rows[rows]
-        return np.array([oracle(as_graph(g), budget=budget).status
-                         for g in _graphs_from_bits(self.size, self.bip, bits)], dtype="<U7")
+        out = []
+        for i in (range(self.count) if c is None else c.tolist()):
+            graphs = _graphs_from_bits(self.size, self.bip, self.rows[self.of == i])
+            status = {oracle(as_graph(g), budget=budget).status for g in graphs}
+            assert len(status) == 1, status
+            out += status
+        return np.array(out, dtype="<U7")
 
     # verdicts() is where every statement's verdicts come from, the "not_ham"
     # checks included
@@ -1131,11 +1187,31 @@ def _class_and_row_reports(monkeypatch, target, space, k=None, **opts):
     ("moon_moser", SearchSpace.balanced_bipartite_labeled(4), None, {}),
     ("ferrara_jacobson_powell", SearchSpace.balanced_bipartite_labeled(4), None, {}),
     ("biclique_lemma", SearchSpace.balanced_bipartite_labeled(4), 1, {}),
+    # a planted defect: ore with its threshold lowered to 3, so many rows of
+    # each failing class fail
+    ("ore", SearchSpace.all_labeled(6), None, {"threshold": 3}),
 ])
 def test_class_conclusions_match_row_conclusions(monkeypatch, target, space, k, opts):
+    import dataclasses
+
+    opts = dict(opts)
+    threshold = opts.pop("threshold", None)
+    if threshold is not None:
+        (st,) = statements.statements_for(target)
+        monkeypatch.setattr(harness, "statements_for", lambda target: [
+            dataclasses.replace(st, threshold=lambda n, k: threshold)])
+        # the edge-count window and the gate tables are cached by target name:
+        # fresh caches for the planted statement, dropped with the patch
+        for name in ("_edge_window", "_gate_table"):
+            monkeypatch.setattr(harness, name, lru_cache()(getattr(harness, name).__wrapped__))
     by_class, by_row = _class_and_row_reports(monkeypatch, target, space, k, **opts)
     assert by_class == by_row
     assert by_class["hypothesis_count"] > 0 or by_class["aborted"]
+    if threshold is not None:
+        failed = by_class["conclusion_failures"]
+        bits = harness._bits_of(15, [_index_of(graph6_decode(g6)) for g6 in failed])
+        keys, _ = _class_keys(6, False, bits, _incidence_degrees(6, False, bits))
+        assert len(failed) > 10 * len(set(keys.tolist())) > 0
 
 
 def test_class_clique_conclusions_match_row_conclusions(monkeypatch, tmp_path):
@@ -1241,6 +1317,27 @@ def test_min_degree_blocks_hold_exactly_the_space_rows(size, bip, k, ranges):
         if k == 1 and stop - start > 3 * _CHUNK:
             table_blocks = set(range(start // _CHUNK, (stop - 1) // _CHUNK + 1))
             assert 0 < len(set(((start + keep) // _CHUNK).tolist())) < len(table_blocks)
+
+
+@pytest.mark.parametrize("target, size, bip", [("fn_rho", 7, False), ("bip_q_qc", 4, True)])
+def test_window_cache_is_narrow_and_joined_blocks_are_wide(target, size, bip):
+    # the cache keeps int32 table indices and int8 edge counts beside its int8
+    # degrees; a joined block widens indices and edge counts to int64, as
+    # _gate's triple code (e * order + delta) * order + Delta would wrap in int8
+    window = harness._edge_window(target, size, bip, None, DEFAULT_TOL)
+    assert window is not None
+    nbits, order = len(_bit_ends(size, bip)[0]), _bit_ends(size, bip)[2]
+    for high in range(nbits - (_CHUNK.bit_length() - 1) + 1):
+        sel, deg, e = harness._window_rows(size, bip, window, high)
+        assert (sel.dtype, deg.dtype, e.dtype) == (np.int32, np.int8, np.int8)
+        assert not (sel.flags.writeable or deg.flags.writeable or e.flags.writeable)
+    blocks = list(_index_blocks(size, bip, 0, 1 << nbits, window=window))
+    assert blocks
+    for blk in blocks:
+        assert blk.index.dtype == blk.stats["e"].dtype == np.int64
+        assert np.array_equal(blk.stats["e"], harness._bits_of(nbits, blk.index).sum(axis=1))
+        code = (blk.stats["e"] * order + blk.stats["delta"]) * order + blk.stats["Delta"]
+        assert code.max() < (nbits + 1) * order * order and code.max() > np.iinfo(np.int8).max
 
 
 @pytest.mark.parametrize("size, bip", [(harness.MAX_ALL_LABELED_N, False),
@@ -1589,6 +1686,8 @@ def test_order_12_rows_never_share_a_class_value():
     twins[:, 63:] = ~twins[:, 63:]
     rows = np.concatenate([bits, twins])
     deg = harness._row_block(12, False, rows).stats["deg"]
-    got = _row_classes(12, False, rows, deg, defaultdict(dict)).radii("rho")
+    classes = _row_classes(12, False, rows, deg, defaultdict(dict))
+    assert classes.count == len(rows)
+    got = classes.radii("rho")[classes.of]
     assert np.array_equal(got, _radii("rho", 12, False, rows))
     assert np.all(got[:40] != got[40:])
