@@ -49,23 +49,28 @@ def _load_graphs(arg: str):
     return [graph6_decode(arg)]
 
 
+# each --space choice: its SearchSpace constructor and the flags (dests) it passes, in order
+_SPACES = {
+    "all_labeled": (SearchSpace.all_labeled, ("n",)),
+    "min_degree": (SearchSpace.labeled_min_degree, ("n", "min_degree")),
+    "bipartite": (SearchSpace.balanced_bipartite_labeled, ("side",)),
+    "gnp": (SearchSpace.gnp, ("n", "p", "samples", "seed")),
+    "bipartite_gnp": (SearchSpace.bipartite_gnp, ("side", "p", "samples", "seed")),
+    "file": (SearchSpace.graph6_file, ("file",)),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _space_from_args(args) -> SearchSpace:
-    kind = args.space
-    if kind == "all_labeled":
-        return SearchSpace.all_labeled(args.n)
-    if kind == "min_degree":
-        if args.min_degree is None:
-            raise ValueError("--space min_degree needs --min-degree")
-        return SearchSpace.labeled_min_degree(args.n, args.min_degree)
-    if kind == "bipartite":
-        return SearchSpace.balanced_bipartite_labeled(args.side)
-    if kind == "gnp":
-        return SearchSpace.gnp(args.n, args.p, args.samples, args.seed)
-    if kind == "bipartite_gnp":
-        return SearchSpace.bipartite_gnp(args.side, args.p, args.samples, args.seed)
-    if kind == "file":
-        return SearchSpace.graph6_file(args.file)
-    raise ValueError(f"unknown space {kind!r}")
+    build, flags = _SPACES[args.space]
+    for dest in flags:
+        # a missing --n or --side is left to the space's check ("gnp needs n >= 1")
+        if getattr(args, dest) is None and dest not in ("n", "side"):
+            raise ValueError(f"--space {args.space} needs {_flag(dest)}")
+    return build(*(getattr(args, dest) for dest in flags))
 
 
 def _emit(obj: dict):
@@ -229,9 +234,9 @@ def _add_common(p, *names):
 
 
 def _add_space(p):
-    p.add_argument("--space", default="all_labeled",
-                   choices=["all_labeled", "min_degree", "bipartite", "gnp",
-                            "bipartite_gnp", "file"])
+    p.add_argument("--space", default="all_labeled", choices=list(_SPACES),
+                   help="; ".join(f"{name} reads {', '.join(map(_flag, flags))}"
+                                  for name, (_, flags) in _SPACES.items()))
     p.add_argument("--n", type=int, help="vertex count for graph spaces")
     p.add_argument("--side", type=int, help="side size for bipartite spaces")
     p.add_argument("--min-degree", dest="min_degree", type=int,

@@ -12,107 +12,63 @@ includes the statement's exceptional-family / containment disjuncts
 exact oracle.  Counterexamples are reported as graph6 strings; oracle budget
 exhaustion is recorded per graph and never counted as a pass.
 
+Space kinds.  Each kind of space (each random model its own) is one entry
+of ``_SPACE_KINDS``, the one place that knows it: the ``SearchSpace`` fields
+it takes (``validate`` refuses any other field that is set), its checks,
+whether its rows are bipartite, its index total, its block producer and
+whether a campaign cuts it to the edge-count window.
+
 Row blocks.  Every space reaches one engine as blocks of rows of one order
 (one side for bipartite rows).  A row is a graph's pair bits, in
 ``pair_order`` or bit i*side+j for the cross pair x_i y_j, and a block
-carries its rows' edge counts and degrees (vertex-major; int8 for index
-rows, whose order the enumeration caps keep at 10 or less, int16 for
-materialised rows).  A block holds only rows of its space (a
-labeled_min_degree range drops its rows with delta < k).  Index ranges (the
-enumerated spaces) add the degrees of the low and the high index bits from
-two ``_degree_table``s, built once per (size, bip), and unpack the bits of
-an index only where they are read.  A campaign gives statistics only to the
-index rows whose edge count some statement of its target can accept
-(``_edge_window``, from the same (e, delta, Delta) evaluation as the gate
-table; ``_window_rows`` keeps the admitted rows of the low table, with their
-degrees and edge counts, per edge count of the high bits), and counts the
-others as processed.  A target with a statement on a minimum degree sum,
-and a labeled_min_degree space, admit every edge count.  graph6 files and
-random models materialise the bits, grouped by order (by side when a graph6
-file is read through its bipartition for a bipartite target), and count the
-degrees from them.
+carries its rows' edge counts and degrees and holds only rows of its space
+(``_Block``).  Index ranges take their degrees from two cached
+``_degree_table``s and unpack an index's bits only where they are read
+(``_index_blocks``); graph6 files and random models materialise the bits
+(``_row_block``).  A campaign on a windowed kind gives statistics only to
+the index rows whose edge count some statement of its target can accept
+(``_edge_window``), and counts the others as processed.
 
-Each statistic or spectral radius is one column, and
+Gates.  Each statistic or spectral radius is one column, and
 ``Statement.hypothesis`` over the columns gives each statement's mask
 exactly, with the comparison the certifier applies to one graph's values.
 Per block only the statistics and the gate run.  ``spectral.radius_intervals``
-bounds each radius from (e, delta, Delta) alone; widened by the tolerance
-plus a rounding slack, a row whose masks fail at both ends of its interval
-fails them at the value too, so it is not eigensolved (its NaN fails every
-comparison).  ``_gate_table`` decides every triple of an order once and
-keeps, per triple, whether the row may pass, the interval's lower end, and
-whether it is sure to (some statement holds at the padded upper end), so a
-row is gated by one lookup; past _GATE_TABLE_MAX triples ``_may_pass``
-computes the same three columns for the block's own rows.  For a radius
-with an "le" statement, the rows that may pass but are not sure to are
-gated again, with the lower end of their interval raised to a floor on the
-value: for q and q_qc first the degree floor sum x^2 / e(H) (``_degree_floor``),
-then, on the rows it leaves, the Rayleigh quotient x^T M x / x^T x
-(``_rayleigh``), x being the degree vector of the graph H the radius is
-taken on.  Both are one division of exact sums (int32 terms summed in
-int64), and by Cauchy-Schwarz the degree floor is never above the quotient,
-so it cuts no row the quotient would keep.  A row survives when it passes
-the gate of some radius statement, or the hypothesis of a statement on an
-integer quantity; the others fail every hypothesis.  The edge-count window
-and the gate change no verdict, count or failure list.
+bounds each radius from (e, delta, Delta) alone, one ``_gate_table`` lookup
+per row; widened by the tolerance plus a rounding slack, a row whose masks
+fail at both ends of its interval fails them at the value too, so it is not
+eigensolved (its NaN fails every comparison).  For a radius with an "le"
+statement the lower end is raised to the degree floor and then the
+Rayleigh quotient (``_gate``).  A row survives when it passes the gate of
+some radius statement, or the hypothesis of a statement on an integer
+quantity; the others fail every hypothesis.  The edge-count window and the
+gate change no verdict, count or failure list, and both are cached by the
+statements they read.
 
 Relabelling classes.  The surviving rows are gathered over blocks, up to
-_GROUP_ROWS of one order, and ``_eval_group`` keys each of them once.  A
-row's key is the row relabelled by one round of colour refinement (stable
-order of degree, then neighbours' degree sum, each side on its own), read as
-an int64 (``_class_keys``, its neighbour sums two float32 products with a
-cached incidence matrix).  Equal keys mean isomorphic rows (and
-complements and quasi-complements).  ``_row_classes`` gives each row's
-class, one row of each class and each class's size.  From then on a group
-is evaluated per class: everything a hypothesis or a conclusion reads (e,
-delta, Delta, the degree sums, the gate flags, the radii, the verdicts, the
-graph checks and the recognizers) is a class invariant, so each class takes
-its statistics and gate flags from one of its rows and the rest once.
-``_Classes.values`` is the one place a per-class value comes from: asked by
-class index, with the call's memos, keyed per (quantity or question, order)
-by the ``_Classes`` itself, it decides each key once, on the key's own bits,
-so a value depends on its class alone (at tol = 0 a whole class lies on one
-side of a threshold).  Rows of more than 63 bits (order 12 and up, side 8
-and up) have no key: each is a class of one, decided every time.
+_GROUP_ROWS of one order, and ``_eval_group`` keys each of them once by one
+round of colour refinement (``_class_keys``): equal keys mean isomorphic
+rows (and complements and quasi-complements).  From then on a group is
+evaluated per class: everything a hypothesis or a conclusion reads is a
+class invariant, so each class takes its statistics and gate flags from one
+of its rows, and each radius, verdict, graph check and recognizer is
+decided once per class, on its key's own bits (``_Classes.values``), so a
+value depends on its class alone (at tol = 0 a whole class lies on one side
+of a threshold).  ``_Classes.verdicts`` is the one place an oracle verdict
+comes from: the batched Held-Karp kernel up to order 16, charging each
+representative 1 << order nodes, which no relabelling changes, and the
+scalar oracle above.  The class sizes are the row weights: processed counts
+the rows of the space, and hypothesis_count and exceptional_matches add the
+sizes of the classes that count.  Only a failing or aborted class is
+expanded back to its rows, each reported by the graph6 of its own bits.
+Rows of more than 63 bits have no key: each is a class of one.
 
-Conclusions.  With the same classes, each radius is eigensolved over the
-classes its gate kept (``_Classes.radii``, batched eigvalsh of the
-representatives' ``statements.radius_matrix``), the hypothesis masks
-follow, one entry per class, and the candidate classes (some mask holds)
-are decided: the hypothesis and the conclusion are both
-isomorphism-invariant.  ``_Classes.verdicts`` is the one place an oracle
-verdict comes from: it decides "Hamiltonian?" / "traceable?" for the
-representatives with ``oracle._held_karp_batch`` up to order 16, charging
-each representative 1 << order nodes, which no relabelling changes (aborted
-past the budget), and validating every witness; the scalar oracle above
-that, and nowhere else.  The closure checks, the clique / biclique
-conclusions and the exceptional-family recognizers are asked once per class
-too.  Every statement is finished a column at a time: a "not_ham" check
-reads the Hamiltonicity column, traceability is asked only of classes that
-are not Hamiltonian, and the other questions look at the masked classes
-only.  The class sizes are the row weights: processed counts the rows of
-the space, and hypothesis_count and exceptional_matches add the sizes of
-the classes that count.  Only a failing or aborted class is expanded back
-to its rows, and each of them is reported by the graph6 of its own bits.
-
-``extremal_search`` and the soundness sweep read the same producers and take
-their radii and verdicts per class the same way, with memos per call, so
-they pay the batched node charge too.  Extremal search asks for verdicts
-only on the classes that can still reach the best value decided "no" so
-far, and builds graph6 strings only for the rows of its optima.  The sweep builds no
-``Certificate``: it runs a certifier cascade on a block's columns
-(``_fired_rows``), so that per k = delta(G) a row fires at the first step
-whose precondition and ``Statement.holds_at`` pass, the comparison the
-certifier makes on one graph.  It recognizes the fired statement's
-exceptional families once per (class, fired step) in the call, on the
-labeled graph of the first row that fires there, and asks for the verdicts
-of the fired rows' classes.  An enumerated campaign can be split into
-``jobs`` index ranges, run by at most as many workers as there are ranges
-and CPUs; the merged report equals the serial one.
-``VerificationReport.timings`` charges time to the stages stats (including
-producing the rows), gate, eigensolve (including the class keys),
-hypothesis, conclusion and recognize, lap by lap, so they sum to about the
-wall time of a serial run.
+``extremal_search`` and the soundness sweep (``_fired_rows``) read the same
+producers and take their radii and verdicts per class the same way, with
+memos per call.  An enumerated campaign can be split into ``jobs`` index
+ranges, run by at most as many workers as there are ranges and CPUs; the
+merged report equals the serial one.  ``VerificationReport.timings`` charges
+time to its stages lap by lap, so they sum to about the wall time of a
+serial run.
 """
 
 from __future__ import annotations
@@ -185,6 +141,9 @@ class SpaceCapError(ValueError):
 
 
 _INTS = (int, np.integer)  # the parameter types a space accepts for an integer
+_FIELD_TYPES = {"n": (_INTS, "an int"), "side": (_INTS, "an int"), "count": (_INTS, "an int"),
+                "p": ((int, float, np.integer, np.floating), "a real number"),
+                "path": (str, "a str")}
 
 
 @dataclass(frozen=True)
@@ -237,48 +196,30 @@ class SearchSpace:
 
     @property
     def is_bipartite_space(self) -> bool:
-        return self.kind == "balanced_bipartite_labeled" or self.model == "bipartite_gnp"
+        kind = _space_kind(self)
+        return bool(kind and kind.bip)
 
     def describe(self) -> dict:
         return {name: val for name, val in asdict(self).items() if val is not None}
 
     def validate(self):
-        for name, value in (("n", self.n), ("side", self.side), ("count", self.count)):
-            if value is not None and not isinstance(value, _INTS):
-                raise SpaceCapError(f"{name} must be an int, got {value!r}")
-        if self.kind in ("all_labeled", "labeled_min_degree"):
-            if self.n is None or self.n < 1:
-                raise SpaceCapError("labeled enumeration needs n >= 1")
-            if self.n > MAX_ALL_LABELED_N:
-                raise SpaceCapError(f"all_labeled is capped at n <= {MAX_ALL_LABELED_N} "
-                                    "(2^C(n,2) graphs); use graph6_file mode for larger orders")
-            if self.kind == "labeled_min_degree" and not (
-                    isinstance(self.k, _INTS) and self.k >= 0):
-                raise SpaceCapError("labeled_min_degree needs an int k >= 0")
-        elif self.kind == "balanced_bipartite_labeled":
-            if self.side is None or self.side < 1:
-                raise SpaceCapError("bipartite enumeration needs side >= 1")
-            if self.side > MAX_BIP_SIDE:
-                raise SpaceCapError(f"balanced_bipartite_labeled is capped at side <= "
-                                    f"{MAX_BIP_SIDE}; use graph6_file mode for larger sides")
-        elif self.kind == "random_model":
-            if self.model not in ("uniform_gnp", "bipartite_gnp"):
+        """Refuse a space its ``_SPACE_KINDS`` entry does not accept: a field of
+        the wrong type, a value its checks refuse, or a field it does not take."""
+        for name, (types, what) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, types):
+                raise SpaceCapError(f"{name} must be {what}, got {value!r}")
+        kind = _space_kind(self)
+        if kind is None:
+            if any(name == self.kind for name, model in _SPACE_KINDS if model):
                 raise SpaceCapError(f"unknown random model {self.model!r}")
-            bip = self.model == "bipartite_gnp"
-            order = self.side if bip else self.n
-            if order is None or order < 1:
-                raise SpaceCapError(f"{self.model} needs {'side' if bip else 'n'} >= 1")
-            if self.p is None or not (0.0 <= self.p <= 1.0):
-                raise SpaceCapError("edge probability must lie in [0, 1]")
-            if self.count is None or self.count < 0:
-                raise SpaceCapError("random_model needs a sample count")
-            if not (isinstance(self.seed, _INTS) and self.seed >= 0):
-                raise SpaceCapError(f"random_model needs an int seed >= 0, got {self.seed!r}")
-        elif self.kind == "graph6_file":
-            if not self.path:
-                raise SpaceCapError("graph6_file needs a path")
-        else:
             raise SpaceCapError(f"unknown space kind {self.kind!r}")
+        for ok, message in kind.checks:
+            if not ok(self):
+                raise SpaceCapError(message.format_map(vars(self)))
+        for name, value in self.describe().items():
+            if name not in ("kind", *kind.fields):
+                raise SpaceCapError(f"{self.kind} takes no {name}, got {name}={value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +269,11 @@ def random_model(kind: str, *, n: Optional[int] = None, side: Optional[int] = No
 def enumerate_space(space: SearchSpace) -> Iterator:
     """Stream the space's graphs in deterministic order (a graph6 file's in file order)."""
     space.validate()
-    if space.kind == "graph6_file":
-        yield from (g for _, _, g in _graph6_lines(space.path))
+    kind = _space_kind(space)
+    if kind.graphs is not None:
+        yield from kind.graphs(space)
         return
-    for blk in _space_blocks(space, space.is_bipartite_space):
+    for blk in _space_blocks(space, bool(kind.bip)):
         yield from _graphs_from_bits(blk.size, blk.bip, blk.rows_bits())
 
 
@@ -502,15 +444,6 @@ def _block_rows(nbits: int) -> int:
     return max(1, _ROW_BYTES // (8 * max(nbits, 1)))
 
 
-def _gnp_bits(size: int, bip: bool, p: float, seed: int, count: int) -> Iterator[np.ndarray]:
-    """Blocks of pair bits of a random model's stream, one graph per row."""
-    rng = np.random.default_rng(seed)
-    nbits = len(_bit_ends(size, bip)[0])
-    step = _block_rows(nbits)
-    for lo in range(0, count, step):
-        yield rng.random((min(step, count - lo), nbits)) < p
-
-
 def _graph6_blocks(path: str, bip: bool) -> Iterator[_Block]:
     """A graph6 file's rows as blocks, grouped by order and flushed when full.
 
@@ -553,31 +486,96 @@ def _row_block(size: int, bip: bool, bits: np.ndarray) -> _Block:
                   len(bits), bits=bits)
 
 
+# ---------------------------------------------------------------------------
+# Space kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _SpaceKind:
+    """One kind of space, the one place that knows it (``_SPACE_KINDS``)."""
+
+    fields: tuple  # the SearchSpace fields it takes besides kind
+    checks: tuple  # (test, message) pairs, a message formatted with the space's fields
+    bip: Optional[bool]  # balanced bipartite rows; None: as the target reads them (graph6)
+    total: Optional[Callable]  # its index total; None when its rows are materialised
+    blocks: Callable  # (space, bip, start, stop, window) -> its rows as _Blocks
+    windowed: bool = False  # a campaign cuts it to the edge-count window
+    graphs: Optional[Callable] = None  # its graphs in its own order, where blocks regroup them
+
+
+def _positive(field: str, who: str) -> tuple:
+    return (lambda s: getattr(s, field) is not None and getattr(s, field) >= 1,
+            f"{who} needs {field} >= 1")
+
+
+_LABELED = (_positive("n", "labeled enumeration"),
+            (lambda s: s.n <= MAX_ALL_LABELED_N, f"all_labeled is capped at n <= "
+             f"{MAX_ALL_LABELED_N} (2^C(n,2) graphs); use graph6_file mode for larger orders"))
+_GNP = ((lambda s: s.p is not None and 0.0 <= s.p <= 1.0, "edge probability must lie in [0, 1]"),
+        (lambda s: s.count is not None and s.count >= 0, "random_model needs a sample count"),
+        (lambda s: isinstance(s.seed, _INTS) and s.seed >= 0,
+         "random_model needs an int seed >= 0, got {seed!r}"))
+
+
+def _enumerated(space: SearchSpace, bip: bool, start: int, stop: int, window) -> Iterator[_Block]:
+    # k is None but in a labeled_min_degree space, the one kind that takes it
+    return _index_blocks(space.order_hint, bip, start, stop, space.k, window)
+
+
+def _sampled(space: SearchSpace, bip: bool, *_) -> Iterator[_Block]:
+    """A random model's stream as blocks, one graph per row."""
+    size, count, rng = space.order_hint, space.count, np.random.default_rng(space.seed)
+    nbits = len(_bit_ends(size, bip)[0])
+    step = _block_rows(nbits)
+    for lo in range(0, count, step):
+        yield _row_block(size, bip, rng.random((min(step, count - lo), nbits)) < space.p)
+
+
+# keyed by (kind, model): each random model is a kind of its own
+_SPACE_KINDS = {
+    ("all_labeled", None): _SpaceKind(
+        ("n",), _LABELED, False, lambda s: 1 << (s.n * (s.n - 1) // 2), _enumerated, True),
+    ("labeled_min_degree", None): _SpaceKind(
+        ("n", "k"), (*_LABELED, (lambda s: isinstance(s.k, _INTS) and s.k >= 0,
+                                 "labeled_min_degree needs an int k >= 0")),
+        False, lambda s: 1 << (s.n * (s.n - 1) // 2), _enumerated),
+    ("balanced_bipartite_labeled", None): _SpaceKind(
+        ("side",), (_positive("side", "bipartite enumeration"),
+                    (lambda s: s.side <= MAX_BIP_SIDE, f"balanced_bipartite_labeled is capped at "
+                     f"side <= {MAX_BIP_SIDE}; use graph6_file mode for larger sides")),
+        True, lambda s: 1 << (s.side * s.side), _enumerated, True),
+    ("graph6_file", None): _SpaceKind(
+        ("path",), ((lambda s: bool(s.path), "graph6_file needs a path"),), None, None,
+        lambda s, bip, *_: _graph6_blocks(s.path, bip),
+        graphs=lambda s: (g for _, _, g in _graph6_lines(s.path))),
+    ("random_model", "uniform_gnp"): _SpaceKind(
+        ("model", "n", "p", "count", "seed"), (_positive("n", "uniform_gnp"), *_GNP), False,
+        None, _sampled),
+    ("random_model", "bipartite_gnp"): _SpaceKind(
+        ("model", "side", "p", "count", "seed"), (_positive("side", "bipartite_gnp"), *_GNP),
+        True, None, _sampled),
+}
+
+
+def _space_kind(space: SearchSpace) -> Optional[_SpaceKind]:
+    """The entry of the space's (kind, model), else of its kind alone (whose
+    fields then refuse the model); None for an unknown kind or model."""
+    return _SPACE_KINDS.get((space.kind, space.model)) or _SPACE_KINDS.get((space.kind, None))
+
+
 def _space_index_total(space: SearchSpace) -> Optional[int]:
-    if space.kind in ("all_labeled", "labeled_min_degree"):
-        return 1 << (space.n * (space.n - 1) // 2)
-    if space.kind == "balanced_bipartite_labeled":
-        return 1 << (space.side * space.side)
-    return None
+    total = _space_kind(space).total
+    return None if total is None else total(space)
 
 
 def _space_blocks(space: SearchSpace, bip: bool, start: int = 0, stop: Optional[int] = None,
                   window: Optional[bytes] = None) -> Iterator[_Block]:
-    """The space's rows as blocks; bip reads a graph6 file as balanced bipartite graphs.
-
-    Enumerated spaces give the index range [start, stop) (the whole space
-    when stop is None), cut to the edge-count window when one is given
-    (``_index_blocks``); the other spaces give all their rows.
-    """
-    if space.kind == "graph6_file":
-        return _graph6_blocks(space.path, bip)
-    size = space.side if bip else space.n
-    if space.kind == "random_model":
-        return (_row_block(size, bip, bits)
-                for bits in _gnp_bits(size, bip, space.p, space.seed, space.count))
-    min_deg = space.k if space.kind == "labeled_min_degree" else None
-    stop = _space_index_total(space) if stop is None else stop
-    return _index_blocks(size, bip, start, stop, min_deg, window)
+    """The space's rows as blocks from its kind's producer; bip reads a graph6
+    file as balanced bipartite graphs, and stop None is the index total."""
+    kind = _space_kind(space)
+    if stop is None and kind.total is not None:
+        stop = kind.total(space)
+    return kind.blocks(space, bip, start, stop, window)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,9 +1030,9 @@ def _triples(size: int, bip: bool):
 
 
 @lru_cache(maxsize=256)
-def _gate_table(target: str, key: str, size: int, bip: bool, k, tol: float) -> tuple:
-    """``_may_pass``'s (keep, lo, sure) for every (e, delta, Delta) that a graph
-    of the space can have.
+def _gate_table(stmts: tuple, key: str, size: int, bip: bool, k, tol: float) -> tuple:
+    """``_may_pass``'s (keep, lo, sure) of the statements stmts (a tuple: the
+    cache keys on them) for every (e, delta, Delta) a graph of the space can have.
 
     The interval of ``key`` and the hypotheses on it depend on these three
     integers only, so a block reads each row's columns by one lookup at its
@@ -1042,30 +1040,28 @@ def _gate_table(target: str, key: str, size: int, bip: bool, k, tol: float) -> t
     """
     real, stats = _triples(size, bip)
     table = (np.zeros(len(real), dtype=bool), np.zeros(len(real)), np.zeros(len(real), dtype=bool))
-    for col, got in zip(table, _may_pass(key, statements_for(target), stats, size, bip, k, tol)):
+    for col, got in zip(table, _may_pass(key, stmts, stats, size, bip, k, tol)):
         col[real] = got
     return table
 
 
 @lru_cache(maxsize=256)
-def _edge_window(target: str, size: int, bip: bool, k, tol: float) -> Optional[bytes]:
-    """The edge counts of the rows of order size that may pass some statement of target.
+def _edge_window(stmts: tuple, size: int, bip: bool, k, tol: float) -> Optional[bytes]:
+    """The edge counts of the rows of order size that may pass some statement of stmts.
 
     A count is admitted when one of its (e, delta, Delta) triples passes the
     gate table of some radius statement or the hypothesis of a statement on
     e or two_delta; a row of another count fails every hypothesis.  Returns
     one bool per count 0..pairs, or None when every count is admitted or a
     statement on a minimum degree sum (which reads the bits) needs every row.
-    A labeled_min_degree space takes none: its producer reads every delta.
     """
-    stmts = statements_for(target)
     if any(st.quantity in _DEGREE_SUMS for st in stmts):
         return None
     real, stats = _triples(size, bip)
     keep = np.zeros(len(real), dtype=bool)
     for st in stmts:
         if st.quantity in SPECTRAL:
-            keep |= _gate_table(target, st.quantity, size, bip, k, tol)[0]
+            keep |= _gate_table(stmts, st.quantity, size, bip, k, tol)[0]
         else:
             keep[real] |= st.hypothesis(stats, size, k, tol)
     order = _bit_ends(size, bip)[2]
@@ -1073,7 +1069,7 @@ def _edge_window(target: str, size: int, bip: bool, k, tol: float) -> Optional[b
     return None if window.all() else window.tobytes()
 
 
-def _gate(target: str, key: str, stmts, blk: _Block, k, tol: float):
+def _gate(key: str, stmts: tuple, blk: _Block, k, tol: float):
     """Rows of a block that may pass some statement on ``key``.
 
     The interval gate is one table lookup per row (``_may_pass`` on the
@@ -1093,7 +1089,7 @@ def _gate(target: str, key: str, stmts, blk: _Block, k, tol: float):
         at = np.arange(len(keep))
     else:
         at = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
-        keep, lo, sure = _gate_table(target, key, size, bip, k, tol)
+        keep, lo, sure = _gate_table(stmts, key, size, bip, k, tol)
     keep = keep[at]
     if not any(st.quantity == key and st.relation == "le" for st in stmts):
         return keep
@@ -1129,15 +1125,14 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
 
     A row survives when it passes the gate of some radius statement or the
     hypothesis of a statement on an integer quantity; every other row fails
-    every hypothesis.  An enumerated space without a minimum-degree filter
-    gives only the rows in the target's ``_edge_window``, and counts the
-    others as processed.
+    every hypothesis.  A windowed kind gives only the rows in the target's
+    ``_edge_window``, and counts the others as processed.
     """
-    stmts = statements_for(target)
+    stmts = tuple(statements_for(target))
     bip = stmts[0].domain == "bipartite"
     window = None
-    if space.kind in ("all_labeled", "balanced_bipartite_labeled"):
-        window = _edge_window(target, space.side if bip else space.n, bip, k, tol)
+    if _space_kind(space).windowed:
+        window = _edge_window(stmts, space.order_hint, bip, k, tol)
     report = VerificationReport(target, space.describe())
     clock = _Clock(report.timings)
     quantities = {st.quantity for st in stmts}
@@ -1150,7 +1145,7 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
         for key in quantities & set(_DEGREE_SUMS):  # min_ds or min_cross_ds
             stats[key] = _min_degree_sum(size, bip, stats["deg"], blk.rows_bits())
         clock.lap("stats")
-        gates = {key: _gate(target, key, stmts, blk, k, tol)
+        gates = {key: _gate(key, stmts, blk, k, tol)
                  for key in sorted(quantities & SPECTRAL)}
         survive = np.zeros(len(stats["e"]), dtype=bool)
         for mask in [*gates.values(), *(st.hypothesis(stats, size, k, tol) for st in integral)]:
@@ -1278,11 +1273,10 @@ def verify_theorem(
     stmts = statements_for(target)
     if k is None and any(st.needs_k for st in stmts):
         raise ValueError(f"target {target} needs a k parameter")
-    domains = {st.domain for st in stmts}
-    if space.is_bipartite_space and domains != {"bipartite"}:
-        raise ValueError(f"target {target} needs a plain-graph space")
-    if not space.is_bipartite_space and domains != {"graph"} and space.kind != "graph6_file":
-        raise ValueError(f"target {target} needs a balanced-bipartite space")
+    bip = _space_kind(space).bip  # None: a graph6 file serves either domain
+    if bip is not None and {st.domain for st in stmts} != {"bipartite" if bip else "graph"}:
+        raise ValueError(f"target {target} needs a "
+                         f"{'plain-graph' if bip else 'balanced-bipartite'} space")
     for st in stmts:
         msg = st.refuses(space.order_hint, k)
         if msg:
@@ -1402,13 +1396,10 @@ def extremal_search(
 # Certifier soundness sweep (acceptance criterion 8)
 # ---------------------------------------------------------------------------
 
-# the oracle's answer each certifier verdict expects, and the violation's name otherwise
-_SWEEP_EXPECTS = {"certified_positive": ("yes", "certified_not_hamiltonian"),
-                  "exceptional": ("no", "exceptional_but_hamiltonian")}
-
-
-def _fired_rows(mode: str, classes: _Classes, stats: dict, tol: float) -> list:
-    """(row, verdict, theorem) of each row whose ``certify_<mode>`` cascade fires.
+def _fired_rows(mode: str, classes: _Classes, stats: dict, tol: float) -> tuple:
+    """(rows, step, exceptional): the rows whose ``certify_<mode>`` cascade
+    fires, the step of the walk that fires and whether the verdict is
+    "exceptional" (else "certified_positive"), one array entry per row.
 
     classes holds the rows' bits and stats their statistics.  The radii the
     cascade reads come from the classes (``_Classes.radii``).  For each
@@ -1443,8 +1434,7 @@ def _fired_rows(mode: str, classes: _Classes, stats: dict, tol: float) -> list:
                 _graphs_from_bits(size, bip, classes.rows[seen]), delta[seen].tolist())]
 
         hit[fired] = classes.values(("exception", name), solve, c)[back]
-    return [(r, "exceptional" if hit[r] else "certified_positive", walk[i][0])
-            for r, i in zip(rows.tolist(), first[rows].tolist())]
+    return rows, first[rows], hit[rows]
 
 
 def certifier_soundness_sweep(
@@ -1482,20 +1472,24 @@ def certifier_soundness_sweep(
     memos = defaultdict(dict)  # the call's per-class values (``_Classes``)
     for mode, space in runs:
         bip = space.is_bipartite_space
+        walk = _CERTIFIERS[mode][4]
         for blk in _space_blocks(space, bip):
             size, bits = blk.size, blk.rows_bits()
             classes = _row_classes(size, bip, bits, blk.stats["deg"], memos)
-            fired = _fired_rows(mode, classes, blk.stats, tol)
+            rows, step, exceptional = _fired_rows(mode, classes, blk.stats, tol)
             summary["bipartite_graphs" if bip else "graphs"] += len(bits)
-            summary["inconclusive"] += len(bits) - len(fired)
-            rows = np.array([r for r, _, _ in fired], dtype=np.int64)
+            summary["inconclusive"] += len(bits) - len(rows)
             fired_classes, at = np.unique(classes.of[rows], return_inverse=True)
             status = classes.verdicts("ham", oracle_budget, fired_classes)[at]
             summary["aborted"] += _graph6_rows(size, bip, bits[rows[status == "aborted"]])
-            for (r, verdict, theorem), got in zip(fired, status.tolist()):
-                summary[verdict] += 1
-                want, kind = _SWEEP_EXPECTS[verdict]
-                if got not in ("aborted", want):
-                    g6 = _graph6_rows(size, bip, bits[r : r + 1])[0]
-                    summary["violations"].append({"graph6": g6, "kind": kind, "theorem": theorem})
+            summary["exceptional"] += int(exceptional.sum())
+            summary["certified_positive"] += int((~exceptional).sum())
+            # an exceptional row expects "no" from the oracle, a certified one "yes"
+            wrong = (status != "aborted") & (status != np.where(exceptional, "no", "yes"))
+            for i in np.flatnonzero(wrong).tolist():
+                summary["violations"].append({
+                    "graph6": _graph6_rows(size, bip, bits[rows[i : i + 1]])[0],
+                    "kind": ("exceptional_but_hamiltonian" if exceptional[i]
+                             else "certified_not_hamiltonian"),
+                    "theorem": walk[step[i]][0]})
     return summary

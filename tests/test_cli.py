@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import spectralham.cli as cli
 from spectralham.cli import main
 from spectralham.families import FAMILY_NAMES
 from spectralham.graphs import (
@@ -214,25 +215,39 @@ def _counts(out):
 
 
 def test_verify_over_each_enumerated_and_file_space(capsys, tmp_path):
+    # every --space choice builds the space its constructor builds
     path = tmp_path / "three.g6"
     path.write_text("".join(graph6_encode(g) + "\n"
                             for g in (complete_graph(5), cycle_graph(5), path_graph(5))))
-    for argv, target, space, k in (
+    runs = (
+        (("--space", "all_labeled", "--n", "5"), "ore", SearchSpace.all_labeled(5), None),
         (("--space", "min_degree", "--n", "5", "--min-degree", "2", "--k", "2"), "erdos",
          SearchSpace.labeled_min_degree(5, 2), 2),
         (("--space", "bipartite", "--side", "3"), "moon_moser",
          SearchSpace.balanced_bipartite_labeled(3), None),
+        (("--space", "gnp", "--n", "6", "--p", "0.8", "--samples", "40", "--seed", "3"), "ore",
+         SearchSpace.gnp(6, 0.8, 40, 3), None),
+        (("--space", "bipartite_gnp", "--side", "3", "--p", "0.8", "--samples", "40",
+          "--seed", "4"), "moon_moser", SearchSpace.bipartite_gnp(3, 0.8, 40, 4), None),
         (("--space", "file", "--file", str(path)), "ore", SearchSpace.graph6_file(str(path)),
          None),
-    ):
+    )
+    assert [argv[1] for argv, _, _, _ in runs] == list(cli._SPACES)
+    for argv, target, space, k in runs:
         code, out, _ = run_cli(capsys, "verify", target, *argv)
         rep = verify_theorem(target, space, k=k)
         want = (rep.processed, rep.hypothesis_count, rep.exceptional_matches,
                 len(rep.conclusion_failures), len(rep.aborted))
         assert code == 0 and _counts(out) == want and want[1] > 0, argv
         assert f"target {target} over {space.describe()}:" in out
-    code, out, err = run_cli(capsys, "verify", "ore", "--space", "min_degree", "--n", "5")
-    assert code == 2 and not out and "--space min_degree needs --min-degree" in err
+    for choice, flag in (("min_degree", "--min-degree"), ("file", "--file")):
+        code, out, err = run_cli(capsys, "verify", "ore", "--space", choice, "--n", "5")
+        assert code == 2 and not out and f"--space {choice} needs {flag}" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--space {all_labeled,min_degree,bipartite,gnp,bipartite_gnp,file}" in (
+        capsys.readouterr().out)
 
 
 def test_search_text_output(capsys):

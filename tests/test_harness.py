@@ -2,7 +2,6 @@ import hashlib
 import json
 import re
 from collections import defaultdict
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,8 +12,8 @@ import spectralham.harness as harness
 import spectralham.statements as statements
 from spectralham.families import FamilySpec, construct, recognize
 from spectralham.graphs import (
-    Graph, as_graph, complement, complete_graph, graph6_decode, graph6_encode, pair_order,
-    path_graph, quasi_complement,
+    Graph, as_graph, complement, complete_graph, cycle_graph, graph6_decode, graph6_encode,
+    pair_order, path_graph, quasi_complement,
 )
 from spectralham.harness import (
     _CHUNK,
@@ -456,6 +455,65 @@ def test_space_parameters_must_be_ints():
     assert list(enumerate_space(space)) == list(enumerate_space(SearchSpace.gnp(5, 0.5, 3, 2)))
 
 
+@pytest.mark.parametrize("space, message", [
+    # a model on a kind that takes none used to make the space bipartite,
+    # and moon_moser then died on None * None
+    (SearchSpace("all_labeled", n=4, model="bipartite_gnp"),
+     "all_labeled takes no model, got model='bipartite_gnp'"),
+    # an order on a graph6 file used to reach Statement.refuses as the order
+    (SearchSpace("graph6_file", path="unread.g6", n=99), "graph6_file takes no n, got n=99"),
+    # a string p used to raise TypeError from the range check
+    (SearchSpace.gnp(5, "0.5", 3, 0), "p must be a real number, got '0.5'"),
+    # an int path used to be opened as a file descriptor
+    (SearchSpace.graph6_file(3), "path must be a str, got 3"),
+])
+def test_stray_space_parameters_are_refused(space, message):
+    assert not space.is_bipartite_space
+    for call in (space.validate, lambda: list(enumerate_space(space)),
+                 lambda: verify_theorem("moon_moser", space),
+                 lambda: extremal_search(space, "max_rho", "non_hamiltonian")):
+        with pytest.raises(SpaceCapError, match=re.escape(message)):
+            call()
+
+
+def _cycles_and_paths(space, bip, *_):
+    """A test-only space kind's producer: C_m and P_m, one block per order m = 3 .. n."""
+    for m in range(3, space.n + 1):
+        us, vs, _ = _bit_ends(m, False)
+        yield harness._row_block(m, False, np.array(
+            [[g.has_edge(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+             for g in (cycle_graph(m), path_graph(m))]))
+
+
+def test_a_kind_added_by_one_table_entry_runs_everywhere(monkeypatch, tmp_path):
+    # one entry in the kind table is all a new kind needs: it is validated,
+    # enumerated, verified and searched like a graph6 file of the same graphs
+    monkeypatch.setitem(harness._SPACE_KINDS, ("cycles_and_paths", None), harness._SpaceKind(
+        ("n",), ((lambda s: s.n >= 3, "cycles_and_paths needs n >= 3, got {n}"),), False, None,
+        _cycles_and_paths))
+    space = SearchSpace("cycles_and_paths", n=7)
+    graphs = [g for m in range(3, 8) for g in (cycle_graph(m), path_graph(m))]
+    assert list(enumerate_space(space)) == graphs
+    path = tmp_path / "cycles_and_paths.g6"
+    path.write_text("".join(graph6_encode(g) + "\n" for g in graphs))
+    same = SearchSpace.graph6_file(str(path))
+    for target in ("ore", "dirac", "fn_rho"):
+        got, want = (_drop_times(verify_theorem(target, s).to_json()) for s in (space, same))
+        assert got.pop("space") == {"kind": "cycles_and_paths", "n": 7}
+        want.pop("space")
+        assert got == want and got["processed"] == len(graphs), target
+    assert verify_theorem("dirac", space).hypothesis_count > 0
+    for objective in ("max_rho", "max_q"):
+        got = extremal_search(space, objective, "non_hamiltonian")
+        assert got == extremal_search(same, objective, "non_hamiltonian") and got[1]
+    with pytest.raises(ValueError, match="needs a balanced-bipartite space"):
+        verify_theorem("moon_moser", space)
+    for bad, message in ((SearchSpace("cycles_and_paths", n=2), "needs n >= 3, got 2"),
+                         (SearchSpace("cycles_and_paths", n=5, side=2), "takes no side")):
+        with pytest.raises(SpaceCapError, match=message):
+            bad.validate()
+
+
 def test_random_model_checks_its_space():
     for kwargs, message in ((dict(kind="bipartite_gnp", n=3), "bipartite_gnp needs side >= 1"),
                             (dict(kind="uniform_gnp", side=3), "uniform_gnp needs n >= 1"),
@@ -502,14 +560,16 @@ def test_sweep_cascade_matches_per_graph_certificates(mode, space):
     import spectralham.certifier as certifier
 
     certify = getattr(certifier, f"certify_{mode}")
+    walk = certifier._CERTIFIERS[mode][4]
     bip = space.is_bipartite_space
     size = space.side if bip else space.n
     memos, fired, expected, offset = defaultdict(dict), [], [], 0
     for blk in _index_blocks(size, bip, 0, harness._space_index_total(space)):
         bits = blk.rows_bits()
         classes = _row_classes(size, bip, bits, blk.stats["deg"], memos)
-        fired += [(offset + r, verdict, theorem) for r, verdict, theorem
-                  in harness._fired_rows(mode, classes, blk.stats, DEFAULT_TOL)]
+        rows, step, exceptional = harness._fired_rows(mode, classes, blk.stats, DEFAULT_TOL)
+        fired += [(offset + r, "exceptional" if x else "certified_positive", walk[i][0])
+                  for r, i, x in zip(rows.tolist(), step.tolist(), exceptional.tolist())]
         for r, g in enumerate(_graphs_from_bits(size, bip, bits)):
             cert = certify(g)
             if cert.verdict != "inconclusive":
@@ -1003,7 +1063,7 @@ def test_row_gates_change_no_report(monkeypatch, tmp_path, target, k):
                 off = _drop_times(verify_theorem(target, space, k=k, tol=tol).to_json())
             gated = True
             assert _drop_times(verify_theorem(target, space, k=k, tol=tol).to_json()) == off
-            if space.kind not in ("graph6_file", "random_model"):
+            if harness._space_kind(space).total is not None:  # an enumerated space
                 assert _drop_times(verify_theorem(target, space, k=k, tol=tol,
                                                   jobs=2).to_json()) == off
     assert given[True] < given[False]
@@ -1200,10 +1260,6 @@ def test_class_conclusions_match_row_conclusions(monkeypatch, target, space, k, 
         (st,) = statements.statements_for(target)
         monkeypatch.setattr(harness, "statements_for", lambda target: [
             dataclasses.replace(st, threshold=lambda n, k: threshold)])
-        # the edge-count window and the gate tables are cached by target name:
-        # fresh caches for the planted statement, dropped with the patch
-        for name in ("_edge_window", "_gate_table"):
-            monkeypatch.setattr(harness, name, lru_cache()(getattr(harness, name).__wrapped__))
     by_class, by_row = _class_and_row_reports(monkeypatch, target, space, k, **opts)
     assert by_class == by_row
     assert by_class["hypothesis_count"] > 0 or by_class["aborted"]
@@ -1212,6 +1268,20 @@ def test_class_conclusions_match_row_conclusions(monkeypatch, target, space, k, 
         bits = harness._bits_of(15, [_index_of(graph6_decode(g6)) for g6 in failed])
         keys, _ = _class_keys(6, False, bits, _incidence_degrees(6, False, bits))
         assert len(failed) > 10 * len(set(keys.tolist())) > 0
+
+
+def test_campaign_caches_follow_the_statements(monkeypatch):
+    # the edge-count window and the gate tables are keyed by the statements
+    # they read: after a real ore campaign has cached its window (e > 11 at
+    # order 6), ore with its threshold lowered to 3 gets a window of its own
+    import dataclasses
+
+    space = SearchSpace.all_labeled(6)
+    assert verify_theorem("ore", space).clean
+    (st,) = statements.statements_for("ore")
+    monkeypatch.setattr(harness, "statements_for",
+                        lambda target: [dataclasses.replace(st, threshold=lambda n, k: 3)])
+    assert len(verify_theorem("ore", space).conclusion_failures) == 22_114
 
 
 def test_class_clique_conclusions_match_row_conclusions(monkeypatch, tmp_path):
@@ -1268,7 +1338,8 @@ def test_edge_window_keeps_exactly_the_admitted_rows(size, bip, target, k, range
     # a windowed index range gives the rows of the whole range whose edge
     # count the window admits, with the same statistics, in blocks of at most
     # _CHUNK C-contiguous rows whose spans add up to the range
-    window = harness._edge_window(target, size, bip, k, DEFAULT_TOL)
+    window = harness._edge_window(tuple(harness.statements_for(target)), size, bip, k,
+                                  DEFAULT_TOL)
     admitted = np.frombuffer(window, dtype=bool)
     assert 0 < admitted.sum() < len(admitted)
     for start, stop in ranges:
@@ -1324,7 +1395,8 @@ def test_window_cache_is_narrow_and_joined_blocks_are_wide(target, size, bip):
     # the cache keeps int32 table indices and int8 edge counts beside its int8
     # degrees; a joined block widens indices and edge counts to int64, as
     # _gate's triple code (e * order + delta) * order + Delta would wrap in int8
-    window = harness._edge_window(target, size, bip, None, DEFAULT_TOL)
+    window = harness._edge_window(tuple(harness.statements_for(target)), size, bip, None,
+                                  DEFAULT_TOL)
     assert window is not None
     nbits, order = len(_bit_ends(size, bip)[0]), _bit_ends(size, bip)[2]
     for high in range(nbits - (_CHUNK.bit_length() - 1) + 1):
@@ -1386,7 +1458,7 @@ def test_gate_table_matches_interval_gate(monkeypatch, target, space, k):
     bip = space.is_bipartite_space
     size = space.side if bip else space.n
     total = harness._space_index_total(space)
-    stmts = harness.statements_for(target)
+    stmts = tuple(harness.statements_for(target))
     keys = {st.quantity for st in stmts} & statements.SPECTRAL
     tol = 1e-9
     _, _, order = _bit_ends(size, bip)
@@ -1394,13 +1466,13 @@ def test_gate_table_matches_interval_gate(monkeypatch, target, space, k):
         stats = _degree_stats(size, bip, pos, min(pos + _CHUNK, total))
         code = (stats["e"] * order + stats["delta"]) * order + stats["Delta"]
         for key in keys:
-            table = harness._gate_table(target, key, size, bip, k, tol)
+            table = harness._gate_table(stmts, key, size, bip, k, tol)
             direct = harness._may_pass(key, stmts, stats, size, bip, k, tol)
             for col, want in zip(table, direct):
                 assert np.array_equal(col[code], want), key
     real, triples = harness._triples(size, bip)
     for key in keys:
-        keep, lo, sure = (col[real] for col in harness._gate_table(target, key, size, bip, k, tol))
+        keep, lo, sure = (col[real] for col in harness._gate_table(stmts, key, size, bip, k, tol))
         want_lo, hi = _radius_interval(key, triples, size, bip)
         at_hi = np.zeros(len(hi), dtype=bool)
         for st in stmts:
@@ -1410,9 +1482,9 @@ def test_gate_table_matches_interval_gate(monkeypatch, target, space, k):
         assert np.array_equal(lo, want_lo) and np.array_equal(sure, at_hi), key
         assert sure.any() and not (sure & ~keep).any(), key
     blocks = list(harness._space_blocks(space, bip))
-    tabled = [harness._gate(target, key, stmts, blk, k, tol) for blk in blocks for key in keys]
+    tabled = [harness._gate(key, stmts, blk, k, tol) for blk in blocks for key in keys]
     monkeypatch.setattr(harness, "_GATE_TABLE_MAX", 0)
-    per_row = [harness._gate(target, key, stmts, blk, k, tol) for blk in blocks for key in keys]
+    per_row = [harness._gate(key, stmts, blk, k, tol) for blk in blocks for key in keys]
     assert all(np.array_equal(a, b) for a, b in zip(tabled, per_row))
 
 
@@ -1454,7 +1526,8 @@ def test_narrow_gate_sums_stay_exact_at_large_order(size, bip, p):
     # materialised int16 rows at orders 60 and 400: the int32 pair weights
     # and squares of _rayleigh and _degree_floor, summed in int64, give the
     # int64 reference bitwise (the dense q numerators pass 2^31 at order 400)
-    bits = np.concatenate(list(harness._gnp_bits(size, bip, p, 7, 3)))
+    space = (SearchSpace.bipartite_gnp if bip else SearchSpace.gnp)(size, p, 3, 7)
+    bits = np.concatenate([blk.bits for blk in harness._space_blocks(space, bip)])
     blk = harness._row_block(size, bip, bits)
     deg, e = blk.stats["deg"], blk.stats["e"]
     assert deg.dtype == np.int16 and len(e) == 3
@@ -1681,7 +1754,8 @@ def test_order_12_rows_never_share_a_class_value():
     # order-12 rows have 66 bits, past an int64 key: rows that differ only in
     # bits 63-65 are different graphs (one more edge raises rho), and each
     # row keeps its own eigvalsh value
-    bits = np.concatenate([b for b in harness._gnp_bits(12, False, 0.8, 5, 40)])
+    bits = np.concatenate([blk.bits for blk in
+                           harness._space_blocks(SearchSpace.gnp(12, 0.8, 40, 5), False)])
     twins = bits.copy()
     twins[:, 63:] = ~twins[:, 63:]
     rows = np.concatenate([bits, twins])
