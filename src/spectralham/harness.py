@@ -1,9 +1,11 @@
 """Graph-space enumeration, random models, and verification campaigns.
 
-Spaces are labeled (not isomorphism-reduced): theorem statements are
-isomorphism-invariant, so the redundancy costs time but not correctness,
-and hard caps keep runs at desk scale (all_labeled needs n <= 8,
-balanced_bipartite_labeled needs side <= 5).
+Spaces are labeled: each labeling of a graph is a graph of the space, and
+reports count and list labelings.  Theorem statements are closed under
+relabelling, so a campaign over an index space visits one slice of each
+relabelling orbit, its degree-sorted rows, each weighted by the labelings it
+stands for (Row blocks).  Hard caps keep runs at desk scale (all_labeled
+needs n <= 8, balanced_bipartite_labeled needs side <= 5).
 
 ``verify_theorem`` checks one theorem or lemma over a space: every graph
 satisfying the hypothesis must satisfy the conclusion, where the conclusion
@@ -27,7 +29,12 @@ carries its rows' edge counts and degrees and holds only rows of its space
 (``_index_blocks``); graph6 files and random models materialise the bits
 (``_row_block``).  A campaign on a windowed kind gives statistics only to
 the index rows whose edge count some statement of its target can accept
-(``_edge_window``), and counts the others as processed.
+(``_edge_window``), and counts the others as processed.  A campaign's index
+blocks also keep only the rows whose degrees do not increase in vertex order
+(on X and on Y apart for bipartite rows), each weighted n!/prod m_d!, with
+m_d vertices of degree d (side!^2 over both sides' products): the number of
+labelings of its orbit it stands for, so the weights of the sorted rows add
+up to the index total (``_orbit_slice``, ``_Block.weight``).
 
 Gates.  Each statistic or spectral radius is one column, and
 ``Statement.hypothesis`` over the columns gives each statement's mask
@@ -56,24 +63,28 @@ value depends on its class alone (at tol = 0 a whole class lies on one side
 of a threshold).  ``_Classes.verdicts`` is the one place an oracle verdict
 comes from: the batched Held-Karp kernel up to order 16, charging each
 representative 1 << order nodes, which no relabelling changes, and the
-scalar oracle above.  The class sizes are the row weights: processed counts
-the rows of the space, and hypothesis_count and exceptional_matches add the
-sizes of the classes that count.  Only a failing or aborted class is
-expanded back to its rows, each reported by the graph6 of its own bits.
-Rows of more than 63 bits have no key: each is a class of one.
+scalar oracle above.  A class weighs the sum of its rows' weights (1 per
+row outside a sliced index block): processed counts the graphs of the space,
+and hypothesis_count and exceptional_matches add the weights of the classes
+that count.  Only a failing or aborted class is expanded: to its rows, each
+reported by the graph6 of its own bits, or, when its rows are weighted, to
+every labeling of its orbit (``_orbit_rows``), so the lists hold what a
+campaign over every row would list.  Rows of more than 63 bits have no key:
+each is a class of one.
 
 ``extremal_search`` and the soundness sweep (``_fired_rows``) read the same
-producers and take their radii and verdicts per class the same way, with
-memos per call.  An enumerated campaign can be split into ``jobs`` index
-ranges, run by at most as many workers as there are ranges and CPUs; the
-merged report equals the serial one.  ``VerificationReport.timings`` charges
-time to its stages lap by lap, so they sum to about the wall time of a
-serial run.
+producers, every row of them (no slice), and take their radii and verdicts
+per class the same way, with memos per call.  An enumerated campaign can be
+split into ``jobs`` index ranges, run by at most as many workers as there
+are ranges and CPUs; the merged report equals the serial one.
+``VerificationReport.timings`` charges time to its stages lap by lap, so
+they sum to about the wall time of a serial run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import itertools
+import math
 import os
 import time
 from collections import defaultdict
@@ -345,7 +356,11 @@ class _Block:
 
     Every row is in the space.  stats are the rows' integer statistics
     (``_stats``); span counts the rows of the space the block stands for,
-    its own and those an edge-count window passed over.
+    its own and those an edge-count window or the orbit slice passed over
+    (with a degree floor, the sum of its rows' weights: the blocks' spans
+    add up to the space either way).  weight (int64, one per
+    row, from ``_orbit_slice``) is the number of labelings each row stands
+    for in the counts; None means each row stands for itself.
     """
 
     size: int
@@ -354,6 +369,7 @@ class _Block:
     span: int
     bits: Optional[np.ndarray] = None
     index: Optional[np.ndarray] = None
+    weight: Optional[np.ndarray] = None
 
     def rows_bits(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """The pair bits of the given rows (every row when None)."""
@@ -378,7 +394,7 @@ def _window_rows(size: int, bip: bool, window: bytes, high: int) -> tuple:
 
 
 def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional[int] = None,
-                  window: Optional[bytes] = None) -> Iterator[_Block]:
+                  window: Optional[bytes] = None, sliced: bool = False) -> Iterator[_Block]:
     """The index range [start, stop) as blocks of at most _CHUNK rows.
 
     A row's degrees and edge count are a slice of ``_degree_table`` for its
@@ -389,7 +405,8 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
     degrees and edge counts, from ``_window_rows`` for the edge count of its
     high bits (a slice of them for a partial first or last table block), and
     the admitted rows of consecutive table blocks are joined into one
-    C-contiguous block.
+    C-contiguous block.  sliced keeps only the degree-sorted rows, weighted
+    by their orbits (``_orbit_slice``).
     """
     deg_low, e_low = _degree_table(size, bip)
     width = deg_low.shape[1]
@@ -408,7 +425,7 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
                 a, b = np.searchsorted(sel, (lo, hi))
                 sel, deg, e = sel[a:b], deg[:, a:b], e[a:b]
         if parts and rows + len(sel) > _CHUNK:
-            yield _joined_block(size, bip, parts, min_deg)
+            yield _joined_block(size, bip, parts, min_deg, sliced)
             parts, rows = [], 0
         # deg + high is a new C-contiguous array (never the read-only cache),
         # so the per-vertex reductions of _stats run over contiguous rows; a
@@ -418,12 +435,15 @@ def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional
         rows += len(sel)
         pos = block * width + hi
     if parts:
-        yield _joined_block(size, bip, parts, min_deg)
+        yield _joined_block(size, bip, parts, min_deg, sliced)
 
 
-def _joined_block(size: int, bip: bool, parts: list, min_deg: Optional[int]) -> _Block:
-    """One block of the index rows gathered in parts by ``_index_blocks``; with
-    min_deg only those of minimum degree >= min_deg, which its span counts.
+def _joined_block(size: int, bip: bool, parts: list, min_deg: Optional[int],
+                  sliced: bool) -> _Block:
+    """One block of the index rows gathered in parts by ``_index_blocks``:
+    with sliced only the degree-sorted ones, with their orbit weights
+    (``_orbit_slice``), and with min_deg only those of minimum degree >=
+    min_deg, which its span counts (by weight when sliced).
 
     Its indices and edge counts are int64 (``_window_rows`` caches them
     narrower): ``_gate`` codes a row's triple as (e * order + delta) * order
@@ -431,12 +451,47 @@ def _joined_block(size: int, bip: bool, parts: list, min_deg: Optional[int]) -> 
     """
     index, deg, e = (col[0] if len(parts) == 1 else np.concatenate(col, axis=-1)
                      for col in list(zip(*parts))[:3])
-    index, e = index.astype(np.int64, copy=False), e.astype(np.int64, copy=False)
-    span = sum(p[3] for p in parts)
+    span, weight = sum(p[3] for p in parts), None
+    if sliced:
+        keep, weight = _orbit_slice(size, bip, deg)
+        index, deg, e = index[keep], deg.take(keep, axis=1), e[keep]
     if min_deg is not None:
         keep = np.flatnonzero(deg.min(axis=0) >= min_deg)
-        index, deg, e, span = index[keep], deg.take(keep, axis=1), e[keep], len(keep)
-    return _Block(size, bip, _stats(deg, e), span, index=index)
+        index, deg, e = index[keep], deg.take(keep, axis=1), e[keep]
+        weight = None if weight is None else weight[keep]
+        span = len(keep) if weight is None else int(weight.sum())
+    index, e = index.astype(np.int64, copy=False), e.astype(np.int64, copy=False)
+    return _Block(size, bip, _stats(deg, e), span, index=index, weight=weight)
+
+
+def _orbit_slice(size: int, bip: bool, deg: np.ndarray) -> tuple:
+    """(rows, weight): the rows of deg (order, rows) whose degrees do not
+    increase in vertex order (on X and on Y apart when bip), and the number
+    of labelings each one's relabelling orbit gives it.
+
+    The relabellings are the permutations of the vertices (of X and of Y
+    apart when bip).  A graph G whose degrees sort has m_d vertices of
+    degree d (per side when bip); the relabellings that keep its degrees
+    sorted permute each run of equal degrees, so its orbit of n!/|Aut G|
+    labelings holds prod m_d! / |Aut G| sorted ones.  Weighting each
+    n!/prod m_d! (side!^2 over both sides' products when bip) makes the
+    sorted members count the whole orbit.  prod m_d! is the product over
+    the vertices of each one's place in its run, counted from 1.
+    """
+    order = deg.shape[0]
+    down = deg[1:] <= deg[:-1]
+    if bip:
+        down[size - 1] = True  # y_0 starts a run of its own after x_(side-1)
+    rows = np.flatnonzero(down.all(axis=0))
+    deg = deg.take(rows, axis=1)
+    place, runs = np.ones((2, len(rows)), dtype=np.int64)
+    for v in range(1, order):
+        same = deg[v] == deg[v - 1]
+        if bip and v == size:
+            same[:] = False
+        place = np.where(same, place + 1, 1)
+        runs *= place
+    return rows, math.factorial(size) ** (2 if bip else 1) // runs
 
 
 def _block_rows(nbits: int) -> int:
@@ -498,7 +553,7 @@ class _SpaceKind:
     checks: tuple  # (test, message) pairs, a message formatted with the space's fields
     bip: Optional[bool]  # balanced bipartite rows; None: as the target reads them (graph6)
     total: Optional[Callable]  # its index total; None when its rows are materialised
-    blocks: Callable  # (space, bip, start, stop, window) -> its rows as _Blocks
+    blocks: Callable  # (space, bip, start, stop, window, sliced) -> its rows as _Blocks
     windowed: bool = False  # a campaign cuts it to the edge-count window
     graphs: Optional[Callable] = None  # its graphs in its own order, where blocks regroup them
 
@@ -517,9 +572,10 @@ _GNP = ((lambda s: s.p is not None and 0.0 <= s.p <= 1.0, "edge probability must
          "random_model needs an int seed >= 0, got {seed!r}"))
 
 
-def _enumerated(space: SearchSpace, bip: bool, start: int, stop: int, window) -> Iterator[_Block]:
+def _enumerated(space: SearchSpace, bip: bool, start: int, stop: int, window,
+                sliced: bool) -> Iterator[_Block]:
     # k is None but in a labeled_min_degree space, the one kind that takes it
-    return _index_blocks(space.order_hint, bip, start, stop, space.k, window)
+    return _index_blocks(space.order_hint, bip, start, stop, space.k, window, sliced)
 
 
 def _sampled(space: SearchSpace, bip: bool, *_) -> Iterator[_Block]:
@@ -569,13 +625,15 @@ def _space_index_total(space: SearchSpace) -> Optional[int]:
 
 
 def _space_blocks(space: SearchSpace, bip: bool, start: int = 0, stop: Optional[int] = None,
-                  window: Optional[bytes] = None) -> Iterator[_Block]:
+                  window: Optional[bytes] = None, sliced: bool = False) -> Iterator[_Block]:
     """The space's rows as blocks from its kind's producer; bip reads a graph6
-    file as balanced bipartite graphs, and stop None is the index total."""
+    file as balanced bipartite graphs, and stop None is the index total.
+    sliced lets an index kind give only its degree-sorted rows, weighted
+    (``_orbit_slice``); the materialised kinds give every row."""
     kind = _space_kind(space)
     if stop is None and kind.total is not None:
         stop = kind.total(space)
-    return kind.blocks(space, bip, start, stop, window)
+    return kind.blocks(space, bip, start, stop, window, sliced)
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +735,7 @@ def _class_keys(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray):
 class _Classes:
     """Rows of pair bits (of one size and bip) grouped by relabelling class.
 
-    Row r is in class of[r]; row[c] is one of the rows of class c and
-    sizes[c] their number, the class's weight in every count.  keys
+    Row r is in class of[r] and row[c] is one of the rows of class c.  keys
     lists the class keys, or is None when the rows have more than 63 bits
     and so no int64 key; each row is then a class of one.  memos is the
     call's {(name, size, bip): {class key: value}}.  Values are asked by
@@ -690,7 +747,6 @@ class _Classes:
     rows: np.ndarray
     of: np.ndarray
     row: np.ndarray
-    sizes: np.ndarray
     memos: defaultdict
     keys: Optional[list] = None
 
@@ -764,16 +820,16 @@ def _row_classes(size: int, bip: bool, bits: np.ndarray, deg: np.ndarray, memos)
     """
     if bits.shape[1] > 63:
         rows = np.arange(len(bits))
-        return _Classes(size, bip, bits, rows, rows, np.ones(len(bits), dtype=np.int64), memos)
+        return _Classes(size, bip, bits, rows, rows, memos)
     step = _pair_rows(size, bip)
     keys = np.concatenate([
         _class_keys(size, bip, bits[lo : lo + step], deg[:, lo : lo + step])[0]
         for lo in range(0, len(bits), step)
     ])
-    uniq, of, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    uniq, of = np.unique(keys, return_inverse=True)
     row = np.empty(len(uniq), dtype=np.int64)
     row[of] = np.arange(len(keys))  # any row of a class will do: no sorting for the first
-    return _Classes(size, bip, bits, of, row, sizes, memos, uniq.tolist())
+    return _Classes(size, bip, bits, of, row, memos, uniq.tolist())
 
 
 def _radius_interval(key: str, stats: dict, size: int, bip: bool):
@@ -899,6 +955,33 @@ def _graph6_rows(size: int, bip: bool, bits: np.ndarray) -> list[str]:
     return [graph6_encode(g) for g in _graphs_from_bits(size, bip, bits)]
 
 
+def _orbit_rows(size: int, bip: bool, bits: np.ndarray) -> np.ndarray:
+    """The pair bits of every relabelling of the rows of bits, once each and
+    in index order.
+
+    A plain row is relabelled by every permutation of its vertices, a
+    bipartite one by every permutation of X with every one of Y.  The table
+    of those n! (side!^2) relabellings is built per call, and only the rows
+    of a failing or aborted class of weighted rows come here.  A relabelled
+    index is one float64 product per row and relabelling, exact: it is a sum
+    of distinct powers of two below 2^28 (``_pair_weights``).
+    """
+    us, vs, order = _bit_ends(size, bip)
+    if bip:
+        side = np.array(list(itertools.permutations(range(size))))
+        perm = np.hstack([np.repeat(side, len(side), axis=0),
+                          size + np.tile(side, (len(side), 1))])
+    else:
+        perm = np.array(list(itertools.permutations(range(order))))
+    # moved[t, p]: the weight of the pair that pair bit t becomes under relabelling p
+    moved = _pair_weights(size, bip).take((perm[:, us] * order + perm[:, vs]).T).astype(float)
+    step = max(1, _EIG_BYTES // (8 * len(perm)))
+    index = np.unique(np.concatenate([
+        (bits[lo : lo + step].astype(float) @ moved).astype(np.int64).ravel()
+        for lo in range(0, len(bits), step)]))
+    return _bits_of(len(us), index)
+
+
 # ---------------------------------------------------------------------------
 # Verdicts and conclusions
 # ---------------------------------------------------------------------------
@@ -945,17 +1028,22 @@ class _Clock:
         self.last = now
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     """Outcome of one campaign.
 
-    processed counts the graphs of the space.  hypothesis_count sums over
-    the target's atomic checks, so a graph satisfying several parts of a
-    multi-part theorem is counted once per part; the campaign decides each
-    relabelling class once and adds its size (its number of graphs) to
-    hypothesis_count and exceptional_matches.  conclusion_failures / aborted
-    carry graph6 strings, sorted, one per graph: a failing or aborted class
-    lists each of its graphs by its own labeling.
+    processed counts the graphs of the space, every labeling of a graph
+    once.  hypothesis_count sums over the target's atomic checks, so a graph
+    satisfying several parts of a multi-part theorem is counted once per
+    part; the campaign decides each relabelling class once and adds its
+    weight (the labelings its rows stand for: over an index space it visits
+    only degree-sorted rows, each weighted by its orbit) to hypothesis_count
+    and exceptional_matches.  conclusion_failures / aborted carry graph6
+    strings, sorted, one per graph: a failing or aborted class lists each of
+    its graphs by its own labeling, every labeling of its orbit over an
+    index space.
+    space is the space's ``describe()``, one dict shared by the reports
+    of equal spaces (``_described``), so it is read, not changed.
     timings holds perf_counter seconds per stage (stats, gate, eigensolve,
     hypothesis, conclusion, recognize), summed over blocks and workers; the
     gate stage includes choosing the surviving rows, and the eigensolve stage
@@ -992,6 +1080,13 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+@lru_cache(maxsize=64)
+def _described(space: SearchSpace) -> dict:
+    """space.describe(), made once per space: a caller that keeps many
+    reports of one space keeps one description."""
+    return space.describe()
 
 
 def _some_holds(key: str, stmts, stats: dict, value, size: int, k, tol: float) -> np.ndarray:
@@ -1126,20 +1221,22 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
     A row survives when it passes the gate of some radius statement or the
     hypothesis of a statement on an integer quantity; every other row fails
     every hypothesis.  A windowed kind gives only the rows in the target's
-    ``_edge_window``, and counts the others as processed.
+    ``_edge_window``, and counts the others as processed.  An index kind
+    gives only its degree-sorted rows, each weighted by its orbit
+    (``_orbit_slice``): every statement is closed under relabelling.
     """
     stmts = tuple(statements_for(target))
     bip = stmts[0].domain == "bipartite"
     window = None
     if _space_kind(space).windowed:
         window = _edge_window(stmts, space.order_hint, bip, k, tol)
-    report = VerificationReport(target, space.describe())
+    report = VerificationReport(target, _described(space))
     clock = _Clock(report.timings)
     quantities = {st.quantity for st in stmts}
     integral = [st for st in stmts if st.quantity not in SPECTRAL]
     memos = defaultdict(dict)  # the call's per-class values (``_Classes``)
-    pending = {}  # {(size, bip): [(bits, stats, gates) of some surviving rows]}
-    for blk in _space_blocks(space, bip, start, stop, window):
+    pending = {}  # {(size, bip): [(bits, stats, gates, weight) of some surviving rows]}
+    for blk in _space_blocks(space, bip, start, stop, window, sliced=True):
         size, stats = blk.size, blk.stats
         report.processed += blk.span
         for key in quantities & set(_DEGREE_SUMS):  # min_ds or min_cross_ds
@@ -1156,9 +1253,10 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
             group = pending.setdefault((size, bip), [])
             group.append((blk.rows_bits(rows),
                           {name: col.take(rows, axis=-1) for name, col in stats.items()},
-                          {key: gate[rows] for key, gate in gates.items()}))
+                          {key: gate[rows] for key, gate in gates.items()},
+                          None if blk.weight is None else blk.weight[rows]))
             clock.lap("stats")
-            if sum(len(bits) for bits, _, _ in group) >= _GROUP_ROWS:
+            if sum(len(bits) for bits, *_ in group) >= _GROUP_ROWS:
                 _eval_group(stmts, report, size, bip, group, k, tol, budget, memos, clock)
                 group.clear()
     for (size, bip), group in pending.items():
@@ -1171,35 +1269,41 @@ def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget
                 memos: dict, clock):
     """Radii, hypotheses and conclusions of surviving rows, one relabelling class at a time.
 
-    group lists (bits, stats, gates) of the surviving rows of some blocks,
-    gates holding, per radius, the rows its gate kept.  The rows are keyed
+    group lists (bits, stats, gates, weight) of the surviving rows of some
+    blocks, gates holding, per radius, the rows its gate kept, and weight their
+    ``_Block.weight`` (None: each row stands for itself).  The rows are keyed
     once (``_row_classes``), and from then on the work is per class: every
-    statistic and gate flag the statements read is a class invariant, so
-    each class takes them from one of its rows, and its values come from that
-    one ``_Classes``, kept in the call's memos and answered on the class's
+    statistic and gate flag the statements read is a class invariant, so each
+    class takes them from one of its rows, and its values come from that one
+    ``_Classes``, kept in the call's memos and answered on the class's
     representative: first each radius over the classes its gate kept (NaN
     elsewhere, which fails every comparison), then, after each statement's
-    mask, the questions below.  Hamiltonicity is asked of every class a
-    "ham" conclusion or a "not_ham" check needs (such a statement's
-    conclusion is "ham"), traceability only of the classes that are not
-    Hamiltonian (a Hamiltonian graph is traceable).  A "not_ham" mask keeps
-    the classes whose answer is "no" and reports the aborted ones.  A
-    representative's graph is built once, and only for a graph check, a
-    structural conclusion or a recognizer.  Counts add the class sizes; a
+    mask, the questions below.  Hamiltonicity is asked of every class a "ham"
+    conclusion or a "not_ham" check needs (such a statement's conclusion is
+    "ham"), traceability only of the classes that are not Hamiltonian (a
+    Hamiltonian graph is traceable).  A "not_ham" mask keeps the classes whose
+    answer is "no" and reports the aborted ones.  A representative's graph is
+    built once, and only for a graph check, a structural conclusion or a
+    recognizer.  A class weighs the sum of its rows' weights in every count.  A
     failing or aborted class is expanded to its rows, each reported by the
-    graph6 of its own bits.
+    graph6 of its own bits, or, when its rows are weighted, to every labeling
+    of its orbit (``_orbit_rows``).
     """
-    bits = np.concatenate([b for b, _, _ in group])
-    deg = np.concatenate([s["deg"] for _, s, _ in group], axis=-1)
+    bits = np.concatenate([b for b, *_ in group])
+    deg = np.concatenate([s["deg"] for _, s, *_ in group], axis=-1)
     classes = _row_classes(size, bip, bits, deg, memos)
-    weight = classes.sizes
+    weighted = group[0][3] is not None
+    rows_weight = np.concatenate([w for *_, w in group]) if weighted else None
+    # float64 sums of int64 weights are exact: a space holds at most 2^28 graphs
+    weight = np.bincount(classes.of, rows_weight, classes.count).astype(np.int64)
 
     def column(cols):  # the value at a row of each class
         return (cols[0] if len(cols) == 1 else np.concatenate(cols))[classes.row]
 
-    stats = {name: column([s[name] for _, s, _ in group]) for name in group[0][1] if name != "deg"}
+    stats = {name: column([s[name] for _, s, *_ in group])
+             for name in group[0][1] if name != "deg"}
     for key in group[0][2]:
-        c = np.flatnonzero(column([g[key] for _, _, g in group]))
+        c = np.flatnonzero(column([g[key] for _, _, g, _ in group]))
         stats[key] = np.full(classes.count, np.nan)
         stats[key][c] = classes.radii(key, c)
     clock.lap("eigensolve")
@@ -1247,7 +1351,9 @@ def _eval_group(stmts, report, size: int, bip: bool, group: list, k, tol, budget
         failed[bad] = True
     for out, hit in ((report.conclusion_failures, failed), (report.aborted, aborted)):
         if hit.any():
-            out += _graph6_rows(size, bip, bits[hit[classes.of]])
+            rows = (_orbit_rows(size, bip, classes.bits(np.flatnonzero(hit))) if weighted
+                    else bits[hit[classes.of]])
+            out += _graph6_rows(size, bip, rows)
     clock.lap("conclusion")
 
 
@@ -1292,9 +1398,13 @@ def verify_theorem(
             for a, b in zip(bounds[:-1], bounds[1:])
             if a < b
         ]
+        # imported here: only a split campaign needs it, and with its socket
+        # imports it would add about 7 ms to every ``import spectralham``
+        import multiprocessing
+
         with multiprocessing.Pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
             parts = pool.map(_worker, tasks)
-        report = VerificationReport(target, space.describe())
+        report = VerificationReport(target, _described(space))
         for part in parts:
             report.merge(part)
     else:

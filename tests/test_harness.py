@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import re
 from collections import defaultdict
 
@@ -904,11 +905,11 @@ def test_relabellings_share_one_class_value():
 
 
 def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
-    # the benchmark's campaign pass: only the rows in the edge-count window
-    # get statistics (82,160 fn_rho rows, e in [15, 21], and 39,203 bip_q_qc
-    # rows), every row that survives the gate, with the Rayleigh lower end for
-    # q_qc, is keyed once (9,171 fn_rho rows, 9,023 bip_q_qc rows), and its
-    # radii, hypotheses and conclusions share those keys.  No value outlives
+    # the benchmark's campaign pass: only the degree-sorted rows in the
+    # edge-count window get statistics (824 fn_rho rows, e in [15, 21], and
+    # 964 bip_q_qc rows), every row that survives the gate, with the Rayleigh
+    # lower end for q_qc, is keyed once (141 fn_rho rows, 417 bip_q_qc rows),
+    # and its radii, hypotheses and conclusions share those keys.  No value outlives
     # a verify_theorem call, so a second identical pass does as much as the first
     # a radius, verdict and recognizer is asked once per class: 46
     # Statement.exception calls per pass (2 fn_rho, 44 bip_q_qc)
@@ -954,44 +955,46 @@ def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
             rep = verify_theorem(target, space)
             assert (rep.processed, rep.hypothesis_count, rep.clean) == (processed, hyps, True)
             given.append(sum(statted))
-        assert given == [82_160, 39_203]
-        assert (sum(keyed), sum(solved), sum(decided)) == (18_194, 280, 252)
+        assert given == [824, 964]
+        assert (sum(keyed), sum(solved), sum(decided)) == (558, 280, 252)
         assert recognized[-2:] == [2, 44]
 
 
 def test_class_rows_share_statistics_and_gates(monkeypatch):
     # _eval_group reads each class's statistics and gate flags at one of its
     # rows: on both benchmark campaigns every row of a class has the same
-    # edge count, delta, two_delta, Delta, sorted degrees and gate flags
+    # edge count, delta, two_delta, Delta, sorted degrees, gate flags and
+    # orbit weight
     seen = defaultdict(int)
     orig = harness._eval_group
 
     def checking(stmts, report, size, bip, group, *rest):
-        bits = np.concatenate([b for b, _, _ in group])
-        cols = {name: np.concatenate([s[name] for _, s, _ in group], axis=-1)
+        bits = np.concatenate([b for b, *_ in group])
+        cols = {name: np.concatenate([s[name] for _, s, *_ in group], axis=-1)
                 for name in group[0][1]}
         classes = _row_classes(size, bip, bits, cols["deg"], defaultdict(dict))
         cols["deg"] = np.sort(cols["deg"], axis=0)
         for key in group[0][2]:
-            cols[key] = np.concatenate([g[key] for _, _, g in group])
+            cols[key] = np.concatenate([g[key] for _, _, g, _ in group])
+        cols["weight"] = np.concatenate([w for *_, w in group])
         assert {"e", "delta", "two_delta", "Delta"} < cols.keys() and group[0][2]
         for name, col in cols.items():
             assert np.array_equal(col, col[..., classes.row][..., classes.of]), name
-        assert classes.sizes.sum() == len(bits) and classes.count < len(bits)
+        assert classes.count < len(bits)
         seen[stmts[0].theorem] += len(bits)
         return orig(stmts, report, size, bip, group, *rest)
 
     monkeypatch.setattr(harness, "_eval_group", checking)
     assert verify_theorem("fn_rho", SearchSpace.all_labeled(7)).clean
     assert verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4)).clean
-    assert seen == {"fn_rho": 9_171, "bip_q_qc": 9_023}
+    assert seen == {"fn_rho": 141, "bip_q_qc": 417}
 
 
 def test_degree_floor_leaves_few_rows_to_rayleigh(monkeypatch):
-    # a bip_q_qc pass: of the 39,203 rows given statistics, the interval gate
-    # keeps 33,023, 209 of them sure to pass; the degree floor sees the other
-    # 32,814 and leaves 15,198 to _rayleigh (both floors would keep the sure
-    # rows), and 9,023 are keyed, as without the degree floor
+    # a bip_q_qc pass: of the 964 degree-sorted rows given statistics, the
+    # degree floor sees the 820 that the interval gate keeps without being
+    # sure of and leaves 486 to _rayleigh (both floors would keep the sure
+    # rows), and 417 are keyed, as without the degree floor
     seen = dict.fromkeys(("_degree_floor", "_rayleigh", "_class_keys"), 0)
     orig = {name: getattr(harness, name) for name in seen}
 
@@ -1011,7 +1014,7 @@ def test_degree_floor_leaves_few_rows_to_rayleigh(monkeypatch):
         monkeypatch.setattr(harness, name, fn)
     rep = verify_theorem("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4))
     assert (rep.processed, rep.hypothesis_count, rep.clean) == (1 << 16, 7583, True)
-    assert seen == {"_degree_floor": 32_814, "_rayleigh": 15_198, "_class_keys": 9_023}
+    assert seen == {"_degree_floor": 820, "_rayleigh": 486, "_class_keys": 417}
 
 
 def _gates_off(m):
@@ -1071,6 +1074,118 @@ def test_row_gates_change_no_report(monkeypatch, tmp_path, target, k):
         assert keyed[True] < keyed[False]
 
 
+def _slice_off(m):
+    """Give a campaign every row of an index space, each standing for itself."""
+    m.setattr(harness, "_orbit_slice", lambda size, bip, deg: (np.arange(deg.shape[1]), None))
+
+
+# (target, space, k, options) of the sliced-campaign check: every criterion-6
+# campaign at n <= 6 and side <= 3, labeled_min_degree(6, k), a planted defect
+# and a zero oracle budget
+_SLICE_CASES = [
+    *((target, SearchSpace.all_labeled(n), None, {})
+      for target, ns in (("ore", (5, 6)), ("fn_rho", (6,)), ("fn_rho_complement", (6,)),
+                         ("yu_fan_q", (6,)), ("ainouche_christofides", (3, 4, 5, 6)))
+      for n in ns),
+    *(("main_rho_complement.2", SearchSpace.labeled_min_degree(n, 1), 1, {}) for n in (4, 5, 6)),
+    *((target, SearchSpace.balanced_bipartite_labeled(side), k, {})
+      for side in (2, 3)
+      for target, k in (("moon_moser", None), ("ferrara_jacobson_powell", None),
+                        ("bip_q_qc", None), ("bip_rho_qc", 1))),
+    *(("fn_rho", SearchSpace.labeled_min_degree(6, k), None, {}) for k in range(5)),
+    *(("main_rho_complement.1", SearchSpace.labeled_min_degree(6, k), k, {}) for k in range(3)),
+    ("ore", SearchSpace.all_labeled(6), None, {"threshold": 3}),
+    ("fn_rho_complement", SearchSpace.all_labeled(6), None, {"oracle_budget": 0}),
+    ("ainouche_christofides", SearchSpace.all_labeled(5), None, {"oracle_budget": 0}),
+    ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(3), None, {"oracle_budget": 0}),
+]
+
+
+@pytest.mark.parametrize("target, space, k, opts", _SLICE_CASES)
+def test_orbit_slice_changes_no_report(monkeypatch, target, space, k, opts):
+    # a campaign over the degree-sorted rows, weighted by their orbits, with
+    # failing and aborted classes listed by every labeling of their orbits,
+    # reports what a campaign over every row does, serially and over two
+    # index ranges
+    import dataclasses
+
+    opts = dict(opts)
+    threshold = opts.pop("threshold", None)
+    if threshold is not None:  # ore with its threshold lowered: it fails on many graphs
+        (st,) = statements.statements_for(target)
+        monkeypatch.setattr(harness, "statements_for", lambda target: [
+            dataclasses.replace(st, threshold=lambda n, k: threshold)])
+    with monkeypatch.context() as m:
+        _slice_off(m)
+        off = _drop_times(verify_theorem(target, space, k=k, **opts).to_json())
+    for jobs in (1, 2):
+        assert _drop_times(verify_theorem(target, space, k=k, jobs=jobs, **opts).to_json()) == off
+    if threshold is not None:
+        assert len(off["conclusion_failures"]) == 22_114
+    if "oracle_budget" in opts:
+        assert off["aborted"]
+
+
+@pytest.mark.parametrize("size, bip", [*((n, False) for n in range(1, 8)),
+                                       *((side, True) for side in range(1, 5))])
+def test_orbit_weights_sum_to_the_space(size, bip):
+    # the degree-sorted rows, each weighted n!/prod m_d! (side!^2 over both
+    # sides' products), count every labeled graph; a labeled_min_degree
+    # slice counts every row of minimum degree >= k
+    nbits = len(_bit_ends(size, bip)[0])
+    blocks = list(_index_blocks(size, bip, 0, 1 << nbits, sliced=True))
+    assert sum(int(blk.weight.sum()) for blk in blocks) == 1 << nbits
+    deg = np.concatenate([blk.stats["deg"] for blk in blocks], axis=1).astype(int)
+    runs = [deg[:size], deg[size:]] if bip else [deg]
+    assert all(np.all(np.diff(side, axis=0) <= 0) for side in runs)
+    if nbits <= 16:  # exactly the sorted rows are there
+        full = _degree_stats(size, bip, 0, 1 << nbits)["deg"]
+        sorted_rows = np.all([np.all(np.diff(side, axis=0) <= 0, axis=0) for side in (
+            [full[:size], full[size:]] if bip else [full])], axis=0)
+        assert np.array_equal(np.concatenate([blk.index for blk in blocks]),
+                              np.flatnonzero(sorted_rows))
+    if not bip and size >= 4:
+        for k in range(1, size):
+            sliced = _index_blocks(size, bip, 0, 1 << nbits, min_deg=k, sliced=True)
+            every = _index_blocks(size, bip, 0, 1 << nbits, min_deg=k)
+            assert sum(blk.span for blk in sliced) == sum(blk.span for blk in every)
+
+
+def _brute_orbit(size, bip, idx):
+    """Every labeling of the index row idx, relabelled one permutation at a time."""
+    import itertools
+
+    us, vs, order = _bit_ends(size, bip)
+    where = {(int(u), int(v)): t for t, (u, v) in enumerate(zip(us, vs))}
+    edges = [(int(us[t]), int(vs[t])) for t in range(len(us)) if idx >> t & 1]
+    if bip:
+        sides = list(itertools.permutations(range(size)))
+        perms = [x + tuple(size + j for j in y) for x in sides for y in sides]
+    else:
+        perms = itertools.permutations(range(order))
+    return {sum(1 << where[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges) for p in perms}
+
+
+@pytest.mark.parametrize("size, bip", [(5, False), (3, True)])
+def test_orbit_weights_are_orbit_sizes(size, bip):
+    # _orbit_rows gives every labeling of a row's graph; the weights of an
+    # orbit's sorted members add up to its size, and the orbits of the sorted
+    # rows cover the space once
+    nbits = len(_bit_ends(size, bip)[0])
+    (blk,) = _index_blocks(size, bip, 0, 1 << nbits, sliced=True)
+    weight = dict(zip(blk.index.tolist(), blk.weight.tolist()))
+    seen = set()
+    for idx in blk.index.tolist():
+        orbit = harness._orbit_rows(size, bip, harness._bits_of(nbits, [idx]))
+        members = set((orbit @ (1 << np.arange(nbits))).tolist())
+        assert members == _brute_orbit(size, bip, idx)
+        if idx not in seen:
+            assert sum(weight.get(i, 0) for i in members) == len(members)
+            assert not seen & members
+            seen |= members
+    assert seen == set(range(1 << nbits))
+
+
 class _RecordingPool:
     """A stand-in for multiprocessing.Pool that records its size and maps in-process."""
 
@@ -1103,7 +1218,7 @@ def test_worker_pool_is_capped(monkeypatch, jobs, cpus, ranges, workers):
         seen.append(args[-2:])
         return orig(args)
 
-    monkeypatch.setattr(harness.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(harness, "_worker", worker)
     _RecordingPool.sizes.clear()
