@@ -27,14 +27,17 @@ carries its rows' edge counts and degrees and holds only rows of its space
 (``_Block``).  Index ranges take their degrees from two cached
 ``_degree_table``s and unpack an index's bits only where they are read
 (``_index_blocks``); graph6 files and random models materialise the bits
-(``_row_block``).  A campaign on a windowed kind gives statistics only to
-the index rows whose edge count some statement of its target can accept
-(``_edge_window``), and counts the others as processed.  A campaign's index
-blocks also keep only the rows whose degrees do not increase in vertex order
-(on X and on Y apart for bipartite rows), each weighted n!/prod m_d!, with
-m_d vertices of degree d (side!^2 over both sides' products): the number of
-labelings of its orbit it stands for, so the weights of the sorted rows add
-up to the index total (``_orbit_slice``, ``_Block.weight``).
+(``_row_block``).  A campaign's index blocks keep only the rows whose
+degrees do not increase in vertex order (on X and on Y apart for bipartite
+rows), each weighted n!/prod m_d!, with m_d vertices of degree d (side!^2
+over both sides' products): the number of labelings of its orbit it stands
+for, so the weights of the sorted rows add up to the index total
+(``_orbit_slice``, ``_Block.weight``).  On a windowed kind they also keep
+only the rows whose edge count some statement of its target can accept
+(``_edge_window``), and count the others as processed.  Those rows depend
+on the space and the window alone, not on the pass, so they are read from
+one cached table per (space, window, index range) (``_sliced_rows``), cut
+to blocks by ``_sliced_blocks``.
 
 Gates.  Each statistic or spectral radius is one column, and
 ``Statement.hypothesis`` over the columns gives each statement's mask
@@ -78,7 +81,8 @@ per class the same way, with memos per call.  An enumerated campaign can be
 split into ``jobs`` index ranges, run by at most as many workers as there
 are ranges and CPUs; the merged report equals the serial one.
 ``VerificationReport.timings`` charges time to its stages lap by lap, so
-they sum to about the wall time of a serial run.
+they sum to about the wall time of a serial run; a report keeps the six
+stage seconds in one float64 array.
 """
 
 from __future__ import annotations
@@ -87,7 +91,9 @@ import itertools
 import math
 import os
 import time
+from array import array
 from collections import defaultdict
+from collections.abc import MutableMapping
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
@@ -357,10 +363,11 @@ class _Block:
     Every row is in the space.  stats are the rows' integer statistics
     (``_stats``); span counts the rows of the space the block stands for,
     its own and those an edge-count window or the orbit slice passed over
-    (with a degree floor, the sum of its rows' weights: the blocks' spans
-    add up to the space either way).  weight (int64, one per
-    row, from ``_orbit_slice``) is the number of labelings each row stands
-    for in the counts; None means each row stands for itself.
+    (in a ``labeled_min_degree`` space, whose rows all have minimum degree
+    >= k, the sum of its rows' weights: the blocks' spans add up to the
+    space either way).  weight (int32, one per row, a read-only view of
+    ``_sliced_rows``) is the number of labelings each row stands for in the
+    counts; None means each row stands for itself.
     """
 
     size: int
@@ -379,89 +386,102 @@ class _Block:
                         self.index if rows is None else self.index[rows])
 
 
-@lru_cache(maxsize=64)
-def _window_rows(size: int, bip: bool, window: bytes, high: int) -> tuple:
-    """The rows of ``_degree_table`` whose edge count plus high the window
-    admits: their int32 table indices, their degrees (C-contiguous) and their
-    int8 edge counts, read-only.  ``_joined_block`` widens the indices and
-    edge counts to int64."""
-    deg, e = _degree_table(size, bip)
-    sel = np.flatnonzero(np.frombuffer(window, dtype=bool)[e + high])
-    cols = sel.astype(np.int32), deg.take(sel, axis=1), e[sel].astype(np.int8)
+def _table_block(size: int, bip: bool, block: int, lo: int, hi: int) -> tuple:
+    """Degrees (order, hi - lo) and edge counts of the rows lo .. hi - 1 of
+    table block ``block`` (the indices block * width + lo ..): the low
+    ``_degree_table``'s columns plus the column of the table over the high
+    bits (at most log2 _CHUNK of them) for the block, a new C-contiguous
+    array."""
+    deg_low, e_low = _degree_table(size, bip)
+    deg_high, e_high = _degree_table(size, bip, deg_low.shape[1].bit_length() - 1)
+    return deg_low[:, lo:hi] + deg_high[:, block, None], e_low[lo:hi] + e_high[block]
+
+
+def _index_blocks(size: int, bip: bool, start: int, stop: int,
+                  min_deg: Optional[int] = None) -> Iterator[_Block]:
+    """Every row of the index range [start, stop), one block per table block
+    it meets (``_table_block``); with min_deg only the rows of minimum
+    degree >= min_deg, which the block's span then counts."""
+    if start >= stop:
+        return
+    width = _degree_table(size, bip)[0].shape[1]
+    for block in range(start // width, -(-stop // width)):
+        lo, hi = max(start - block * width, 0), min(stop - block * width, width)
+        index = np.arange(block * width + lo, block * width + hi)
+        deg, e = _table_block(size, bip, block, lo, hi)
+        span = hi - lo
+        if min_deg is not None:
+            keep = np.flatnonzero(deg.min(axis=0) >= min_deg)
+            index, deg, e, span = index[keep], deg.take(keep, axis=1), e[keep], len(keep)
+        yield _Block(size, bip, _stats(deg, e), span, index=index)
+
+
+@lru_cache(maxsize=32)
+def _sliced_rows(size: int, bip: bool, window: Optional[bytes], min_deg: Optional[int],
+                 first: int, last: int) -> tuple:
+    """The rows a campaign visits in table blocks first .. last - 1: those
+    whose edge count the window admits (one bool per count; None admits
+    every count), of minimum degree >= min_deg (when given), and
+    degree-sorted (``_orbit_slice``).
+
+    Returns (index, deg, e, weight) in index order, read-only: int32
+    indices (below the 2^28 of the largest space), int8 degrees (order,
+    rows), int8 edge counts and int32 orbit weights (at most 8! = 40,320),
+    or weight None when the slice gives none.  Every statement is closed
+    under relabelling and a campaign's window is fixed by its statements,
+    so the table does not depend on the pass; a split campaign's range
+    builds only the table blocks it meets.
+    """
+    width = _degree_table(size, bip)[0].shape[1]
+    admitted = None if window is None else np.frombuffer(window, dtype=bool)
+    parts = []
+    for block in range(first, last):
+        deg, e = _table_block(size, bip, block, 0, width)
+        ok = np.ones(width, dtype=bool) if admitted is None else admitted[e]
+        if min_deg is not None:
+            ok &= deg.min(axis=0) >= min_deg
+        rows = np.flatnonzero(ok)
+        keep, weight = _orbit_slice(size, bip, deg.take(rows, axis=1))
+        rows = rows[keep]
+        parts.append((block * width + rows, deg.take(rows, axis=1), e[rows], weight))
+    index, deg, e, weight = (None if col[0] is None else np.concatenate(col, axis=-1)
+                             for col in zip(*parts))
+    cols = (index.astype(np.int32), deg, e.astype(np.int8),
+            None if weight is None else weight.astype(np.int32))
     for col in cols:
-        col.flags.writeable = False
+        if col is not None:
+            col.flags.writeable = False
     return cols
 
 
-def _index_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional[int] = None,
-                  window: Optional[bytes] = None, sliced: bool = False) -> Iterator[_Block]:
-    """The index range [start, stop) as blocks of at most _CHUNK rows.
+def _sliced_blocks(size: int, bip: bool, start: int, stop: int, min_deg: Optional[int] = None,
+                   window: Optional[bytes] = None) -> Iterator[_Block]:
+    """The rows of ``_sliced_rows`` in the index range [start, stop), as
+    blocks of at most _CHUNK rows, each weighted by its orbit.
 
-    A row's degrees and edge count are a slice of ``_degree_table`` for its
-    low index bits plus one column of the table over the high bits (at most
-    log2 _CHUNK of them), the same for the whole table block.  window (one
-    bool per edge count, never given with min_deg) keeps only the rows whose
-    edge count it admits: a table block takes its admitted rows, with their
-    degrees and edge counts, from ``_window_rows`` for the edge count of its
-    high bits (a slice of them for a partial first or last table block), and
-    the admitted rows of consecutive table blocks are joined into one
-    C-contiguous block.  sliced keeps only the degree-sorted rows, weighted
-    by their orbits (``_orbit_slice``).
+    The table covers the table blocks the range meets, and the range is cut
+    from it by ``np.searchsorted``.  A block's span is the part of the range
+    from its first row to the next block's (so the spans add up to stop -
+    start, at least one block being given), or with min_deg the weights of
+    its rows (the rows of the space it stands for).  Its indices and edge
+    counts are int64: ``_gate`` codes a row's triple as (e * order + delta)
+    * order + Delta, which int8 would wrap.
     """
-    deg_low, e_low = _degree_table(size, bip)
-    width = deg_low.shape[1]
-    deg_high, e_high = _degree_table(size, bip, width.bit_length() - 1)
-    parts, rows = [], 0  # (index, deg, e, span) of the table blocks gathered, and their rows
-    pos = start
-    while pos < stop:
-        block, lo = divmod(pos, width)
-        hi = min(stop - block * width, width)
-        high, e_top = deg_high[:, block, None], int(e_high[block])
-        if window is None:
-            sel, deg, e = np.arange(lo, hi), deg_low[:, lo:hi], e_low[lo:hi]
+    if start >= stop:
+        return
+    width = _degree_table(size, bip)[0].shape[1]
+    index, deg, e, weight = _sliced_rows(size, bip, window, min_deg, start // width,
+                                         -(-stop // width))
+    a, b = np.searchsorted(index, (start, stop)).tolist()
+    for lo in range(a, max(b, a + 1), _CHUNK):
+        hi = min(lo + _CHUNK, b)
+        w = None if weight is None else weight[lo:hi]
+        if min_deg is not None:
+            span = hi - lo if w is None else int(w.sum())
         else:
-            sel, deg, e = _window_rows(size, bip, window, e_top)
-            if lo or hi < width:
-                a, b = np.searchsorted(sel, (lo, hi))
-                sel, deg, e = sel[a:b], deg[:, a:b], e[a:b]
-        if parts and rows + len(sel) > _CHUNK:
-            yield _joined_block(size, bip, parts, min_deg, sliced)
-            parts, rows = [], 0
-        # deg + high is a new C-contiguous array (never the read-only cache),
-        # so the per-vertex reductions of _stats run over contiguous rows; a
-        # cached int32 index plus block * width stays below the 2^28 indices
-        # of the largest space, and an int8 edge count below its 28 pairs
-        parts.append((block * width + sel, deg + high, e + e_top, hi - lo))
-        rows += len(sel)
-        pos = block * width + hi
-    if parts:
-        yield _joined_block(size, bip, parts, min_deg, sliced)
-
-
-def _joined_block(size: int, bip: bool, parts: list, min_deg: Optional[int],
-                  sliced: bool) -> _Block:
-    """One block of the index rows gathered in parts by ``_index_blocks``:
-    with sliced only the degree-sorted ones, with their orbit weights
-    (``_orbit_slice``), and with min_deg only those of minimum degree >=
-    min_deg, which its span counts (by weight when sliced).
-
-    Its indices and edge counts are int64 (``_window_rows`` caches them
-    narrower): ``_gate`` codes a row's triple as (e * order + delta) * order
-    + Delta, which int8 would wrap.
-    """
-    index, deg, e = (col[0] if len(parts) == 1 else np.concatenate(col, axis=-1)
-                     for col in list(zip(*parts))[:3])
-    span, weight = sum(p[3] for p in parts), None
-    if sliced:
-        keep, weight = _orbit_slice(size, bip, deg)
-        index, deg, e = index[keep], deg.take(keep, axis=1), e[keep]
-    if min_deg is not None:
-        keep = np.flatnonzero(deg.min(axis=0) >= min_deg)
-        index, deg, e = index[keep], deg.take(keep, axis=1), e[keep]
-        weight = None if weight is None else weight[keep]
-        span = len(keep) if weight is None else int(weight.sum())
-    index, e = index.astype(np.int64, copy=False), e.astype(np.int64, copy=False)
-    return _Block(size, bip, _stats(deg, e), span, index=index, weight=weight)
+            span = (stop if hi == b else int(index[hi])) - (start if lo == a else int(index[lo]))
+        yield _Block(size, bip, _stats(deg[:, lo:hi], e[lo:hi].astype(np.int64)), span,
+                     index=index[lo:hi].astype(np.int64), weight=w)
 
 
 def _orbit_slice(size: int, bip: bool, deg: np.ndarray) -> tuple:
@@ -575,7 +595,9 @@ _GNP = ((lambda s: s.p is not None and 0.0 <= s.p <= 1.0, "edge probability must
 def _enumerated(space: SearchSpace, bip: bool, start: int, stop: int, window,
                 sliced: bool) -> Iterator[_Block]:
     # k is None but in a labeled_min_degree space, the one kind that takes it
-    return _index_blocks(space.order_hint, bip, start, stop, space.k, window, sliced)
+    if sliced:
+        return _sliced_blocks(space.order_hint, bip, start, stop, space.k, window)
+    return _index_blocks(space.order_hint, bip, start, stop, space.k)
 
 
 def _sampled(space: SearchSpace, bip: bool, *_) -> Iterator[_Block]:
@@ -628,8 +650,9 @@ def _space_blocks(space: SearchSpace, bip: bool, start: int = 0, stop: Optional[
                   window: Optional[bytes] = None, sliced: bool = False) -> Iterator[_Block]:
     """The space's rows as blocks from its kind's producer; bip reads a graph6
     file as balanced bipartite graphs, and stop None is the index total.
-    sliced lets an index kind give only its degree-sorted rows, weighted
-    (``_orbit_slice``); the materialised kinds give every row."""
+    sliced lets an index kind give only its degree-sorted rows in the window
+    (when given), weighted (``_sliced_blocks``); the materialised kinds give
+    every row."""
     kind = _space_kind(space)
     if stop is None and kind.total is not None:
         stop = kind.total(space)
@@ -1013,18 +1036,45 @@ def _exceptional(st: Statement, g, n: int, k, clock: "_Clock") -> bool:
 # ---------------------------------------------------------------------------
 
 _STAGES = ("stats", "gate", "eigensolve", "hypothesis", "conclusion", "recognize")
+_STAGE_AT = {stage: i for i, stage in enumerate(_STAGES)}
+
+
+class _StageTimes(MutableMapping):
+    """The stages' seconds as a mapping, in stage order, read from and
+    written to one array('d') of a report."""
+
+    __slots__ = ("seconds",)
+
+    def __init__(self, seconds: array):
+        self.seconds = seconds
+
+    def __getitem__(self, stage: str) -> float:
+        return self.seconds[_STAGE_AT[stage]]
+
+    def __setitem__(self, stage: str, value: float):
+        self.seconds[_STAGE_AT[stage]] = value
+
+    def __delitem__(self, stage: str):
+        raise TypeError("a report times every stage")
+
+    def __iter__(self):
+        return iter(_STAGES)
+
+    def __len__(self) -> int:
+        return len(_STAGES)
 
 
 class _Clock:
-    """Stage timer: each lap charges the time since the previous lap to one stage."""
+    """Stage timer: each lap charges the time since the previous lap to one
+    stage, in a report's stage seconds (the array its timings read)."""
 
-    def __init__(self, timings: dict):
-        self.timings = timings
+    def __init__(self, seconds: array):
+        self.seconds = seconds
         self.last = time.perf_counter()
 
     def lap(self, stage: str):
         now = time.perf_counter()
-        self.timings[stage] += now - self.last
+        self.seconds[_STAGE_AT[stage]] += now - self.last
         self.last = now
 
 
@@ -1047,7 +1097,9 @@ class VerificationReport:
     timings holds perf_counter seconds per stage (stats, gate, eigensolve,
     hypothesis, conclusion, recognize), summed over blocks and workers; the
     gate stage includes choosing the surviving rows, and the eigensolve stage
-    keying them by class.
+    keying them by class.  It is a mapping over seconds, one float64
+    array('d') in stage order (a kept report holds no dict or float object
+    per stage), and ``to_json`` gives it as a plain dict.
     """
 
     target: str
@@ -1058,7 +1110,11 @@ class VerificationReport:
     conclusion_failures: list = field(default_factory=list)
     aborted: list = field(default_factory=list)
     wall_time: float = 0.0
-    timings: dict = field(default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
+    stage_seconds: array = field(default_factory=lambda: array("d", bytes(8 * len(_STAGES))))
+
+    @property
+    def timings(self) -> _StageTimes:
+        return _StageTimes(self.stage_seconds)
 
     @property
     def clean(self) -> bool:
@@ -1079,7 +1135,10 @@ class VerificationReport:
         return self
 
     def to_json(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["stage_seconds"]  # the last field: timings takes its place
+        out["timings"] = dict(self.timings)
+        return out
 
 
 @lru_cache(maxsize=64)
@@ -1220,10 +1279,11 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
 
     A row survives when it passes the gate of some radius statement or the
     hypothesis of a statement on an integer quantity; every other row fails
-    every hypothesis.  A windowed kind gives only the rows in the target's
-    ``_edge_window``, and counts the others as processed.  An index kind
-    gives only its degree-sorted rows, each weighted by its orbit
-    (``_orbit_slice``): every statement is closed under relabelling.
+    every hypothesis.  An index kind gives only its degree-sorted rows,
+    each weighted by its orbit (``_orbit_slice``): every statement is closed
+    under relabelling.  A windowed kind gives only the rows in the target's
+    ``_edge_window``, and counts the others as processed.  Both come from
+    the cached table of ``_sliced_rows``.
     """
     stmts = tuple(statements_for(target))
     bip = stmts[0].domain == "bipartite"
@@ -1231,7 +1291,7 @@ def _verify_blocks(target, space, k, tol, budget, start=0, stop=None) -> Verific
     if _space_kind(space).windowed:
         window = _edge_window(stmts, space.order_hint, bip, k, tol)
     report = VerificationReport(target, _described(space))
-    clock = _Clock(report.timings)
+    clock = _Clock(report.stage_seconds)
     quantities = {st.quantity for st in stmts}
     integral = [st for st in stmts if st.quantity not in SPECTRAL]
     memos = defaultdict(dict)  # the call's per-class values (``_Classes``)

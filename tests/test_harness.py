@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import re
 from collections import defaultdict
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from spectralham.harness import (
     _radii,
     _radius_interval,
     _row_classes,
+    _sliced_blocks,
 )
 from spectralham.oracle import is_hamiltonian, is_traceable
 from spectralham.spectral import DEFAULT_TOL, radius_intervals, spectral_radius
@@ -909,10 +911,12 @@ def test_class_keyed_campaigns_solve_few_matrices(monkeypatch):
     # edge-count window get statistics (824 fn_rho rows, e in [15, 21], and
     # 964 bip_q_qc rows), every row that survives the gate, with the Rayleigh
     # lower end for q_qc, is keyed once (141 fn_rho rows, 417 bip_q_qc rows),
-    # and its radii, hypotheses and conclusions share those keys.  No value outlives
-    # a verify_theorem call, so a second identical pass does as much as the first
-    # a radius, verdict and recognizer is asked once per class: 46
-    # Statement.exception calls per pass (2 fn_rho, 44 bip_q_qc)
+    # and its radii, hypotheses and conclusions share those keys: a radius,
+    # verdict and recognizer is asked once per class, 46 Statement.exception
+    # calls per pass (2 fn_rho, 44 bip_q_qc).  No per-class value outlives a
+    # verify_theorem call, so a second identical pass does as much as the
+    # first; the sorted-row table is cached like the gate tables, and a pass
+    # that reads it still gives each of its rows statistics
     keyed, solved, decided, statted, recognized = [], [], [], [], []
     orig_keys, orig_eig, orig_hk = harness._class_keys, np.linalg.eigvalsh, \
         harness._held_karp_batch
@@ -1017,8 +1021,16 @@ def test_degree_floor_leaves_few_rows_to_rayleigh(monkeypatch):
     assert seen == {"_degree_floor": 820, "_rayleigh": 486, "_class_keys": 417}
 
 
+def _fresh_tables(m):
+    """Give the campaigns under m a cache of sliced-row tables of their own:
+    its key cannot see a hook, so no table cached before the hook is read
+    under it, and none built under it is read after m is undone."""
+    m.setattr(harness, "_sliced_rows", lru_cache(maxsize=None)(harness._sliced_rows.__wrapped__))
+
+
 def _gates_off(m):
     """Switch off the edge-count window and the degree and Rayleigh lower ends."""
+    _fresh_tables(m)
     m.setattr(harness, "_edge_window", lambda *args: None)
     m.setattr(harness, "_degree_floor", lambda key, size, bip, deg, e: np.zeros(len(e)))
     m.setattr(harness, "_rayleigh", lambda key, size, bip, bits, deg: np.zeros(len(bits)))
@@ -1076,6 +1088,7 @@ def test_row_gates_change_no_report(monkeypatch, tmp_path, target, k):
 
 def _slice_off(m):
     """Give a campaign every row of an index space, each standing for itself."""
+    _fresh_tables(m)
     m.setattr(harness, "_orbit_slice", lambda size, bip, deg: (np.arange(deg.shape[1]), None))
 
 
@@ -1115,11 +1128,30 @@ def test_orbit_slice_changes_no_report(monkeypatch, target, space, k, opts):
         (st,) = statements.statements_for(target)
         monkeypatch.setattr(harness, "statements_for", lambda target: [
             dataclasses.replace(st, threshold=lambda n, k: threshold)])
+    given, weighed = [], [0]  # rows given statistics, off and serially on; their weights
+    orig_stats, orig_blocks = harness._stats, harness._sliced_blocks
+
+    def stats(deg, e):
+        given[-1] += len(e)
+        return orig_stats(deg, e)
+
+    def sliced_blocks(*args):
+        for blk in orig_blocks(*args):
+            weighed[0] += 0 if blk.weight is None else int(blk.weight.sum())
+            yield blk
+
+    monkeypatch.setattr(harness, "_stats", stats)
+    monkeypatch.setattr(harness, "_sliced_blocks", sliced_blocks)
     with monkeypatch.context() as m:
         _slice_off(m)
+        given.append(0)
         off = _drop_times(verify_theorem(target, space, k=k, **opts).to_json())
     for jobs in (1, 2):
+        given.append(0)
         assert _drop_times(verify_theorem(target, space, k=k, jobs=jobs, **opts).to_json()) == off
+    # the off run gives statistics to every labeling of the rows the on run
+    # visits: to more rows, unless each of those stands for itself alone
+    assert given[0] == weighed[0] and (given[0] > given[1] or weighed[0] == given[1])
     if threshold is not None:
         assert len(off["conclusion_failures"]) == 22_114
     if "oracle_budget" in opts:
@@ -1133,7 +1165,7 @@ def test_orbit_weights_sum_to_the_space(size, bip):
     # sides' products), count every labeled graph; a labeled_min_degree
     # slice counts every row of minimum degree >= k
     nbits = len(_bit_ends(size, bip)[0])
-    blocks = list(_index_blocks(size, bip, 0, 1 << nbits, sliced=True))
+    blocks = list(_sliced_blocks(size, bip, 0, 1 << nbits))
     assert sum(int(blk.weight.sum()) for blk in blocks) == 1 << nbits
     deg = np.concatenate([blk.stats["deg"] for blk in blocks], axis=1).astype(int)
     runs = [deg[:size], deg[size:]] if bip else [deg]
@@ -1146,7 +1178,7 @@ def test_orbit_weights_sum_to_the_space(size, bip):
                               np.flatnonzero(sorted_rows))
     if not bip and size >= 4:
         for k in range(1, size):
-            sliced = _index_blocks(size, bip, 0, 1 << nbits, min_deg=k, sliced=True)
+            sliced = _sliced_blocks(size, bip, 0, 1 << nbits, min_deg=k)
             every = _index_blocks(size, bip, 0, 1 << nbits, min_deg=k)
             assert sum(blk.span for blk in sliced) == sum(blk.span for blk in every)
 
@@ -1172,7 +1204,7 @@ def test_orbit_weights_are_orbit_sizes(size, bip):
     # orbit's sorted members add up to its size, and the orbits of the sorted
     # rows cover the space once
     nbits = len(_bit_ends(size, bip)[0])
-    (blk,) = _index_blocks(size, bip, 0, 1 << nbits, sliced=True)
+    (blk,) = _sliced_blocks(size, bip, 0, 1 << nbits)
     weight = dict(zip(blk.index.tolist(), blk.weight.tolist()))
     seen = set()
     for idx in blk.index.tolist():
@@ -1443,34 +1475,109 @@ def test_degree_table_matches_incidence_matmul(size, bip, ranges):
         assert np.array_equal(stats["Delta"], deg.max(axis=0))
 
 
+def _check_sliced_blocks(size, bip, start, stop, min_deg, window):
+    """A campaign's blocks over the index range [start, stop), whole or
+    cutting its first and last table blocks, hold exactly the range's rows
+    that the window admits, of minimum degree >= min_deg and degree-sorted,
+    with the statistics of the unsliced rows, in blocks of at most _CHUNK
+    rows; their rows and weights are those of a table one table block wider
+    on each side (where the space has one), and their spans add up to the
+    range, or under min_deg to their weights."""
+    nbits = len(_bit_ends(size, bip)[0])
+    width = harness._degree_table(size, bip)[0].shape[1]
+    blocks = list(_sliced_blocks(size, bip, start, stop, min_deg, window))
+    assert all(len(blk.index) <= _CHUNK for blk in blocks)
+    index = np.concatenate([blk.index for blk in blocks])
+    weight = np.concatenate([blk.weight for blk in blocks])
+    full = _degree_stats(size, bip, start, stop)
+    keep = full["delta"] >= (min_deg or 0)
+    if window is not None:
+        keep &= np.frombuffer(window, dtype=bool)[full["e"]]
+    for side in ([full["deg"][:size], full["deg"][size:]] if bip else [full["deg"]]):
+        keep &= np.all(np.diff(side, axis=0) <= 0, axis=0)
+    keep = np.flatnonzero(keep)
+    assert np.array_equal(index, start + keep)
+    for name in ("deg", "e", "delta", "two_delta", "Delta"):
+        got = np.concatenate([blk.stats[name] for blk in blocks], axis=-1)
+        assert np.array_equal(got, full[name][..., keep]), name
+    assert np.array_equal(np.concatenate([blk.rows_bits() for blk in blocks]),
+                          _index_bits(nbits, start, stop)[keep])
+    wider = harness._sliced_rows(size, bip, window, min_deg, max(start // width - 1, 0),
+                                 min(-(-stop // width) + 1, (1 << nbits) // width))
+    at = np.searchsorted(wider[0], index)
+    assert np.array_equal(wider[0][at], index) and np.array_equal(wider[3][at], weight)
+    spans = sum(blk.span for blk in blocks)
+    assert spans == (stop - start if min_deg is None else int(weight.sum()))
+
+
 @pytest.mark.parametrize("size, bip, target, k, ranges", [
     (8, False, "fn_rho", None, [(12345, 15001), (3 * _CHUNK - 777, 9 * _CHUNK + 1234)]),
     (6, False, "ore", None, [(0, 1 << 15), (_CHUNK - 1, _CHUNK + 1), (5, (1 << 15) - 3)]),
     (5, True, "bip_q_qc", None, [(7, 7 + 4099), (1000 * _CHUNK + 5, 1002 * _CHUNK + 17)]),
-    (4, True, "bip_rho_qc", 2, [(0, 1 << 16)]),
+    (4, True, "bip_rho_qc", 2, [(0, 1 << 16), (5, (1 << 16) - 7)]),
 ])
 def test_edge_window_keeps_exactly_the_admitted_rows(size, bip, target, k, ranges):
-    # a windowed index range gives the rows of the whole range whose edge
-    # count the window admits, with the same statistics, in blocks of at most
-    # _CHUNK C-contiguous rows whose spans add up to the range
+    # a windowed campaign's sliced blocks keep exactly the degree-sorted rows
+    # of their range whose edge count the window admits
     window = harness._edge_window(tuple(harness.statements_for(target)), size, bip, k,
                                   DEFAULT_TOL)
     admitted = np.frombuffer(window, dtype=bool)
     assert 0 < admitted.sum() < len(admitted)
     for start, stop in ranges:
-        blocks = list(_index_blocks(size, bip, start, stop, window=window))
-        assert sum(blk.span for blk in blocks) == stop - start
-        assert all(len(blk.index) <= _CHUNK and blk.stats["deg"].flags.c_contiguous
-                   for blk in blocks)
-        got = {name: np.concatenate([blk.stats[name] for blk in blocks], axis=-1)
-               for name in ("deg", "e", "delta", "Delta")}
-        full = _degree_stats(size, bip, start, stop)
-        keep = np.flatnonzero(admitted[full["e"]])
-        assert np.array_equal(np.concatenate([blk.index for blk in blocks]), start + keep)
-        for name, col in got.items():
-            assert np.array_equal(col, full[name][..., keep]), name
-        assert np.array_equal(np.concatenate([blk.rows_bits() for blk in blocks]),
-                              _index_bits(len(_bit_ends(size, bip)[0]), start, stop)[keep])
+        _check_sliced_blocks(size, bip, start, stop, None, window)
+
+
+def test_sliced_table_is_narrow_and_blocks_are_wide():
+    # the benchmark's tables keep int32 indices, int8 degrees, int8 edge
+    # counts and int32 weights, read-only: 824 + 964 = 1,788 rows in under
+    # 64 KiB together; a block widens indices and edge counts to int64, as
+    # _gate's triple code (e * order + delta) * order + Delta would wrap in int8
+    rows = nbytes = 0
+    for target, space in (("fn_rho", SearchSpace.all_labeled(7)),
+                          ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4))):
+        size, bip = space.order_hint, space.is_bipartite_space
+        window = harness._edge_window(tuple(harness.statements_for(target)), size, bip, None,
+                                      DEFAULT_TOL)
+        nbits, order = len(_bit_ends(size, bip)[0]), _bit_ends(size, bip)[2]
+        width = harness._degree_table(size, bip)[0].shape[1]
+        cols = harness._sliced_rows(size, bip, window, None, 0, (1 << nbits) // width)
+        assert [col.dtype for col in cols] == [np.int32, np.int8, np.int8, np.int32]
+        assert not any(col.flags.writeable for col in cols)
+        rows += len(cols[0])
+        nbytes += sum(col.nbytes for col in cols)
+        (blk,) = harness._space_blocks(space, bip, window=window, sliced=True)
+        assert blk.index.dtype == blk.stats["e"].dtype == np.int64
+        assert np.array_equal(blk.stats["e"], harness._bits_of(nbits, blk.index).sum(axis=1))
+        code = (blk.stats["e"] * order + blk.stats["delta"]) * order + blk.stats["Delta"]
+        assert code.max() < (nbits + 1) * order * order and code.max() > np.iinfo(np.int8).max
+    assert rows == 1788 and nbytes < 64 << 10
+
+
+@pytest.mark.parametrize("target, space, k", [
+    ("fn_rho", SearchSpace.all_labeled(7), None),
+    ("main_rho_complement.2", SearchSpace.labeled_min_degree(7, 1), 1),
+])
+def test_split_campaigns_build_only_their_table_blocks(monkeypatch, target, space, k):
+    # each of three index ranges builds the sliced rows of the table blocks
+    # it meets, not the whole space's: 128 table blocks, two of them met by
+    # two ranges, against 3 x 128 for three whole-space tables
+    visits = []
+    orig = harness._orbit_slice
+
+    def orbit_slice(size, bip, deg):
+        visits.append(deg.shape)
+        return orig(size, bip, deg)
+
+    monkeypatch.setattr(harness, "_orbit_slice", orbit_slice)
+    _fresh_tables(monkeypatch)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    serial = _drop_times(verify_theorem(target, space, k=k).to_json())
+    assert len(visits) == 128
+    visits.clear()
+    assert _drop_times(verify_theorem(target, space, k=k, jobs=3).to_json()) == serial
+    # the ranges [0, 699050), [699050, 1398101), [1398101, 2^21) meet table
+    # blocks 0-42, 42-85 and 85-127
+    assert len(visits) == 128 + 2
 
 
 @pytest.mark.parametrize("size, bip, k, ranges", [
@@ -1486,7 +1593,8 @@ def test_edge_window_keeps_exactly_the_admitted_rows(size, bip, target, k, range
 def test_min_degree_blocks_hold_exactly_the_space_rows(size, bip, k, ranges):
     # a labeled_min_degree range gives the rows of the range with delta >= k,
     # in index order, with the same statistics, in C-contiguous blocks whose
-    # spans count their own rows
+    # spans count their own rows; sliced, its degree-sorted ones, whose spans
+    # count their weights
     nbits = len(_bit_ends(size, bip)[0])
     for start, stop in ranges:
         blocks = list(_index_blocks(size, bip, start, stop, min_deg=k))
@@ -1503,28 +1611,8 @@ def test_min_degree_blocks_hold_exactly_the_space_rows(size, bip, k, ranges):
         if k == 1 and stop - start > 3 * _CHUNK:
             table_blocks = set(range(start // _CHUNK, (stop - 1) // _CHUNK + 1))
             assert 0 < len(set(((start + keep) // _CHUNK).tolist())) < len(table_blocks)
-
-
-@pytest.mark.parametrize("target, size, bip", [("fn_rho", 7, False), ("bip_q_qc", 4, True)])
-def test_window_cache_is_narrow_and_joined_blocks_are_wide(target, size, bip):
-    # the cache keeps int32 table indices and int8 edge counts beside its int8
-    # degrees; a joined block widens indices and edge counts to int64, as
-    # _gate's triple code (e * order + delta) * order + Delta would wrap in int8
-    window = harness._edge_window(tuple(harness.statements_for(target)), size, bip, None,
-                                  DEFAULT_TOL)
-    assert window is not None
-    nbits, order = len(_bit_ends(size, bip)[0]), _bit_ends(size, bip)[2]
-    for high in range(nbits - (_CHUNK.bit_length() - 1) + 1):
-        sel, deg, e = harness._window_rows(size, bip, window, high)
-        assert (sel.dtype, deg.dtype, e.dtype) == (np.int32, np.int8, np.int8)
-        assert not (sel.flags.writeable or deg.flags.writeable or e.flags.writeable)
-    blocks = list(_index_blocks(size, bip, 0, 1 << nbits, window=window))
-    assert blocks
-    for blk in blocks:
-        assert blk.index.dtype == blk.stats["e"].dtype == np.int64
-        assert np.array_equal(blk.stats["e"], harness._bits_of(nbits, blk.index).sum(axis=1))
-        code = (blk.stats["e"] * order + blk.stats["delta"]) * order + blk.stats["Delta"]
-        assert code.max() < (nbits + 1) * order * order and code.max() > np.iinfo(np.int8).max
+        # a campaign's blocks keep the degree-sorted ones, weighted
+        _check_sliced_blocks(size, bip, start, stop, k, None)
 
 
 @pytest.mark.parametrize("size, bip", [(harness.MAX_ALL_LABELED_N, False),
@@ -1670,7 +1758,17 @@ def test_stage_timings_cover_the_wall_time():
     assert all(t >= 0 for t in rep.timings.values())
     assert rep.timings["eigensolve"] > 0 and rep.timings["recognize"] > 0
     assert abs(sum(rep.timings.values()) - rep.wall_time) <= 0.05 * rep.wall_time
-    assert rep.to_json()["timings"] == rep.timings
+    # kept in one float64 array, written through the mapping, given as a
+    # plain dict in the last key of to_json
+    assert rep.stage_seconds.typecode == "d" and list(rep.stage_seconds) == list(
+        rep.timings.values())
+    out = rep.to_json()
+    assert list(out) == ["target", "space", "processed", "hypothesis_count",
+                         "exceptional_matches", "conclusion_failures", "aborted", "wall_time",
+                         "timings"]
+    assert type(out["timings"]) is dict and out["timings"] == rep.timings
+    rep.timings["gate"] += 1.0
+    assert rep.stage_seconds[1] == out["timings"]["gate"] + 1.0
     # merged across workers: every stage is a sum of the workers' stages
     parts = verify_theorem("fn_rho", SearchSpace.all_labeled(6), jobs=2).timings
     assert list(parts) == list(rep.timings) and parts["eigensolve"] > 0
