@@ -1527,30 +1527,29 @@ def test_edge_window_keeps_exactly_the_admitted_rows(size, bip, target, k, range
         _check_sliced_blocks(size, bip, start, stop, None, window)
 
 
-def test_sliced_table_is_narrow_and_blocks_are_wide():
-    # the benchmark's tables keep int32 indices, int8 degrees, int8 edge
-    # counts and int32 weights, read-only: 824 + 964 = 1,788 rows in under
-    # 64 KiB together; a block widens indices and edge counts to int64, as
-    # _gate's triple code (e * order + delta) * order + Delta would wrap in int8
-    rows = nbytes = 0
-    for target, space in (("fn_rho", SearchSpace.all_labeled(7)),
-                          ("bip_q_qc", SearchSpace.balanced_bipartite_labeled(4))):
-        size, bip = space.order_hint, space.is_bipartite_space
-        window = harness._edge_window(tuple(harness.statements_for(target)), size, bip, None,
-                                      DEFAULT_TOL)
-        nbits, order = len(_bit_ends(size, bip)[0]), _bit_ends(size, bip)[2]
-        width = harness._degree_table(size, bip)[0].shape[1]
-        cols = harness._sliced_rows(size, bip, window, None, 0, (1 << nbits) // width)
-        assert [col.dtype for col in cols] == [np.int32, np.int8, np.int8, np.int32]
-        assert not any(col.flags.writeable for col in cols)
-        rows += len(cols[0])
-        nbytes += sum(col.nbytes for col in cols)
-        (blk,) = harness._space_blocks(space, bip, window=window, sliced=True)
-        assert blk.index.dtype == blk.stats["e"].dtype == np.int64
-        assert np.array_equal(blk.stats["e"], harness._bits_of(nbits, blk.index).sum(axis=1))
-        code = (blk.stats["e"] * order + blk.stats["delta"]) * order + blk.stats["Delta"]
-        assert code.max() < (nbits + 1) * order * order and code.max() > np.iinfo(np.int8).max
-    assert rows == 1788 and nbytes < 64 << 10
+@pytest.mark.parametrize("target, size, bip", [("fn_rho", 7, False), ("bip_q_qc", 4, True)])
+def test_window_cache_is_narrow_and_joined_blocks_are_wide(target, size, bip):
+    # the benchmark's sliced-row tables keep int32 indices, int8 degrees, int8
+    # edge counts and int32 weights, read-only: 824 + 964 = 1,788 rows in under
+    # 32 KiB each; a block widens indices and edge counts to int64, as _gate's
+    # triple code (e * order + delta) * order + Delta would wrap in int8
+    space = (SearchSpace.balanced_bipartite_labeled(size) if bip
+             else SearchSpace.all_labeled(size))
+    window = harness._edge_window(tuple(harness.statements_for(target)), size, bip, None,
+                                  DEFAULT_TOL)
+    assert window is not None
+    nbits, order = len(_bit_ends(size, bip)[0]), _bit_ends(size, bip)[2]
+    width = harness._degree_table(size, bip)[0].shape[1]
+    cols = harness._sliced_rows(size, bip, window, None, 0, (1 << nbits) // width)
+    assert [col.dtype for col in cols] == [np.int32, np.int8, np.int8, np.int32]
+    assert not any(col.flags.writeable for col in cols)
+    assert len(cols[0]) == {"fn_rho": 824, "bip_q_qc": 964}[target]
+    assert sum(col.nbytes for col in cols) < 32 << 10
+    (blk,) = harness._space_blocks(space, bip, window=window, sliced=True)
+    assert blk.index.dtype == blk.stats["e"].dtype == np.int64
+    assert np.array_equal(blk.stats["e"], harness._bits_of(nbits, blk.index).sum(axis=1))
+    code = (blk.stats["e"] * order + blk.stats["delta"]) * order + blk.stats["Delta"]
+    assert code.max() < (nbits + 1) * order * order and code.max() > np.iinfo(np.int8).max
 
 
 @pytest.mark.parametrize("target, space, k", [
